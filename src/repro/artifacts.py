@@ -1,12 +1,11 @@
-"""Durable content-addressed artifact store: the data layer under the
-sweep engine.
+"""Durable content-addressed artifact store: the one persistence layer
+under the sweep engine.
 
-PRs 6–7 made sweep *execution* and *serving* crash-tolerant, but the
-expensive cached artifacts they rest on — partitions, trained-model
-results, simulation reports, encoded workloads — were anonymous pickle
-blobs whose only integrity story was a checksum footer.  This module
-promotes them to first-class artifacts, following the two-stage design
-of SNIPPETS.md's Lambda-Hat (Stage A builds a content-addressed target
+Everything a sweep persists is an artifact here: job results (kinds
+``sim-report`` and ``train-result``), large partitions (``partition``)
+and the engine's derived memos — graph fingerprints, workloads and
+tables (``memo``).  The design follows the two-stage pattern of
+SNIPPETS.md's Lambda-Hat (Stage A builds a content-addressed target
 once, Stage B consumes it many times):
 
 - **Content-addressed ids.**  ``art_<sha256-prefix>`` derived from a
@@ -38,7 +37,9 @@ once, Stage B consumes it many times):
 - **GC with liveness.**  :meth:`ArtifactStore.gc` marks live ids from
   the run journals under ``<cache>/runs/`` plus explicitly pinned ids,
   then sweeps the rest — dry-run by default, with ``keep_days`` as an
-  age guard and ``apply`` to actually delete.
+  age guard and ``apply`` to actually delete.  No journal references a
+  ``memo``, so memos go like any unreferenced entry unless
+  ``keep_days`` protects them (the next run recomputes them).
 
 - **Verified export/import.**  :meth:`ArtifactStore.export` writes a
   manifest-listed tarball or rsync-able directory tree (every entry
@@ -48,24 +49,19 @@ once, Stage B consumes it many times):
   *before* publishing anything — so a warm corpus can ship to a worker
   fleet and be trusted on arrival.
 
-- **Sharded layout with transparent migration.**  New entries publish
-  into per-prefix shard directories (``objects/ab/art_ab12…``), keeping
-  directory fan-out bounded as corpora pass ~10⁵ entries.  Reads
-  resolve through *both* layouts (sharded first, then the legacy flat
-  ``objects/art_…``), so a store written by an older process keeps
-  working untouched; :meth:`ArtifactStore.migrate` upgrades a flat
-  store in place, one atomic :func:`os.rename` per entry — crash-safe
-  (a SIGKILL mid-migration leaves every entry readable in exactly one
-  location) and resumable (re-running continues where it stopped).
-  :meth:`ArtifactStore.verify` reports per-shard counts and flags any
-  id reachable in both layouts, the invariant a torn non-atomic
-  migration would break.
+- **Sharded layout.**  Entries live in per-prefix shard directories
+  (``objects/ab/art_ab12…``), keeping directory fan-out bounded as
+  corpora pass ~10⁵ entries.  An entry anywhere else under
+  ``objects/`` — such as a root-level ``objects/art_…`` directory left
+  by an older flat-layout store — is never read;
+  :meth:`ArtifactStore.verify` quarantines it as misfiled.  Every id
+  embeds the producer's code version, so such leftovers could never be
+  served anyway: old stores are caches to rebuild, not migrate.
 
 Layout under ``<REPRO_CACHE_DIR>/artifacts/v1/``::
 
     objects/ab/art_ab12…/manifest.json    # canonical inputs + payload digest
     objects/ab/art_ab12…/payload.bin      # pickled value
-    objects/art_<hex16>/                  # legacy flat entries (pre-migrate)
     tmp/<id>.<pid>.<token>/               # in-progress writes (droppable)
     quarantine/<id>.<token>/              # corrupt entries + reason.json
     pins.txt                              # one pinned id per line
@@ -75,13 +71,7 @@ Environment knobs:
 - ``REPRO_ARTIFACTS_FSYNC`` — ``0`` skips the fsync barriers (faster,
   loses power-loss durability; default ``1``);
 - ``REPRO_ARTIFACTS_VERIFY_READS`` — ``0`` skips the per-read payload
-  re-hash (``verify`` still checks everything; default ``1``);
-- ``REPRO_ARTIFACTS_SPILL_BYTES`` — size at which
-  :class:`~repro.perf.cache.DiskCache` entries spill into this store
-  (default 262144);
-- ``REPRO_ARTIFACTS_SHARD`` — ``0`` publishes new entries into the
-  legacy flat layout instead of shard directories (default ``1``;
-  reads always understand both).
+  re-hash (``verify`` still checks everything; default ``1``).
 """
 
 from __future__ import annotations
@@ -143,12 +133,6 @@ def _verify_reads() -> bool:
     from .envutil import env_int
 
     return env_int("REPRO_ARTIFACTS_VERIFY_READS", 1) != 0
-
-
-def _shard_writes() -> bool:
-    from .envutil import env_int
-
-    return env_int("REPRO_ARTIFACTS_SHARD", 1) != 0
 
 
 def shard_of(art_id: str) -> str:
@@ -287,28 +271,9 @@ class ArtifactStore:
         self._warned_readonly = False
 
     # -- paths -------------------------------------------------------------
-    def _sharded_dir(self, art_id: str) -> Path:
-        return self.objects / shard_of(art_id) / art_id
-
-    def _flat_dir(self, art_id: str) -> Path:
-        return self.objects / art_id
-
     def entry_dir(self, art_id: str) -> Path:
-        """Resolve an id to its on-disk entry directory.
-
-        An *existing* entry wins wherever it lives — sharded first, then
-        the legacy flat layout — so stores keep working mid-migration
-        and across processes with different ``REPRO_ARTIFACTS_SHARD``
-        settings.  An id with no entry resolves to the write target for
-        the current layout setting.
-        """
-        sharded = self._sharded_dir(art_id)
-        if sharded.is_dir():
-            return sharded
-        flat = self._flat_dir(art_id)
-        if flat.is_dir():
-            return flat
-        return sharded if _shard_writes() else flat
+        """The entry directory of an id: ``objects/<shard>/<id>``."""
+        return self.objects / shard_of(art_id) / art_id
 
     def manifest_path(self, art_id: str) -> Path:
         return self.entry_dir(art_id) / "manifest.json"
@@ -563,10 +528,11 @@ class ArtifactStore:
 
     # -- verification ------------------------------------------------------
     def _iter_entries(self):
-        """Yield ``(name, path, shard)`` for every entry directory in
-        either layout; ``shard`` is the two-hex shard name or ``"flat"``
-        for legacy root-level entries.  Names are not validated here —
-        :meth:`verify` quarantines the invalid ones."""
+        """Yield ``(name, path, shard)`` for every directory under
+        ``objects/``; ``shard`` is the shard directory's name, or ``""``
+        for a root-level directory (an old flat-layout entry).  Names
+        and placement are not validated here — :meth:`verify`
+        quarantines the invalid and misfiled ones."""
         try:
             roots = sorted(self.objects.iterdir())
         except OSError:
@@ -583,36 +549,28 @@ class ArtifactStore:
                     if child.is_dir():
                         yield child.name, child, entry.name
             else:
-                yield entry.name, entry, "flat"
+                yield entry.name, entry, ""
 
     def verify(self, sweep_tmp: bool = True) -> Dict:
         """Re-hash every payload against its manifest; quarantine what
         fails; optionally sweep dead in-progress temp directories.
 
         Returns ``{"checked", "ok", "quarantined": [{id, reason}],
-        "swept_tmp", "quarantine_entries", "shards": {shard: count},
-        "dual_layout": [ids]}``.  ``shards`` counts entries per shard
-        directory (``"flat"`` groups legacy root-level entries);
-        ``dual_layout`` lists ids still reachable in *both* layouts
-        after this pass — the invariant only a non-atomic migration
-        (or a hand-copied store) can break, since :meth:`migrate` moves
-        entries with single renames.
+        "swept_tmp", "quarantine_entries", "shards": {shard: count}}``.
+        ``shards`` counts the entries that verified, per shard
+        directory.  An entry outside its own shard directory — a
+        root-level one included — is quarantined as misfiled.
         """
         checked = ok = 0
         newly_quarantined: List[Dict] = []
         shards: Dict[str, int] = {}
-        seen_flat: Set[str] = set()
-        seen_sharded: Set[str] = set()
-        quarantined_paths: Set[Tuple[str, str]] = set()
         for name, path, shard in self._iter_entries():
             checked += 1
-            shards[shard] = shards.get(shard, 0) + 1
-            (seen_flat if shard == "flat" else seen_sharded).add(name)
             try:
                 if not _valid_id(name):
                     raise ArtifactIntegrityError(
                         f"{name}: not a valid artifact id")
-                if shard not in ("flat", shard_of(name)):
+                if shard != shard_of(name):
                     raise ArtifactIntegrityError(
                         f"{name}: filed under shard {shard!r}, belongs in "
                         f"{shard_of(name)!r}")
@@ -631,93 +589,16 @@ class ArtifactStore:
                         f"{name}: id does not re-derive from manifest "
                         f"inputs (expected {expected})")
                 ok += 1
+                shards[shard] = shards.get(shard, 0) + 1
             except (ArtifactIntegrityError, OSError, KeyError) as exc:
                 reason = str(exc) or type(exc).__name__
                 self._quarantine(name, reason, path=path)
-                quarantined_paths.add((name, shard))
                 newly_quarantined.append({"id": name, "reason": reason})
-        # A copy quarantined this pass no longer counts toward the
-        # dual-layout invariant — moving it aside *resolved* the clash.
-        for name, shard in quarantined_paths:
-            (seen_flat if shard == "flat" else seen_sharded).discard(name)
         swept = self._sweep_tmp() if sweep_tmp else 0
         return {"checked": checked, "ok": ok,
                 "quarantined": newly_quarantined, "swept_tmp": swept,
                 "quarantine_entries": len(self.quarantine_entries()),
-                "shards": shards,
-                "dual_layout": sorted(seen_flat & seen_sharded)}
-
-    # -- migration ---------------------------------------------------------
-    def migrate(self) -> Dict:
-        """Upgrade a flat store to the sharded layout, in place.
-
-        Each legacy root-level entry moves into its shard directory via
-        one atomic :func:`os.rename` — the same primitive the publish
-        protocol uses — so a SIGKILL at any instant leaves every entry
-        complete and readable in exactly one location, and re-running
-        resumes with whatever is still flat.  An id that already has a
-        sharded copy (a concurrent writer published it, or an earlier
-        interrupted pass) keeps the sharded copy reads already prefer;
-        the flat duplicate is redundant by content address and removed.
-
-        Returns ``{"moved", "deduped", "failed": [{id, error}],
-        "remaining_flat", "shards"}``.
-        """
-        from . import faults
-
-        injector = faults.active_injector()
-        moved = deduped = 0
-        failed: List[Dict] = []
-        try:
-            entries = sorted(self.objects.iterdir())
-        except OSError:
-            entries = []
-        touched: Set[Path] = set()
-        for entry in entries:
-            if not entry.is_dir() or _is_shard_name(entry.name):
-                continue
-            art_id = entry.name
-            if not _valid_id(art_id):
-                failed.append({"id": art_id,
-                               "error": "not a valid artifact id (left for "
-                                        "verify to quarantine)"})
-                continue
-            if injector is not None and injector.on_artifact_publishing(
-                    f"migrate|{art_id}"):
-                # torn_rename fault: "crashed" before this entry's move —
-                # it stays flat (still readable) for the next pass.
-                failed.append({"id": art_id, "error": "injected torn rename"})
-                continue
-            target = self._sharded_dir(art_id)
-            try:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                _publish(entry, target)
-            except OSError as exc:
-                if exc.errno in (errno.EEXIST, errno.ENOTEMPTY, errno.EISDIR):
-                    shutil.rmtree(entry, ignore_errors=True)
-                    deduped += 1
-                else:
-                    failed.append({"id": art_id, "error": str(exc)})
-                    continue
-            else:
-                moved += 1
-            touched.add(target.parent)
-        for shard_dir in touched:
-            _fsync_dir(shard_dir)
-        _fsync_dir(self.objects)
-        remaining = shard_count = 0
-        try:
-            for entry in self.objects.iterdir():
-                if not entry.is_dir():
-                    continue
-                if _is_shard_name(entry.name):
-                    shard_count += 1
-                else:
-                    remaining += 1
-        except OSError:
-            pass
-        return {"moved": moved, "deduped": deduped, "failed": failed,
-                "remaining_flat": remaining, "shards": shard_count}
+                "shards": shards}
 
     def _sweep_tmp(self, max_age_s: float = 3600.0) -> int:
         """Remove in-progress temp dirs whose writer died (pid gone) or
@@ -753,8 +634,10 @@ class ArtifactStore:
 
     # -- listing -----------------------------------------------------------
     def ids(self) -> List[str]:
-        """Every entry name across both layouts (dual-layout ids once)."""
-        return sorted({name for name, _path, _shard in self._iter_entries()})
+        """Every entry filed in its own shard directory (misfiled ones
+        are left for :meth:`verify` to quarantine)."""
+        return [name for name, _path, shard in self._iter_entries()
+                if shard == shard_of(name)]
 
     def list_entries(self) -> List[Dict]:
         """Manifest summaries of every entry (unreadable ones flagged)."""
@@ -848,7 +731,7 @@ class ArtifactStore:
                     continue
             removed.append(art_id)
             if apply:
-                self._remove_entry(art_id)
+                shutil.rmtree(self.entry_dir(art_id), ignore_errors=True)
         quarantine_removed: List[str] = []
         try:
             quarantine_entries = sorted(self.quarantine_root.iterdir())
@@ -863,13 +746,6 @@ class ArtifactStore:
                 "kept_young": kept_young,
                 "quarantine_removed": quarantine_removed,
                 "swept_tmp": swept_tmp, "dry_run": not apply}
-
-    def _remove_entry(self, art_id: str) -> None:
-        """Delete an entry wherever it lives (both layouts, so a gc of a
-        dual-layout id cannot leave a stale flat copy behind)."""
-        for path in (self._sharded_dir(art_id), self._flat_dir(art_id)):
-            if path.is_dir():
-                shutil.rmtree(path, ignore_errors=True)
 
     # -- export / import ---------------------------------------------------
     @staticmethod
@@ -1100,17 +976,11 @@ class ArtifactStore:
                 size_bytes += self.payload_path(art_id).stat().st_size
             except OSError:
                 pass
-        shard_dirs = flat_objects = 0
         try:
-            for entry in self.objects.iterdir():
-                if not entry.is_dir():
-                    continue
-                if _is_shard_name(entry.name):
-                    shard_dirs += 1
-                else:
-                    flat_objects += 1
+            shard_dirs = sum(1 for entry in self.objects.iterdir()
+                             if entry.is_dir() and _is_shard_name(entry.name))
         except OSError:
-            pass
+            shard_dirs = 0
         try:
             tmp_entries = sum(1 for _ in self.tmp.iterdir())
         except OSError:
@@ -1121,7 +991,7 @@ class ArtifactStore:
         except OSError:
             quarantine_entries = 0
         return {"objects": objects, "size_bytes": size_bytes,
-                "shards": shard_dirs, "flat_objects": flat_objects,
+                "shards": shard_dirs,
                 "tmp_entries": tmp_entries,
                 "quarantine_entries": quarantine_entries,
                 "puts": self.puts, "gets": self.gets,

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from ..xp import np
+import numpy as np
 
 from ..formats.base import bits_needed
 from ..paper_data import TABLE_V_BASELINES, TABLE_VII_ORIGINAL

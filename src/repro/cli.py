@@ -19,15 +19,14 @@ Subcommands:
 - ``submit`` — client for a running ``serve`` daemon
   (:mod:`repro.client`): bounded retries with jittered backoff,
   honors the server's ``Retry-After`` backpressure hints;
-- ``artifacts list|show|verify|gc|export|import|migrate`` — operate the
+- ``artifacts list|show|verify|gc|export|import`` — operate the
   content-addressed artifact store (:mod:`repro.artifacts`): inspect
   entries and manifests, re-hash the whole corpus (quarantining what
-  fails, reporting per-shard counts, and flagging entries reachable in
-  both layouts), sweep unreferenced entries (dry-run by default), ship
-  a verified corpus between machines (``export`` → ``import``
-  re-checksums everything and rejects partial/tampered archives), and
-  upgrade flat stores to the sharded ``objects/<xx>/`` layout in place
-  (``migrate`` — crash-safe, resumable).
+  fails or is misfiled outside its ``objects/<xx>/`` shard, and
+  reporting per-shard counts), sweep unreferenced entries (dry-run by
+  default), and ship a verified corpus between machines (``export`` →
+  ``import`` re-checksums everything and rejects partial/tampered
+  archives).
 
 Examples::
 
@@ -45,7 +44,6 @@ Examples::
     python -m repro artifacts gc --keep-days 7 --force
     python -m repro artifacts export corpus.tar.gz
     python -m repro artifacts import corpus.tar.gz
-    python -m repro artifacts migrate
 
 Scale-scenario sweeps resolve through the same cached engine as every
 other suite: a warm rerun (same ``REPRO_CACHE_DIR``, same code version)
@@ -56,8 +54,8 @@ Every ``run`` is journaled by default (``--no-journal`` opts out): the
 run's spec and every completed job land in an append-only JSONL file
 under the cache directory, so an interrupted sweep — SIGKILL included —
 resumes with ``run --resume <run-id>``, re-executing only the jobs that
-never finished (completed jobs replay from the disk cache).  SIGINT and
-SIGTERM mid-sweep are caught: the journal is marked ``interrupted``
+never finished (completed jobs replay from the artifact store).  SIGINT
+and SIGTERM mid-sweep are caught: the journal is marked ``interrupted``
 (still resumable), a resume hint is printed, and the exit code is 130.
 Jobs that
 exhaust ``--retries`` degrade into the artifact's ``errors`` metadata
@@ -213,14 +211,10 @@ def _build_parser() -> argparse.ArgumentParser:
     show_p.add_argument("id", metavar="ART_ID")
     verify_p = art_sub.add_parser(
         "verify", help="re-hash every payload against its manifest; "
-                       "quarantine corrupt entries, report per-shard "
-                       "counts, flag dual-layout entries (exit 1 if any)")
+                       "quarantine corrupt and misfiled entries, report "
+                       "per-shard counts (exit 1 if any were quarantined)")
     verify_p.add_argument("--no-sweep-tmp", action="store_true",
                           help="keep dead in-progress temp directories")
-    art_sub.add_parser(
-        "migrate", help="move flat objects/ entries into the sharded "
-                        "objects/<xx>/ layout (crash-safe and resumable; "
-                        "re-run after interruption to finish)")
     gc_p = art_sub.add_parser(
         "gc", help="sweep entries not referenced by run journals or pins "
                    "(dry-run unless --force)")
@@ -504,22 +498,7 @@ def _cmd_artifacts(args: argparse.Namespace) -> int:
         for record in outcome["quarantined"]:
             print(f"  quarantined {record['id']}: {record['reason']}",
                   file=sys.stderr)
-        dual = outcome.get("dual_layout", [])
-        for art_id in dual:
-            print(f"  dual-layout {art_id}: reachable in both flat and "
-                  f"sharded objects/ (run `python -m repro artifacts "
-                  f"migrate` to converge)", file=sys.stderr)
-        return 1 if outcome["quarantined"] or dual else 0
-    if args.action == "migrate":
-        outcome = store.migrate()
-        print(f"migrate: moved {outcome['moved']}, deduped "
-              f"{outcome['deduped']}, {outcome['remaining_flat']} flat entr"
-              f"{'y' if outcome['remaining_flat'] == 1 else 'ies'} "
-              f"remaining, {outcome['shards']} shard dir(s)")
-        for record in outcome["failed"]:
-            print(f"  failed {record['id']}: {record['error']}",
-                  file=sys.stderr)
-        return 1 if outcome["failed"] or outcome["remaining_flat"] else 0
+        return 1 if outcome["quarantined"] else 0
     if args.action == "gc":
         outcome = store.gc(keep_days=args.keep_days, apply=args.force)
         verb = "removed" if args.force else "would remove"

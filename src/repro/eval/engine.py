@@ -27,9 +27,9 @@ same three layers:
    process (another figure script, another CI step, a machine that
    imported the corpus) replays a sweep without re-simulating, any code
    change invalidates every entry, and corrupt entries are quarantined
-   and rebuilt rather than served.  A
-   :class:`~repro.perf.cache.DiskCache` keeps the cheap memos (graph
-   fingerprints, workloads, derived tables) beside it;
+   and rebuilt rather than served.  The cheap derived values (graph
+   fingerprints, workloads, tables) are ``memo`` artifacts in the same
+   store;
 3. actual execution, *supervised* (see :mod:`repro.eval.supervise`):
    serially with per-job deadlines and bounded retries, or fanned out
    over forked worker processes the supervisor owns — simulation jobs
@@ -43,7 +43,7 @@ same three layers:
    backoff), never work that already completed.  Any failure to stand
    up subprocesses falls back to the supervised serial path.
 
-Every completed job is persisted to the disk store (and the run journal,
+Every completed job is persisted to the artifact store (and the run journal,
 when one is attached) *as it lands*, so an interrupted sweep is a
 checkpoint: rerunning the same batch — or ``repro run --resume
 <run-id>`` — executes only the jobs that never finished.  Jobs that
@@ -58,14 +58,14 @@ partial rows.
 Training results are bit-identical across the serial, parallel and
 cache-replay paths: every flow seeds its own RNG streams from the job's
 ``seed`` and inference forwards are side-effect-free, so a ``TrainJob``
-is a pure function of its fields plus the code version that namespaces
-the store.
+is a pure function of its fields plus the code version every artifact
+id embeds.
 
 Environment knobs:
 
 - ``REPRO_SWEEP_WORKERS`` — default worker count for engines that are
   not given one explicitly (``0``/``1`` = serial, the default);
-- ``REPRO_CACHE_DIR`` — root of the on-disk store (default
+- ``REPRO_CACHE_DIR`` — root of the artifact store (default
   ``~/.cache/repro``);
 - ``REPRO_CHUNK_SPLIT_NODES`` — scenario size (sim-scale nodes, default
   100000) at which per-dataset simulation chunks split into per-job
@@ -96,9 +96,7 @@ from ..envutil import env_float, env_int
 from ..nn import TrainConfig
 from ..perf.cache import (
     ContentCache,
-    DiskCache,
     cached_load_dataset,
-    code_version,
     content_key,
     graph_fingerprint,
 )
@@ -437,39 +435,27 @@ class SweepEngine:
 
     def __init__(self, workers: Optional[int] = None,
                  cache_dir: Optional[os.PathLike] = None,
-                 use_disk: bool = True, retries: Optional[int] = None,
+                 retries: Optional[int] = None,
                  timeout: Optional[float] = None,
                  backoff: Optional[float] = None, journal=None,
                  batch: Optional[bool] = None, remote=None) -> None:
         self.workers = _env_workers() if workers is None else max(int(workers), 0)
         self.reports = ContentCache("job_results")
         self.tables = ContentCache("tables")
-        # Job results persist as first-class content-addressed artifacts
-        # (kind "sim-report"/"train-result", id derived from the job
-        # fingerprint + code version), with manifest-backed integrity,
-        # quarantine and export/import; the DiskCache keeps the cheap
-        # memos (graph fingerprints, workloads, derived tables) and
-        # spills its large entries into the same artifact store.
-        self.artifacts: Optional[ArtifactStore] = (
-            ArtifactStore(directory=cache_dir) if use_disk else None)
-        # The code-version digest namespaces the store as a directory, so
-        # entries orphaned by code changes are pruned, not accumulated.
-        self.disk: Optional[DiskCache] = (
-            DiskCache("sweep", directory=cache_dir, namespace=code_version(),
-                      spill_store=self.artifacts)
-            if use_disk else None)
-        # Optional remote read-through tier (memory → disk → remote →
-        # execute): when REPRO_REMOTE_URL names a `repro serve` daemon,
+        # Everything persistent is a content-addressed artifact (id
+        # derived from its inputs + the code version): job results
+        # (kind "sim-report"/"train-result") and the cheap derived memos
+        # — graph fingerprints, workloads, tables (kind "memo") — with
+        # manifest-backed integrity, quarantine and export/import.
+        self.artifacts = ArtifactStore(directory=cache_dir)
+        # Optional remote read-through tier (memory → artifacts → remote
+        # → execute): when REPRO_REMOTE_URL names a `repro serve` daemon,
         # fresh machines pull verified artifacts instead of executing.
-        # An explicit `remote=` wins; the tier needs the local artifact
-        # store to publish verified downloads into.
-        if remote is not None:
-            self.remote = remote
-        elif self.artifacts is not None:
+        # An explicit `remote=` wins.
+        if remote is None:
             from ..remote import remote_store_from_env
-            self.remote = remote_store_from_env(self.artifacts)
-        else:
-            self.remote = None
+            remote = remote_store_from_env(self.artifacts)
+        self.remote = remote
         # Artifact ids this engine resolved or produced (id -> kind),
         # surfaced in experiment metadata for provenance and GC liveness.
         self.consumed_artifacts: Dict[str, str] = {}
@@ -547,35 +533,35 @@ class SweepEngine:
         self.executed_train_jobs += sum(
             1 for job in jobs if isinstance(job, TrainJob))
 
-    def _memo_with_disk(self, key: tuple, compute: Callable[[], T]) -> T:
-        """Memory-then-disk memoization of a derived artifact."""
-        if self.disk is None:
-            return self.tables.get_or_compute(key, compute)
+    def _memo(self, key: tuple, compute: Callable[[], T]) -> T:
+        """Memory-then-store memoization of a derived value: the store
+        keeps it as a ``memo`` artifact keyed on ``key``."""
         return self.tables.get_or_compute(
-            key, lambda: self.disk.get_or_compute(content_key(*key), compute))
+            key, lambda: self.artifacts.get_or_build(
+                "memo", {"key": list(key)}, compute)[0])
 
     # -- fingerprints ------------------------------------------------------
     def dataset_fingerprint(self, dataset: str, seed: int = 0,
                             scale: str = "sim") -> str:
         """CSR fingerprint of the ``scale`` graph for ``dataset``.
 
-        Memoized on disk keyed by (dataset, scale, seed) in the
-        code-versioned namespace: synthetic generation is deterministic
-        in those, so warm-cache runs resolve the fingerprint without
-        regenerating the graph at all.
+        Memoized in memory and as a ``memo`` artifact keyed by
+        (dataset, scale, seed): synthetic generation is deterministic in
+        those, so warm runs — and stores that imported a corpus —
+        resolve the fingerprint without regenerating the graph at all.
         """
         def compute() -> str:
             graph = cached_load_dataset(dataset, scale=scale, seed=seed)
             return graph_fingerprint(graph.adjacency)
 
         key = ("graph-fp", dataset.lower(), scale, seed)
-        return self._memo_with_disk(key, compute)
+        return self._memo(key, compute)
 
     def job_fingerprint(self, job) -> str:
-        """Disk key of one job: input-graph content + the full job
+        """Content key of one job: input-graph content + the full job
         recipe + the registry entries' cache tokens (the code version —
-        covering every model/flow/trainer source file — scopes the
-        store's namespace directory; the tokens cover runtime-registered
+        covering every model/flow/trainer source file — enters through
+        the artifact id; the tokens cover runtime-registered
         accelerators/scenarios the source digest cannot see)."""
         from ..registry import get_dataset
 
@@ -602,7 +588,6 @@ class SweepEngine:
 
     def job_artifact_id(self, job, fingerprint: Optional[str] = None) -> str:
         """The artifact id a completed job persists under."""
-        assert self.artifacts is not None
         if fingerprint is None:
             fingerprint = self.job_fingerprint(job)
         return self.artifacts.derive_id(self._job_kind(job),
@@ -612,7 +597,7 @@ class SweepEngine:
     def run(self, jobs: Sequence, workers: Optional[int] = None,
             on_error: str = "raise") -> Dict:
         """Execute a batch of jobs (of either kind), deduplicated,
-        through the memory → disk → execute stack.
+        through the memory → artifact store → execute stack.
 
         ``on_error="raise"`` (the default) re-raises the first job
         failure once everything already completed has been stored;
@@ -633,19 +618,14 @@ class SweepEngine:
             if report is not None:
                 results[job] = report
                 continue
-            if self.artifacts is not None:
-                art_id = self.job_artifact_id(job)
-                cached = self.artifacts.get(art_id, sentinel)
-                if cached is not sentinel:
-                    self.consumed_artifacts[art_id] = self._job_kind(job)
-                    results[job] = self.reports.put(job, cached)
-                    continue
-                if self.remote is not None:
-                    fetched = self.remote.fetch(art_id, sentinel)
-                    if fetched is not sentinel:
-                        self.consumed_artifacts[art_id] = self._job_kind(job)
-                        results[job] = self.reports.put(job, fetched)
-                        continue
+            art_id = self.job_artifact_id(job)
+            cached = self.artifacts.get(art_id, sentinel)
+            if cached is sentinel and self.remote is not None:
+                cached = self.remote.fetch(art_id, sentinel)
+            if cached is not sentinel:
+                self.consumed_artifacts[art_id] = self._job_kind(job)
+                results[job] = self.reports.put(job, cached)
+                continue
             pending.append(job)
 
         if pending:
@@ -660,7 +640,7 @@ class SweepEngine:
         return results
 
     def _safe_fingerprint(self, job) -> str:
-        """The job's disk fingerprint, or its repr when the fingerprint
+        """The job's content fingerprint, or its repr when the fingerprint
         itself cannot be computed (e.g. the dataset load is what failed)."""
         try:
             return self.job_fingerprint(job)
@@ -675,17 +655,13 @@ class SweepEngine:
         already exists (a failed/torn publish journals without an id,
         and the job simply re-executes in the next process)."""
         results[job] = self.reports.put(job, report)
-        fingerprint: Optional[str] = None
-        art_id: Optional[str] = None
-        if self.artifacts is not None:
-            fingerprint = self.job_fingerprint(job)
-            art_id = self.artifacts.put(self._job_kind(job),
-                                        {"fingerprint": fingerprint}, report)
-            if art_id is not None:
-                self.consumed_artifacts[art_id] = self._job_kind(job)
+        fingerprint = self.job_fingerprint(job)
+        art_id = self.artifacts.put(self._job_kind(job),
+                                    {"fingerprint": fingerprint}, report)
+        if art_id is not None:
+            self.consumed_artifacts[art_id] = self._job_kind(job)
         if self.journal is not None:
-            self.journal.record_job(fingerprint or self._safe_fingerprint(job),
-                                    "ok", attempts=attempts,
+            self.journal.record_job(fingerprint, "ok", attempts=attempts,
                                     elapsed_s=elapsed, artifact=art_id)
 
     def _record_failure(self, failure: JobFailure) -> None:
@@ -763,24 +739,19 @@ class SweepEngine:
     def workload(self, dataset: str, model: str, precision: str,
                  target_average_bits: Optional[float] = None,
                  seed: int = 0) -> Workload:
-        """Memoized (memory + disk) workload construction."""
+        """Memoized (memory + ``memo`` artifact) workload construction."""
         key = _workload_key(dataset, model, precision, target_average_bits, seed)
         workload = _WORKLOAD_MEMO.get(key)
         if workload is not None:
             return workload
-
-        def build() -> Workload:
-            return _build_workload_cached(dataset, model, precision,
-                                          target_average_bits, seed)
-
-        if self.disk is None:
-            return build()
         from ..registry import get_dataset
 
-        disk_key = content_key(
-            "workload", self.dataset_fingerprint(dataset, seed),
-            get_dataset(dataset).cache_token, key)
-        workload = self.disk.get_or_compute(disk_key, build)
+        memo_key = ["workload", self.dataset_fingerprint(dataset, seed),
+                    get_dataset(dataset).cache_token, key]
+        workload, _art_id = self.artifacts.get_or_build(
+            "memo", {"key": memo_key},
+            lambda: _build_workload_cached(dataset, model, precision,
+                                           target_average_bits, seed))
         return _WORKLOAD_MEMO.put(key, workload)
 
     def graph(self, dataset: str, seed: int = 0):
@@ -788,18 +759,18 @@ class SweepEngine:
         return cached_load_dataset(dataset, scale="sim", seed=seed)
 
     def cached_table(self, key_parts: tuple, compute: Callable[[], T]) -> T:
-        """Memoize a whole derived table (memory + disk), content-keyed.
+        """Memoize a whole derived table (memory + ``memo`` artifact).
 
         Callers put every result-determining input — including dataset
-        fingerprints — into ``key_parts``; the store's code-versioned
-        namespace makes stale tables die with the code that produced
-        them.
+        fingerprints — into ``key_parts`` as JSON primitives (or
+        lists/tuples of them); the code version in the artifact id makes
+        stale tables die with the code that produced them.
         """
-        return self._memo_with_disk(("table",) + key_parts, compute)
+        return self._memo(("table",) + key_parts, compute)
 
     # -- maintenance -------------------------------------------------------
     def clear_memory(self) -> None:
-        """Drop in-process caches (disk entries survive)."""
+        """Drop in-process caches (stored artifacts survive)."""
         self.reports.clear()
         self.tables.clear()
         _WORKLOAD_MEMO.clear()
@@ -812,10 +783,7 @@ class SweepEngine:
         self.consumed_artifacts = {}
 
     def clear_disk(self) -> None:
-        if self.disk is not None:
-            self.disk.clear()
-        if self.artifacts is not None:
-            self.artifacts.clear()
+        self.artifacts.clear()
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         out = {"reports": self.reports.stats(), "tables": self.tables.stats(),
@@ -826,10 +794,7 @@ class SweepEngine:
                             "batch_used": self.batch_used,
                             "batched_jobs": sum(self.batch_sizes),
                             "failed_jobs": len(self.failures)}}
-        if self.disk is not None:
-            out["disk"] = self.disk.stats()
-        if self.artifacts is not None:
-            out["artifacts"] = self.artifacts.stats()
+        out["artifacts"] = self.artifacts.stats()
         if self.remote is not None:
             out["remote"] = self.remote.stats()
         return out

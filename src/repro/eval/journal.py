@@ -10,9 +10,9 @@ marker.  Each line is flushed and fsync'd as it is appended, so a
 SIGKILL mid-sweep leaves at worst one torn trailing line — which
 :meth:`RunJournal.load` tolerates by ignoring it.
 
-Resume works with the disk cache, not instead of it: every job the
-journal marks ``ok`` was persisted to the engine's content-addressed
-:class:`~repro.perf.cache.DiskCache` *before* the journal line was
+Resume works with the artifact store, not instead of it: every job the
+journal marks ``ok`` with an artifact id was published to the engine's
+:class:`~repro.artifacts.ArtifactStore` *before* the journal line was
 written, so replaying the journaled spec re-executes only jobs the
 journal (and store) never saw.  The journal contributes the *recipe* —
 ``repro run --resume <id>`` needs no re-typed arguments — and the

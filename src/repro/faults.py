@@ -8,8 +8,8 @@ from them with bit-identical results.
 
 A :class:`FaultPlan` maps fault kinds to firing rates (plus optional
 per-process caps), and every firing decision is a pure function of
-``(seed, kind, token)`` — the token is the job's repr or the cache
-entry's key — so the same plan over the same batch kills the same
+``(seed, kind, token)`` — the token is the job's repr or the artifact
+id — so the same plan over the same batch kills the same
 workers every run, in every process, with no shared state.  Faults fire
 only on a job's *first* attempt, so bounded retries always converge.
 
@@ -23,11 +23,8 @@ Fault kinds:
   when no timeout is configured (a hang nobody can interrupt would
   deadlock the suite, not test it);
 - ``raise`` — raise :class:`InjectedFault` mid-execution;
-- ``corrupt_cache`` — truncate a disk-cache entry right after its
-  atomic write, so a later read sees a torn file;
-- ``cache_readonly`` — make the next disk-cache *or artifact-store*
-  write raise ``PermissionError``, as if the store went read-only
-  mid-sweep;
+- ``cache_readonly`` — make the next artifact-store write raise
+  ``PermissionError``, as if the store went read-only mid-sweep;
 - ``corrupt_artifact`` — flip a byte in an artifact payload right after
   its atomic publish, so a later read must detect the damage against
   the manifest checksum and quarantine the entry;
@@ -58,7 +55,7 @@ Fault kinds:
   retries converge on the verified bytes.
 
 Activation is either environment-based — ``REPRO_FAULTS="kill=0.2,
-corrupt_cache=1.0:1"`` plus ``REPRO_FAULTS_SEED`` — which forked pool
+corrupt_artifact=1.0:1"`` plus ``REPRO_FAULTS_SEED`` — which forked pool
 workers inherit automatically, or scoped with the
 :func:`inject_faults` context manager (which sets the same environment
 so workers spawned inside the scope see it too).
@@ -85,7 +82,7 @@ __all__ = [
     "parse_fault_spec",
 ]
 
-FAULT_KINDS = ("kill", "hang", "raise", "corrupt_cache", "cache_readonly",
+FAULT_KINDS = ("kill", "hang", "raise", "cache_readonly",
                "corrupt_artifact", "torn_rename",
                "serve_drop", "serve_delay", "serve_reject",
                "net_truncate", "net_corrupt", "net_503", "net_stall")
@@ -276,22 +273,6 @@ class FaultInjector:
                 return action
         return None
 
-    def on_cache_write_start(self, token: str) -> None:
-        """Called by DiskCache.put before writing an entry."""
-        if self.should_fire("cache_readonly", token):
-            raise PermissionError(
-                errno.EACCES, f"injected read-only cache for {token}")
-
-    def on_cache_written(self, path: os.PathLike, token: str) -> None:
-        """Called by DiskCache.put after the atomic replace landed."""
-        if self.should_fire("corrupt_cache", token):
-            try:
-                size = os.path.getsize(path)
-                with open(path, "r+b") as fh:
-                    fh.truncate(max(size // 2, 1))
-            except OSError:
-                pass
-
     def on_artifact_write_start(self, token: str) -> None:
         """Called by ArtifactStore before staging an entry."""
         if self.should_fire("cache_readonly", token):
@@ -306,14 +287,10 @@ class FaultInjector:
         return self.should_fire("torn_rename", token)
 
     def on_artifact_published(self, path: os.PathLike, token: str) -> None:
-        """Called after an artifact entry's publishing rename landed.
-
-        ``corrupt_cache`` also fires here so a blanket corrupt-everything
-        chaos plan damages both stores; either way a payload byte is
-        flipped, which the manifest checksum must catch on read.
-        """
-        if not (self.should_fire("corrupt_artifact", token)
-                or self.should_fire("corrupt_cache", token)):
+        """Called after an artifact entry's publishing rename landed:
+        ``corrupt_artifact`` flips a payload byte, which the manifest
+        checksum must catch on read."""
+        if not self.should_fire("corrupt_artifact", token):
             return
         try:
             size = os.path.getsize(path)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..xp import np
+import numpy as np
 
 from .base import FormatReport, SparseFormat, bits_needed
 

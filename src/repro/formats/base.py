@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..xp import np
+import numpy as np
 
 __all__ = ["FormatReport", "SparseFormat", "bits_needed"]
 

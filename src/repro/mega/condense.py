@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..xp import np
+import numpy as np
 import scipy.sparse as sp
 
 from ..graphs.partition import partition_graph

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..xp import np
+import numpy as np
 
 from ..formats import AdaptivePackageFormat, BitmapFormat
 from ..paper_data import MEGA_TOTAL_POWER_MW

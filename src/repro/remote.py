@@ -364,7 +364,7 @@ class RemoteStore:
 def remote_store_from_env(store: Optional[ArtifactStore] = None
                           ) -> Optional[RemoteStore]:
     """A :class:`RemoteStore` when ``REPRO_REMOTE_URL`` names a daemon,
-    else None (the engine then resolves memory → disk → execute as
+    else None (the engine then resolves memory → artifacts → execute as
     before)."""
     url = os.environ.get(ENV_URL, "").strip()
     if not url:

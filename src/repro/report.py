@@ -6,8 +6,8 @@
 :class:`Artifact`: the experiment's legacy in-memory value (exactly what
 the pre-registry runner functions returned), a flat machine-readable row
 projection, and metadata recording how the result was produced (jobs
-deduplicated/executed, engine cache hits, the source digest that
-namespaces the disk store).  Artifacts render to JSON (schema-validated,
+deduplicated/executed, engine cache hits, the source digest every
+stored artifact id embeds).  Artifacts render to JSON (schema-validated,
 round-trippable), CSV and markdown — the CLI's ``--out`` directory.
 """
 
@@ -353,8 +353,12 @@ def run_experiment(name: str, engine=None, workers: Optional[int] = None,
     }
     if failures:
         metadata["errors"] = _failure_records(engine, failures)
-    if engine.disk is not None:
-        metadata["cache"] = engine.disk.stats()
+    # The store's counters, not ArtifactStore.stats(): that walks every
+    # entry, and `repro serve` runs this on every request.
+    store = engine.artifacts
+    metadata["cache"] = {counter: getattr(store, counter) for counter in (
+        "hits", "misses", "puts", "quarantined", "write_failures",
+        "io_errors")}
     consumed = getattr(engine, "consumed_artifacts", None)
     if consumed is not None:
         # Provenance: the content-addressed artifact ids this run

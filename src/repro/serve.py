@@ -1,7 +1,7 @@
 """``repro serve`` — a crash-tolerant, backpressured sweep service.
 
 A long-running daemon that keeps the process-wide sweep engine (memory
-caches, disk cache, supervisor pool) hot and accepts experiment
+caches, artifact store, supervisor pool) hot and accepts experiment
 requests over HTTP — the same declarative ``(experiment, suite,
 params)`` specs :mod:`repro.registry` defines and the CLI runs.  Built
 on stdlib asyncio only; one request == one journaled run.
@@ -22,8 +22,8 @@ Robustness properties, each of which tests/CI exercise directly:
   server-wide ``REPRO_SERVE_DEADLINE``) expires, the *client* gets a
   schema-valid degrade artifact immediately (empty rows,
   ``metadata["errors"]`` carrying a ``deadline`` record) while the
-  sweep keeps running server-side — its jobs land in the disk cache
-  and journal, so a retry is answered warm.
+  sweep keeps running server-side — its jobs land in the artifact
+  store and journal, so a retry is answered warm.
 - **Graceful drain** — SIGTERM/SIGINT stop admission (requests get
   503), let in-flight runs finish and journal, then exit 0.  If the
   drain grace expires first, the exit code is nonzero and the
@@ -31,7 +31,7 @@ Robustness properties, each of which tests/CI exercise directly:
 - **Restart recovery** — on boot, before reporting ready, the server
   re-adopts every unfinished serve-originated :class:`RunJournal`
   under the cache directory and re-runs it to completion (completed
-  jobs replay from the disk cache), so a SIGKILL'd daemon loses no
+  jobs replay from the artifact store), so a SIGKILL'd daemon loses no
   accepted work.
 
 Endpoints: ``GET /healthz`` (process liveness), ``GET /readyz``

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..xp import np
+import numpy as np
 
 from .buffers import BufferSet
 from .dram import DramModel, DramTraffic

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..xp import np
+import numpy as np
 
 from ..baselines.generic import GenericAcceleratorModel
 from ..formats import AdaptivePackageFormat

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..xp import np
+import numpy as np
 import scipy.sparse as sp
 
 from ..graphs.sparse_utils import coo_view, cross_edge_mask

@@ -4,8 +4,8 @@ Covers the full robustness contract: id derivation, the crash-safe
 write protocol (including SIGKILLed writers at injected points and
 lock-free same-id races), verification and quarantine-then-rebuild,
 GC liveness from journals and pins, verified export/import with
-tamper rejection, fault-injection hooks, and the DiskCache spill
-integration.
+tamper rejection, fault-injection hooks, and the sweep engine's job
+results and memos in the store.
 """
 
 import json
@@ -122,6 +122,8 @@ class TestPutGet:
         assert art_id is None
         assert store.write_failures == 1
         assert store.stats()["objects"] == 0
+        # Not a read-only store: the next write still lands.
+        assert store.put("demo", {"case": 2}, 7, producer=PRODUCER)
 
     def test_get_or_build_builds_once(self, store):
         calls = []
@@ -543,68 +545,6 @@ class TestFaultHooks:
         assert store.stats()["objects"] == 0
 
 
-class TestDiskCacheSpill:
-    def test_large_entries_spill_into_the_artifact_store(
-            self, tmp_path, monkeypatch):
-        from repro.perf.cache import DiskCache
-
-        monkeypatch.setenv("REPRO_ARTIFACTS_SPILL_BYTES", "64")
-        store = ArtifactStore(directory=tmp_path / "cache")
-        cache = DiskCache("spill-test", directory=tmp_path / "cache",
-                          namespace="ns", spill_store=store)
-        big = {"data": list(range(256))}
-        cache.put("big-key", big)
-        assert cache.spills == 1
-        kinds = [e["kind"] for e in store.list_entries()]
-        assert kinds == ["cache-spill"]
-        assert cache.get("big-key") == big
-
-        small = "tiny"
-        cache.put("small-key", small)
-        assert cache.spills == 1  # under the threshold: stays a memo file
-        assert cache.get("small-key") == small
-
-    def test_spilled_entry_missing_from_store_reads_as_miss(
-            self, tmp_path, monkeypatch):
-        from repro.perf.cache import DiskCache
-
-        monkeypatch.setenv("REPRO_ARTIFACTS_SPILL_BYTES", "64")
-        store = ArtifactStore(directory=tmp_path / "cache")
-        cache = DiskCache("spill-test", directory=tmp_path / "cache",
-                          namespace="ns", spill_store=store)
-        cache.put("big-key", {"data": list(range(256))})
-        store.clear()  # the spilled artifact vanishes (e.g. gc'd)
-        with pytest.warns(RuntimeWarning, match="dangling|backing artifact"):
-            assert cache.get("big-key", "fallback") == "fallback"
-        assert cache.dangling_stubs == 1
-        assert cache.stats()["dangling_stubs"] == 1
-        # The stub was dropped, so the next read is a plain miss — no
-        # second resolve attempt, no raise, and no repeat warning.
-        assert cache.get("big-key", "fallback") == "fallback"
-        assert cache.dangling_stubs == 1
-
-    def test_dangling_stub_warns_once_per_store(self, tmp_path, monkeypatch):
-        import warnings as warnings_mod
-
-        from repro.perf.cache import DiskCache
-
-        monkeypatch.setenv("REPRO_ARTIFACTS_SPILL_BYTES", "64")
-        store = ArtifactStore(directory=tmp_path / "cache")
-        cache = DiskCache("spill-test", directory=tmp_path / "cache",
-                          namespace="ns", spill_store=store)
-        cache.put("key-a", {"data": list(range(256))})
-        cache.put("key-b", {"data": list(range(256, 512))})
-        store.clear()
-        with warnings_mod.catch_warnings(record=True) as caught:
-            warnings_mod.simplefilter("always")
-            assert cache.get("key-a") is None
-            assert cache.get("key-b") is None
-        dangling = [w for w in caught
-                    if "backing artifact" in str(w.message)]
-        assert len(dangling) == 1  # warned once, counted twice
-        assert cache.dangling_stubs == 2
-
-
 class TestEngineIntegration:
     def test_warm_replay_consumes_artifacts_and_journals_ids(self, tmp_path):
         from repro.eval.engine import SweepEngine
@@ -640,6 +580,30 @@ class TestEngineIntegration:
         engine = SweepEngine(workers=0, cache_dir=tmp_path / "cache")
         assert engine.stats()["artifacts"]["objects"] == 0
 
+    def test_imported_corpus_replays_figures_without_loading_graphs(
+            self, tmp_path):
+        """Memos ship with the job results: a fresh cache that imported
+        the corpus replays paper-suite figures executing no job and
+        loading no dataset."""
+        from repro.eval.engine import get_engine
+        from repro.perf.cache import cache_stats, clear_all_caches
+        from repro.report import run_suite_experiment
+
+        names = ("speedup_table", "stall_table", "package_length_study")
+        corpus = tmp_path / "corpus.tar"
+        with temporary_cache_dir(tmp_path / "a"):
+            rows = {name: run_suite_experiment(name, "paper").rows
+                    for name in names}
+            assert get_engine().artifacts.export(corpus)["skipped"] == []
+        with temporary_cache_dir(tmp_path / "b"):
+            engine = get_engine()
+            assert engine.artifacts.import_(corpus)["imported"] > 0
+            clear_all_caches()
+            for name in names:
+                assert run_suite_experiment(name, "paper").rows == rows[name]
+            assert engine.executed_jobs == 0
+            assert cache_stats()["dataset"]["misses"] == 0
+
 
 class TestGlobalStore:
     def test_follows_the_cache_dir(self, tmp_path):
@@ -651,42 +615,9 @@ class TestGlobalStore:
             assert artifact_store().base == tmp_path / "two"
 
 
-def _flat_store(tmp_path, n=4):
-    """A legacy flat-layout store with n entries (knob forced off)."""
-    os.environ["REPRO_ARTIFACTS_SHARD"] = "0"
-    try:
-        store = ArtifactStore(directory=tmp_path / "cache")
-        ids = _put_demo(store, n)
-    finally:
-        del os.environ["REPRO_ARTIFACTS_SHARD"]
-    return store, ids
-
-
-_KILL_MIGRATOR = """
-import os, signal, sys
-sys.path.insert(0, {src!r})
-import repro.artifacts as A
-
-store_dir, survive = sys.argv[1], int(sys.argv[2])
-_publish = A._publish
-moves = []
-
-def publish_then_maybe_die(src, dst):
-    _publish(src, dst)
-    moves.append(dst)
-    if len(moves) >= survive:
-        os.kill(os.getpid(), signal.SIGKILL)
-
-A._publish = publish_then_maybe_die
-A.ArtifactStore(directory=store_dir).migrate()
-print("MIGRATOR-SURVIVED")             # must be unreachable
-"""
-
-
 class TestSharding:
-    """Tentpole (a): the sharded ``objects/<xx>/`` layout, the
-    crash-safe in-place migration, and satellite 3's cross-layout
-    export/import round trips."""
+    """The sharded ``objects/<xx>/`` layout is the only place entries are
+    read from; anything filed elsewhere is quarantined."""
 
     def test_put_lands_in_the_shard_directory(self, store):
         from repro.artifacts import shard_of
@@ -698,167 +629,19 @@ class TestSharding:
         assert not (store.objects / art_id).exists()
         assert store.get(art_id) == {"value": 0}
         assert store.stats()["shards"] >= 1
-        assert store.stats()["flat_objects"] == 0
 
-    def test_shard_knob_restores_the_flat_layout(self, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACTS_SHARD", "0")
-        store = ArtifactStore(directory=tmp_path / "cache")
+    def test_root_level_entry_is_quarantined_as_misfiled(self, store):
+        """An entry at the ``objects/`` root, where the retired flat
+        layout put it, is never read: verify quarantines it and gc then
+        deletes it."""
         art_id = _put_demo(store)[0]
-        assert (store.objects / art_id / "payload.bin").is_file()
-        assert store.stats()["flat_objects"] == 1
-
-    def test_reads_resolve_both_layouts(self, tmp_path):
-        store, ids = _flat_store(tmp_path, 2)
-        sharded = _put_demo(store, 3)[2]  # default knob: sharded
-        for i, art_id in enumerate(ids):
-            assert store.get(art_id) == {"value": i}  # flat legacy entry
-        assert store.get(sharded) == {"value": 2}
-        assert sorted(store.ids()) == sorted(set(ids) | {sharded})
-        report = store.verify()
-        assert report["ok"] == 3 and report["dual_layout"] == []
-        assert report["shards"]["flat"] == 2
-
-    def test_migrate_moves_everything_and_is_idempotent(self, tmp_path):
-        store, ids = _flat_store(tmp_path, 4)
-        outcome = store.migrate()
-        assert outcome["moved"] == 4 and outcome["failed"] == []
-        assert outcome["remaining_flat"] == 0
-        for i, art_id in enumerate(ids):
-            assert store._sharded_dir(art_id).is_dir()
-            assert not store._flat_dir(art_id).exists()
-            assert store.get(art_id) == {"value": i}
-        report = store.verify()
-        assert report["ok"] == 4 and report["dual_layout"] == []
-        again = store.migrate()
-        assert again["moved"] == again["deduped"] == 0
-
-    def test_migrate_dedupes_ids_already_sharded(self, tmp_path):
-        import shutil
-
-        store, ids = _flat_store(tmp_path, 2)
-        # Simulate a concurrent writer having already published ids[0]
-        # in the sharded location: migrate keeps that copy and drops
-        # the redundant flat one (same content address, same bytes).
-        target = store._sharded_dir(ids[0])
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copytree(store._flat_dir(ids[0]), target)
-        outcome = store.migrate()
-        assert outcome["moved"] == 1 and outcome["deduped"] == 1
-        assert store.verify()["dual_layout"] == []
-
-    def test_migrate_reports_invalid_flat_entries(self, tmp_path):
-        store, _ = _flat_store(tmp_path, 1)
-        (store.objects / "not-an-id").mkdir()
-        outcome = store.migrate()
-        assert outcome["moved"] == 1
-        assert [f["id"] for f in outcome["failed"]] == ["not-an-id"]
-
-    def test_verify_flags_dual_layout_entries(self, tmp_path):
-        import shutil
-
-        store, ids = _flat_store(tmp_path, 2)
-        clash = ids[0]
-        target = store._sharded_dir(clash)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copytree(store._flat_dir(clash), target)
-        report = store.verify()
-        assert report["dual_layout"] == [clash]
-        # The CLI turns that into a non-zero exit.
-        from repro.cli import main
-
-        with temporary_cache_dir(store.base):
-            assert main(["artifacts", "verify"]) == 1
-        # migrate converges the clash, after which verify is clean.
-        store.migrate()
-        report = store.verify()
-        assert report["dual_layout"] == [] and report["quarantined"] == []
-        with temporary_cache_dir(store.base):
-            assert main(["artifacts", "verify"]) == 0
-
-    def test_gc_removes_both_layout_copies(self, tmp_path):
-        import shutil
-
-        store, ids = _flat_store(tmp_path, 1)
-        target = store._sharded_dir(ids[0])
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copytree(store._flat_dir(ids[0]), target)
-        outcome = store.gc(apply=True)
-        assert outcome["removed"] == [ids[0]]
-        assert not store._flat_dir(ids[0]).exists()
-        assert not store._sharded_dir(ids[0]).exists()
-
-    def test_sigkill_mid_migration_leaves_every_entry_readable(
-            self, tmp_path):
-        """Satellite 3 + tentpole: SIGKILL after 2 of 6 moves — every
-        entry stays readable in exactly one location, verify() is
-        clean, a re-run finishes the migration, and the half-migrated
-        store still exports a complete verified corpus."""
-        store, ids = _flat_store(tmp_path, 6)
-        script = _KILL_MIGRATOR.format(src=SRC_ROOT)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(store.base), "2"],
-            capture_output=True, text=True, timeout=120)
-        assert proc.returncode == -signal.SIGKILL, (proc.stdout, proc.stderr)
-        assert "MIGRATOR-SURVIVED" not in proc.stdout
-
-        store = ArtifactStore(directory=store.base)
-        report = store.verify()
-        assert report["checked"] == 6 and report["ok"] == 6
-        assert report["quarantined"] == [] and report["dual_layout"] == []
-        for i, art_id in enumerate(ids):
-            locations = [store._flat_dir(art_id).is_dir(),
-                         store._sharded_dir(art_id).is_dir()]
-            assert locations.count(True) == 1  # exactly one location
-            assert store.get(art_id) == {"value": i}
-
-        # The half-migrated store exports a complete verified corpus.
-        dest = tmp_path / "corpus.tar.gz"
-        outcome = store.export(dest)
-        assert outcome["exported"] == 6 and outcome["skipped"] == []
-        fresh = ArtifactStore(directory=tmp_path / "fresh")
-        assert fresh.import_(dest)["verified"] == 6
-
-        # And a re-run resumes with whatever is still flat.
-        resumed = store.migrate()
-        assert resumed["moved"] == 4 and resumed["failed"] == []
-        assert resumed["remaining_flat"] == 0
-        assert store.verify()["ok"] == 6
-
-    def test_torn_rename_fault_interrupts_and_resumes(self, tmp_path):
-        store, ids = _flat_store(tmp_path, 3)
-        with inject_faults(torn_rename=1.0):
-            outcome = store.migrate()
-        assert outcome["moved"] == 0
-        assert len(outcome["failed"]) == 3
-        assert outcome["remaining_flat"] == 3
-        assert store.verify()["ok"] == 3  # still fully readable
-        resumed = store.migrate()
-        assert resumed["moved"] == 3 and resumed["remaining_flat"] == 0
-
-    @pytest.mark.parametrize("direction", ["flat-to-sharded",
-                                           "sharded-to-flat"])
-    def test_export_import_round_trip_across_layouts(self, tmp_path,
-                                                     monkeypatch,
-                                                     direction):
-        """Satellite 3: corpora move cleanly between layout
-        generations in both directions, and ids re-derive on import."""
-        src_flat = direction == "flat-to-sharded"
-        monkeypatch.setenv("REPRO_ARTIFACTS_SHARD", "0" if src_flat else "1")
-        src_store = ArtifactStore(directory=tmp_path / "src")
-        ids = _put_demo(src_store, 3)
-        dest = tmp_path / "corpus.tar.gz"
-        assert src_store.export(dest)["exported"] == 3
-
-        monkeypatch.setenv("REPRO_ARTIFACTS_SHARD", "1" if src_flat else "0")
-        dst_store = ArtifactStore(directory=tmp_path / "dst")
-        report = dst_store.import_(dest)
-        assert report["imported"] == report["verified"] == 3
-        for i, art_id in enumerate(ids):
-            assert dst_store.get(art_id) == {"value": i}
-            # The entry landed in the destination's native layout.
-            native = (dst_store._sharded_dir(art_id) if src_flat
-                      else dst_store._flat_dir(art_id))
-            assert native.is_dir()
-        verified = dst_store.verify()
-        assert verified["ok"] == 3 and verified["quarantined"] == []
+        os.rename(store.entry_dir(art_id), store.objects / art_id)
+        assert store.get(art_id, "miss") == "miss"
+        assert store.ids() == []
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            report = store.verify()
+        assert [r["id"] for r in report["quarantined"]] == [art_id]
+        assert "filed under shard ''" in report["quarantined"][0]["reason"]
+        assert store.gc(apply=True)["quarantine_removed"]
+        assert not (store.objects / art_id).exists()
+        assert store.stats()["quarantine_entries"] == 0

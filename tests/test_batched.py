@@ -10,9 +10,6 @@ replays execute zero jobs, ``REPRO_SIM_BATCH=0`` forces the scalar
 path, and batch honesty flags report what actually ran.
 """
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -303,46 +300,3 @@ class TestEngineBatching:
         assert executed["batched_jobs"] == 4
         engine.clear_memory()
         assert engine.stats()["executed"]["batch_used"] is False
-
-
-# ----------------------------------------------------------------------
-# Array-backend shim
-# ----------------------------------------------------------------------
-
-class TestArrayBackendShim:
-    def test_defaults_to_numpy(self):
-        from repro import xp
-        assert xp.backend_name == "numpy"
-        assert xp.np is np
-
-    def test_asnumpy_roundtrip(self):
-        from repro.xp import asnumpy
-        arr = np.arange(4.0)
-        assert asnumpy(arr) is arr
-
-    def test_unavailable_backend_warns_and_falls_back(self):
-        """Selecting a backend the container lacks must warn (not
-        crash) and resolve to numpy — checked in a fresh interpreter
-        because the shim binds its backend at import."""
-        code = (
-            "import warnings\n"
-            "with warnings.catch_warnings(record=True) as caught:\n"
-            "    warnings.simplefilter('always')\n"
-            "    import repro.xp as xp\n"
-            "import numpy\n"
-            "assert xp.backend_name == 'numpy', xp.backend_name\n"
-            "assert xp.np is numpy\n"
-            "assert any(issubclass(w.category, RuntimeWarning)"
-            " for w in caught), [str(w.message) for w in caught]\n"
-        )
-        import os
-        from pathlib import Path
-
-        import repro
-
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src, REPRO_ARRAY_BACKEND="cupy")
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=env)
-        assert proc.returncode == 0, proc.stderr

@@ -2,12 +2,13 @@
 
 The acceptance bar for the fault-tolerant execution layer: with
 deterministic fault injection enabled (worker kills, hangs hitting the
-timeout, mid-simulation raises, corrupt cache entries, a read-only
+timeout, mid-simulation raises, corrupt artifacts, a read-only
 store), every sweep runner completes and produces values bit-identical
 to a fault-free run — and an interrupted sweep resumed from its journal
 executes only the jobs that never finished.
 """
 
+import json
 import multiprocessing
 
 import pytest
@@ -115,18 +116,21 @@ class TestSerialChaos:
             chaotic = _run(engine, "stall_table")
         _assert_identical(baseline, chaotic)
 
-    def test_corrupt_cache_entries_are_recomputed(self, tmp_path):
+    def test_corrupt_memos_are_quarantined_and_recomputed(self, tmp_path):
         engine = _fresh_engine(tmp_path, "corrupt")
-        with inject_faults(corrupt_cache=1.0), pytest.warns(
-                RuntimeWarning, match="corrupt"):
+        with inject_faults(corrupt_artifact=1.0), pytest.warns(
+                RuntimeWarning, match="quarantined"):
             first = _run(engine, "stall_table")
-            # Every persisted entry reads back torn: each is dropped
-            # (counted, warned once) and every job re-executes instead
-            # of serving a corrupt result.
+            # Every published entry reads back damaged, the graph
+            # fingerprint memo as much as the job results: each is
+            # quarantined (counted, warned once) and recomputed instead
+            # of served.
             engine.clear_memory()
             second = _run(engine, "stall_table")
         assert second.rows == first.rows
-        assert engine.disk.corrupt_drops > 0
+        kinds = {json.loads((entry / "manifest.json").read_bytes())["kind"]
+                 for entry in engine.artifacts.quarantine_root.iterdir()}
+        assert kinds == {"memo", "sim-report"}
         assert (second.metadata["jobs"]["executed"]
                 == first.metadata["jobs"]["executed"] > 0)
 
@@ -134,12 +138,12 @@ class TestSerialChaos:
         engine = _fresh_engine(tmp_path, "ro")
         baseline = _run(_fresh_engine(tmp_path, "clean"), "stall_table")
         with inject_faults(cache_readonly=1.0), pytest.warns(
-                RuntimeWarning, match="memory-only"):
+                RuntimeWarning, match="rebuild-on-demand"):
             artifact = _run(engine, "stall_table")
         _assert_identical(baseline, artifact)
         stats = artifact.metadata["cache"]
         assert stats["write_failures"] > 0
-        assert stats["entries"] == 0  # nothing persisted...
+        assert stats["puts"] == 0  # nothing persisted...
         engine.clear_memory()
         rerun = _run(engine, "stall_table")  # ...but reruns still work
         assert rerun.rows == baseline.rows
@@ -230,7 +234,7 @@ class TestParallelChaos:
 
         engine = SweepEngine(workers=2, cache_dir=tmp_path / "batch-kill",
                              retries=3, backoff=0.0, batch=True)
-        with inject_faults(kill=0.2, corrupt_cache=(1.0, 1),
+        with inject_faults(kill=0.2, corrupt_artifact=(1.0, 1),
                            seed=3) as injector:
             chaotic = engine.run(jobs)
             killed = [job for job in jobs
@@ -249,7 +253,7 @@ class TestParallelChaos:
         baseline = _run(_fresh_engine(tmp_path, "clean"), "stall_table")
         engine = SweepEngine(workers=2, cache_dir=tmp_path / "mix",
                              retries=3, backoff=0.0)
-        with inject_faults(kill=0.3, raise_=0.3, corrupt_cache=(1.0, 1),
+        with inject_faults(kill=0.3, raise_=0.3, corrupt_artifact=(1.0, 1),
                            seed=1):
             chaotic = _run(engine, "stall_table")
         _assert_identical(baseline, chaotic)
@@ -345,7 +349,7 @@ class TestFleetChaos:
         # every local entry re-hashes and re-derives clean.
         report = worker.artifacts.verify()
         assert report["ok"] == report["checked"] > 0
-        assert report["quarantined"] == [] and report["dual_layout"] == []
+        assert report["quarantined"] == []
 
     def test_hostile_network_never_hangs_an_unserved_sweep(self, tmp_path):
         """A worker whose remote holds nothing (or keeps failing)

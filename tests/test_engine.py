@@ -1,5 +1,5 @@
-"""Tests for the sweep engine: parallel/serial identity, disk cache
-round trips, and content-keyed invalidation."""
+"""Tests for the sweep engine: parallel/serial identity, artifact-store
+round trips of job results and memos, and content-keyed invalidation."""
 
 import warnings
 
@@ -8,7 +8,7 @@ import pytest
 from repro import envutil
 from repro.eval.engine import SimJob, SweepEngine, get_engine
 from repro.eval.experiments import clear_caches, simulate
-from repro.perf.cache import DiskCache, cached_load_dataset, content_key
+from repro.perf.cache import cache_stats, cached_load_dataset
 from repro.sim.accelerator import SimReport
 from repro.sim.workload import build_workload
 
@@ -122,6 +122,23 @@ class TestSweepEngine:
             assert (l2.input_bits == l1.input_bits).all()
             assert (l2.input_nnz == l1.input_nnz).all()
 
+    def test_memo_round_trip_loads_no_dataset(self, sweep_engine, tmp_path):
+        """A second engine on the same store resolves graph fingerprints
+        and tables from their ``memo`` artifacts: no dataset is loaded
+        and no table recomputed."""
+        fingerprint = sweep_engine.dataset_fingerprint("cora")
+        table = sweep_engine.cached_table(("unit", fingerprint),
+                                          lambda: {"rows": [1.5, 2.5]})
+        clear_caches()  # engine memory and the dataset cache
+        replay = SweepEngine(workers=0, cache_dir=tmp_path / "sweep-cache")
+        assert replay.dataset_fingerprint("cora") == fingerprint
+        assert replay.cached_table(
+            ("unit", fingerprint),
+            lambda: pytest.fail("table was recomputed")) == table
+        assert cache_stats()["dataset"]["misses"] == 0
+        kinds = {entry["kind"] for entry in replay.artifacts.list_entries()}
+        assert kinds == {"memo"}
+
 
 class TestCacheInvalidation:
     def test_fingerprint_stable(self, sweep_engine):
@@ -159,183 +176,80 @@ class TestCacheInvalidation:
         assert sweep_engine.executed_jobs == 0
 
 
-class TestDiskCache:
-    def test_round_trip_and_stats(self, tmp_path):
-        cache = DiskCache("unit", directory=tmp_path)
-        key = content_key("a", 1, (2, 3))
-        assert cache.get(key) is None
-        cache.put(key, {"x": 1.5})
-        assert cache.get(key) == {"x": 1.5}
-        stats = cache.stats()
-        assert stats["entries"] == 1 and stats["hits"] == 1
-        assert stats["misses"] == 1 and stats["stores"] == 1
-
-    def test_corrupt_entry_recomputed(self, tmp_path):
-        cache = DiskCache("unit", directory=tmp_path)
-        key = content_key("broken")
-        cache.put(key, [1, 2, 3])
-        cache._path(key).write_bytes(b"not a pickle")
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            assert cache.get_or_compute(key,
-                                        lambda: "recomputed") == "recomputed"
-        assert cache.get(key) == "recomputed"
-
-    def test_stale_namespace_pruned_on_store(self, tmp_path):
-        old = DiskCache("unit", directory=tmp_path, namespace="oldver")
-        old.put(content_key("k"), "stale")
-        new = DiskCache("unit", directory=tmp_path, namespace="newver")
-        assert new.get(content_key("k")) is None  # namespaces are disjoint
-        new.put(content_key("k"), "fresh")
-        assert not old.directory.exists()  # previous version pruned
-        assert new.get(content_key("k")) == "fresh"
-
-    def test_unpicklable_value_skipped_without_disabling(self, tmp_path):
-        cache = DiskCache("unit", directory=tmp_path)
-        cache.put(content_key("bad"), lambda: None)  # not picklable
-        assert cache.get(content_key("bad")) is None
-        cache.put(content_key("good"), 7)  # store must still be active
-        assert cache.get(content_key("good")) == 7
-        assert not list(cache.directory.glob("*.tmp.*"))  # no leaked tmp files
-
-    def test_unwritable_store_degrades_gracefully(self, tmp_path):
-        target = tmp_path / "file-not-dir"
-        target.write_text("occupied")
-        cache = DiskCache("unit", directory=target / "nested")
-        cache.put(content_key("k"), 1)  # cannot mkdir below a file
-        assert cache.get(content_key("k")) is None
-        assert cache.get_or_compute(content_key("k"), lambda: 41 + 1) == 42
-        # Both puts (direct + get_or_compute's) failed and were counted.
-        assert cache.stats()["write_failures"] == 2
-
-    def test_checksum_footer_detects_truncated_write(self, tmp_path):
-        """Pickle ignores trailing bytes after the STOP opcode, so a torn
-        write truncated inside the footer region still unpickles — the
-        checksum footer is what catches it."""
-        import pickle
-
-        cache = DiskCache("unit", directory=tmp_path)
-        key = content_key("torn")
-        cache.put(key, {"rows": list(range(50))})
-        path = cache._path(key)
-        data = path.read_bytes()
-        truncated = data[:-7]  # lose the footer's tail, keep the payload
-        path.write_bytes(truncated)
-        # The raw payload inside the truncated file is still loadable
-        # pickle — without the checksum this would be served as a hit.
-        from repro.perf.cache import _CHECKSUM_MAGIC
-
-        assert pickle.loads(truncated[len(_CHECKSUM_MAGIC):]) \
-            == {"rows": list(range(50))}
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            assert cache.get(key) is None
-        assert cache.stats()["corrupt_drops"] == 1
-        assert not path.exists()  # dropped, so the next run recomputes
-
-    def test_corrupt_entries_warn_once_but_count_each(self, tmp_path):
-        import warnings as warnings_mod
-
-        cache = DiskCache("unit", directory=tmp_path)
-        for i in range(3):
-            cache.put(content_key("e", i), i)
-            cache._path(content_key("e", i)).write_bytes(b"garbage")
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            assert cache.get(content_key("e", 0)) is None
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            assert cache.get(content_key("e", 1)) is None
-            assert cache.get(content_key("e", 2)) is None
-        assert cache.stats()["corrupt_drops"] == 3
-
-    def test_checksum_off_round_trips_plain_pickle(self, tmp_path):
-        cache = DiskCache("unit", directory=tmp_path, checksum=False)
-        key = content_key("plain")
-        cache.put(key, (1, 2))
-        assert cache.get(key) == (1, 2)
-        import pickle
-
-        assert pickle.loads(cache._path(key).read_bytes()) == (1, 2)
-
-    def test_stats_carry_robustness_counters(self, tmp_path):
-        cache = DiskCache("unit", directory=tmp_path)
-        assert set(cache.stats()) == {"entries", "size_bytes", "hits",
-                                      "misses", "stores", "corrupt_drops",
-                                      "write_failures", "io_errors",
-                                      "dangling_stubs"}
-
-    def test_stats_size_bytes_tracks_entries(self, tmp_path):
-        cache = DiskCache("unit", directory=tmp_path)
-        assert cache.stats()["size_bytes"] == 0
-        cache.put(content_key("a"), list(range(100)))
-        size_one = cache.stats()["size_bytes"]
-        assert size_one > 0
-        cache.put(content_key("b"), list(range(100)))
-        assert cache.stats()["size_bytes"] > size_one
-
-
 class TestCacheRaces:
-    """Concurrent-writer and mid-sweep degradation races."""
+    """Concurrent-writer and mid-sweep degradation races on ``memo``
+    artifacts."""
 
     def test_concurrent_writers_same_key(self, tmp_path):
-        """Two processes storing the same key concurrently: the survivor
-        is one complete entry, never a torn interleaving."""
+        """Two processes memoizing the same table at once converge on one
+        complete entry, never a torn interleaving."""
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork")
         ctx = multiprocessing.get_context("fork")
-        key = content_key("contested")
+        barrier = ctx.Barrier(2)
 
-        def writer(value):
-            cache = DiskCache("unit", directory=tmp_path)
-            for _ in range(25):
-                cache.put(key, value)
+        def writer():
+            engine = SweepEngine(workers=0, cache_dir=tmp_path)
+            barrier.wait()  # maximize the publish collision
+            engine.cached_table(("contested",), lambda: ["a"] * 100)
 
-        procs = [ctx.Process(target=writer, args=(["a"] * 100,)),
-                 ctx.Process(target=writer, args=(["b"] * 100,))]
+        procs = [ctx.Process(target=writer) for _ in range(2)]
         for proc in procs:
             proc.start()
         for proc in procs:
-            proc.join()
+            proc.join(timeout=60)
         assert all(proc.exitcode == 0 for proc in procs)
-        reader = DiskCache("unit", directory=tmp_path)
-        value = reader.get(key)
-        assert value in (["a"] * 100, ["b"] * 100)
-        assert reader.stats()["corrupt_drops"] == 0
-        assert not list(reader.directory.glob("*.tmp.*"))
+        reader = SweepEngine(workers=0, cache_dir=tmp_path)
+        assert reader.cached_table(
+            ("contested",),
+            lambda: pytest.fail("memo was recomputed")) == ["a"] * 100
+        report = reader.artifacts.verify()
+        assert report["checked"] == report["ok"] == 1
+        assert reader.artifacts.stats()["tmp_entries"] == 0
 
-    def test_reader_hitting_half_replaced_entry(self, tmp_path):
-        """A reader that catches a partially-written entry (torn short
-        of the checksum) treats it as corrupt, not as a result."""
-        cache = DiskCache("unit", directory=tmp_path)
-        key = content_key("half")
-        cache.put(key, list(range(100)))
-        path = cache._path(key)
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            assert cache.get_or_compute(key, lambda: "fresh") == "fresh"
-        assert cache.get(key) == "fresh"
+    def test_reader_hitting_half_replaced_entry(self, sweep_engine,
+                                                tmp_path):
+        """A reader that catches a memo torn short of its manifest's size
+        quarantines it and recomputes an equal value instead of serving
+        the torn bytes."""
+        table = sweep_engine.cached_table(("half",),
+                                          lambda: list(range(100)))
+        store = sweep_engine.artifacts
+        (art_id,) = store.ids()
+        payload = store.payload_path(art_id)
+        data = payload.read_bytes()
+        payload.write_bytes(data[:len(data) // 2])
+        replay = SweepEngine(workers=0, cache_dir=tmp_path / "sweep-cache")
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert replay.cached_table(("half",),
+                                       lambda: list(range(100))) == table
+        assert replay.artifacts.quarantined == 1
+        assert replay.artifacts.verify()["ok"] == 1  # republished clean
 
     def test_readonly_cache_dir_mid_sweep_degrades_once(self, tmp_path):
         """A store that turns read-only mid-sweep (injected: the test
         runs as root, where chmod cannot produce EACCES) warns exactly
-        once and keeps the sweep running memory-only."""
+        once and keeps computing memos instead of failing."""
         import warnings as warnings_mod
 
         from repro.faults import inject_faults
 
-        cache = DiskCache("unit", directory=tmp_path)
-        cache.put(content_key("before"), 1)  # store starts healthy
+        engine = SweepEngine(workers=0, cache_dir=tmp_path)
+        engine.cached_table(("before",), lambda: 1)  # store starts healthy
         with inject_faults(cache_readonly=1.0):
-            with pytest.warns(RuntimeWarning, match="memory-only"):
-                cache.put(content_key("during", 0), 2)
+            with pytest.warns(RuntimeWarning, match="rebuild-on-demand"):
+                assert engine.cached_table(("during", 0), lambda: 2) == 2
             with warnings_mod.catch_warnings():
                 warnings_mod.simplefilter("error")
-                cache.put(content_key("during", 1), 3)  # silent no-op
-        assert cache.get(content_key("before")) == 1  # reads still serve
-        assert cache.get(content_key("during", 0)) is None
-        assert cache._write_disabled
+                assert engine.cached_table(("during", 1), lambda: 3) == 3
+        engine.clear_memory()
+        assert engine.cached_table(
+            ("before",), lambda: pytest.fail("memo was recomputed")) == 1
         # Only the latching put counts; later puts are skipped outright.
-        assert cache.stats()["write_failures"] == 1
+        assert engine.artifacts.write_failures == 1
+        assert engine.artifacts.puts == 1
 
 
 class TestChunkSplitting:

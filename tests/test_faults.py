@@ -12,10 +12,10 @@ from repro.faults import (FAULT_KINDS, FaultInjector, FaultPlan,
 
 class TestFaultPlan:
     def test_parse_round_trips_through_spec(self):
-        plan = parse_fault_spec("kill=0.2,corrupt_cache=1:1,raise=0.5", seed=7)
+        plan = parse_fault_spec("kill=0.2,corrupt_artifact=1:1,raise=0.5", seed=7)
         assert plan.rate("kill") == 0.2
-        assert plan.rate("corrupt_cache") == 1.0
-        assert plan.cap("corrupt_cache") == 1
+        assert plan.rate("corrupt_artifact") == 1.0
+        assert plan.cap("corrupt_artifact") == 1
         assert plan.cap("kill") is None
         assert plan.seed == 7
         assert parse_fault_spec(plan.spec(), seed=7) == plan
@@ -70,14 +70,7 @@ class TestFaultInjector:
     def test_cache_readonly_raises_permission_error(self):
         injector = FaultInjector(parse_fault_spec("cache_readonly=1"))
         with pytest.raises(PermissionError):
-            injector.on_cache_write_start("some-key")
-
-    def test_corrupt_cache_truncates_the_entry(self, tmp_path):
-        path = tmp_path / "entry.pkl"
-        path.write_bytes(b"x" * 100)
-        injector = FaultInjector(parse_fault_spec("corrupt_cache=1"))
-        injector.on_cache_written(path, "some-key")
-        assert path.stat().st_size == 50
+            injector.on_artifact_write_start("some-key")
 
 
 class TestActivation:
@@ -96,8 +89,8 @@ class TestActivation:
         assert active_injector() is None
 
     def test_context_manager_tuple_sets_cap(self):
-        with inject_faults(corrupt_cache=(1.0, 2)) as injector:
-            assert injector.plan.cap("corrupt_cache") == 2
+        with inject_faults(corrupt_artifact=(1.0, 2)) as injector:
+            assert injector.plan.cap("corrupt_artifact") == 2
 
     def test_spec_and_kwargs_are_exclusive(self):
         with pytest.raises(TypeError):

@@ -183,7 +183,7 @@ class TestPartitionInvariants:
         assert res.edge_cut < random_cut
 
 
-class TestPartitionDiskCache:
+class TestPartitionArtifacts:
     def test_large_partition_persists_across_memory_clears(
             self, tmp_path, monkeypatch):
         """cached_partition of a large graph resolves from the on-disk

@@ -197,7 +197,7 @@ class TestScenarioThroughEngine:
         from repro.eval.experiments import clear_caches
 
         clear_caches()
-        warm = SweepEngine(workers=0, cache_dir=sweep_engine.disk.directory.parents[2])
+        warm = SweepEngine(workers=0, cache_dir=sweep_engine.artifacts.base)
         warm_reports = warm.run(jobs)
         assert warm.executed_jobs == 0
         assert warm_reports[jobs[1]].total_cycles == mega.total_cycles
