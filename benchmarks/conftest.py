@@ -1,7 +1,7 @@
 """Shared benchmark configuration.
 
-Every benchmark regenerates one table or figure of the paper (see
-DESIGN.md §5) and prints the same rows the paper reports.  By default
+Every benchmark regenerates one table or figure of the paper (its
+module name says which) and prints the same rows the paper reports.  By default
 the sweeps run on the light workloads so ``pytest benchmarks/
 --benchmark-only`` finishes in minutes; set ``REPRO_FULL=1`` to run the
 paper's full ten-workload sweep (adds NELL/Reddit-scale graphs) and the

@@ -1,7 +1,7 @@
-"""Ablations of this reproduction's own design choices (DESIGN.md §7).
+"""Ablations of this reproduction's own design choices.
 
 - hybrid bitmap/coordinate index vs the paper's bitmap-only index
-  (needed for NELL's 61278-wide features, EXPERIMENTS.md deviation 6);
+  (needed for NELL's 61278-wide features);
 - unsigned quantization of non-negative features vs Eq. 2's signed
   range (doubles resolution at the 2-bit floor);
 - per-degree parameter cap of the Degree-Aware quantizer.

@@ -13,29 +13,43 @@ Public API tour::
     from repro.report import run_experiment
 
 Everything dispatchable by name — accelerators, datasets/scenarios,
-workload suites, experiments — lives in the registries; the subsystems
-self-register on import.  ``python -m repro`` is the CLI over them.
+workload suites, experiments — lives in the registries, which import
+the subsystems that register the built-in entries on their first
+lookup.  ``python -m repro`` is the CLI over them.
 
-See README.md for the quickstart and DESIGN.md for the system map.
+Subpackages load on first attribute access (``repro.graphs`` imports
+nothing until used), so an entry point pays only for what it runs.
+
+See README.md for the quickstart and its "Architecture" section for the
+system map.
 """
 
-from . import (baselines, eval, formats, graphs, mega, nn, paper_data, quant,
-               registry, report, sim, tensor)
+import importlib
+from typing import Mapping, Sequence
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "graphs",
-    "tensor",
-    "nn",
-    "quant",
-    "formats",
-    "sim",
-    "mega",
-    "baselines",
-    "eval",
-    "registry",
-    "report",
-    "paper_data",
-    "__version__",
-]
+_SUBPACKAGES = ("graphs", "tensor", "nn", "quant", "formats", "sim", "mega",
+                "baselines", "eval", "registry", "report", "paper_data")
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def _lazy_attributes(package: str, exports: Mapping[str, str],
+                     submodules: Sequence[str]):
+    """A PEP 562 module ``__getattr__`` for ``package``: a name in
+    ``submodules`` imports that submodule, a name in ``exports`` is
+    looked up in the submodule it maps to."""
+    def __getattr__(name: str):
+        if name in submodules:
+            return importlib.import_module(f"{package}.{name}")
+        try:
+            submodule = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}") from None
+        return getattr(importlib.import_module(f"{package}.{submodule}"), name)
+    return __getattr__
+
+
+__getattr__ = _lazy_attributes(__name__, {}, _SUBPACKAGES)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
@@ -33,8 +33,9 @@ from ..perf.cache import cached_partition
 from ..registry import ACCELERATORS, AcceleratorEntry
 from ..sim import BufferSet, BufferSpec, DramModel
 from ..sim.accelerator import AcceleratorModel, LayerCost
-from ..sim.locality import shared_locality_structure, traffic_from_structure
-from ..sim.workload import Workload
+
+if TYPE_CHECKING:
+    from ..sim.workload import Workload
 
 __all__ = ["BaselineConfig", "GenericAcceleratorModel", "BASELINE_PRESETS",
            "build_baseline"]
@@ -222,6 +223,9 @@ class GenericAcceleratorModel(AcceleratorModel):
             traffic.accumulate(self.dram.sequential_access(ax_bytes, purpose="ax_write"))
             traffic.accumulate(self.dram.sequential_access(ax_bytes, purpose="ax_read"))
         else:
+            from ..sim.locality import (shared_locality_structure,
+                                        traffic_from_structure)
+
             combined_bytes = f_out * bits_f / 8.0
             buffer_bytes = self.buffers["aggregation"].capacity_bytes
             buffer_nodes = max(int(buffer_bytes / max(f_out * 4.0, 1.0)), 1)

@@ -606,8 +606,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 1 if response.get("failed") else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _dispatch(argv: List[str]) -> int:
     # `bench` forwards everything after the subcommand to repro.perf.bench.
     if argv and argv[0] == "bench":
         from .perf.bench import main as bench_main
@@ -631,6 +630,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     parser.error(f"unhandled command {args.command!r}")
     return 2
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        code = _dispatch(argv)
+        # Flush here, so a reader that went away (`repro list | head -1`)
+        # surfaces as the BrokenPipeError below, not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The recipe from the `signal` module docs: point stdout at
+        # devnull so the exit-time flush cannot raise again.
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -23,15 +23,17 @@ bit-identical-under-faults bar as the simulation sweeps.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import TrainConfig
-from ..quant import DegreeAwareConfig
 from ..registry import EXPERIMENTS, ExperimentSpec
 from ..report import run_experiment
 from .engine import TrainJob
+
+if TYPE_CHECKING:
+    from ..nn import TrainConfig
+    from ..quant import DegreeAwareConfig
 
 __all__ = [
     "train_config",
@@ -45,6 +47,8 @@ __all__ = [
 
 def train_config(quick: bool = True) -> TrainConfig:
     """Training budget: quick for tests, full for the real tables."""
+    from ..nn import TrainConfig
+
     if quick:
         return TrainConfig(epochs=120, patience=100)
     return TrainConfig(epochs=300, patience=200)
@@ -54,6 +58,8 @@ def degree_aware_config(quick: bool = True,
                         target_average_bits: float = 2.5) -> DegreeAwareConfig:
     """Quick mode uses a faster bitwidth learning rate so the memory
     target is reached within the reduced epoch budget."""
+    from ..quant import DegreeAwareConfig
+
     return DegreeAwareConfig(
         target_average_bits=target_average_bits,
         bits_lr=0.25 if quick else 0.05,
@@ -161,6 +167,8 @@ def _accuracy_grid_reduce(results: Mapping, cases, flows, seeds, quick,
 
 
 def _magnitudes_jobs(dataset, models, quick, seed, config):
+    from ..nn import TrainConfig
+
     config = config or TrainConfig(epochs=30 if quick else 120, patience=1000)
     return {model: TrainJob.from_call(dataset, model, "feature-magnitudes",
                                       config=config, seed=seed)

@@ -86,30 +86,43 @@ Environment knobs:
 from __future__ import annotations
 
 import contextlib
+import importlib
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from .. import faults
 from ..artifacts import ArtifactStore
 from ..envutil import env_float, env_int
-from ..nn import TrainConfig
 from ..perf.cache import (
     ContentCache,
     cached_load_dataset,
     content_key,
     graph_fingerprint,
 )
-from ..quant.flows import TRAIN_FLOWS, freeze_value, thaw_value
 from ..registry import get_accelerator
-from ..sim.accelerator import SimReport
-from ..sim.workload import Workload, build_workload, build_workload_batch
 from .supervise import JobFailure, Supervisor, run_serial
+
+if TYPE_CHECKING:
+    from ..nn import TrainConfig
+    from ..sim.accelerator import SimReport
+    from ..sim.workload import Workload
 
 __all__ = ["SimJob", "TrainJob", "SweepEngine", "get_engine", "set_engine",
            "temporary_cache_dir"]
 
 T = TypeVar("T")
+
+# What executing a job imports beyond what resolving a stored result
+# needs (a warm re-run never loads these, nor scipy.sparse).
+# SweepEngine.run imports them before its first pending job, so the
+# import lands neither inside a job's deadline nor in every forked
+# worker.
+_EXECUTION_MODULES = ("repro.graphs.generators", "repro.graphs.partition",
+                      "repro.mega.condense", "repro.sim.workload",
+                      "repro.sim.locality", "repro.sim.batched",
+                      "repro.quant.flows")
 
 
 def _env_workers() -> int:
@@ -179,6 +192,9 @@ class TrainJob:
                   config: Optional[TrainConfig] = None,
                   seed: int = 0, scale: str = "train",
                   graph_seed: Optional[int] = None) -> "TrainJob":
+        from ..nn import TrainConfig
+        from ..quant.flows import TRAIN_FLOWS, freeze_value
+
         if flow not in TRAIN_FLOWS:
             raise ValueError(
                 f"unknown training flow {flow!r}; expected one of "
@@ -210,6 +226,8 @@ def _workload_key(dataset: str, model: str, precision: str,
 def _build_workload_cached(dataset: str, model: str, precision: str,
                            target_average_bits: Optional[float],
                            seed: int) -> Workload:
+    from ..sim.workload import build_workload
+
     key = _workload_key(dataset, model, precision, target_average_bits, seed)
     return _WORKLOAD_MEMO.get_or_compute(
         key,
@@ -227,6 +245,8 @@ def _build_job_workload(job: SimJob) -> Workload:
 
 def _execute_train_job(job: TrainJob):
     """Load the training-scale graph and run the job's flow on it."""
+    from ..quant.flows import TRAIN_FLOWS, thaw_value
+
     graph = cached_load_dataset(job.dataset, scale=job.scale,
                                 seed=job.dataset_seed)
     config = thaw_value(job.config)
@@ -323,6 +343,8 @@ def _group_workloads(members: List["SimJob"]) -> Dict[Optional[float], Workload]
         else:
             missing.append(target)
     if missing:
+        from ..sim.workload import build_workload_batch
+
         graph = cached_load_dataset(first.dataset, scale="sim",
                                     seed=first.seed)
         fresh = build_workload_batch(first.dataset, first.model,
@@ -629,6 +651,8 @@ class SweepEngine:
             pending.append(job)
 
         if pending:
+            for module in _EXECUTION_MODULES:
+                importlib.import_module(module)
             fail_fast = on_error == "raise"
             if workers > 1 and len(pending) > 1:
                 failures = self._run_parallel(pending, workers, results,

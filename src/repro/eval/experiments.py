@@ -1,11 +1,12 @@
 """Experiment runners regenerating every evaluation table and figure.
 
-Each artifact of the paper's Sec. VI (see DESIGN.md §5 for the index)
-is declared as an :class:`~repro.registry.ExperimentSpec` — a job-batch
-builder plus a reducer — registered with the experiment registry and
-executed through :func:`repro.report.run_experiment`, which wraps the
-outcome in a schema'd :class:`~repro.report.Artifact` (the CLI's
-``repro run <experiment>`` path).  The legacy function names
+Each artifact of the paper's Sec. VI (``python -m repro list
+experiments`` prints the index) is declared as an
+:class:`~repro.registry.ExperimentSpec` — a job-batch builder plus a
+reducer — registered with the experiment registry and executed through
+:func:`repro.report.run_experiment`, which wraps the outcome in a
+schema'd :class:`~repro.report.Artifact` (the CLI's ``repro run
+<experiment>`` path).  The legacy function names
 (``speedup_table`` & co.) remain as thin shims returning the artifact's
 in-memory value — bit-identical to the pre-registry implementations.
 
@@ -24,19 +25,20 @@ land.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..perf.cache import cached_partition, clear_all_caches
 from ..registry import EXPERIMENTS, SUITES, ExperimentSpec, SuiteEntry
 from ..report import run_experiment
-from ..sim.accelerator import SimReport
 from ..sim.dram import DramModel
-from ..sim.locality import aggregation_locality_traffic
-from ..sim.workload import Workload
 from .engine import SimJob, get_engine
 from .reporting import geomean
+
+if TYPE_CHECKING:
+    from ..sim.accelerator import SimReport
+    from ..sim.workload import Workload
 
 __all__ = [
     "PAPER_WORKLOADS",
@@ -215,6 +217,8 @@ def _locality_reduce(results: Mapping, dataset, feature_dim, feature_bits,
     engine = get_engine()
 
     def compute() -> Dict[str, Dict[str, float]]:
+        from ..sim.locality import aggregation_locality_traffic
+
         graph = engine.graph(dataset)
         dram = DramModel()
         feat_bytes = feature_dim * feature_bits / 8.0

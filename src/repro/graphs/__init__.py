@@ -1,32 +1,33 @@
-"""Graph substrate: containers, synthetic datasets, partitioning, statistics."""
+"""Graph substrate: containers, synthetic datasets, partitioning, statistics.
 
-from . import datasets, generators, partition, sparse_utils, statistics
-from .datasets import DATASETS, load_dataset, paper_stats, sim_feature_stats
-from .generators import community_graph, power_law_degrees, sparse_features, synthetic_graph
-from .graph import Graph
-from .partition import PartitionResult, edge_cut, partition_graph, sparse_connection_edges
-from .sparse_utils import coo_view, cross_edge_mask, sample_adjacency
+Submodules and the names below load on first attribute access, so
+``import repro.graphs.datasets`` does not pull in the partitioner or
+the sparse stack.
+"""
 
-__all__ = [
-    "Graph",
-    "DATASETS",
-    "load_dataset",
-    "paper_stats",
-    "sim_feature_stats",
-    "synthetic_graph",
-    "community_graph",
-    "power_law_degrees",
-    "sparse_features",
-    "partition_graph",
-    "PartitionResult",
-    "edge_cut",
-    "sparse_connection_edges",
-    "coo_view",
-    "cross_edge_mask",
-    "sample_adjacency",
-    "sparse_utils",
-    "datasets",
-    "generators",
-    "partition",
-    "statistics",
-]
+from .. import _lazy_attributes
+
+# Re-exported name -> the submodule defining it.
+_EXPORTS = {
+    "Graph": "graph",
+    "DATASETS": "datasets",
+    "load_dataset": "datasets",
+    "paper_stats": "datasets",
+    "sim_feature_stats": "datasets",
+    "synthetic_graph": "generators",
+    "community_graph": "generators",
+    "power_law_degrees": "generators",
+    "sparse_features": "generators",
+    "partition_graph": "partition",
+    "PartitionResult": "partition",
+    "edge_cut": "partition",
+    "sparse_connection_edges": "partition",
+    "coo_view": "sparse_utils",
+    "cross_edge_mask": "sparse_utils",
+    "sample_adjacency": "sparse_utils",
+}
+_SUBMODULES = ("datasets", "generators", "graph", "partition", "sparse_utils",
+               "statistics")
+
+__all__ = [*_EXPORTS, *_SUBMODULES]
+__getattr__ = _lazy_attributes(__name__, _EXPORTS, _SUBMODULES)

@@ -2,7 +2,7 @@
 
 Real downloads are unavailable offline, so each named dataset maps to a
 synthetic generator matched on the statistics MEGA's mechanisms depend
-on (see DESIGN.md §4).  Two scales are exposed:
+on.  Two scales are exposed:
 
 - ``scale="train"``: a trainable :class:`~repro.graphs.Graph` with dense
   features, reduced for NELL/Reddit so full-batch numpy training fits.
@@ -18,15 +18,16 @@ report paper-vs-built scales.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..paper_data import FIG5_HIDDEN_DENSITY, PAPER_AVERAGE_BITS
 from ..registry import DATASETS as DATASET_REGISTRY
 from ..registry import DatasetEntry
-from .generators import synthetic_graph
-from .graph import Graph
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 __all__ = ["DatasetStats", "DATASETS", "ScenarioSpec", "SCENARIO_SPECS",
            "paper_stats", "load_dataset", "sim_feature_stats"]
@@ -83,6 +84,8 @@ def load_dataset(name: str, scale: str = "train", seed: int = 0) -> Graph:
         the (larger) accelerator-simulation graph, or ``"tiny"`` for a
         fast test-sized graph preserving the statistics' shape.
     """
+    from .generators import synthetic_graph
+
     stats = paper_stats(name)
     train_nodes, train_fdim, sim_nodes, sim_avg_deg = _SCALES[stats.name]
 
@@ -179,6 +182,8 @@ class ScenarioSpec:
 
 def _scenario_loader(spec: ScenarioSpec):
     def load(scale: str = "train", seed: int = 0) -> Graph:
+        from .generators import synthetic_graph
+
         if scale == "sim":
             nodes, fdim = spec.nodes, min(spec.feature_dim, 512)
         elif scale == "train":

@@ -1,35 +1,31 @@
 """The MEGA accelerator: config, functional datapath, Condense-Edge,
-and the cycle-approximate performance model."""
+and the cycle-approximate performance model.
 
-from .condense import (
-    CondenseUnit,
-    choose_num_parts,
-    condense_layout,
-    count_cross_accesses,
-    sparse_connection_sources,
-)
-from .config import AREA_POWER_TABLE, MegaConfig, area_power_breakdown, mega_buffers
-from .functional import (
-    bit_serial_matmul,
-    cpe_group_trace,
-    decode_and_combine,
-    quantized_layer_forward,
-)
-from .performance import MegaModel
+The names below load on first attribute access, so the performance
+model (what simulation looks up) does not pull in the functional
+datapath or the Condense-Edge unit.
+"""
 
-__all__ = [
-    "MegaConfig",
-    "MegaModel",
-    "mega_buffers",
-    "area_power_breakdown",
-    "AREA_POWER_TABLE",
-    "CondenseUnit",
-    "condense_layout",
-    "sparse_connection_sources",
-    "count_cross_accesses",
-    "choose_num_parts",
-    "bit_serial_matmul",
-    "cpe_group_trace",
-    "quantized_layer_forward",
-    "decode_and_combine",
-]
+from .. import _lazy_attributes
+
+# Re-exported name -> the submodule defining it.
+_EXPORTS = {
+    "MegaConfig": "config",
+    "AREA_POWER_TABLE": "config",
+    "area_power_breakdown": "config",
+    "mega_buffers": "config",
+    "MegaModel": "performance",
+    "CondenseUnit": "condense",
+    "condense_layout": "condense",
+    "sparse_connection_sources": "condense",
+    "count_cross_accesses": "condense",
+    "choose_num_parts": "condense",
+    "bit_serial_matmul": "functional",
+    "cpe_group_trace": "functional",
+    "quantized_layer_forward": "functional",
+    "decode_and_combine": "functional",
+}
+_SUBMODULES = ("condense", "config", "functional", "performance")
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_attributes(__name__, _EXPORTS, _SUBMODULES)

@@ -5,8 +5,7 @@ The unit counts come straight from the paper: 4 Combination Tiles of
 16 eID FIFOs in the Condense Unit, 32 QN units in the Encoder, and
 392 KB of SRAM split over six buffers.  The area/power numbers are the
 paper's measured 28 nm values, used as the component library for the
-energy/area reporting benchmarks (we have no Design Compiler here —
-see DESIGN.md §4).
+energy/area reporting benchmarks (we have no Design Compiler here).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ configurations of Fig. 19.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -30,10 +30,10 @@ from ..perf.cache import cached_partition
 from ..registry import ACCELERATORS, AcceleratorEntry
 from ..sim import DramModel, DramTraffic
 from ..sim.accelerator import AcceleratorModel, LayerCost
-from ..sim.locality import shared_locality_structure, traffic_from_structure
-from ..sim.workload import LayerSpec, Workload
-from .condense import choose_num_parts
 from .config import MegaConfig, mega_buffers
+
+if TYPE_CHECKING:
+    from ..sim.workload import Workload
 
 __all__ = ["MegaModel"]
 
@@ -63,6 +63,10 @@ class MegaModel(AcceleratorModel):
                    structures: Optional[dict] = None) -> LayerCost:
         """One layer's cost; ``structures`` is an optional cross-job
         locality-structure memo supplied by the batched evaluator."""
+        from ..sim.locality import (shared_locality_structure,
+                                    traffic_from_structure)
+        from .condense import choose_num_parts
+
         layer = workload.layers[layer_index]
         cfg = self.config
         adjacency = workload.adjacency

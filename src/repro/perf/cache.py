@@ -30,14 +30,17 @@ import os
 import sys
 import weakref
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..graphs.graph import Graph
-from ..graphs.partition import PartitionResult, partition_graph
 from ..registry import get_dataset
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+    from ..graphs.graph import Graph
+    from ..graphs.partition import PartitionResult
 
 __all__ = [
     "ContentCache",
@@ -166,6 +169,8 @@ def cached_partition(
            refine_passes)
 
     def compute() -> PartitionResult:
+        from ..graphs.partition import partition_graph
+
         run = lambda: partition_graph(adjacency, num_parts, seed=seed,
                                       balance_factor=balance_factor,
                                       refine_passes=refine_passes)

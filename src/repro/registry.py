@@ -3,24 +3,29 @@
 Every name the evaluation stack dispatches on — an accelerator, a
 dataset, a workload suite, an experiment — resolves through a
 :class:`Registry` here instead of an ``if name == ...`` chain inside an
-engine.  Subsystems self-register at import time (``repro.baselines``
-registers its presets, ``repro.mega`` the MEGA variants,
-``repro.graphs.datasets`` the paper graphs and the synthetic
-scale-sweep scenarios, ``repro.eval`` the experiment specs), so adding
-a scenario is a registration, never an engine edit:
+engine.  The built-in entries are registered by the modules that define
+them (``repro.baselines.generic`` the baseline presets,
+``repro.mega.performance`` the MEGA variants, ``repro.graphs.datasets``
+the paper graphs and the synthetic scale-sweep scenarios,
+``repro.eval.experiments`` and ``repro.eval.accuracy`` the suites and
+experiment specs); each registry imports its modules on its first
+lookup, so adding a scenario is a registration, never an engine edit:
 
 >>> from repro.registry import ACCELERATORS, AcceleratorEntry
 >>> @ACCELERATORS.register("my-accel", precision="fp32")
 ... def build_my_accel(**kwargs):
 ...     return MyAcceleratorModel(**kwargs)
 
-This module intentionally imports nothing from the rest of ``repro``;
-entries carry lazy factories, so registration order can never create an
-import cycle.
+This module imports nothing from the rest of ``repro`` at import time,
+and registration (:meth:`Registry.add`) never loads the built-ins: the
+built-in modules call ``add`` while their own packages are still
+half-imported.  An entry registered before the first lookup under a
+built-in's name makes that lookup raise :class:`RegistryError`.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import (Callable, Dict, Generic, Iterator, Mapping, Optional,
                     Tuple, TypeVar)
@@ -40,6 +45,7 @@ __all__ = [
     "get_dataset",
     "get_suite",
     "get_experiment",
+    "load_builtins",
 ]
 
 E = TypeVar("E")
@@ -58,9 +64,20 @@ class Registry(Generic[E]):
     a typo on the CLI or in a spec is self-diagnosing.
     """
 
-    def __init__(self, kind: str) -> None:
+    def __init__(self, kind: str, builtins: Tuple[str, ...] = ()) -> None:
         self.kind = kind
         self._entries: Dict[str, E] = {}
+        # Modules whose import registers the built-in entries; imported
+        # by the first lookup (see load_builtins).
+        self._builtins = builtins
+
+    def load_builtins(self) -> None:
+        """Import the modules that register the built-in entries (once;
+        every lookup calls this first)."""
+        if self._builtins:
+            for module in self._builtins:
+                importlib.import_module(module)
+            self._builtins = ()
 
     # -- registration ------------------------------------------------------
     def add(self, name: str, entry: E) -> E:
@@ -93,10 +110,12 @@ class Registry(Generic[E]):
         return obj  # type: ignore[return-value]
 
     def unregister(self, name: str) -> None:
+        self.load_builtins()
         self._entries.pop(name.lower(), None)
 
     # -- lookup ------------------------------------------------------------
     def get(self, name: str) -> E:
+        self.load_builtins()
         try:
             return self._entries[name.lower()]
         except KeyError:
@@ -105,18 +124,22 @@ class Registry(Generic[E]):
                 f"{', '.join(self.names()) or '(none)'}") from None
 
     def names(self) -> Tuple[str, ...]:
+        self.load_builtins()
         return tuple(sorted(self._entries))
 
     def items(self) -> Tuple[Tuple[str, E], ...]:
+        self.load_builtins()
         return tuple(sorted(self._entries.items()))
 
     def __contains__(self, name: object) -> bool:
+        self.load_builtins()
         return isinstance(name, str) and name.lower() in self._entries
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())
 
     def __len__(self) -> int:
+        self.load_builtins()
         return len(self._entries)
 
 
@@ -289,10 +312,21 @@ class _ExperimentRegistry(Registry[ExperimentSpec]):
         raise TypeError("register experiments with .add(name, ExperimentSpec(...))")
 
 
-ACCELERATORS: _AcceleratorRegistry = _AcceleratorRegistry("accelerator")
-DATASETS: _DatasetRegistry = _DatasetRegistry("dataset")
-SUITES: _SuiteRegistry = _SuiteRegistry("suite")
-EXPERIMENTS: _ExperimentRegistry = _ExperimentRegistry("experiment")
+ACCELERATORS: _AcceleratorRegistry = _AcceleratorRegistry(
+    "accelerator", ("repro.baselines.generic", "repro.mega.performance"))
+DATASETS: _DatasetRegistry = _DatasetRegistry(
+    "dataset", ("repro.graphs.datasets",))
+SUITES: _SuiteRegistry = _SuiteRegistry(
+    "suite", ("repro.eval.experiments",))
+EXPERIMENTS: _ExperimentRegistry = _ExperimentRegistry(
+    "experiment", ("repro.eval.experiments", "repro.eval.accuracy"))
+
+
+def load_builtins() -> None:
+    """Fill every registry with its built-in entries now (what a
+    long-lived process does before it reports ready)."""
+    for registry in (ACCELERATORS, DATASETS, SUITES, EXPERIMENTS):
+        registry.load_builtins()
 
 
 def get_accelerator(name: str) -> AcceleratorEntry:

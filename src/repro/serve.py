@@ -29,10 +29,10 @@ Robustness properties, each of which tests/CI exercise directly:
   drain grace expires first, the exit code is nonzero and the
   unfinished runs stay resumable.
 - **Restart recovery** — on boot, before reporting ready, the server
-  re-adopts every unfinished serve-originated :class:`RunJournal`
-  under the cache directory and re-runs it to completion (completed
-  jobs replay from the artifact store), so a SIGKILL'd daemon loses no
-  accepted work.
+  fills the registries, builds its engine, and re-adopts every
+  unfinished serve-originated :class:`RunJournal` under the cache
+  directory and re-runs it to completion (completed jobs replay from
+  the artifact store), so a SIGKILL'd daemon loses no accepted work.
 
 Endpoints: ``GET /healthz`` (process liveness), ``GET /readyz``
 (recovery finished, not draining), ``GET /stats`` (queue depth,
@@ -183,9 +183,7 @@ class ReproServer:
             Path(self.config.port_file).write_text(str(self.port))
         self._log(f"listening on {self.config.host}:{self.port}")
 
-        if self.config.recover:
-            await self._loop.run_in_executor(self._executor,
-                                             self._recover_sync)
+        await self._loop.run_in_executor(self._executor, self._boot_sync)
         self.ready = True
         self._log("ready")
 
@@ -754,7 +752,18 @@ class ReproServer:
                 "run_id": journal.run_id if journal is not None else None,
                 "failed": failed}
 
-    # -- boot-time journal re-adoption -------------------------------------
+    # -- boot: registries, engine, journal re-adoption ----------------------
+    def _boot_sync(self) -> None:
+        """Everything between listening and ready: the registries' built-in
+        entries and the engine load here, so no request pays for them."""
+        from .eval.engine import get_engine
+        from .registry import load_builtins
+
+        load_builtins()
+        get_engine()
+        if self.config.recover:
+            self._recover_sync()
+
     def _recover_sync(self) -> None:
         from .eval.journal import RunJournal, list_runs
 

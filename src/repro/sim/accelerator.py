@@ -11,14 +11,14 @@ buffer capacity, OPS matched via BitOP equivalence).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .buffers import BufferSet
 from .dram import DramModel, DramTraffic
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyConstants
-from .workload import LayerSpec, Workload
+
+if TYPE_CHECKING:
+    from .workload import LayerSpec, Workload
 
 __all__ = ["LayerCost", "SimReport", "AcceleratorModel"]
 

@@ -35,6 +35,22 @@ class TestList:
         assert "mega" in out
         assert "speedup_table" not in out
 
+    def test_closed_stdout_pipe_exits_without_traceback(self):
+        # The reader end closes before the child starts, so its first
+        # write fails (`repro list | head -1` loses this race sometimes).
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "list"], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=SRC_ROOT))
+        finally:
+            os.close(write_end)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+
 
 class TestRun:
     def test_run_speedup_table_quick_suite(self, sweep_engine, capsys,

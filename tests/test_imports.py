@@ -1,0 +1,195 @@
+"""Import boundaries: each entry point imports only what it runs.
+
+Every check runs in a fresh interpreter, since this test process has
+long since imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.eval.engine import _EXECUTION_MODULES
+
+SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
+
+# The experiment registry's built-in names; adding or dropping one is a
+# deliberate change to this list.
+BUILTIN_EXPERIMENTS = (
+    "ablation_fig19", "accuracy_comparison", "accuracy_grid",
+    "cr_sensitivity", "degree_feature_magnitudes", "dq_bitwidth_sweep",
+    "dram_table", "energy_breakdown_fig18", "energy_table",
+    "full_comparison", "locality_study", "original_config_comparison",
+    "package_length_study", "speedup_table", "stall_table",
+)
+
+
+def _env(cache_dir=None):
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC_ROOT
+    if cache_dir is not None:
+        env["REPRO_CACHE_DIR"] = str(cache_dir)
+    return env
+
+
+def _python(script, *args, cache_dir=None):
+    """Run ``script`` in a fresh interpreter; return its last stdout
+    line parsed as JSON."""
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=_env(cache_dir), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_numpy_or_scipy():
+    loaded = _python(
+        "import json, sys\n"
+        "import repro.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] in ('numpy', 'scipy'))))")
+    assert loaded == []
+
+
+class TestRegistryBuiltins:
+    def test_first_lookup_loads_every_builtin(self):
+        out = _python(
+            "import json\n"
+            "from repro.registry import (ACCELERATORS, EXPERIMENTS,\n"
+            "                            get_accelerator)\n"
+            "print(json.dumps({'mega': get_accelerator('mega').precision,\n"
+            "                  'accelerators': len(ACCELERATORS),\n"
+            "                  'experiments': EXPERIMENTS.names()}))")
+        assert out["mega"] == "degree-aware"
+        assert out["accelerators"] == 12
+        assert tuple(out["experiments"]) == BUILTIN_EXPERIMENTS
+
+    def test_early_registration_coexists_with_builtins(self):
+        out = _python(
+            "import json\n"
+            "from repro.registry import (ACCELERATORS, AcceleratorEntry,\n"
+            "                            RegistryError, get_accelerator)\n"
+            "ACCELERATORS.add('custom-early', AcceleratorEntry(\n"
+            "    name='custom-early', factory=dict))\n"
+            "get_accelerator('mega')\n"
+            "try:\n"
+            "    ACCELERATORS.add('mega', AcceleratorEntry(name='mega',\n"
+            "                                              factory=dict))\n"
+            "    duplicate = 'accepted'\n"
+            "except RegistryError as exc:\n"
+            "    duplicate = str(exc)\n"
+            "print(json.dumps({'names': ACCELERATORS.names(),\n"
+            "                  'duplicate': duplicate}))")
+        assert "custom-early" in out["names"] and "mega" in out["names"]
+        assert len(out["names"]) == 13
+        assert "already registered" in out["duplicate"]
+
+    def test_early_registration_of_a_builtin_name_fails_the_lookup(self):
+        out = _python(
+            "import json\n"
+            "from repro.registry import (ACCELERATORS, AcceleratorEntry,\n"
+            "                            RegistryError, get_accelerator)\n"
+            "ACCELERATORS.add('mega', AcceleratorEntry(name='mega',\n"
+            "                                          factory=dict))\n"
+            "try:\n"
+            "    get_accelerator('hygcn')\n"
+            "    outcome = 'resolved'\n"
+            "except RegistryError as exc:\n"
+            "    outcome = str(exc)\n"
+            "print(json.dumps(outcome))")
+        assert "'mega' is already registered" in out
+
+
+def _run_cli(out_dir, cache_dir):
+    """``repro run`` on the smoke suite under ``-X importtime``; returns
+    the set of modules it imported and the written artifacts."""
+    argv = [sys.executable, "-X", "importtime", "-m", "repro", "run",
+            "speedup_table", "stall_table", "--suite", "smoke",
+            "--no-journal", "--quiet", "--out", str(out_dir)]
+    proc = subprocess.run(argv, env=_env(cache_dir), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    artifacts = {path.name: json.loads(path.read_text())
+                 for path in sorted(Path(out_dir).glob("*.json"))}
+    return imported, artifacts
+
+
+def test_warm_rerun_executes_nothing_and_never_loads_scipy_sparse(tmp_path):
+    cache = tmp_path / "cache"
+    _imported, cold = _run_cli(tmp_path / "cold", cache)
+    imported, warm = _run_cli(tmp_path / "warm", cache)
+    assert sorted(warm) == sorted(cold) == ["speedup_table.json",
+                                            "stall_table.json"]
+    # stall_table's jobs are a subset of speedup_table's, so only the
+    # first experiment of the cold process executes anything.
+    assert cold["speedup_table.json"]["metadata"]["jobs"]["executed"] > 0
+    for name, artifact in warm.items():
+        assert artifact["metadata"]["jobs"]["executed"] == 0
+        assert artifact["rows"] == cold[name]["rows"]
+    assert "repro.eval.engine" in imported  # the probe sees the run
+    assert not {m for m in imported if m.startswith("scipy.sparse")}
+
+
+def test_serve_reports_ready_with_builtins_and_engine_loaded(tmp_path):
+    seen = _python(
+        "import json, sys\n"
+        "from repro.eval import engine as engine_mod\n"
+        "from repro.serve import ServeConfig, ServerThread\n"
+        "with ServerThread(ServeConfig(port=0, quiet=True)):\n"
+        "    seen = {'engine': engine_mod._ENGINE is not None,\n"
+        "            'builtins': 'repro.mega.performance' in sys.modules,\n"
+        "            'sparse': 'scipy.sparse' in sys.modules}\n"
+        "print(json.dumps(seen))", cache_dir=tmp_path / "cache")
+    assert seen == {"engine": True, "builtins": True, "sparse": False}
+
+
+# Records, at each job's start, which execution modules are still
+# missing; a cold two-dataset sweep through the serial path (argv[2] ==
+# "0") or two forked workers (argv[2] == "2", recorded at each fork).
+_ENGINE_PROBE = """
+import json, os, sys
+from repro.eval import engine as engine_mod
+from repro.eval.engine import SimJob, SweepEngine
+
+def missing():
+    return [m for m in engine_mod._EXECUTION_MODULES if m not in sys.modules]
+
+seen = {"before": missing(), "jobs": [], "forks": []}
+execute, fork = engine_mod._execute_job, os.fork
+
+def spy_execute(job, attempt=0):
+    seen["jobs"].append(missing())
+    return execute(job, attempt)
+
+def spy_fork():
+    seen["forks"].append(missing())
+    return fork()
+
+engine_mod._execute_job, os.fork = spy_execute, spy_fork
+engine = SweepEngine(workers=int(sys.argv[2]), cache_dir=sys.argv[1],
+                     batch=False)
+reports = engine.run([SimJob.from_call("mega", "cora", "gcn"),
+                      SimJob.from_call("mega", "citeseer", "gcn")])
+seen["reports"] = len(reports)
+seen["pool_used"] = engine.pool_used
+print(json.dumps(seen))
+"""
+
+
+class TestEngineLoadsExecutionStackFirst:
+    def test_serial_path(self, tmp_path):
+        seen = _python(_ENGINE_PROBE, tmp_path / "store", 0)
+        assert seen["before"] == list(_EXECUTION_MODULES)
+        assert seen["reports"] == 2 and not seen["pool_used"]
+        assert seen["jobs"] == [[], []]
+
+    def test_forked_workers(self, tmp_path):
+        seen = _python(_ENGINE_PROBE, tmp_path / "store", 2)
+        assert seen["before"] == list(_EXECUTION_MODULES)
+        assert seen["reports"] == 2 and seen["pool_used"]
+        assert seen["forks"] and all(m == [] for m in seen["forks"])

@@ -189,6 +189,7 @@ class TestPartitionArtifacts:
         """cached_partition of a large graph resolves from the on-disk
         store once the in-memory caches are gone."""
         from repro.eval.engine import temporary_cache_dir
+        from repro.graphs import partition as partition_mod
         from repro.perf import cache as cache_mod
 
         graph = synthetic_graph(2_000, 20_000, 16, 4, seed=0, name="disk-t")
@@ -198,7 +199,7 @@ class TestPartitionArtifacts:
             cache_mod.clear_all_caches()
             # A recompute would call partition_graph again: forbid it.
             monkeypatch.setattr(
-                cache_mod, "partition_graph",
+                partition_mod, "partition_graph",
                 lambda *a, **k: pytest.fail("partition was recomputed"))
             warm = cache_mod.cached_partition(graph.adjacency, 4, seed=0)
         np.testing.assert_array_equal(first.parts, warm.parts)
