@@ -25,6 +25,7 @@ system map.
 """
 
 import importlib
+import sys
 from typing import Mapping, Sequence
 
 __version__ = "1.0.0"
@@ -37,9 +38,10 @@ __all__ = [*_SUBPACKAGES, "__version__"]
 
 def _lazy_attributes(package: str, exports: Mapping[str, str],
                      submodules: Sequence[str]):
-    """A PEP 562 module ``__getattr__`` for ``package``: a name in
-    ``submodules`` imports that submodule, a name in ``exports`` is
-    looked up in the submodule it maps to."""
+    """PEP 562 module ``__getattr__`` and ``__dir__`` for ``package``: a
+    name in ``submodules`` imports that submodule, a name in ``exports``
+    is looked up in the submodule it maps to, and ``dir()`` lists both
+    before they load."""
     def __getattr__(name: str):
         if name in submodules:
             return importlib.import_module(f"{package}.{name}")
@@ -49,7 +51,10 @@ def _lazy_attributes(package: str, exports: Mapping[str, str],
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}") from None
         return getattr(importlib.import_module(f"{package}.{submodule}"), name)
-    return __getattr__
+
+    def __dir__():
+        return sorted({*vars(sys.modules[package]), *exports, *submodules})
+    return __getattr__, __dir__
 
 
-__getattr__ = _lazy_attributes(__name__, {}, _SUBPACKAGES)
+__getattr__, __dir__ = _lazy_attributes(__name__, {}, _SUBPACKAGES)

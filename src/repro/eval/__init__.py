@@ -1,65 +1,48 @@
-"""Experiment harness regenerating the paper's tables and figures."""
+"""Experiment harness regenerating the paper's tables and figures.
 
-from . import accuracy, engine, experiments, reporting
-from .accuracy import (accuracy_comparison, accuracy_grid,
-                       degree_feature_magnitudes, dq_bitwidth_sweep)
-from .engine import SimJob, SweepEngine, TrainJob, get_engine, set_engine
-from .experiments import (
-    BASELINE_NAMES,
-    PAPER_WORKLOADS,
-    QUICK_WORKLOADS,
-    SCALE_SWEEP_WORKLOADS,
-    ablation_fig19,
-    clear_caches,
-    cr_sensitivity,
-    dram_table,
-    energy_breakdown_fig18,
-    energy_table,
-    full_comparison,
-    get_workload,
-    locality_study,
-    original_config_comparison,
-    package_length_study,
-    simulate,
-    speedup_table,
-    stall_table,
-)
-from .reporting import format_table, geomean, normalize_to, print_table
+Submodules and the names below load on first attribute access, so
+``from repro.eval.engine import SimJob`` declares jobs without loading
+the experiment definitions or numpy.
+"""
 
-__all__ = [
-    "SimJob",
-    "TrainJob",
-    "SweepEngine",
-    "get_engine",
-    "set_engine",
-    "clear_caches",
-    "engine",
-    "PAPER_WORKLOADS",
-    "QUICK_WORKLOADS",
-    "SCALE_SWEEP_WORKLOADS",
-    "BASELINE_NAMES",
-    "get_workload",
-    "simulate",
-    "full_comparison",
-    "speedup_table",
-    "dram_table",
-    "energy_table",
-    "stall_table",
-    "ablation_fig19",
-    "locality_study",
-    "package_length_study",
-    "cr_sensitivity",
-    "original_config_comparison",
-    "energy_breakdown_fig18",
-    "accuracy_comparison",
-    "accuracy_grid",
-    "dq_bitwidth_sweep",
-    "degree_feature_magnitudes",
-    "geomean",
-    "format_table",
-    "print_table",
-    "normalize_to",
-    "accuracy",
-    "experiments",
-    "reporting",
-]
+from .. import _lazy_attributes
+
+# Re-exported name -> the submodule defining it.
+_EXPORTS = {
+    "SimJob": "engine",
+    "TrainJob": "engine",
+    "SweepEngine": "engine",
+    "get_engine": "engine",
+    "set_engine": "engine",
+    "clear_caches": "experiments",
+    "PAPER_WORKLOADS": "experiments",
+    "QUICK_WORKLOADS": "experiments",
+    "SCALE_SWEEP_WORKLOADS": "experiments",
+    "BASELINE_NAMES": "experiments",
+    "get_workload": "experiments",
+    "simulate": "experiments",
+    "full_comparison": "experiments",
+    "speedup_table": "experiments",
+    "dram_table": "experiments",
+    "energy_table": "experiments",
+    "stall_table": "experiments",
+    "ablation_fig19": "experiments",
+    "locality_study": "experiments",
+    "package_length_study": "experiments",
+    "cr_sensitivity": "experiments",
+    "original_config_comparison": "experiments",
+    "energy_breakdown_fig18": "experiments",
+    "accuracy_comparison": "accuracy",
+    "accuracy_grid": "accuracy",
+    "dq_bitwidth_sweep": "accuracy",
+    "degree_feature_magnitudes": "accuracy",
+    "geomean": "reporting",
+    "format_table": "reporting",
+    "print_table": "reporting",
+    "normalize_to": "reporting",
+}
+_SUBMODULES = ("accuracy", "engine", "experiments", "journal", "reporting",
+               "supervise")
+
+__all__ = [*_EXPORTS, *_SUBMODULES]
+__getattr__, __dir__ = _lazy_attributes(__name__, _EXPORTS, _SUBMODULES)

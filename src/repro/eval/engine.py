@@ -105,7 +105,7 @@ from ..registry import get_accelerator
 from .supervise import JobFailure, Supervisor, run_serial
 
 if TYPE_CHECKING:
-    from ..nn import TrainConfig
+    from ..nn.config import TrainConfig
     from ..sim.accelerator import SimReport
     from ..sim.workload import Workload
 
@@ -167,7 +167,7 @@ class TrainJob:
     """One ``train (dataset, model) under flow with seed`` request.
 
     ``flow_kwargs`` and ``config`` are stored in the frozen primitive
-    form produced by :func:`repro.quant.flows.freeze_value`, so a job is
+    form produced by :func:`repro.quant.config.freeze_value`, so a job is
     hashable (memory cache key), repr-stable (disk content key) and
     picklable (pool workers); :meth:`from_call` freezes, execution
     thaws.
@@ -192,13 +192,13 @@ class TrainJob:
                   config: Optional[TrainConfig] = None,
                   seed: int = 0, scale: str = "train",
                   graph_seed: Optional[int] = None) -> "TrainJob":
-        from ..nn import TrainConfig
-        from ..quant.flows import TRAIN_FLOWS, freeze_value
+        from ..nn.config import TrainConfig
+        from ..quant.config import TRAIN_FLOW_NAMES, freeze_value
 
-        if flow not in TRAIN_FLOWS:
+        if flow not in TRAIN_FLOW_NAMES:
             raise ValueError(
                 f"unknown training flow {flow!r}; expected one of "
-                f"{sorted(TRAIN_FLOWS)}")
+                f"{sorted(TRAIN_FLOW_NAMES)}")
         frozen_kwargs = tuple(sorted(
             (key, freeze_value(value))
             for key, value in (flow_kwargs or {}).items()))
@@ -245,7 +245,8 @@ def _build_job_workload(job: SimJob) -> Workload:
 
 def _execute_train_job(job: TrainJob):
     """Load the training-scale graph and run the job's flow on it."""
-    from ..quant.flows import TRAIN_FLOWS, thaw_value
+    from ..quant.config import thaw_value
+    from ..quant.flows import TRAIN_FLOWS
 
     graph = cached_load_dataset(job.dataset, scale=job.scale,
                                 seed=job.dataset_seed)

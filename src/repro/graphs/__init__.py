@@ -30,4 +30,4 @@ _SUBMODULES = ("datasets", "generators", "graph", "partition", "sparse_utils",
                "statistics")
 
 __all__ = [*_EXPORTS, *_SUBMODULES]
-__getattr__ = _lazy_attributes(__name__, _EXPORTS, _SUBMODULES)
+__getattr__, __dir__ = _lazy_attributes(__name__, _EXPORTS, _SUBMODULES)

@@ -28,4 +28,4 @@ _EXPORTS = {
 _SUBMODULES = ("condense", "config", "functional", "performance")
 
 __all__ = list(_EXPORTS)
-__getattr__ = _lazy_attributes(__name__, _EXPORTS, _SUBMODULES)
+__getattr__, __dir__ = _lazy_attributes(__name__, _EXPORTS, _SUBMODULES)

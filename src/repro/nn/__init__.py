@@ -1,30 +1,36 @@
-"""GNN models, layers and the training loop."""
+"""GNN models, layers and the training loop.
 
-from .layers import GATConv, GINConv, GraphConv, Linear, MLP, QuantHooks, SageConv
-from .models import GAT, GCN, GIN, GraphSage, MODEL_SPECS, build_model
-from .module import Module
-from .training import (TrainConfig, TrainResult, evaluate, evaluate_masks,
-                       train, train_multiple_seeds)
+Submodules and the names below load on first attribute access, so
+``from repro.nn import TrainConfig`` imports only :mod:`repro.nn.config`
+(no numpy), not the layers or the autograd engine.
+"""
 
-__all__ = [
-    "Module",
-    "QuantHooks",
-    "Linear",
-    "MLP",
-    "GraphConv",
-    "GINConv",
-    "SageConv",
-    "GATConv",
-    "GCN",
-    "GIN",
-    "GraphSage",
-    "GAT",
-    "MODEL_SPECS",
-    "build_model",
-    "TrainConfig",
-    "TrainResult",
-    "train",
-    "evaluate",
-    "evaluate_masks",
-    "train_multiple_seeds",
-]
+from .. import _lazy_attributes
+
+# Re-exported name -> the submodule defining it.
+_EXPORTS = {
+    "Module": "module",
+    "QuantHooks": "layers",
+    "Linear": "layers",
+    "MLP": "layers",
+    "GraphConv": "layers",
+    "GINConv": "layers",
+    "SageConv": "layers",
+    "GATConv": "layers",
+    "GCN": "models",
+    "GIN": "models",
+    "GraphSage": "models",
+    "GAT": "models",
+    "MODEL_SPECS": "models",
+    "build_model": "models",
+    "TrainConfig": "config",
+    "TrainResult": "training",
+    "train": "training",
+    "evaluate": "training",
+    "evaluate_masks": "training",
+    "train_multiple_seeds": "training",
+}
+_SUBMODULES = ("config", "layers", "models", "module", "training")
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_attributes(__name__, _EXPORTS, _SUBMODULES)

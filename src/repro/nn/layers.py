@@ -9,13 +9,15 @@ duplicating model code — the software side of the paper's co-design.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..tensor import Tensor, functional as F, init
 from .module import Module
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["QuantHooks", "Linear", "GraphConv", "GINConv", "SageConv", "GATConv", "MLP"]
 

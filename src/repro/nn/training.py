@@ -9,30 +9,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Union)
 
 import numpy as np
 
-from ..graphs import Graph
 from ..tensor import Tensor, functional as F, no_grad
 from ..tensor.optim import Adam, clip_grad_norm
+from .config import TrainConfig
 from .module import Module
+
+if TYPE_CHECKING:
+    from ..graphs import Graph
 
 __all__ = ["TrainConfig", "TrainResult", "train", "evaluate",
            "evaluate_masks", "train_multiple_seeds"]
-
-
-@dataclass
-class TrainConfig:
-    """Hyper-parameters of one training run."""
-
-    epochs: int = 200
-    lr: float = 0.01
-    quant_lr: float = 0.02          # learning rate for quantization parameters
-    weight_decay: float = 5e-4
-    patience: int = 50
-    grad_clip: float = 5.0
-    verbose: bool = False
 
 
 @dataclass

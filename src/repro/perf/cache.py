@@ -21,6 +21,9 @@ resets them for benchmarking.  These caches live in memory; what
 persists across processes goes through the content-addressed
 :class:`~repro.artifacts.ArtifactStore`, whose ids carry
 :func:`code_version`.
+
+numpy loads inside the functions that hash or sample arrays, so the job
+engine, which imports this module, declares jobs without numpy.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ import sys
 import weakref
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, TypeVar
-
-import numpy as np
 
 from ..registry import get_dataset
 
@@ -126,6 +127,8 @@ def graph_fingerprint(adjacency: sp.spmatrix) -> str:
     entry = _FINGERPRINTS.get(key)
     if entry is not None and entry[0]() is adjacency:
         return entry[1]
+    import numpy as np
+
     csr = adjacency.tocsr()
     h = hashlib.sha1()
     h.update(np.asarray(csr.shape, dtype=np.int64).tobytes())
@@ -210,6 +213,8 @@ def cached_sampled_normalized_adjacency(graph: Graph, max_neighbors: int,
     key = (graph_fingerprint(graph.adjacency), max_neighbors, kind)
 
     def compute() -> sp.csr_matrix:
+        import numpy as np
+
         sampled = graph.sample_neighbors(max_neighbors,
                                          rng=np.random.default_rng(0))
         return sampled.normalized_adjacency(kind)
@@ -252,6 +257,7 @@ def code_version() -> str:
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
+        import numpy as np
         import scipy
 
         root = Path(__file__).resolve().parent.parent

@@ -1,60 +1,44 @@
-"""Quantization methods: uniform, Degree-Quant (DQ), Degree-Aware (ours)."""
+"""Quantization methods: uniform, Degree-Quant (DQ), Degree-Aware (ours).
 
-from .compression import (
-    average_bitwidth,
-    bitwidth_histogram,
-    compression_ratio,
-    feature_memory_kb,
-)
-from .degree_aware import ETA, DegreeAwareConfig, DegreeAwareQuantizer
-from .degree_quant import DegreeQuantConfig, DegreeQuantizer
-from .fake_quant import (
-    FakeQuantPerColumn,
-    FakeQuantPerGroup,
-    dequantize,
-    qmax_for_bits,
-    quantize_integer,
-)
-from .flows import (
-    QUANT_METHODS,
-    TRAIN_FLOWS,
-    QuantRunResult,
-    layer_dims_for,
-    run_degree_aware,
-    run_degree_quant,
-    run_feature_magnitudes,
-    run_fp32,
-    run_uniform,
-)
-from .ptq import PtqResult, post_training_quantize
-from .uniform import UniformQuantConfig, UniformQuantizer
+Submodules and the names below load on first attribute access, so the
+configs a training job is declared with (:mod:`repro.quant.config`) do
+not pull in the quantizers, the layers or the autograd engine.
+"""
 
-__all__ = [
-    "DegreeAwareConfig",
-    "DegreeAwareQuantizer",
-    "DegreeQuantConfig",
-    "DegreeQuantizer",
-    "UniformQuantConfig",
-    "UniformQuantizer",
-    "post_training_quantize",
-    "PtqResult",
-    "ETA",
-    "quantize_integer",
-    "dequantize",
-    "qmax_for_bits",
-    "FakeQuantPerGroup",
-    "FakeQuantPerColumn",
-    "average_bitwidth",
-    "compression_ratio",
-    "feature_memory_kb",
-    "bitwidth_histogram",
-    "QuantRunResult",
-    "layer_dims_for",
-    "run_fp32",
-    "run_degree_quant",
-    "run_degree_aware",
-    "run_uniform",
-    "run_feature_magnitudes",
-    "QUANT_METHODS",
-    "TRAIN_FLOWS",
-]
+from .. import _lazy_attributes
+
+# Re-exported name -> the submodule defining it.
+_EXPORTS = {
+    "DegreeAwareConfig": "config",
+    "DegreeAwareQuantizer": "degree_aware",
+    "DegreeQuantConfig": "config",
+    "DegreeQuantizer": "degree_quant",
+    "UniformQuantConfig": "config",
+    "UniformQuantizer": "uniform",
+    "post_training_quantize": "ptq",
+    "PtqResult": "ptq",
+    "ETA": "degree_aware",
+    "quantize_integer": "fake_quant",
+    "dequantize": "fake_quant",
+    "qmax_for_bits": "fake_quant",
+    "FakeQuantPerGroup": "fake_quant",
+    "FakeQuantPerColumn": "fake_quant",
+    "average_bitwidth": "compression",
+    "compression_ratio": "compression",
+    "feature_memory_kb": "compression",
+    "bitwidth_histogram": "compression",
+    "QuantRunResult": "config",
+    "layer_dims_for": "flows",
+    "run_fp32": "flows",
+    "run_degree_quant": "flows",
+    "run_degree_aware": "flows",
+    "run_uniform": "flows",
+    "run_feature_magnitudes": "flows",
+    "QUANT_METHODS": "flows",
+    "TRAIN_FLOWS": "flows",
+}
+_SUBMODULES = ("compression", "config", "degree_aware", "degree_quant",
+               "fake_quant", "flows", "observers", "ptq", "uniform")
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_attributes(__name__, _EXPORTS, _SUBMODULES)

@@ -22,7 +22,6 @@ forward pass with straight-through gradients (Uhlich et al. [48]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -30,30 +29,13 @@ import numpy as np
 from ..graphs import Graph
 from ..nn.layers import QuantHooks
 from ..tensor import Tensor
+from .config import DegreeAwareConfig
 from .fake_quant import FakeQuantPerColumn, FakeQuantPerGroup, quantize_integer
 
 __all__ = ["DegreeAwareConfig", "DegreeAwareQuantizer", "ETA"]
 
 # Eq. 4 constant converting bit counts to KB.
 ETA = 8 * 1024
-
-
-@dataclass
-class DegreeAwareConfig:
-    """Hyper-parameters of the Degree-Aware quantizer."""
-
-    min_bits: float = 2.0
-    max_bits: float = 8.0
-    init_bits: float = 8.0
-    weight_bits: int = 4
-    degree_cap: int = 64            # degrees >= cap share one parameter set
-    memory_target_kb: Optional[float] = None  # None -> derived from target_average_bits
-    target_average_bits: float = 2.5
-    penalty: float = 50.0           # lambda in Eq. 5 (on the normalized penalty)
-    normalize_penalty: bool = True  # divide L_memory by M_target^2 for scale-freeness
-    scale_lr: float = 0.05          # Adam lr for the log-domain scales
-    bits_lr: float = 0.05           # SGD lr for the bitwidth parameters
-    num_layers: int = 2
 
 
 class DegreeAwareQuantizer(QuantHooks):

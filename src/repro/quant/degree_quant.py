@@ -17,7 +17,6 @@ VI).  Its training strategy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -25,22 +24,11 @@ import numpy as np
 from ..graphs import Graph
 from ..nn.layers import QuantHooks
 from ..tensor import Tensor
+from .config import DegreeQuantConfig
 from .fake_quant import FakeQuantSTE, quantize_integer
 from .observers import EmaColumnObserver, EmaMaxObserver
 
 __all__ = ["DegreeQuantConfig", "DegreeQuantizer"]
-
-
-@dataclass
-class DegreeQuantConfig:
-    """DQ hyper-parameters (defaults follow the DQ paper)."""
-
-    bits: int = 4
-    weight_bits: Optional[int] = None  # None -> same as ``bits``
-    p_min: float = 0.0
-    p_max: float = 0.2
-    num_layers: int = 2
-    seed: int = 0
 
 
 class DegreeQuantizer(QuantHooks):

@@ -8,38 +8,22 @@ Tables I and VI and the inputs the accelerator simulators consume
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..graphs import Graph
 from ..nn import TrainConfig, build_model, train
-from ..nn.layers import QuantHooks
 from ..tensor import Tensor, no_grad
-from .degree_aware import DegreeAwareConfig, DegreeAwareQuantizer
-from .degree_quant import DegreeQuantConfig, DegreeQuantizer
-from .uniform import UniformQuantConfig, UniformQuantizer
+from .config import (DegreeAwareConfig, DegreeQuantConfig, QuantRunResult,
+                     UniformQuantConfig)
+from .degree_aware import DegreeAwareQuantizer
+from .degree_quant import DegreeQuantizer
+from .uniform import UniformQuantizer
 
 __all__ = ["QuantRunResult", "layer_dims_for", "run_fp32", "run_degree_quant",
            "run_degree_aware", "run_uniform", "run_feature_magnitudes",
-           "QUANT_METHODS", "TRAIN_FLOWS", "freeze_value", "thaw_value"]
-
-
-@dataclass
-class QuantRunResult:
-    """Accuracy + compression outcome of one quantization flow."""
-
-    method: str
-    model_name: str
-    dataset: str
-    test_accuracy: float
-    average_bits: float
-    compression_ratio: float
-    train_seconds: float
-    node_bitwidths: Optional[np.ndarray] = None
-    node_scales: Optional[np.ndarray] = None
-    extras: Dict[str, float] = field(default_factory=dict)
+           "QUANT_METHODS", "TRAIN_FLOWS"]
 
 
 def layer_dims_for(model_name: str, graph: Graph, hidden: Optional[int] = None) -> List[int]:
@@ -159,56 +143,9 @@ QUANT_METHODS = {
 # Flows executable as declarative TrainJobs by the job engine
 # (:mod:`repro.eval.engine`).  Every entry has the uniform signature
 # ``flow(model_name, graph, config=..., seed=..., **flow_kwargs)`` and
-# returns a picklable result.
+# returns a picklable result.  The keys are
+# :data:`repro.quant.config.TRAIN_FLOW_NAMES`, which jobs are declared
+# against without importing this module.
 TRAIN_FLOWS = dict(QUANT_METHODS)
 TRAIN_FLOWS["feature-magnitudes"] = run_feature_magnitudes
 
-
-# ----------------------------------------------------------------------
-# Declarative flow-kwarg freezing (hashable TrainJob fields <-> configs)
-# ----------------------------------------------------------------------
-
-# Dataclass configs a frozen TrainJob may carry.  Registered by name so
-# the frozen form stays a pure tuple of primitives (hashable, stable
-# under repr for content keys, picklable for pool workers).
-_FROZEN_DATACLASSES = {
-    "TrainConfig": TrainConfig,
-    "DegreeAwareConfig": DegreeAwareConfig,
-    "DegreeQuantConfig": DegreeQuantConfig,
-    "UniformQuantConfig": UniformQuantConfig,
-}
-
-_DC_TAG = "__dataclass__"
-_DICT_TAG = "__mapping__"
-
-
-def freeze_value(value):
-    """Convert a flow-kwarg value into a hashable, content-stable form."""
-    if type(value).__name__ in _FROZEN_DATACLASSES and hasattr(value, "__dict__"):
-        fields = tuple(sorted((k, freeze_value(v))
-                              for k, v in vars(value).items()))
-        return (_DC_TAG, type(value).__name__, fields)
-    if isinstance(value, dict):
-        # Tagged so a dict thaws back to a dict and can never collide
-        # with a frozen list of pairs.
-        return (_DICT_TAG, tuple(sorted(
-            (k, freeze_value(v)) for k, v in value.items())))
-    if isinstance(value, (list, tuple)):
-        return tuple(freeze_value(v) for v in value)
-    if isinstance(value, (str, bytes, int, float, bool, type(None))):
-        return value
-    raise TypeError(
-        f"flow kwarg of type {type(value).__name__!r} cannot be frozen into "
-        f"a TrainJob; pass primitives or one of {sorted(_FROZEN_DATACLASSES)}")
-
-
-def thaw_value(value):
-    """Inverse of :func:`freeze_value` (reconstructs registered configs)."""
-    if isinstance(value, tuple) and len(value) == 3 and value[0] == _DC_TAG:
-        cls = _FROZEN_DATACLASSES[value[1]]
-        return cls(**{k: thaw_value(v) for k, v in value[2]})
-    if isinstance(value, tuple) and len(value) == 2 and value[0] == _DICT_TAG:
-        return {k: thaw_value(v) for k, v in value[1]}
-    if isinstance(value, tuple):
-        return tuple(thaw_value(v) for v in value)
-    return value

@@ -7,7 +7,6 @@ GCNAX(8bit) in Fig. 14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -15,17 +14,11 @@ import numpy as np
 from ..graphs import Graph
 from ..nn.layers import QuantHooks
 from ..tensor import Tensor
+from .config import UniformQuantConfig
 from .fake_quant import FakeQuantSTE, quantize_integer
 from .observers import EmaColumnObserver, EmaMaxObserver
 
 __all__ = ["UniformQuantConfig", "UniformQuantizer"]
-
-
-@dataclass
-class UniformQuantConfig:
-    bits: int = 8
-    weight_bits: Optional[int] = None
-    num_layers: int = 2
 
 
 class UniformQuantizer(QuantHooks):

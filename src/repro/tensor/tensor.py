@@ -15,10 +15,13 @@ estimators in :mod:`repro.quant`.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["Tensor", "Function", "no_grad", "is_grad_enabled", "tensor"]
 

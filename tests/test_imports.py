@@ -10,6 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import repro
 from repro.eval.engine import _EXECUTION_MODULES
 
 SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
@@ -44,13 +47,89 @@ def _python(script, *args, cache_dir=None):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+# Appended to a probe script: prints the numpy and scipy modules it loaded.
+_ARRAY_MODULES = (
+    "print(json.dumps(sorted(m for m in sys.modules\n"
+    "                        if m.split('.')[0] in ('numpy', 'scipy'))))")
+
+
 def test_cli_import_loads_no_numpy_or_scipy():
     loaded = _python(
         "import json, sys\n"
-        "import repro.cli\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.split('.')[0] in ('numpy', 'scipy'))))")
+        "import repro.cli\n" + _ARRAY_MODULES)
     assert loaded == []
+
+
+def test_training_config_and_runner_load_no_numpy_or_scipy():
+    loaded = _python(
+        "import json, sys\n"
+        "from repro.nn import TrainConfig\n"
+        "from repro.report import run_experiment\n"
+        "TrainConfig(epochs=40, patience=10_000)\n" + _ARRAY_MODULES)
+    assert loaded == []
+
+
+def test_declaring_jobs_loads_no_numpy_or_scipy():
+    loaded = _python(
+        "import json, sys\n"
+        "from repro.eval.engine import SimJob, TrainJob\n"
+        "from repro.quant import DegreeAwareConfig\n"
+        "sims = {SimJob.from_call(name, 'nell', 'gcn',\n"
+        "                         target_average_bits=2.5 + i / 16)\n"
+        "        for name in ('mega', 'mega-no-condense', 'mega-bitmap')\n"
+        "        for i in range(67)}\n"
+        "assert len(sims) == 201\n"
+        "job = TrainJob.from_call(\n"
+        "    'cora', 'gcn', 'degree-aware',\n"
+        "    {'quant_config': DegreeAwareConfig(target_average_bits=3.0)})\n"
+        "hash(job)\n" + _ARRAY_MODULES)
+    assert loaded == []
+
+
+def test_flow_names_match_the_executable_flows():
+    from repro.quant.config import TRAIN_FLOW_NAMES
+    from repro.quant.flows import TRAIN_FLOWS
+
+    assert list(TRAIN_FLOW_NAMES) == list(TRAIN_FLOWS)
+
+
+def test_package_version_is_read_statically():
+    """``pyproject.toml`` takes its version from ``repro.__version__``
+    without importing the package."""
+    pytest.importorskip("setuptools.config.pyprojecttoml")
+    pyproject = Path(SRC_ROOT).parent / "pyproject.toml"
+    out = _python(
+        "import json, sys, warnings\n"
+        "from setuptools.config.pyprojecttoml import read_configuration\n"
+        "warnings.simplefilter('ignore')\n"
+        "version = read_configuration(sys.argv[1])['project']['version']\n"
+        "print(json.dumps([version, 'repro' in sys.modules]))", pyproject)
+    assert out == [repro.__version__, False]
+
+
+# The lazily loaded packages: ``dir()`` lists every exported name before
+# it loads, and each resolves.
+LAZY_PACKAGES = ("repro", "repro.graphs", "repro.mega", "repro.eval",
+                 "repro.nn", "repro.quant")
+
+
+def test_lazy_packages_list_and_resolve_every_export():
+    out = _python(
+        "import importlib, json, sys\n"
+        "out = {}\n"
+        "for name in sys.argv[1:]:\n"
+        "    package = importlib.import_module(name)\n"
+        "    listed = set(dir(package))\n"
+        "    out[name] = {\n"
+        "        'unlisted': [n for n in package.__all__ if n not in listed],\n"
+        "        'unresolved': [n for n in package.__all__\n"
+        "                       if getattr(package, n, None) is None]}\n"
+        "from repro.tensor import tensor\n"
+        "out['tensor'] = type(tensor(1.0)).__name__\n"
+        "print(json.dumps(out))", *LAZY_PACKAGES)
+    assert out.pop("tensor") == "Tensor"  # the factory, not the submodule
+    assert out == {name: {"unlisted": [], "unresolved": []}
+                   for name in LAZY_PACKAGES}
 
 
 class TestRegistryBuiltins:
@@ -133,6 +212,34 @@ def test_warm_rerun_executes_nothing_and_never_loads_scipy_sparse(tmp_path):
         assert artifact["rows"] == cold[name]["rows"]
     assert "repro.eval.engine" in imported  # the probe sees the run
     assert not {m for m in imported if m.startswith("scipy.sparse")}
+
+
+# One Table VI run in a fresh process: the rows, how many models it
+# trained, and which of the training stack's modules it loaded.
+_TABLE6_PROBE = """
+import json, sys
+from repro.nn import TrainConfig
+from repro.report import run_experiment
+
+artifact = run_experiment("accuracy_comparison", cases=(("cora", "gcn"),),
+                          config=TrainConfig(epochs=2))
+print(json.dumps({
+    "rows": artifact.rows,
+    "trained": artifact.metadata["jobs"]["trained"],
+    "loaded": sorted(m for m in sys.modules
+                     if m in ("scipy.sparse", "repro.quant.flows",
+                              "repro.nn.layers", "repro.tensor"))}))
+"""
+
+
+def test_warm_table6_replay_loads_no_training_stack(tmp_path):
+    cold = _python(_TABLE6_PROBE, cache_dir=tmp_path / "cache")
+    warm = _python(_TABLE6_PROBE, cache_dir=tmp_path / "cache")
+    assert cold["trained"] == 3 and len(cold["rows"]) == 3
+    assert "repro.quant.flows" in cold["loaded"]  # the probe sees training
+    assert warm["trained"] == 0
+    assert warm["rows"] == cold["rows"]
+    assert warm["loaded"] == []
 
 
 def test_serve_reports_ready_with_builtins_and_engine_loaded(tmp_path):
