@@ -28,11 +28,11 @@ once, Stage B consumes it many times):
   ``tests/test_artifacts.py``.
 
 - **Verification and quarantine.**  Every read re-hashes the payload
-  against its manifest (``REPRO_ARTIFACTS_VERIFY_READS=0`` opts out);
-  :meth:`ArtifactStore.verify` re-hashes the whole corpus.  A corrupt
-  entry is never served and never silently unlinked: it is *moved
-  aside* into ``quarantine/`` with a ``reason.json`` record, and the
-  next reference rebuilds it (:meth:`ArtifactStore.get_or_build`).
+  against its manifest; :meth:`ArtifactStore.verify` re-hashes the
+  whole corpus.  A corrupt entry is never served and never silently
+  unlinked: it is *moved aside* into ``quarantine/`` with a
+  ``reason.json`` record, and the next reference rebuilds it
+  (:meth:`ArtifactStore.get_or_build`).
 
 - **GC with liveness.**  :meth:`ArtifactStore.gc` marks live ids from
   the run journals under ``<cache>/runs/`` plus explicitly pinned ids,
@@ -65,13 +65,6 @@ Layout under ``<REPRO_CACHE_DIR>/artifacts/v1/``::
     tmp/<id>.<pid>.<token>/               # in-progress writes (droppable)
     quarantine/<id>.<token>/              # corrupt entries + reason.json
     pins.txt                              # one pinned id per line
-
-Environment knobs:
-
-- ``REPRO_ARTIFACTS_FSYNC`` — ``0`` skips the fsync barriers (faster,
-  loses power-loss durability; default ``1``);
-- ``REPRO_ARTIFACTS_VERIFY_READS`` — ``0`` skips the per-read payload
-  re-hash (``verify`` still checks everything; default ``1``).
 """
 
 from __future__ import annotations
@@ -123,18 +116,6 @@ class ArtifactIntegrityError(ArtifactError):
     """An entry or archive failed its checksum/manifest validation."""
 
 
-def _fsync_enabled() -> bool:
-    from .envutil import env_int
-
-    return env_int("REPRO_ARTIFACTS_FSYNC", 1) != 0
-
-
-def _verify_reads() -> bool:
-    from .envutil import env_int
-
-    return env_int("REPRO_ARTIFACTS_VERIFY_READS", 1) != 0
-
-
 def shard_of(art_id: str) -> str:
     """The two-hex shard directory name an id belongs to."""
     return art_id[len(_ID_PREFIX):len(_ID_PREFIX) + 2]
@@ -149,16 +130,11 @@ def _is_shard_name(name: str) -> bool:
 # pre-rename), so keep them as named seams rather than inlined calls.
 
 def _fsync_file(fh) -> None:
-    if _fsync_enabled():
-        fh.flush()
-        os.fsync(fh.fileno())
-    else:
-        fh.flush()
+    fh.flush()
+    os.fsync(fh.fileno())
 
 
 def _fsync_dir(path: Path) -> None:
-    if not _fsync_enabled():
-        return
     try:
         fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
     except OSError:
@@ -420,11 +396,9 @@ class ArtifactStore:
                 f"{art_id}: payload sha256 {digest[:12]}… does not match "
                 f"manifest {manifest['payload_sha256'][:12]}…")
 
-    def _checked_payload(self, art_id: str, manifest: Dict,
-                         verify: bool = True) -> bytes:
+    def _checked_payload(self, art_id: str, manifest: Dict) -> bytes:
         payload = self.payload_path(art_id).read_bytes()
-        if verify:
-            self._check_payload(art_id, manifest, payload)
+        self._check_payload(art_id, manifest, payload)
         return payload
 
     def get(self, art_id: str, default: Optional[T] = None) -> Optional[T]:
@@ -433,8 +407,7 @@ class ArtifactStore:
         self.gets += 1
         try:
             manifest = self.read_manifest(art_id)
-            payload = self._checked_payload(art_id, manifest,
-                                            verify=_verify_reads())
+            payload = self._checked_payload(art_id, manifest)
         except FileNotFoundError:
             self.misses += 1
             return default
@@ -764,7 +737,7 @@ class ArtifactStore:
         for art_id in selected:
             try:
                 manifest = self.read_manifest(art_id)
-                self._checked_payload(art_id, manifest, verify=True)
+                self._checked_payload(art_id, manifest)
             except FileNotFoundError:
                 raise ArtifactError(f"cannot export unknown artifact "
                                     f"{art_id!r}") from None

@@ -9,8 +9,10 @@ Subcommands:
   to ``--out``; with no experiment named, runs every spec flagged as a
   smoke experiment.  ``--suite`` re-points suite-parameterized specs at
   a registered workload suite;
-- ``bench`` — the hot-kernel + end-to-end sweep benchmark (forwards to
-  :mod:`repro.perf.bench`, which remains importable directly);
+- ``bench`` — the hot-kernel, training-epoch, artifact-store and
+  fleet-replay benchmark (forwards to :mod:`repro.perf.bench`, which
+  remains importable directly; end-to-end workloads are measured by
+  ``bench/run.py``);
 - ``serve`` — the long-running sweep service (:mod:`repro.serve`):
   keeps the engine's caches hot, accepts experiment requests over
   HTTP with admission control and per-request deadlines, drains
@@ -200,8 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "bench", add_help=False,
-        help="hot-kernel + sweep benchmarks (see `python -m repro bench "
-             "--help`)")
+        help="hot-kernel, store and fleet benchmarks (see `python -m "
+             "repro bench --help`)")
 
     art_p = sub.add_parser(
         "artifacts", help="operate the content-addressed artifact store")

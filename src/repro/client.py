@@ -17,9 +17,9 @@ discipline the server's failure modes call for:
 
 Retry budgets default to ``REPRO_CLIENT_RETRIES`` (4) and
 ``REPRO_CLIENT_BACKOFF`` (0.2 s).  :func:`run_load` is the thread-based
-load generator behind the ``serve_load`` benchmark and the CI serve
-smoke job: N concurrent clients submitting request specs round-robin,
-summarized as p50/p99/mean latency, throughput and error rate.
+load generator behind the CI serve smoke job: N concurrent clients
+submitting request specs round-robin, summarized as p50/p99/mean
+latency, throughput and error rate.
 """
 
 from __future__ import annotations

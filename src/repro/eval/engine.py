@@ -78,9 +78,7 @@ Environment knobs:
 - ``REPRO_JOB_BACKOFF`` — base of the exponential retry backoff in
   seconds (default 0.05; attempt ``n`` waits ``backoff * 2**n``);
 - ``REPRO_SIM_BATCH`` — batched simulation of same-dataset job groups
-  (default 1: on; ``0`` forces the scalar per-job path everywhere);
-- ``REPRO_SIM_BATCH_MAX`` — cap on how many jobs one batched
-  evaluation stacks together (default 256).
+  (default 1: on; ``0`` forces the scalar per-job path everywhere).
 """
 
 from __future__ import annotations
@@ -276,13 +274,12 @@ def _execute_train_job(job: TrainJob):
 _BATCH_STASH: Dict[object, object] = {}
 _BATCH_MISSING = object()
 
+# Cap on how many jobs one batched evaluation stacks together.
+_SIM_BATCH_MAX = 256
+
 
 def _sim_batch_enabled() -> bool:
     return env_int("REPRO_SIM_BATCH", 1) != 0
-
-
-def _sim_batch_max() -> int:
-    return max(env_int("REPRO_SIM_BATCH_MAX", 256), 1)
 
 
 def _batch_group_key(job: "SimJob") -> Optional[tuple]:
@@ -299,7 +296,7 @@ def plan_sim_batches(jobs: Sequence) -> List[List["SimJob"]]:
 
     Simulation jobs that share (dataset, model, precision, seed) — i.e.
     one workload recipe, differing only in accelerator/variant/target —
-    form a group, split at ``REPRO_SIM_BATCH_MAX``.  Singleton groups
+    form a group, split at ``_SIM_BATCH_MAX``.  Singleton groups
     are dropped: batching one job is pure overhead, and huge scenarios
     (which chunk per job, see :func:`_chunk_key`) land here, falling
     through to the scalar path by design.
@@ -311,11 +308,10 @@ def plan_sim_batches(jobs: Sequence) -> List[List["SimJob"]]:
         key = _batch_group_key(job)
         if key is not None:
             groups.setdefault(key, []).append(job)
-    cap = _sim_batch_max()
     batches: List[List[SimJob]] = []
     for members in groups.values():
-        for start in range(0, len(members), cap):
-            batch = members[start:start + cap]
+        for start in range(0, len(members), _SIM_BATCH_MAX):
+            batch = members[start:start + _SIM_BATCH_MAX]
             if len(batch) >= 2:
                 batches.append(batch)
     return batches

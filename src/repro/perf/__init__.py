@@ -12,7 +12,10 @@ benchmark runner.
   implementations of the vectorized hot kernels, used as equivalence
   and speedup baselines;
 - ``python -m repro.perf.bench`` times the hot kernels on synthetic
-  graphs and writes ``BENCH_repro.json``, the repo's perf trajectory.
+  graphs against those references, plus the training epoch, the
+  artifact store and a fleet replay, and writes ``BENCH_repro.json``;
+  end-to-end workloads are measured by ``bench/run.py`` against the
+  workloads ``BENCHMARK.json`` declares.
 """
 
 from .cache import (

@@ -20,18 +20,9 @@ trajectory.  Kernels covered:
   the subgraph counts ``choose_num_parts`` yields there), with balance
   and edge-cut parity asserted.
 
-On top of the kernels, the runner times three end-to-end sweeps through
-:class:`repro.eval.engine.SweepEngine`: a ``full_sweep`` over one
-(workload × accelerator) simulation grid, an ``accuracy_sweep`` over a
-(case × flow × seed) training grid, and a ``scale_sweep`` over the
-synthetic scale scenarios (whose oversized per-dataset chunks split per
-job across the pool) — each cold and serial, again warm from the
-on-disk cache, and again cold through the process pool.  CI asserts
-the warm-cache replays against all three (they must execute zero jobs /
-train zero models).  A ``train_epoch`` entry times the training hot
-loop (in-place optimizers, shared eval forward) against the seed loop
-preserved in :mod:`repro.perf.reference`, asserting bit-identical
-accuracies.
+A ``train_epoch`` entry times the training hot loop (in-place
+optimizers, shared eval forward) against the seed loop preserved in
+:mod:`repro.perf.reference`, asserting bit-identical accuracies.
 
 An ``artifact_store`` entry measures the content-addressed artifact
 store (:mod:`repro.artifacts`): put/get/verify/export/import throughput
@@ -40,16 +31,17 @@ sha256 verify-on-read are part of what is timed — plus a warm-import
 replay (cold sweep on cache A, export → import into fresh cache B,
 replay with zero jobs executed and bit-identical reports).
 
-A ``serve_load`` entry load-tests the :mod:`repro.serve` daemon end to
-end (subprocess, own temp cache): identical concurrent requests must
-dedup to one execution, warm requests must execute zero jobs, a client
-swarm is summarized as p50/p99 latency and throughput, and a daemon
-under injected worker kills + request rejects must show a zero error
-rate through the client's bounded retries — with a clean SIGTERM drain
-(exit 0) each time.
+A ``fleet_replay`` entry replays a served corpus into a fresh cache
+over injected wire faults (see :func:`_bench_fleet_replay`).
 
-``--quick`` restricts the sweep to the small size (used by CI smoke
-runs); the default sweep ends at the ~50k-node / ~500k-edge graph the
+End-to-end workloads — a cold and warm ``repro run`` of the paper
+figures, the DSE grid, Table VI training and a mixed ``repro serve``
+load — are measured by ``bench/run.py`` (declared in
+``BENCHMARK.json``), with repeats, spread and a regression gate; this
+runner does not time them again.
+
+``--quick`` restricts the run to the small size (used by CI smoke
+runs); the default sizes end at the ~50k-node / ~500k-edge graph the
 acceptance criteria are stated against.  Reference implementations are
 timed with a single repeat (they are the slow side by construction);
 vectorized kernels report best-of-3.
@@ -240,395 +232,6 @@ def _bench_partition(size: str, repeats: int, check: bool) -> dict:
     }
 
 
-# (workload × accelerator) grids for the end-to-end sweep benchmark.
-SWEEP_GRIDS: Dict[str, tuple] = {
-    "quick": ((("cora", "gcn"), ("citeseer", "gcn"), ("cora", "gin")),
-              ("hygcn", "gcnax", "mega")),
-    "full": ((("cora", "gcn"), ("citeseer", "gcn"), ("pubmed", "gcn"),
-              ("cora", "gin"), ("cora", "graphsage")),
-             ("hygcn", "gcnax", "grow", "sgcn", "mega")),
-}
-
-
-def _bench_full_sweep(quick: bool, workers: Optional[int] = None) -> dict:
-    """Cold-serial vs warm-disk vs cold-parallel end-to-end sweep timings.
-
-    Each phase starts from cleared in-process caches; the warm phase
-    reuses the serial phase's on-disk store (in a temp dir, so the
-    benchmark never touches the user's real cache), the parallel phase
-    gets a separate empty store so it is a genuinely cold run.
-
-    The default worker count is CPU-bounded and never oversubscribes: on
-    a single-core machine the engine's documented serial path runs (a
-    two-process pool there only adds fork/IPC cost — measured ~5% on
-    this sweep).  Pass ``--sweep-workers`` to force a pool size.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from ..eval.engine import SimJob, SweepEngine
-
-    workloads, accelerators = SWEEP_GRIDS["quick" if quick else "full"]
-    jobs = [SimJob.from_call(name, dataset, model)
-            for dataset, model in workloads for name in accelerators]
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
-
-    # Cold phases are timed best-of-N with a fresh store per attempt:
-    # single cold runs swing ~15% with allocator/page-cache warmth and
-    # machine load, more than the effect under measurement.  Quick
-    # (smoke) runs take one attempt each — they gate functionality, not
-    # measurement stability.
-    cold_repeats = 1 if quick else 3
-
-    with tempfile.TemporaryDirectory(prefix="repro-sweep-bench-") as tmp:
-        # Serial/parallel cold attempts are interleaved, alternating which
-        # goes first, so slow drift in machine load and allocator state
-        # biases both phases equally.
-        serial_times, parallel_times, executed_cold = [], [], 0
-        pool_flags = []
-        cold_reports = first_serial = None
-        for attempt in range(cold_repeats):
-            for kind in (("serial", "parallel") if attempt % 2 == 0
-                         else ("parallel", "serial")):
-                clear_all_caches()
-                engine = SweepEngine(
-                    workers=0 if kind == "serial" else workers,
-                    cache_dir=Path(tmp) / f"{kind}{attempt}")
-                engine.clear_memory()  # the workload memo is module-level
-                with Timer() as t:
-                    reports = engine.run(jobs)
-                if kind == "serial":
-                    serial_times.append(t.elapsed)
-                    executed_cold = engine.executed_jobs
-                    if first_serial is None:
-                        cold_reports, first_serial = reports, engine
-                else:
-                    parallel_times.append(t.elapsed)
-                    pool_flags.append(engine.pool_used)
-                if cold_reports is not None and reports is not cold_reports:
-                    assert all(reports[j] == cold_reports[j] for j in jobs), \
-                        f"{kind} sweep must match the first serial results"
-
-        first_serial.clear_memory()
-        clear_all_caches()
-        with Timer() as warm:
-            warm_reports = first_serial.run(jobs)
-        executed_warm = first_serial.executed_jobs
-        assert all(warm_reports[j] == cold_reports[j] for j in jobs), \
-            "warm-cache sweep must replay identical reports"
-    clear_all_caches()
-
-    cold_serial_s, cold_parallel_s = min(serial_times), min(parallel_times)
-    return {
-        "jobs": len(jobs),
-        "workloads": len(workloads),
-        "accelerators": len(accelerators),
-        "workers": workers,
-        # False = the 'parallel' phase actually ran the engine's serial
-        # path (single-CPU machine, --sweep-workers 1, or a pool-creation
-        # fallback): parallel_speedup then compares two serial runs, not
-        # a pool against one.  Reported by the engine, not the request.
-        "pool_used": bool(pool_flags) and all(pool_flags),
-        "cold_serial_s": cold_serial_s,
-        "warm_s": warm.elapsed,
-        "cold_parallel_s": cold_parallel_s,
-        "executed_cold_jobs": executed_cold,
-        "executed_warm_jobs": executed_warm,
-        "warm_speedup": _speedup(cold_serial_s, warm.elapsed),
-        "parallel_speedup": _speedup(cold_serial_s, cold_parallel_s),
-    }
-
-
-# (dataset, accelerators, quantization-target count) for the batched
-# DSE-style sweep benchmark: one dataset, hundreds of knob variants.
-BATCHED_SWEEP_GRIDS: Dict[str, tuple] = {
-    "quick": ("cora", ("mega", "mega-no-condense", "mega-bitmap"), 8),
-    "full": ("nell", ("mega", "mega-no-condense", "mega-bitmap"), 67),
-}
-
-
-def _bench_batched_sweep(quick: bool) -> dict:
-    """Cold batched vs cold scalar evaluation of a DSE-style variant grid.
-
-    The grid is what a design-space exploration actually issues: one
-    dataset, one model, every (accelerator ablation x quantization
-    target) combination — 201 jobs on the full grid.  The scalar phase
-    runs with ``batch=False`` (the per-job oracle path); the batched
-    phase with ``batch=True``; reports must be identical field for
-    field.  Both phases run serially with durable-write fsync off
-    (``REPRO_ARTIFACTS_FSYNC=0``) so the ratio measures simulation
-    evaluation, not the fsync floor — the flag applies to both sides
-    equally.  A warm replay through a batch-enabled engine must execute
-    zero jobs (batching never disturbs cache/artifact resolution).
-    """
-    import tempfile
-    from pathlib import Path
-
-    from ..eval.engine import SimJob, SweepEngine
-
-    dataset, accelerators, num_targets = (
-        BATCHED_SWEEP_GRIDS["quick" if quick else "full"])
-    targets = np.round(np.linspace(2.5, 7.5, num_targets), 3)
-    jobs = [SimJob.from_call(name, dataset, "gcn",
-                             target_average_bits=float(target))
-            for name in accelerators for target in targets]
-
-    previous_fsync = os.environ.get("REPRO_ARTIFACTS_FSYNC")
-    os.environ["REPRO_ARTIFACTS_FSYNC"] = "0"
-    try:
-        cold_repeats = 1 if quick else 3
-        with tempfile.TemporaryDirectory(prefix="repro-batched-bench-") as tmp:
-            scalar_times: List[float] = []
-            batched_times: List[float] = []
-            batch_sizes: List[int] = []
-            executed_cold = 0
-            scalar_reports = batched_reports = scalar_engine = None
-            for attempt in range(cold_repeats):
-                # Interleave and alternate order, as in _bench_full_sweep,
-                # so machine-load drift biases both phases equally.
-                for kind in (("scalar", "batched") if attempt % 2 == 0
-                             else ("batched", "scalar")):
-                    clear_all_caches()
-                    engine = SweepEngine(workers=0,
-                                         cache_dir=Path(tmp) / f"{kind}{attempt}",
-                                         batch=(kind == "batched"))
-                    engine.clear_memory()  # the workload memo is module-level
-                    with Timer() as t:
-                        reports = engine.run(jobs)
-                    if kind == "scalar":
-                        scalar_times.append(t.elapsed)
-                        assert not engine.batch_used, \
-                            "scalar phase must not batch"
-                        executed_cold = engine.executed_jobs
-                        if scalar_reports is None:
-                            scalar_reports, scalar_engine = reports, engine
-                    else:
-                        batched_times.append(t.elapsed)
-                        assert engine.batch_used and engine.batch_sizes, \
-                            "batched phase must actually batch"
-                        batch_sizes = list(engine.batch_sizes)
-                        if batched_reports is None:
-                            batched_reports = reports
-            assert all(scalar_reports[j] == batched_reports[j] for j in jobs), \
-                "batched sweep must be bit-identical to the scalar oracle"
-
-            scalar_engine.clear_memory()
-            clear_all_caches()
-            with Timer() as warm:
-                warm_reports = scalar_engine.run(jobs)
-            executed_warm = scalar_engine.executed_jobs
-            assert all(warm_reports[j] == scalar_reports[j] for j in jobs), \
-                "warm-cache replay must return identical reports"
-    finally:
-        if previous_fsync is None:
-            os.environ.pop("REPRO_ARTIFACTS_FSYNC", None)
-        else:
-            os.environ["REPRO_ARTIFACTS_FSYNC"] = previous_fsync
-    clear_all_caches()
-
-    cold_scalar_s, cold_batched_s = min(scalar_times), min(batched_times)
-    return {
-        "dataset": dataset,
-        "jobs": len(jobs),
-        "accelerators": len(accelerators),
-        "targets": num_targets,
-        # Honesty flags, engine-reported: batch_used is whether the
-        # batched phase's engine actually stashed batched reports, and
-        # batch_sizes are the realized group sizes (serial path, so
-        # ground truth — see SweepEngine.batch_used).
-        "batch_used": True,
-        "batch_sizes": batch_sizes,
-        "identical": True,
-        "cold_scalar_s": cold_scalar_s,
-        "cold_batched_s": cold_batched_s,
-        "warm_s": warm.elapsed,
-        "executed_cold_jobs": executed_cold,
-        "executed_warm_jobs": executed_warm,
-        "speedup": _speedup(cold_scalar_s, cold_batched_s),
-        "warm_speedup": _speedup(cold_scalar_s, warm.elapsed),
-    }
-
-
-# (datasets, accelerators) grids for the scale-scenario sweep benchmark.
-SCALE_SWEEP_GRIDS: Dict[str, tuple] = {
-    "quick": (("powerlaw-10k", "community-10k"), ("mega", "gcnax")),
-    "full": (("powerlaw-10k", "community-10k", "powerlaw-100k"),
-             ("mega", "gcnax")),
-}
-
-
-def _bench_scale_sweep(quick: bool, workers: Optional[int] = None) -> dict:
-    """Cold-serial vs warm-disk vs cold-parallel scale-scenario sweep.
-
-    Mirrors :func:`_bench_full_sweep` over the registered synthetic
-    scale scenarios: the warm phase replays the serial phase's on-disk
-    store (temp dir, never the user's real cache) and must execute zero
-    jobs; the parallel phase gets its own empty store so it is a
-    genuinely cold run.  Scenario simulations are seconds-long, so one
-    attempt per phase is representative.  ``split_chunks`` reports how
-    many pool chunks the batch fans out into — scenarios at or above
-    the ``REPRO_CHUNK_SPLIT_NODES`` threshold chunk per job instead of
-    per dataset.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from ..eval.engine import (SimJob, SweepEngine, _chunk_key,
-                               temporary_cache_dir)
-
-    datasets, accelerators = SCALE_SWEEP_GRIDS["quick" if quick else "full"]
-    jobs = [SimJob.from_call(name, dataset, "gcn")
-            for dataset in datasets for name in accelerators]
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
-
-    # Each phase pins REPRO_CACHE_DIR inside the temp dir: the scale
-    # scenarios are large enough that cached_partition persists to the
-    # *environment* cache dir, which must neither leak into the user's
-    # real cache nor pre-warm the other cold phase.
-    with tempfile.TemporaryDirectory(prefix="repro-scale-bench-") as tmp:
-        with temporary_cache_dir(Path(tmp) / "serial-env"):
-            clear_all_caches()
-            serial = SweepEngine(workers=0, cache_dir=Path(tmp) / "serial")
-            serial.clear_memory()  # the workload memo is module-level
-            with Timer() as cold:
-                cold_reports = serial.run(jobs)
-            executed_cold = serial.executed_jobs
-
-            serial.clear_memory()
-            clear_all_caches()
-            with Timer() as warm:
-                warm_reports = serial.run(jobs)
-            executed_warm = serial.executed_jobs
-            assert all(warm_reports[j] == cold_reports[j] for j in jobs), \
-                "warm-cache scale sweep must replay identical reports"
-
-        with temporary_cache_dir(Path(tmp) / "par-env"):
-            clear_all_caches()
-            parallel = SweepEngine(workers=workers, cache_dir=Path(tmp) / "par")
-            parallel.clear_memory()
-            with Timer() as par:
-                par_reports = parallel.run(jobs)
-            pool_used = parallel.pool_used
-            assert all(par_reports[j] == cold_reports[j] for j in jobs), \
-                "parallel scale sweep must match the serial results"
-    clear_all_caches()
-
-    return {
-        "jobs": len(jobs),
-        "datasets": list(datasets),
-        "accelerators": list(accelerators),
-        "workers": workers,
-        # How many pool chunks the batch splits into (oversized
-        # scenarios chunk per job, small ones per dataset).
-        "split_chunks": len({_chunk_key(job) for job in jobs}),
-        # Reported by the engine, not the request: False means the
-        # 'parallel' phase actually ran the serial path (single CPU or
-        # pool-creation fallback).
-        "pool_used": pool_used,
-        "cold_serial_s": cold.elapsed,
-        "warm_s": warm.elapsed,
-        "cold_parallel_s": par.elapsed,
-        "executed_cold_jobs": executed_cold,
-        "executed_warm_jobs": executed_warm,
-        "warm_speedup": _speedup(cold.elapsed, warm.elapsed),
-        "parallel_speedup": _speedup(cold.elapsed, par.elapsed),
-    }
-
-
-# (cases, flows, seeds, epochs) for the end-to-end accuracy sweep
-# benchmark.  Epoch budgets are deliberately small: the entry measures
-# the cache/parallel orchestration, not a paper table.
-ACCURACY_GRIDS: Dict[str, tuple] = {
-    "quick": ((("cora", "gcn"),), ("fp32", "dq"), (0, 1), 6),
-    "full": ((("cora", "gcn"), ("citeseer", "gcn")),
-             ("fp32", "dq", "degree-aware"), (0, 1), 20),
-}
-
-_ACCURACY_FLOW_KWARGS = {"dq": {"bits": 4}}
-
-
-def _train_result_key(result) -> tuple:
-    """The deterministic fields of a flow result (timings excluded)."""
-    return (result.test_accuracy, result.average_bits,
-            result.compression_ratio)
-
-
-def _bench_accuracy_sweep(quick: bool, workers: Optional[int] = None) -> dict:
-    """Cold-serial vs warm-disk vs cold-parallel training-grid timings.
-
-    Mirrors :func:`_bench_full_sweep` for :class:`TrainJob` batches: the
-    warm phase replays the serial phase's on-disk store (all stores live
-    in a temp dir, never the user's real cache) and must train zero
-    models; the parallel phase gets its own empty store so it is a
-    genuinely cold run.  Training runs are seconds-long, so one attempt
-    per phase is representative (unlike the microsecond-scale kernels).
-    """
-    import tempfile
-    from pathlib import Path
-
-    from ..eval.engine import SweepEngine, TrainJob
-    from ..nn import TrainConfig
-
-    cases, flows, seeds, epochs = ACCURACY_GRIDS["quick" if quick else "full"]
-    config = TrainConfig(epochs=epochs, patience=10_000)
-    jobs = [TrainJob.from_call(dataset, model, flow,
-                               _ACCURACY_FLOW_KWARGS.get(flow),
-                               config=config, seed=seed)
-            for dataset, model in cases for flow in flows for seed in seeds]
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
-
-    with tempfile.TemporaryDirectory(prefix="repro-accuracy-bench-") as tmp:
-        clear_all_caches()
-        serial = SweepEngine(workers=0, cache_dir=Path(tmp) / "serial")
-        serial.clear_memory()  # the workload memo is module-level
-        with Timer() as cold:
-            cold_results = serial.run(jobs)
-        executed_cold = serial.executed_train_jobs
-
-        serial.clear_memory()
-        clear_all_caches()
-        with Timer() as warm:
-            warm_results = serial.run(jobs)
-        executed_warm = serial.executed_train_jobs
-        assert all(_train_result_key(warm_results[j])
-                   == _train_result_key(cold_results[j]) for j in jobs), \
-            "warm-cache sweep must replay identical training results"
-
-        clear_all_caches()
-        parallel = SweepEngine(workers=workers, cache_dir=Path(tmp) / "par")
-        parallel.clear_memory()
-        with Timer() as par:
-            par_results = parallel.run(jobs)
-        pool_used = parallel.pool_used
-        assert all(_train_result_key(par_results[j])
-                   == _train_result_key(cold_results[j]) for j in jobs), \
-            "parallel sweep must be bit-identical to the serial results"
-    clear_all_caches()
-
-    return {
-        "jobs": len(jobs),
-        "cases": len(cases),
-        "flows": list(flows),
-        "seeds": len(seeds),
-        "epochs": epochs,
-        "workers": workers,
-        # Reported by the engine, not the request: False means the
-        # 'parallel' phase actually ran the serial path (single CPU or
-        # pool-creation fallback).
-        "pool_used": pool_used,
-        "cold_serial_s": cold.elapsed,
-        "warm_s": warm.elapsed,
-        "cold_parallel_s": par.elapsed,
-        "executed_cold_train_jobs": executed_cold,
-        "executed_warm_train_jobs": executed_warm,
-        "warm_speedup": _speedup(cold.elapsed, warm.elapsed),
-        "parallel_speedup": _speedup(cold.elapsed, par.elapsed),
-    }
-
-
 def _bench_train_epoch(quick: bool) -> dict:
     """Per-epoch timing of the training hot loop vs the seed loop.
 
@@ -682,8 +285,8 @@ def _bench_train_epoch(quick: bool) -> dict:
 class _ServeDaemon:
     """A ``repro serve`` subprocess pinned to its own cache directory."""
 
-    def __init__(self, cache_dir, extra_env: Optional[Dict[str, str]] = None,
-                 args: tuple = ()) -> None:
+    def __init__(self, cache_dir,
+                 extra_env: Optional[Dict[str, str]] = None) -> None:
         import subprocess
         import time as time_module
         from pathlib import Path
@@ -699,7 +302,7 @@ class _ServeDaemon:
         env.update(extra_env or {})
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--port-file", str(port_file), *args],
+             "--port-file", str(port_file)],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             text=True)
         deadline = time_module.monotonic() + 120
@@ -724,122 +327,6 @@ class _ServeDaemon:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             return self.proc.wait(timeout=10)
-
-
-def _bench_serve_load(quick: bool, check: bool = True) -> dict:
-    """Load-test the ``repro serve`` daemon end to end.
-
-    Three phases against subprocess daemons with their own temp cache:
-
-    - **cold / dedup** — N identical concurrent requests against an
-      empty cache must collapse to *one* engine execution (followers
-      attach to the leader's in-flight task);
-    - **warm** — a concurrent client swarm over the now-hot cache,
-      reported as p50/p99/mean latency and throughput; the engine must
-      execute zero further jobs;
-    - **faulted** — a fresh (cold) daemon under injected worker kills
-      (``kill=0.2``) and request-path rejects (``serve_reject=0.2``):
-      supervised job retries plus client-side retries must absorb every
-      fault (error rate 0).
-
-    Each daemon is stopped with SIGTERM; a clean drain (exit 0) is part
-    of the pass criteria.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from ..client import ServeClient, run_load
-
-    spec = {"experiment": "stall_table", "suite": "quick"}
-    dedup_clients = 4
-    warm_clients, warm_requests = (4, 4) if quick else (8, 6)
-    fault_clients, fault_requests = (4, 2) if quick else (6, 3)
-
-    with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
-        daemon = _ServeDaemon(Path(tmp) / "plain")
-        try:
-            client = ServeClient(daemon.url)
-            cold = run_load(daemon.url, [spec], clients=dedup_clients,
-                            requests_per_client=1)
-            stats_cold = client.stats()
-            warm = run_load(daemon.url, [spec], clients=warm_clients,
-                            requests_per_client=warm_requests)
-            stats_warm = client.stats()
-        finally:
-            drain_exit = daemon.stop()
-        executed_cold = stats_cold["engine"]["executed"]["jobs"]
-        executed_delta = (stats_warm["engine"]["executed"]["jobs"]
-                          - executed_cold)
-        if check:
-            assert cold["errors"] == 0, cold
-            assert stats_cold["counters"]["executed_runs"] == 1, \
-                f"{dedup_clients} identical concurrent requests must " \
-                f"collapse to one execution: {stats_cold['counters']}"
-            assert cold["deduped"] >= dedup_clients - 1, cold
-            assert warm["errors"] == 0, warm
-            assert executed_delta == 0, \
-                f"warm requests must execute no jobs ({executed_delta})"
-            assert drain_exit == 0, f"drain exit code {drain_exit}"
-
-        fault_env = {"REPRO_FAULTS": "kill=0.2,serve_reject=0.2",
-                     "REPRO_FAULTS_SEED": "0",
-                     "REPRO_JOB_TIMEOUT": "120"}
-        daemon = _ServeDaemon(Path(tmp) / "faulted", extra_env=fault_env,
-                              args=("--workers", "2", "--retries", "3"))
-        try:
-            faulted = run_load(daemon.url, [spec], clients=fault_clients,
-                               requests_per_client=fault_requests, retries=4)
-            fault_client = ServeClient(daemon.url)
-            stats_faulted = fault_client.stats()
-        finally:
-            faulted_exit = daemon.stop()
-        if check:
-            assert faulted["errors"] == 0 and faulted["failed_jobs"] == 0, \
-                f"retries must absorb injected faults: {faulted}"
-            assert faulted_exit == 0, f"faulted drain exit {faulted_exit}"
-
-    return {
-        "experiment": spec["experiment"],
-        "suite": spec["suite"],
-        "cold": {
-            "clients": dedup_clients,
-            "requests": cold["requests"],
-            "errors": cold["errors"],
-            "deduped": cold["deduped"],
-            "executed_runs": stats_cold["counters"]["executed_runs"],
-            "executed_jobs": executed_cold,
-            "p50_ms": cold["p50_ms"],
-            "wall_s": cold["wall_s"],
-        },
-        "warm": {
-            "clients": warm_clients,
-            "requests": warm["requests"],
-            "errors": warm["errors"],
-            "error_rate": warm["error_rate"],
-            "p50_ms": warm["p50_ms"],
-            "p99_ms": warm["p99_ms"],
-            "mean_ms": warm["mean_ms"],
-            "throughput_rps": warm["throughput_rps"],
-            "executed_jobs_delta": executed_delta,
-        },
-        "faulted": {
-            "faults": fault_env["REPRO_FAULTS"],
-            "workers": 2,
-            "retries": 3,
-            "clients": fault_clients,
-            "requests": faulted["requests"],
-            "errors": faulted["errors"],
-            "error_rate": faulted["error_rate"],
-            "failed_jobs": faulted["failed_jobs"],
-            "attempts": faulted["attempts"],
-            "p50_ms": faulted["p50_ms"],
-            "p99_ms": faulted["p99_ms"],
-            "throughput_rps": faulted["throughput_rps"],
-            "injected": stats_faulted["counters"]["faults"],
-        },
-        "drain_exit_code": drain_exit,
-        "faulted_drain_exit_code": faulted_exit,
-    }
 
 
 def _bench_artifact_store(quick: bool, check: bool = True) -> dict:
@@ -1068,21 +555,22 @@ def _bench_fleet_replay(quick: bool, check: bool = True) -> dict:
 
 def run_benchmarks(sizes: Optional[List[str]] = None, repeats: int = 3,
                    check: bool = True, seed: int = 0,
-                   quick_sweep: Optional[bool] = None,
-                   sweep_workers: Optional[int] = None) -> dict:
-    """Time every hot kernel on each requested size; returns the report
-    dict that ``main`` serializes to ``BENCH_repro.json``."""
-    if quick_sweep is None:  # small-size-only runs get the small sweep grid
-        quick_sweep = bool(sizes) and set(sizes) <= {"tiny", "small"}
+                   quick: Optional[bool] = None) -> dict:
+    """Time every hot kernel on each requested size, then the
+    ``train_epoch``, ``artifact_store`` and ``fleet_replay`` entries;
+    returns the report dict that ``main`` serializes to
+    ``BENCH_repro.json``."""
+    if quick is None:  # small-size-only runs get the small entry budgets
+        quick = bool(sizes) and set(sizes) <= {"tiny", "small"}
     sizes = list(sizes or ("small", "medium", "large"))
     unknown = set(sizes) - set(BENCH_SIZES)
     if unknown:
         raise ValueError(f"unknown bench sizes: {sorted(unknown)}")
     report = {
-        "schema": "repro.perf.bench/v8",
+        "schema": "repro.perf.bench/v9",
         # Top-level mirror of ``schema`` for consumers that key on a
         # conventional field name; always equal to ``schema``.
-        "schema_version": "repro.perf.bench/v8",
+        "schema_version": "repro.perf.bench/v9",
         "machine": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -1114,46 +602,10 @@ def run_benchmarks(sizes: Optional[List[str]] = None, repeats: int = 3,
         kernels["partition_graph"][size] = _bench_partition(
             size, repeats, check)
     report["kernels"] = kernels
-    report["full_sweep"] = _bench_full_sweep(quick_sweep, workers=sweep_workers)
-    report["batched_sweep"] = _bench_batched_sweep(quick_sweep)
-    report["scale_sweep"] = _bench_scale_sweep(quick_sweep,
-                                               workers=sweep_workers)
-    report["train_epoch"] = _bench_train_epoch(quick_sweep)
-    report["accuracy_sweep"] = _bench_accuracy_sweep(quick_sweep,
-                                                     workers=sweep_workers)
-    report["artifact_store"] = _bench_artifact_store(quick_sweep, check=check)
-    report["serve_load"] = _bench_serve_load(quick_sweep, check=check)
-    report["fleet_replay"] = _bench_fleet_replay(quick_sweep, check=check)
-    _assert_honesty_flags(report)
+    report["train_epoch"] = _bench_train_epoch(quick)
+    report["artifact_store"] = _bench_artifact_store(quick, check=check)
+    report["fleet_replay"] = _bench_fleet_replay(quick, check=check)
     return report
-
-
-# Engine-driven entries and the honesty flags each must carry: fields
-# that record what *actually* ran (process pool vs serial fallback,
-# batched vs scalar evaluation), as reported by the engine rather than
-# requested by the benchmark.  Keeping the requirement in one table —
-# asserted on every run — stops a new sweep entry from quietly shipping
-# speedups whose execution mode nobody can audit.
-_HONESTY_FLAGS: Dict[str, tuple] = {
-    "full_sweep": ("pool_used", "executed_cold_jobs", "executed_warm_jobs"),
-    "scale_sweep": ("pool_used", "executed_cold_jobs", "executed_warm_jobs"),
-    "accuracy_sweep": ("pool_used", "executed_cold_train_jobs",
-                       "executed_warm_train_jobs"),
-    "batched_sweep": ("batch_used", "batch_sizes", "identical",
-                      "executed_cold_jobs", "executed_warm_jobs"),
-    "fleet_replay": ("executed_cold_jobs", "executed_warm_jobs",
-                     "identical", "rejected_transfers", "net_faults"),
-}
-
-
-def _assert_honesty_flags(report: dict) -> None:
-    """Assert every engine-driven entry carries its honesty flags."""
-    for name, flags in _HONESTY_FLAGS.items():
-        entry = report.get(name)
-        if entry is None:
-            continue
-        missing = [flag for flag in flags if flag not in entry]
-        assert not missing, f"{name} entry missing honesty flags: {missing}"
 
 
 def _print_summary(report: dict) -> None:
@@ -1163,45 +615,6 @@ def _print_summary(report: dict) -> None:
             fast, ref = row["fast"]["best_s"], row["reference_s"]
             print(f"{kernel:<26} {size:<8} {fast * 1e3:>8.2f}ms "
                   f"{ref * 1e3:>8.2f}ms {row['speedup']:>7.1f}x")
-    sweep = report.get("full_sweep")
-    if sweep:
-        print(f"\nfull_sweep: {sweep['jobs']} jobs "
-              f"({sweep['workloads']} workloads x {sweep['accelerators']} accelerators)")
-        print(f"  cold serial   {sweep['cold_serial_s'] * 1e3:>9.1f}ms "
-              f"({sweep['executed_cold_jobs']} jobs executed)")
-        print(f"  warm (disk)   {sweep['warm_s'] * 1e3:>9.1f}ms "
-              f"({sweep['executed_warm_jobs']} jobs executed, "
-              f"{sweep['warm_speedup']:.1f}x)")
-        pool_note = "" if sweep["pool_used"] else ", pool not used: serial path"
-        print(f"  cold parallel {sweep['cold_parallel_s'] * 1e3:>9.1f}ms "
-              f"({sweep['workers']} workers, {sweep['parallel_speedup']:.2f}x"
-              f"{pool_note})")
-    batched = report.get("batched_sweep")
-    if batched:
-        print(f"\nbatched_sweep: {batched['jobs']} variants on "
-              f"{batched['dataset']} ({batched['accelerators']} accelerators "
-              f"x {batched['targets']} targets)")
-        print(f"  cold scalar   {batched['cold_scalar_s'] * 1e3:>9.1f}ms "
-              f"({batched['executed_cold_jobs']} jobs executed)")
-        print(f"  cold batched  {batched['cold_batched_s'] * 1e3:>9.1f}ms "
-              f"({batched['speedup']:.1f}x, batch sizes "
-              f"{batched['batch_sizes']}, bit-identical)")
-        print(f"  warm (disk)   {batched['warm_s'] * 1e3:>9.1f}ms "
-              f"({batched['executed_warm_jobs']} jobs executed, "
-              f"{batched['warm_speedup']:.1f}x)")
-    scale = report.get("scale_sweep")
-    if scale:
-        print(f"\nscale_sweep: {scale['jobs']} jobs over "
-              f"{', '.join(scale['datasets'])} ({scale['split_chunks']} pool chunks)")
-        print(f"  cold serial   {scale['cold_serial_s']:>9.2f}s "
-              f"({scale['executed_cold_jobs']} jobs executed)")
-        print(f"  warm (disk)   {scale['warm_s'] * 1e3:>9.1f}ms "
-              f"({scale['executed_warm_jobs']} jobs executed, "
-              f"{scale['warm_speedup']:.1f}x)")
-        pool_note = "" if scale["pool_used"] else ", pool not used: serial path"
-        print(f"  cold parallel {scale['cold_parallel_s']:>9.2f}s "
-              f"({scale['workers']} workers, {scale['parallel_speedup']:.2f}x"
-              f"{pool_note})")
     epoch = report.get("train_epoch")
     if epoch:
         print(f"\ntrain_epoch: {epoch['dataset']}-{epoch['model']}, "
@@ -1209,20 +622,6 @@ def _print_summary(report: dict) -> None:
         print(f"  hot loop {epoch['new_per_epoch_ms']:>7.1f}ms/epoch vs seed "
               f"{epoch['reference_per_epoch_ms']:>7.1f}ms/epoch "
               f"({epoch['speedup']:.2f}x, bit-identical)")
-    acc = report.get("accuracy_sweep")
-    if acc:
-        print(f"\naccuracy_sweep: {acc['jobs']} TrainJobs "
-              f"({acc['cases']} cases x {len(acc['flows'])} flows x "
-              f"{acc['seeds']} seeds, {acc['epochs']} epochs)")
-        print(f"  cold serial   {acc['cold_serial_s'] * 1e3:>9.1f}ms "
-              f"({acc['executed_cold_train_jobs']} models trained)")
-        print(f"  warm (disk)   {acc['warm_s'] * 1e3:>9.1f}ms "
-              f"({acc['executed_warm_train_jobs']} models trained, "
-              f"{acc['warm_speedup']:.1f}x)")
-        pool_note = "" if acc["pool_used"] else ", pool not used: serial path"
-        print(f"  cold parallel {acc['cold_parallel_s'] * 1e3:>9.1f}ms "
-              f"({acc['workers']} workers, {acc['parallel_speedup']:.2f}x"
-              f"{pool_note})")
     art = report.get("artifact_store")
     if art:
         print(f"\nartifact_store: {art['entries']} entries "
@@ -1237,26 +636,6 @@ def _print_summary(report: dict) -> None:
               f"an imported corpus ({replay['executed_warm_jobs']} of "
               f"{replay['jobs']} jobs executed, "
               f"{replay['warm_speedup']:.1f}x vs cold)")
-    load = report.get("serve_load")
-    if load:
-        print(f"\nserve_load: {load['experiment']} --suite {load['suite']} "
-              f"over the serve daemon")
-        print(f"  cold+dedup    {load['cold']['requests']} concurrent "
-              f"identical requests -> {load['cold']['executed_runs']} "
-              f"execution(s) ({load['cold']['deduped']} deduped, "
-              f"{load['cold']['executed_jobs']} jobs)")
-        print(f"  warm          {load['warm']['requests']} requests, "
-              f"p50 {load['warm']['p50_ms']:.1f}ms / "
-              f"p99 {load['warm']['p99_ms']:.1f}ms, "
-              f"{load['warm']['throughput_rps']:.1f} req/s, "
-              f"{load['warm']['executed_jobs_delta']} jobs executed")
-        print(f"  faulted       {load['faulted']['requests']} requests under "
-              f"{load['faulted']['faults']}: error rate "
-              f"{load['faulted']['error_rate']:.0%} "
-              f"({load['faulted']['attempts']} attempts, "
-              f"{load['faulted']['injected']} faults injected)")
-        print(f"  drain         exit {load['drain_exit_code']} / "
-              f"{load['faulted_drain_exit_code']} (SIGTERM, graceful)")
     fleet = report.get("fleet_replay")
     if fleet:
         print(f"\nfleet_replay: {fleet['jobs']} jobs pulled from a served "
@@ -1288,17 +667,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="timed repeats for the vectorized kernels")
     parser.add_argument("--no-check", action="store_true",
                         help="skip the equivalence assertions")
-    parser.add_argument("--sweep-workers", type=int, default=None,
-                        help="worker processes for the parallel full_sweep / "
-                             "accuracy_sweep phases (default: min(4, cpus); "
-                             "1 runs the engine's serial path instead of a "
-                             "pool)")
     parser.add_argument("--output", default="BENCH_repro.json",
                         help="output JSON path (default: %(default)s)")
     args = parser.parse_args(argv)
 
     sizes = args.sizes or (["small"] if args.quick else None)
-    try:  # fail on an unwritable output path before the sweep, not after
+    try:  # fail on an unwritable output path before the run, not after
         with open(args.output, "a"):
             pass
     except OSError as exc:
@@ -1306,8 +680,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     clear_all_caches()
     report = run_benchmarks(sizes=sizes, repeats=args.repeats,
                             check=not args.no_check,
-                            quick_sweep=True if args.quick else None,
-                            sweep_workers=args.sweep_workers)
+                            quick=True if args.quick else None)
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2)
     _print_summary(report)

@@ -68,8 +68,8 @@ a stall.  Faults fire only when the client reports attempt 0 in
 :class:`repro.remote.RemoteStore`'s bounded retries always converge.
 
 :class:`ServerThread` runs the whole server inside the current process
-on a background thread — the harness the test-suite and the
-``serve_load`` benchmark use when a subprocess is not wanted.
+on a background thread — the harness the test-suite uses when a
+subprocess is not wanted.
 """
 
 from __future__ import annotations
@@ -573,7 +573,7 @@ class ReproServer:
         try:
             manifest = store.read_manifest(art_id)
             payload = (None if want_manifest else
-                       store._checked_payload(art_id, manifest, verify=True))
+                       store._checked_payload(art_id, manifest))
         except FileNotFoundError:
             self.counters["artifact_misses"] += 1
             self._respond(writer, 404, {"error": f"no artifact {art_id}"})

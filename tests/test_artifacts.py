@@ -147,12 +147,6 @@ class TestPutGet:
         assert manifest["kind"] == "demo"
         assert manifest["producer"] == PRODUCER
 
-    def test_fsync_opt_out_still_round_trips(self, store, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACTS_FSYNC", "0")
-        art_id = store.put("demo", {"case": 4}, "v", producer=PRODUCER)
-        assert store.get(art_id) == "v"
-        assert store.verify()["ok"] == 1
-
 
 class TestQuarantine:
     def _corrupt_payload(self, store, art_id):

@@ -26,6 +26,7 @@ from repro.perf.reference import (
     average_feature_bits_reference,
     measure_adaptive_package_reference,
 )
+from repro.perf.timers import Timer
 from repro.registry import ACCELERATORS, get_accelerator
 from repro.sim.batched import batchable_model, simulate_batch
 from repro.sim.workload import (
@@ -228,15 +229,19 @@ _GRID = [SimJob.from_call(name, "cora", "gcn", target_average_bits=target)
 class TestEngineBatching:
     def test_batched_equals_scalar_equals_warm(self, tmp_path):
         scalar = _fresh_engine(tmp_path, "scalar", batch=False)
-        reference = scalar.run(_GRID)
+        with Timer() as scalar_t:
+            reference = scalar.run(_GRID)
         assert not scalar.batch_used and scalar.batch_sizes == []
 
         engine_mod._WORKLOAD_MEMO.clear()
         batched = _fresh_engine(tmp_path, "batched", batch=True)
-        results = batched.run(_GRID)
+        with Timer() as batched_t:
+            results = batched.run(_GRID)
         assert batched.batch_used
         assert sum(batched.batch_sizes) == len(_GRID)
         assert all(results[j] == reference[j] for j in _GRID)
+        assert batched_t.elapsed <= scalar_t.elapsed, \
+            (scalar_t.elapsed, batched_t.elapsed)
 
         # Warm replay through the artifact store: zero executions, no
         # batches formed (nothing pending), identical reports.
@@ -256,7 +261,7 @@ class TestEngineBatching:
         assert _fresh_engine(tmp_path, "ctor", batch=True).batch_enabled
 
     def test_batch_max_splits_groups(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BATCH_MAX", "5")
+        monkeypatch.setattr(engine_mod, "_SIM_BATCH_MAX", 5)
         batches = plan_sim_batches(_GRID)
         assert [len(b) for b in batches] == [5, 5, 2]
         engine = _fresh_engine(tmp_path, "split", batch=True)

@@ -9,6 +9,7 @@ from repro import envutil
 from repro.eval.engine import SimJob, SweepEngine, get_engine
 from repro.eval.experiments import clear_caches, simulate
 from repro.perf.cache import cache_stats, cached_load_dataset
+from repro.perf.timers import Timer
 from repro.sim.accelerator import SimReport
 from repro.sim.workload import build_workload
 
@@ -70,13 +71,17 @@ class TestSweepEngine:
 
     def test_disk_cache_hit_returns_equal_report(self, sweep_engine, tmp_path):
         job = SimJob.from_call("gcnax", "cora", "gcn")
-        cold = sweep_engine.run([job])[job]
+        with Timer() as cold_t:
+            cold = sweep_engine.run([job])[job]
         # A brand-new engine over the same store must replay from disk.
         replay_engine = SweepEngine(workers=0, cache_dir=tmp_path / "sweep-cache")
-        warm = replay_engine.run([job])[job]
+        with Timer() as warm_t:
+            warm = replay_engine.run([job])[job]
         assert replay_engine.executed_jobs == 0
         assert warm == cold
         assert warm is not cold  # unpickled, not the same object
+        assert cold_t.elapsed >= 5 * warm_t.elapsed, \
+            (cold_t.elapsed, warm_t.elapsed)
 
     def test_memory_cache_returns_same_object(self, sweep_engine):
         a = simulate("gcnax", "cora", "gcn")

@@ -183,10 +183,12 @@ class TestScenarioThroughEngine:
         """A registered synthetic scenario executes through the same
         SimJob path as the paper graphs, and replays from the cache."""
         from repro.eval.engine import SimJob
+        from repro.perf.timers import Timer
 
         jobs = [SimJob.from_call(name, "powerlaw-10k", "gcn")
                 for name in ("hygcn", "mega")]
-        reports = sweep_engine.run(jobs)
+        with Timer() as cold_t:
+            reports = sweep_engine.run(jobs)
         assert sweep_engine.executed_jobs == 2
         hygcn, mega = reports[jobs[0]], reports[jobs[1]]
         assert mega.total_cycles < hygcn.total_cycles
@@ -198,9 +200,12 @@ class TestScenarioThroughEngine:
 
         clear_caches()
         warm = SweepEngine(workers=0, cache_dir=sweep_engine.artifacts.base)
-        warm_reports = warm.run(jobs)
+        with Timer() as warm_t:
+            warm_reports = warm.run(jobs)
         assert warm.executed_jobs == 0
         assert warm_reports[jobs[1]].total_cycles == mega.total_cycles
+        assert cold_t.elapsed >= 10 * warm_t.elapsed, \
+            (cold_t.elapsed, warm_t.elapsed)
 
     def test_train_multiple_seeds_accepts_hyphenated_scenarios(self, sweep_engine):
         """Declarative multi-seed training parses scenario names whose

@@ -15,6 +15,7 @@ from repro.eval.accuracy import (
 from repro.eval.engine import SweepEngine, TrainJob
 from repro.nn import TrainConfig, build_model, evaluate, evaluate_masks, train
 from repro.perf.cache import cached_load_dataset
+from repro.perf.timers import Timer
 
 # Tiny budget: these tests exercise orchestration, not convergence.
 QUICK = TrainConfig(epochs=3, patience=100)
@@ -85,17 +86,21 @@ class TestTrainEngine:
 
     def test_warm_replay_trains_zero_models(self, sweep_engine, tmp_path,
                                             monkeypatch):
-        cold = sweep_engine.run(JOBS)
+        with Timer() as cold_t:
+            cold = sweep_engine.run(JOBS)
         replay_engine = SweepEngine(workers=0, cache_dir=tmp_path / "sweep-cache")
 
         def forbidden(job):
             raise AssertionError(f"warm replay trained a model: {job}")
 
         monkeypatch.setattr(engine_mod, "_execute_train_job", forbidden)
-        warm = replay_engine.run(JOBS)
+        with Timer() as warm_t:
+            warm = replay_engine.run(JOBS)
         assert replay_engine.executed_train_jobs == 0
         for job in JOBS:
             assert result_key(warm[job]) == result_key(cold[job])
+        assert cold_t.elapsed >= 10 * warm_t.elapsed, \
+            (cold_t.elapsed, warm_t.elapsed)
 
     def test_sim_and_train_jobs_mix_in_one_batch(self, sweep_engine):
         from repro.eval.engine import SimJob
