@@ -23,12 +23,12 @@ Subcommands:
   honors the server's ``Retry-After`` backpressure hints;
 - ``artifacts list|show|verify|gc|export|import`` — operate the
   content-addressed artifact store (:mod:`repro.artifacts`): inspect
-  entries and manifests, re-hash the whole corpus (quarantining what
+  entries and manifests, admit the whole corpus (quarantining what
   fails or is misfiled outside its ``objects/<xx>/`` shard, and
   reporting per-shard counts), sweep unreferenced entries (dry-run by
-  default), and ship a verified corpus between machines (``export`` →
-  ``import`` re-checksums everything and rejects partial/tampered
-  archives).
+  default), and ship a corpus between machines (``export`` →
+  ``import`` admits every entry and rejects partial or damaged
+  archives whole; import only from trusted sources).
 
 Examples::
 
@@ -212,9 +212,10 @@ def _build_parser() -> argparse.ArgumentParser:
     show_p = art_sub.add_parser("show", help="print one artifact's manifest")
     show_p.add_argument("id", metavar="ART_ID")
     verify_p = art_sub.add_parser(
-        "verify", help="re-hash every payload against its manifest; "
-                       "quarantine corrupt and misfiled entries, report "
-                       "per-shard counts (exit 1 if any were quarantined)")
+        "verify", help="admit every entry (manifest, re-derived id, "
+                       "payload hash); quarantine corrupt and misfiled "
+                       "entries, report per-shard counts (exit 1 if any "
+                       "were quarantined)")
     verify_p.add_argument("--no-sweep-tmp", action="store_true",
                           help="keep dead in-progress temp directories")
     gc_p = art_sub.add_parser(
@@ -232,8 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="export only these artifact ids (default: "
                                "everything)")
     import_p = art_sub.add_parser(
-        "import", help="import a corpus, re-checksumming every entry; "
-                       "partial or tampered archives are rejected whole")
+        "import", help="import a corpus from a trusted source, admitting "
+                       "every entry; partial or damaged archives are "
+                       "rejected whole")
     import_p.add_argument("src", metavar="SRC")
     return parser
 
@@ -455,7 +457,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_artifacts(args: argparse.Namespace) -> int:
     import json
-    import tarfile
 
     from .artifacts import ArtifactIntegrityError, artifact_store
 
@@ -534,7 +535,7 @@ def _cmd_artifacts(args: argparse.Namespace) -> int:
     if args.action == "import":
         try:
             outcome = store.import_(args.src)
-        except (ArtifactIntegrityError, OSError, tarfile.TarError) as exc:
+        except (ArtifactIntegrityError, OSError) as exc:
             print(f"error: import rejected: {exc}", file=sys.stderr)
             return 1
         print(f"imported {outcome['imported']} entr"

@@ -20,10 +20,12 @@ same three layers:
 2. a persistent, content-addressed artifact store
    (:class:`repro.artifacts.ArtifactStore`): each completed job
    publishes as a first-class artifact (kind ``sim-report`` or
-   ``train-result``) whose id derives from the job's content
-   fingerprint — the simulated graph's CSR fingerprint, the
-   accelerator/variant, the quantization target — plus the
-   :func:`~repro.perf.cache.code_version` producer digest; a second
+   ``train-result``) whose inputs are the job's content — the
+   simulated graph's CSR fingerprint, the registry cache tokens, the
+   full job recipe — and whose producer is the
+   :func:`~repro.perf.cache.code_version` digest.  That artifact id is
+   the job's one key (:meth:`SweepEngine.job_fingerprint`): the store,
+   the remote tier and the run journal all use it.  A second
    process (another figure script, another CI step, a machine that
    imported the corpus) replays a sweep without re-simulating, any code
    change invalidates every entry, and corrupt entries are quarantined
@@ -91,14 +93,9 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple, TypeVar)
 
 from .. import faults
-from ..artifacts import ArtifactStore
+from ..artifacts import ArtifactStore, derive_artifact_id
 from ..envutil import env_float, env_int
-from ..perf.cache import (
-    ContentCache,
-    cached_load_dataset,
-    content_key,
-    graph_fingerprint,
-)
+from ..perf.cache import ContentCache, cached_load_dataset, graph_fingerprint
 from ..registry import get_accelerator
 from .supervise import JobFailure, Supervisor, run_serial
 
@@ -166,7 +163,7 @@ class TrainJob:
 
     ``flow_kwargs`` and ``config`` are stored in the frozen primitive
     form produced by :func:`repro.quant.config.freeze_value`, so a job is
-    hashable (memory cache key), repr-stable (disk content key) and
+    hashable (memory cache key), JSON-canonical (its artifact id) and
     picklable (pool workers); :meth:`from_call` freezes, execution
     thaws.
     """
@@ -469,9 +466,10 @@ class SweepEngine:
         self.artifacts = ArtifactStore(directory=cache_dir)
         # Optional remote read-through tier (memory → artifacts → remote
         # → execute): when REPRO_REMOTE_URL names a `repro serve` daemon,
-        # fresh machines pull verified artifacts instead of executing.
-        # An explicit `remote=` wins.
-        if remote is None:
+        # fresh machines pull admitted artifacts instead of executing.
+        # An explicit `remote=` wins; without either, the HTTP client
+        # is never imported.
+        if remote is None and os.environ.get("REPRO_REMOTE_URL", "").strip():
             from ..remote import remote_store_from_env
             remote = remote_store_from_env(self.artifacts)
         self.remote = remote
@@ -576,41 +574,39 @@ class SweepEngine:
         key = ("graph-fp", dataset.lower(), scale, seed)
         return self._memo(key, compute)
 
-    def job_fingerprint(self, job) -> str:
-        """Content key of one job: input-graph content + the full job
-        recipe + the registry entries' cache tokens (the code version —
-        covering every model/flow/trainer source file — enters through
-        the artifact id; the tokens cover runtime-registered
-        accelerators/scenarios the source digest cannot see)."""
+    def _job_key(self, job) -> Tuple[str, Dict]:
+        """The ``(kind, inputs)`` a job's result is stored under:
+        input-graph content, the registry entries' cache tokens and the
+        full job recipe (the code version — covering every
+        model/flow/trainer source file — enters the id as its producer;
+        the tokens cover runtime-registered accelerators/scenarios the
+        source digest cannot see)."""
         from ..registry import get_dataset
 
         dataset_token = get_dataset(job.dataset).cache_token
         if isinstance(job, TrainJob):
-            return content_key(
-                "train-result",
-                self.dataset_fingerprint(job.dataset, job.dataset_seed,
-                                         job.scale),
-                dataset_token,
-                job.model, job.flow, job.flow_kwargs, job.config, job.seed,
-            )
-        return content_key(
-            "sim-report",
-            self.dataset_fingerprint(job.dataset, job.seed),
-            dataset_token, get_accelerator(job.accelerator).cache_token,
-            job.accelerator, job.model, job.precision, job.variant,
-            job.target_average_bits, job.seed,
-        )
+            return "train-result", {
+                "graph": self.dataset_fingerprint(job.dataset,
+                                                  job.dataset_seed, job.scale),
+                "dataset_token": dataset_token, "model": job.model,
+                "flow": job.flow, "flow_kwargs": job.flow_kwargs,
+                "config": job.config, "seed": job.seed}
+        return "sim-report", {
+            "graph": self.dataset_fingerprint(job.dataset, job.seed),
+            "dataset_token": dataset_token,
+            "accelerator_token": get_accelerator(job.accelerator).cache_token,
+            "accelerator": job.accelerator, "model": job.model,
+            "precision": job.precision, "variant": job.variant,
+            "target_average_bits": job.target_average_bits, "seed": job.seed}
+
+    def job_fingerprint(self, job) -> str:
+        """The job's one key: the artifact id its result is stored,
+        fetched and journaled under."""
+        return derive_artifact_id(*self._job_key(job))
 
     @staticmethod
     def _job_kind(job) -> str:
         return "train-result" if isinstance(job, TrainJob) else "sim-report"
-
-    def job_artifact_id(self, job, fingerprint: Optional[str] = None) -> str:
-        """The artifact id a completed job persists under."""
-        if fingerprint is None:
-            fingerprint = self.job_fingerprint(job)
-        return self.artifacts.derive_id(self._job_kind(job),
-                                        {"fingerprint": fingerprint})
 
     # -- execution ---------------------------------------------------------
     def run(self, jobs: Sequence, workers: Optional[int] = None,
@@ -637,7 +633,7 @@ class SweepEngine:
             if report is not None:
                 results[job] = report
                 continue
-            art_id = self.job_artifact_id(job)
+            art_id = self.job_fingerprint(job)
             cached = self.artifacts.get(art_id, sentinel)
             if cached is sentinel and self.remote is not None:
                 cached = self.remote.fetch(art_id, sentinel)
@@ -676,14 +672,14 @@ class SweepEngine:
         already exists (a failed/torn publish journals without an id,
         and the job simply re-executes in the next process)."""
         results[job] = self.reports.put(job, report)
-        fingerprint = self.job_fingerprint(job)
-        art_id = self.artifacts.put(self._job_kind(job),
-                                    {"fingerprint": fingerprint}, report)
+        kind, inputs = self._job_key(job)
+        art_id = self.artifacts.put(kind, inputs, report)
         if art_id is not None:
-            self.consumed_artifacts[art_id] = self._job_kind(job)
+            self.consumed_artifacts[art_id] = kind
         if self.journal is not None:
-            self.journal.record_job(fingerprint, "ok", attempts=attempts,
-                                    elapsed_s=elapsed, artifact=art_id)
+            self.journal.record_job(derive_artifact_id(kind, inputs), "ok",
+                                    attempts=attempts, elapsed_s=elapsed,
+                                    artifact=art_id)
 
     def _record_failure(self, failure: JobFailure) -> None:
         self.failures.append(failure)

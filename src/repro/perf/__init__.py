@@ -26,7 +26,6 @@ from .cache import (
     cached_partition,
     clear_all_caches,
     code_version,
-    content_key,
     default_cache_dir,
     graph_fingerprint,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "cached_partition",
     "clear_all_caches",
     "code_version",
-    "content_key",
     "default_cache_dir",
     "graph_fingerprint",
     "time_callable",

@@ -466,7 +466,7 @@ def _bench_fleet_replay(quick: bool, check: bool = True) -> dict:
             with Timer() as cold:
                 cold_reports = warm_engine.run(jobs)
             executed_cold = warm_engine.executed_jobs
-            corpus_ids = [warm_engine.job_artifact_id(j) for j in jobs]
+            corpus_ids = [warm_engine.job_fingerprint(j) for j in jobs]
 
         daemon = _ServeDaemon(server_cache, extra_env=fault_env)
         try:

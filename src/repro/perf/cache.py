@@ -53,7 +53,6 @@ __all__ = [
     "cache_stats",
     "clear_all_caches",
     "code_version",
-    "content_key",
     "default_cache_dir",
 ]
 
@@ -269,16 +268,6 @@ def code_version() -> str:
             h.update(path.read_bytes())
         _CODE_VERSION = h.hexdigest()[:16]
     return _CODE_VERSION
-
-
-def content_key(*parts) -> str:
-    """Hash a tuple of key parts into a hex digest (the sweep engine's
-    job fingerprint, which run journals record)."""
-    h = hashlib.sha1()
-    for part in parts:
-        h.update(repr(part).encode())
-        h.update(b"|")
-    return h.hexdigest()
 
 
 def default_cache_dir() -> Path:

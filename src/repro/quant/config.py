@@ -115,7 +115,7 @@ def freeze_value(value):
             (k, freeze_value(v)) for k, v in value.items())))
     if isinstance(value, (list, tuple)):
         return tuple(freeze_value(v) for v in value)
-    if isinstance(value, (str, bytes, int, float, bool, type(None))):
+    if isinstance(value, (str, int, float, bool, type(None))):
         return value
     raise TypeError(
         f"flow kwarg of type {type(value).__name__!r} cannot be frozen into "

@@ -8,21 +8,27 @@ machine pointed at a warm store replays a whole corpus with zero jobs
 executed, and a machine that cannot reach the store degrades to local
 execution, never a hung sweep.
 
-The network is treated as hostile end to end; nothing downloaded is
-trusted until it survives the same validation gauntlet
-``import_`` applies to archives:
+Nothing downloaded is published until it passes the store's one
+admission check, :func:`repro.artifacts.admit`:
 
-1. the manifest parses, is schema-valid, and **re-derives the id** from
-   its canonical ``(kind, inputs, producer)`` — a tampered manifest is
-   rejected before a single payload byte is transferred;
-2. the payload's length and sha256 match the manifest — a truncated or
-   bit-flipped body is rejected;
+1. the manifest is admitted on its own — well-formed, and its id
+   **re-derives** from its canonical ``(kind, inputs, producer)`` —
+   before a single payload byte is requested;
+2. the downloaded payload is admitted with it: its length and sha256
+   must match the manifest, so a truncated or bit-flipped body is
+   rejected and retried;
 3. the payload unpickles — a hash-consistent but unloadable body is
    rejected rather than published as a poison entry;
 4. only then does the entry publish, through the local store's
    crash-safe ``tmp/`` staging + atomic-rename protocol
-   (:meth:`~repro.artifacts.ArtifactStore._write_entry`) — a SIGKILL
+   (:meth:`~repro.artifacts.ArtifactStore.write_entry`) — a SIGKILL
    mid-download leaves droppable tmp garbage, never a partial entry.
+
+That catches damage on the wire, not a hostile server: an id derives
+from ``(kind, inputs, producer)``, not from the payload, so a server
+that rewrites a payload together with its ``payload_sha256`` is
+admitted, and its payload unpickled.  Point ``REPRO_REMOTE_URL`` only
+at a trusted daemon.
 
 Transport failures follow the supervision playbook: connection errors,
 HTTP 5xx/429 and verification rejects retry with the same jittered
@@ -53,8 +59,8 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, TypeVar
 
-from .artifacts import (ArtifactIntegrityError, ArtifactStore, _valid_id,
-                        artifact_store, derive_artifact_id)
+from .artifacts import (ArtifactIntegrityError, ArtifactStore, admit,
+                        artifact_store, valid_id)
 from .envutil import env_float, env_int
 from .eval.supervise import backoff_delay
 
@@ -178,23 +184,21 @@ class RemoteStore:
                 continue
             ids = payload.get("ids") if isinstance(payload, dict) else None
             if isinstance(ids, list):
-                return [i for i in ids if _valid_id(i)]
+                return [i for i in ids if valid_id(i)]
         return None
 
     # -- the verified fetch ------------------------------------------------
     def fetch(self, art_id: str, default: Optional[T] = None) -> Optional[T]:
-        """Fetch one artifact, verify every byte, publish it into the
-        local store, and return its value — or ``default`` after a 404
-        or an exhausted retry budget (recorded in :attr:`failures`).
+        """Fetch one artifact, admit it, publish it into the local
+        store, and return its value — or ``default`` after a 404 or an
+        exhausted retry budget (recorded in :attr:`failures`).
 
-        No unverified byte ever reaches the local store: rejection
-        happens on the downloaded buffer, publication goes through the
-        store's staged atomic-rename protocol only after the manifest
-        re-derives the id, the payload re-hashes, and the value
-        unpickles.
+        Rejection happens on the downloaded buffer; publication goes
+        through the store's staged atomic-rename protocol only after
+        :func:`~repro.artifacts.admit` passes and the value unpickles.
         """
         self.fetches += 1
-        if not _valid_id(art_id):
+        if not valid_id(art_id):
             self.misses += 1
             return default
         local = self._local()
@@ -204,10 +208,11 @@ class RemoteStore:
                 self.retries_used += 1
                 self._pause(attempt - 1, art_id)
             try:
-                manifest = self._fetch_manifest(art_id, attempt)
+                manifest_raw = self._fetch_manifest(art_id, attempt)
+                manifest = admit(art_id, manifest_raw)  # before the payload
                 payload = self._fetch_payload(art_id, manifest, attempt)
                 payload = self._client_fault(art_id, payload, attempt)
-                ArtifactStore._check_payload(art_id, manifest, payload)
+                admit(art_id, manifest_raw, payload)
                 try:
                     value = pickle.loads(payload)
                 except Exception as exc:
@@ -226,7 +231,7 @@ class RemoteStore:
             except (_Retryable, OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            local._write_entry(art_id, manifest, payload)
+            local.write_entry(art_id, manifest, payload)
             self.hits += 1
             return value
         self.misses += 1
@@ -237,27 +242,13 @@ class RemoteStore:
             error=str(error), attempts=self.retries + 1))
         return default
 
-    def _fetch_manifest(self, art_id: str, attempt: int) -> Dict:
-        """Download and fully distrust-check the manifest; the id must
-        re-derive from its canonical inputs before any payload byte is
-        requested."""
+    def _fetch_manifest(self, art_id: str, attempt: int) -> bytes:
+        """Download one entry's raw manifest (for :func:`admit`)."""
         status, body, _ = self._get(f"/artifacts/{art_id}/manifest",
                                     attempt)
         if status != 200:
             raise _Retryable(f"manifest for {art_id}: HTTP {status}")
-        manifest = ArtifactStore._parse_manifest(art_id, body)
-        size = manifest.get("payload_bytes")
-        if not isinstance(size, int) or size < 0:
-            raise ArtifactIntegrityError(
-                f"{art_id}: manifest payload_bytes {size!r} is not a size")
-        expected = derive_artifact_id(manifest["kind"],
-                                      manifest.get("inputs", {}),
-                                      producer=manifest.get("producer"))
-        if expected != art_id:
-            raise ArtifactIntegrityError(
-                f"{art_id}: remote manifest does not re-derive the id "
-                f"(expected {expected}; tampered?)")
-        return manifest
+        return body
 
     def _fetch_payload(self, art_id: str, manifest: Dict,
                        attempt: int) -> bytes:

@@ -40,16 +40,16 @@ in-flight, dedup/reject/deadline counters, engine + cache stats),
 ``POST /run`` (``{"experiment": ..., "suite": ..., "params": {...},
 "deadline_s": ...}``), plus the artifact-distribution surface a worker
 fleet pulls warm results through (see :mod:`repro.remote` for the
-verified-fetch client):
+fetch client):
 
-- ``GET /artifacts/<id>`` — the raw payload bytes, re-verified against
-  the manifest before a single byte leaves the store (a corrupt entry
-  is quarantined and answered 404, never served).  ``ETag`` carries
-  the payload's sha256; ``Range: bytes=<n>-`` resumes a cut-short
-  transfer (``If-Range`` guards against the entry changing between
-  chunks, which content addressing already forbids).
-- ``GET /artifacts/<id>/manifest`` — the canonical manifest JSON, from
-  which the fetcher re-derives the id before trusting anything.
+- ``GET /artifacts/<id>`` — the raw payload bytes, after the entry
+  passes :func:`repro.artifacts.admit` (a corrupt entry is quarantined
+  and answered 404, never served).  ``ETag`` carries the payload's
+  sha256; ``Range: bytes=<n>-`` resumes a cut-short transfer
+  (``If-Range`` guards against the entry changing between chunks,
+  which content addressing already forbids).
+- ``GET /artifacts/<id>/manifest`` — the stored manifest JSON as is;
+  the fetcher admits it before requesting the payload.
 - ``GET /artifacts/index?have=<id,id,…>`` — delta negotiation: the ids
   this store holds that the caller is missing, so a fleet worker pulls
   only its delta.
@@ -300,7 +300,8 @@ class ReproServer:
 
     def _respond_bytes(self, writer: asyncio.StreamWriter, status: int,
                        data: bytes, declared_length: Optional[int] = None,
-                       extra_headers: Tuple[Tuple[str, str], ...] = ()
+                       extra_headers: Tuple[Tuple[str, str], ...] = (),
+                       content_type: str = "application/octet-stream"
                        ) -> None:
         """Binary response.  ``declared_length`` may exceed ``len(data)``
         — that is exactly how the ``net_truncate`` fault forges a
@@ -309,7 +310,7 @@ class ReproServer:
         reasons = {200: "OK", 206: "Partial Content"}
         length = len(data) if declared_length is None else declared_length
         head = [f"HTTP/1.1 {status} {reasons.get(status, 'Status')}",
-                "Content-Type: application/octet-stream",
+                f"Content-Type: {content_type}",
                 f"Content-Length: {length}",
                 "Connection: close"]
         head.extend(f"{name}: {value}" for name, value in extra_headers)
@@ -547,11 +548,15 @@ class ReproServer:
 
     async def _handle_artifact(self, path: str, headers: Dict[str, str],
                                writer: asyncio.StreamWriter) -> None:
-        """Serve one artifact's payload (or its manifest), verified
-        against the manifest before any byte leaves the store."""
+        """Serve one artifact's payload or its manifest.
+
+        The payload route admits the whole entry
+        (:func:`~repro.artifacts.admit`) before any byte leaves the
+        store, quarantining what fails.  The manifest route hands out
+        the stored manifest as is: the fetcher admits it itself before
+        it requests the payload."""
         from . import faults
-        from .artifacts import (ArtifactIntegrityError, _valid_id,
-                                artifact_store)
+        from .artifacts import ArtifactIntegrityError, artifact_store, valid_id
 
         self.counters["artifact_requests"] += 1
         parts = [p for p in path.split("/") if p]
@@ -561,7 +566,7 @@ class ReproServer:
             self._respond(writer, 404,
                           {"error": f"no route for GET {path}"})
             return
-        if not _valid_id(art_id):
+        if not valid_id(art_id):
             self._respond(writer, 400,
                           {"error": f"invalid artifact id {art_id!r}"})
             return
@@ -571,24 +576,23 @@ class ReproServer:
             return
         store = artifact_store()
         try:
-            manifest = store.read_manifest(art_id)
-            payload = (None if want_manifest else
-                       store._checked_payload(art_id, manifest))
+            if want_manifest:
+                manifest_raw = store.manifest_path(art_id).read_bytes()
+            else:
+                manifest, payload = store.read(art_id)
         except FileNotFoundError:
             self.counters["artifact_misses"] += 1
             self._respond(writer, 404, {"error": f"no artifact {art_id}"})
             return
         except (ArtifactIntegrityError, OSError) as exc:
-            # A corrupt entry is never served: quarantine it (so the
-            # owner rebuilds on next reference) and answer a miss.
+            # A corrupt entry is never served: read() quarantined it (so
+            # the owner rebuilds on next reference); answer a miss.
             self.counters["artifact_misses"] += 1
-            if isinstance(exc, ArtifactIntegrityError):
-                store._quarantine(art_id, str(exc))
             self._respond(writer, 404,
                           {"error": f"artifact {art_id} unavailable: {exc}"})
             return
 
-        # Hostile-network fault injection applies *after* the verified
+        # Hostile-network fault injection applies *after* the admitted
         # load: the damage models the wire, never the store.
         action = self._transfer_fault(art_id, headers)
         if action == "503":
@@ -602,13 +606,13 @@ class ReproServer:
             self.counters["net_faults"] += 1
             await asyncio.sleep(faults.NET_STALL_S)
 
-        etag = manifest["payload_sha256"]
         if want_manifest:
             self.counters["artifact_hits"] += 1
-            self._respond(writer, 200, manifest,
-                          extra_headers=(("ETag", f'"{etag}"'),))
+            self._respond_bytes(writer, 200, manifest_raw,
+                                content_type="application/json")
             return
 
+        etag = manifest["payload_sha256"]
         total = len(payload)
         status, start = 200, 0
         extra = [("ETag", f'"{etag}"'), ("Accept-Ranges", "bytes"),

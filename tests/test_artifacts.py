@@ -3,18 +3,22 @@
 Covers the full robustness contract: id derivation, the crash-safe
 write protocol (including SIGKILLed writers at injected points and
 lock-free same-id races), verification and quarantine-then-rebuild,
-GC liveness from journals and pins, verified export/import with
-tamper rejection, fault-injection hooks, and the sweep engine's job
+one damage matrix through every local path that calls ``admit``, GC
+liveness from journals and pins, export/import that rejects damaged
+archives whole, fault-injection hooks, and the sweep engine's job
 results and memos in the store.
 """
 
+import http.client
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -194,19 +198,6 @@ class TestQuarantine:
         assert [r["id"] for r in report["quarantined"]] == [ids[1]]
         assert report["quarantine_entries"] == 1
 
-    def test_verify_catches_edited_manifest(self, store):
-        """A self-consistent manifest+payload pair under the wrong id —
-        only the id re-derivation check can catch this."""
-        art_id = _put_demo(store)[0]
-        manifest = json.loads(store.manifest_path(art_id).read_bytes())
-        manifest["inputs"] = {"n": 999}  # lie about the inputs
-        store.manifest_path(art_id).write_text(
-            json.dumps(manifest, sort_keys=True))
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            report = store.verify()
-        assert len(report["quarantined"]) == 1
-        assert "re-derive" in report["quarantined"][0]["reason"]
-
     def test_unpicklable_payload_quarantines_with_distinct_reason(
             self, store):
         art_id = _put_demo(store)[0]
@@ -225,6 +216,112 @@ class TestQuarantine:
         with pytest.warns(RuntimeWarning, match="does not unpickle"):
             assert store.get(art_id, None) is None
         assert store.quarantined == 1
+
+
+def _flip_payload_byte(entry):
+    data = bytearray((entry / "payload.bin").read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    (entry / "payload.bin").write_bytes(bytes(data))
+
+
+def _truncate_payload(entry):
+    payload = entry / "payload.bin"
+    payload.write_bytes(payload.read_bytes()[:-1])
+
+
+def _edit_manifest(**fields):
+    def damage(entry):
+        manifest = json.loads((entry / "manifest.json").read_bytes())
+        manifest.update(fields)
+        (entry / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True))
+    return damage
+
+
+def _stringify_payload_bytes(entry):
+    manifest = json.loads((entry / "manifest.json").read_bytes())
+    _edit_manifest(payload_bytes=str(manifest["payload_bytes"]))(entry)
+
+
+def _garble_manifest(entry):
+    (entry / "manifest.json").write_bytes(b"{not json")
+
+
+# Damage to one entry directory -> the admit() reason it must produce.
+DAMAGES = {
+    "flipped-byte": (_flip_payload_byte, r"sha256 .* does not match"),
+    "truncated-payload": (_truncate_payload, r"bytes, manifest promises"),
+    "non-int-payload-bytes": (_stringify_payload_bytes,
+                              r"payload_bytes '\d+' is not a size"),
+    "edited-inputs": (_edit_manifest(inputs={"n": 999}), r"re-derive"),
+    "wrong-schema": (_edit_manifest(schema="repro.artifact/v0"),
+                     r"manifest schema"),
+    "id-mismatch": (_edit_manifest(id="art_" + "0" * 16), r"claims id"),
+    "non-json-manifest": (_garble_manifest, r"not valid JSON"),
+}
+
+
+def _http_status(url, path):
+    parsed = urlsplit(url)
+    conn = http.client.HTTPConnection(parsed.hostname, parsed.port,
+                                      timeout=30)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        response.read()
+        return response.status
+    finally:
+        conn.close()
+
+
+class TestDamageMatrix:
+    """One damage, every local path that calls ``admit``: ``get`` misses
+    and quarantines, ``verify`` quarantines, ``import_`` rejects the
+    archive whole, and serve's ``GET /artifacts/<id>`` answers 404."""
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_every_local_path_refuses_damage(self, tmp_path, damage):
+        from repro.serve import ServeConfig, ServerThread
+
+        apply, reason = DAMAGES[damage]
+
+        def damaged_store(tag):
+            store = ArtifactStore(directory=tmp_path / tag)
+            art_id = _put_demo(store)[0]
+            apply(store.entry_dir(art_id))
+            return store, art_id
+
+        store, art_id = damaged_store("get")
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert store.get(art_id, "miss") == "miss"
+        assert art_id not in store and store.misses == 1
+        (record,) = store.quarantine_entries()
+        assert record["id"] == art_id and re.search(reason, record["reason"])
+
+        store, art_id = damaged_store("verify")
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            report = store.verify()
+        assert report["ok"] == 0
+        assert [r["id"] for r in report["quarantined"]] == [art_id]
+        assert re.search(reason, report["quarantined"][0]["reason"])
+
+        source = ArtifactStore(directory=tmp_path / "source")
+        ids = _put_demo(source, 2)
+        tree = tmp_path / "tree"
+        source.export(tree)
+        apply(tree / "objects" / ids[1])
+        target = ArtifactStore(directory=tmp_path / "target")
+        with pytest.raises(ArtifactIntegrityError, match=reason):
+            target.import_(tree)
+        assert target.ids() == []  # the clean entry was not published
+
+        with temporary_cache_dir(tmp_path / "serve"):
+            store, art_id = damaged_store("serve")
+            with ServerThread(ServeConfig(port=0, quiet=True)) as handle:
+                with pytest.warns(RuntimeWarning, match="quarantined"):
+                    status = _http_status(handle.url, f"/artifacts/{art_id}")
+            assert status == 404
+            assert art_id not in store
 
 
 KILL_POINTS = ["pre-fsync", "post-payload", "pre-rename", "post-rename"]
@@ -436,36 +533,6 @@ class TestExportImport:
         other = ArtifactStore(directory=tmp_path / "b")
         assert other.import_(tmp_path / "corpus.tar.gz")["imported"] == 1
 
-    def test_import_rejects_flipped_payload_byte(self, tmp_path):
-        store = ArtifactStore(directory=tmp_path / "a")
-        art_id = _put_demo(store)[0]
-        tree = tmp_path / "tree"
-        store.export(tree)
-        victim = tree / "objects" / art_id / "payload.bin"
-        data = bytearray(victim.read_bytes())
-        data[len(data) // 2] ^= 0x01
-        victim.write_bytes(bytes(data))
-
-        target = ArtifactStore(directory=tmp_path / "b")
-        with pytest.raises(ArtifactIntegrityError, match="does not match"):
-            target.import_(tree)
-        assert target.ids() == []  # nothing published
-
-    def test_import_rejects_edited_manifest(self, tmp_path):
-        store = ArtifactStore(directory=tmp_path / "a")
-        art_id = _put_demo(store)[0]
-        tree = tmp_path / "tree"
-        store.export(tree)
-        mpath = tree / "objects" / art_id / "manifest.json"
-        manifest = json.loads(mpath.read_bytes())
-        manifest["inputs"] = {"n": 12345}
-        mpath.write_text(json.dumps(manifest, sort_keys=True))
-
-        target = ArtifactStore(directory=tmp_path / "b")
-        with pytest.raises(ArtifactIntegrityError, match="re-derive"):
-            target.import_(tree)
-        assert target.ids() == []
-
     def test_import_rejects_partial_tree(self, tmp_path):
         import shutil
 
@@ -567,6 +634,29 @@ class TestEngineIntegration:
         consumed = second.metadata["artifacts"]
         assert set(consumed) == journaled_ids
         assert set(consumed.values()) == {"sim-report"}
+
+    def test_job_fingerprint_is_the_artifact_id(self, tmp_path):
+        """One key per job: the store, the journal and the remote tier
+        all use the id, and its manifest names the job it holds."""
+        from repro.eval.engine import SimJob, SweepEngine
+        from repro.eval.journal import RunJournal
+
+        cache = tmp_path / "cache"
+        engine = SweepEngine(workers=0, cache_dir=cache,
+                             journal=RunJournal.create(spec={},
+                                                       directory=cache))
+        job = SimJob.from_call("mega", "cora", "gcn", {"condense": False},
+                               target_average_bits=4.0)
+        engine.run([job])
+        art_id = engine.job_fingerprint(job)
+        assert engine.consumed_artifacts == {art_id: "sim-report"}
+        (record,) = [r for r in engine.journal.records
+                     if r.get("type") == "job"]
+        assert record["fingerprint"] == record["artifact"] == art_id
+        inputs = engine.artifacts.read_manifest(art_id)["inputs"]
+        assert inputs["accelerator"] == "mega"
+        assert inputs["variant"] == [["condense", False]]
+        assert inputs["target_average_bits"] == 4.0
 
     def test_engine_stats_surface_the_artifact_store(self, tmp_path):
         from repro.eval.engine import SweepEngine

@@ -399,6 +399,66 @@ class TestArtifactsCli:
             assert "import rejected" in capsys.readouterr().err
             assert artifact_store().ids() == []  # nothing published
 
+    @pytest.mark.parametrize("entry", [["not", "a", "map"], {"kind": "demo"},
+                                       {"id": "../../../etc"}],
+                             ids=["not-a-map", "no-id", "path-traversal-id"])
+    def test_import_rejects_malformed_corpus_index(self, art_store, tmp_path,
+                                                   capsys, entry):
+        """A corpus index entry that is not a map with a valid id is
+        rejected before any path is built from it."""
+        self._seed(art_store, 1)
+        tree = tmp_path / "tree"
+        assert main(["artifacts", "export", str(tree)]) == 0
+        corpus = json.loads((tree / "corpus.json").read_text())
+        corpus["entries"].append(entry)
+        (tree / "corpus.json").write_text(json.dumps(corpus))
+        capsys.readouterr()
+        from repro.artifacts import artifact_store
+
+        with temporary_cache_dir(tmp_path / "other"):
+            rc = main(["artifacts", "import", str(tree)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "import rejected" in err and "invalid entry" in err
+            assert artifact_store().ids() == []  # nothing published
+
+
+class TestArtifactsCrossProcess:
+    def test_export_import_verify_round_trip(self, tmp_path):
+        """``repro artifacts`` across processes: a store verifies clean,
+        exports, imports into a fresh cache that verifies clean, and
+        ``verify`` exits 1 after one flipped payload byte."""
+        from repro.artifacts import ArtifactStore
+
+        def repro(cache, *argv):
+            env = dict(os.environ, PYTHONPATH=SRC_ROOT,
+                       REPRO_CACHE_DIR=str(cache))
+            return subprocess.run([sys.executable, "-m", "repro",
+                                   "artifacts", *argv], env=env,
+                                  cwd=str(tmp_path), capture_output=True,
+                                  text=True, timeout=120)
+
+        source, fresh = tmp_path / "a", tmp_path / "b"
+        ids = [ArtifactStore(directory=source).put(
+            "demo", {"n": i}, {"value": i}, producer="cli-x")
+            for i in range(2)]
+        corpus = tmp_path / "corpus.tar.gz"
+        assert repro(source, "verify").returncode == 0
+        done = repro(source, "export", str(corpus))
+        assert done.returncode == 0 and "exported 2 entries" in done.stdout
+        done = repro(fresh, "import", str(corpus))
+        assert done.returncode == 0 and "imported 2 entries" in done.stdout
+        done = repro(fresh, "verify")
+        assert done.returncode == 0 and "2 ok, 0 quarantined" in done.stdout
+
+        payload = ArtifactStore(directory=fresh).payload_path(ids[0])
+        data = bytearray(payload.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        payload.write_bytes(bytes(data))
+        done = repro(fresh, "verify")
+        assert done.returncode == 1
+        assert "1 ok, 1 quarantined" in done.stdout and ids[0] in done.stderr
+
 
 def _first_hang_index():
     """Find a chaos seed whose first ``hang`` firing lands mid-sweep.

@@ -242,6 +242,19 @@ def test_warm_table6_replay_loads_no_training_stack(tmp_path):
     assert warm["loaded"] == []
 
 
+def test_engine_without_remote_url_loads_no_remote_tier(tmp_path):
+    """Without ``REPRO_REMOTE_URL`` an engine never imports the HTTP
+    fetcher, and the store loads ``tarfile`` only to export or import."""
+    loaded = _python(
+        "import json, sys\n"
+        "from repro.eval.engine import SweepEngine\n"
+        "assert SweepEngine(cache_dir=sys.argv[1]).remote is None\n"
+        "print(json.dumps([m for m in ('repro.remote', 'http.client',\n"
+        "                              'tarfile') if m in sys.modules]))",
+        tmp_path / "store")
+    assert loaded == []
+
+
 def test_serve_reports_ready_with_builtins_and_engine_loaded(tmp_path):
     seen = _python(
         "import json, sys\n"
