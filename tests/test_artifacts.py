@@ -198,6 +198,16 @@ class TestQuarantine:
         assert [r["id"] for r in report["quarantined"]] == [ids[1]]
         assert report["quarantine_entries"] == 1
 
+    def test_verify_catches_edited_manifest(self, store):
+        """A self-consistent manifest+payload pair under the wrong id —
+        only the id re-derivation check can catch this."""
+        art_id = _put_demo(store)[0]
+        _edit_manifest(inputs={"n": 999})(store.entry_dir(art_id))
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            report = store.verify()
+        assert len(report["quarantined"]) == 1
+        assert "re-derive" in report["quarantined"][0]["reason"]
+
     def test_unpicklable_payload_quarantines_with_distinct_reason(
             self, store):
         art_id = _put_demo(store)[0]
@@ -532,6 +542,18 @@ class TestExportImport:
         # What shipped is importable and clean.
         other = ArtifactStore(directory=tmp_path / "b")
         assert other.import_(tmp_path / "corpus.tar.gz")["imported"] == 1
+
+    def test_import_rejects_edited_manifest(self, tmp_path):
+        store = ArtifactStore(directory=tmp_path / "a")
+        art_id = _put_demo(store)[0]
+        tree = tmp_path / "tree"
+        store.export(tree)
+        _edit_manifest(inputs={"n": 12345})(tree / "objects" / art_id)
+
+        target = ArtifactStore(directory=tmp_path / "b")
+        with pytest.raises(ArtifactIntegrityError, match="re-derive"):
+            target.import_(tree)
+        assert target.ids() == []
 
     def test_import_rejects_partial_tree(self, tmp_path):
         import shutil
