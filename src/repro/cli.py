@@ -50,7 +50,11 @@ Examples::
 Scale-scenario sweeps resolve through the same cached engine as every
 other suite: a warm rerun (same ``REPRO_CACHE_DIR``, same code version)
 executes zero jobs, and scenarios of 100k+ nodes fan out per job across
-the worker pool (``REPRO_CHUNK_SPLIT_NODES``).
+the worker pool.
+
+``run`` and ``serve`` hand ``--workers``/``--retries``/``--timeout``
+(and ``run``'s ``--fail-fast``) to the engine they run on for the
+length of the command, and restore its settings afterwards.
 
 Every ``run`` is journaled by default (``--no-journal`` opts out): the
 run's spec and every completed job land in an append-only JSONL file
@@ -67,6 +71,7 @@ and exit code 1; ``--fail-fast`` restores raise-on-first-error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -109,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "experiment's suite parameter")
     run_p.add_argument("--workers", type=int, default=None,
                        help="worker processes for cold job batches "
-                            "(default: the engine's REPRO_SWEEP_WORKERS)")
+                            "(default: serial)")
     run_p.add_argument("--out", default=None, metavar="DIR",
                        help="directory to write artifacts into (default: "
                             "print only)")
@@ -120,10 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="suppress the markdown table printout")
     run_p.add_argument("--retries", type=int, default=None, metavar="N",
                        help="per-job retry budget on failure/timeout/worker "
-                            "death (default: REPRO_JOB_RETRIES or 0)")
+                            "death (default: 0)")
     run_p.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="per-job deadline in seconds (default: "
-                            "REPRO_JOB_TIMEOUT or disabled)")
+                            "disabled)")
     run_p.add_argument("--fail-fast", action="store_true",
                        help="re-raise the first exhausted job instead of "
                             "degrading it into the artifact's errors "
@@ -149,25 +154,22 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port-file", default=None, metavar="PATH",
                          help="write the bound port number to this file "
                               "once listening")
-    serve_p.add_argument("--queue-depth", type=int, default=None, metavar="N",
-                         help="admission limit before 429 (default: "
-                              "REPRO_SERVE_QUEUE_DEPTH or 32)")
-    serve_p.add_argument("--deadline", type=float, default=None, metavar="S",
+    serve_p.add_argument("--queue-depth", type=int, default=32, metavar="N",
+                         help="admission limit before 429 (default: 32)")
+    serve_p.add_argument("--deadline", type=float, default=0.0, metavar="S",
                          help="default per-request deadline in seconds "
-                              "(default: REPRO_SERVE_DEADLINE or none)")
-    serve_p.add_argument("--drain-grace", type=float, default=None,
+                              "(default: none)")
+    serve_p.add_argument("--drain-grace", type=float, default=30.0,
                          metavar="S",
                          help="max seconds to wait for in-flight runs on "
-                              "SIGTERM (default: REPRO_SERVE_DRAIN_GRACE "
-                              "or 30)")
+                              "SIGTERM (default: 30)")
     serve_p.add_argument("--workers", type=int, default=None,
                          help="worker processes for cold job batches")
     serve_p.add_argument("--retries", type=int, default=None, metavar="N",
-                         help="per-job retry budget (exported as "
-                              "REPRO_JOB_RETRIES)")
+                         help="per-job retry budget (default: 0)")
     serve_p.add_argument("--timeout", type=float, default=None, metavar="S",
-                         help="per-job deadline (exported as "
-                              "REPRO_JOB_TIMEOUT)")
+                         help="per-job deadline in seconds (default: "
+                              "disabled)")
     serve_p.add_argument("--no-recover", action="store_true",
                          help="skip re-adopting unfinished journaled runs "
                               "on boot")
@@ -188,10 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--deadline", type=float, default=None, metavar="S",
                           help="per-request deadline; on expiry the server "
                                "answers with a degrade-mode artifact")
-    submit_p.add_argument("--client-retries", type=int, default=None,
+    submit_p.add_argument("--client-retries", type=int, default=4,
                           metavar="N",
-                          help="client retry budget (default: "
-                               "REPRO_CLIENT_RETRIES or 4)")
+                          help="client retry budget (default: 4)")
     submit_p.add_argument("--out", default=None, metavar="DIR",
                           help="directory to write the artifact into")
     submit_p.add_argument("--formats", default="json",
@@ -286,15 +287,30 @@ def _cmd_list(what: str, args: Optional[argparse.Namespace] = None) -> int:
     return 0
 
 
-def _apply_run_env(args: argparse.Namespace) -> None:
-    """Export --retries/--timeout as the engine's environment knobs, so
-    forked workers (and the engine's run-time defaults) see them."""
-    import os
+@contextlib.contextmanager
+def _engine_settings(args: argparse.Namespace, **settings):
+    """Hand ``--retries``/``--timeout`` (when given) and ``settings`` to
+    the default engine for one command, restoring its previous values
+    afterwards so an in-process caller's engine is left as found.
+
+    Forked workers get retries and timeout from the engine's
+    :class:`~repro.eval.supervise.Supervisor`, not from the environment.
+    """
+    from .eval.engine import get_engine
 
     if args.retries is not None:
-        os.environ["REPRO_JOB_RETRIES"] = str(max(int(args.retries), 0))
+        settings["retries"] = max(int(args.retries), 0)
     if args.timeout is not None:
-        os.environ["REPRO_JOB_TIMEOUT"] = str(max(float(args.timeout), 0.0))
+        settings["timeout"] = max(float(args.timeout), 0.0)
+    engine = get_engine()
+    previous = {name: getattr(engine, name) for name in settings}
+    for name, value in settings.items():
+        setattr(engine, name, value)
+    try:
+        yield engine
+    finally:
+        for name, value in previous.items():
+            setattr(engine, name, value)
 
 
 def _resume_args(args: argparse.Namespace, spec: dict) -> None:
@@ -317,8 +333,45 @@ def _resume_args(args: argparse.Namespace, spec: dict) -> None:
     args.fail_fast = args.fail_fast or bool(spec.get("fail_fast"))
 
 
+def _run_one(args: argparse.Namespace, name: str, formats: List[str]) -> int:
+    """Run one experiment for ``repro run``; returns its failed jobs."""
+    spec = get_experiment(name)
+    params = {}
+    if args.suite is not None:
+        suite = get_suite(args.suite)
+        if spec.suite_param is None:
+            if args.experiments:
+                raise RegistryError(
+                    f"experiment {name!r} is not suite-parameterized; "
+                    f"drop --suite or pick one of: "
+                    f"{', '.join(n for n, s in EXPERIMENTS.items() if s.suite_param)}")
+            # Smoke-set run: specs without a suite parameter run on
+            # their declared defaults.
+        else:
+            params = spec.suite_params(suite)
+    artifact = run_experiment(name, workers=args.workers,
+                              fail_fast=args.fail_fast, **params)
+    failed = artifact.metadata["jobs"].get("failed", 0)
+    if not args.quiet:
+        jobs = artifact.metadata["jobs"]
+        print(f"== {artifact.experiment} "
+              f"({jobs['unique']} jobs, {jobs['executed']} executed, "
+              f"{artifact.metadata['elapsed_s'] * 1e3:.0f} ms) ==")
+        print(artifact.to_markdown())
+        print()
+    if failed:
+        for error in artifact.metadata.get("errors", []):
+            print(f"FAILED [{error['kind']}] {error['job']}: "
+                  f"{error['error_type']}: {error['error']} "
+                  f"(after {error['attempts']} attempt(s))",
+                  file=sys.stderr)
+    if args.out:
+        for path in artifact.save(args.out, formats=formats):
+            print(f"wrote {path}")
+    return failed
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .eval.engine import get_engine
     from .eval.journal import RunJournal
 
     journal = None
@@ -353,7 +406,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"expected json, csv, md", file=sys.stderr)
         return 2
 
-    _apply_run_env(args)
     if journal is None and not args.no_journal:
         journal = RunJournal.create(run_id=args.run_id, spec={
             "experiments": list(args.experiments),
@@ -370,9 +422,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Resolve every name up front so a typo fails before any sweep runs.
     for name in names:
         get_experiment(name)
-    engine = get_engine()
-    previous_journal = engine.journal
-    engine.journal = journal
     failed_jobs = 0
     interrupted = False
     # Turn SIGTERM into KeyboardInterrupt so both interruption signals
@@ -391,45 +440,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, OSError):
         pass
     try:
-        for name in names:
-            spec = get_experiment(name)
-            params = {}
-            if args.suite is not None:
-                suite = get_suite(args.suite)
-                if spec.suite_param is None:
-                    if args.experiments:
-                        raise RegistryError(
-                            f"experiment {name!r} is not suite-parameterized; "
-                            f"drop --suite or pick one of: "
-                            f"{', '.join(n for n, s in EXPERIMENTS.items() if s.suite_param)}")
-                    # Smoke-set run: specs without a suite parameter run on
-                    # their declared defaults.
-                else:
-                    params = spec.suite_params(suite)
-            artifact = run_experiment(name, workers=args.workers,
-                                      fail_fast=args.fail_fast, **params)
-            failed_here = artifact.metadata["jobs"].get("failed", 0)
-            failed_jobs += failed_here
-            if not args.quiet:
-                jobs = artifact.metadata["jobs"]
-                print(f"== {artifact.experiment} "
-                      f"({jobs['unique']} jobs, {jobs['executed']} executed, "
-                      f"{artifact.metadata['elapsed_s'] * 1e3:.0f} ms) ==")
-                print(artifact.to_markdown())
-                print()
-            if failed_here:
-                for error in artifact.metadata.get("errors", []):
-                    print(f"FAILED [{error['kind']}] {error['job']}: "
-                          f"{error['error_type']}: {error['error']} "
-                          f"(after {error['attempts']} attempt(s))",
-                          file=sys.stderr)
-            if args.out:
-                for path in artifact.save(args.out, formats=formats):
-                    print(f"wrote {path}")
+        with _engine_settings(args, journal=journal):
+            for name in names:
+                failed_jobs += _run_one(args, name, formats)
     except KeyboardInterrupt:
         interrupted = True
     finally:
-        engine.journal = previous_journal
         if previous_sigterm is not None:
             try:
                 signal_module.signal(signal_module.SIGTERM, previous_sigterm)
@@ -552,7 +568,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .serve import ReproServer, ServeConfig
 
-    _apply_run_env(args)  # --retries/--timeout become the engine's knobs
     config = ServeConfig(
         host=args.host, port=args.port, port_file=args.port_file,
         queue_depth=args.queue_depth, deadline_s=args.deadline,
@@ -560,15 +575,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         journal=not args.no_journal, recover=not args.no_recover,
         quiet=args.quiet)
     server = ReproServer(config)
-    code = asyncio.run(server.run())
-    if server.unfinished:
-        # The drain grace expired with runs still executing on the
-        # worker thread; a normal interpreter exit would block joining
-        # it.  Everything accepted is journaled (resumable), so a hard
-        # exit loses nothing.
-        sys.stdout.flush()
-        sys.stderr.flush()
-        os._exit(code or 1)
+    with _engine_settings(args):
+        code = asyncio.run(server.run())
+        if server.unfinished:
+            # The drain grace expired with runs still executing on the
+            # worker thread; a normal interpreter exit would block
+            # joining it.  Everything accepted is journaled (resumable),
+            # so a hard exit loses nothing.
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code or 1)
     return code
 
 

@@ -15,11 +15,11 @@ discipline the server's failure modes call for:
   converge;
 - other 4xx responses are permanent and raise immediately.
 
-Retry budgets default to ``REPRO_CLIENT_RETRIES`` (4) and
-``REPRO_CLIENT_BACKOFF`` (0.2 s).  :func:`run_load` is the thread-based
-load generator behind the CI serve smoke job: N concurrent clients
-submitting request specs round-robin, summarized as p50/p99/mean
-latency, throughput and error rate.
+A client retries 4 times from a 0.2 s backoff base by default (the
+``retries``/``backoff`` arguments; ``repro submit --client-retries``).
+:func:`run_load` is the thread-based load generator behind the CI serve
+smoke job: N concurrent clients submitting request specs round-robin,
+summarized as p50/p99/mean latency, throughput and error rate.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import time
 import urllib.parse
 from typing import Dict, List, Optional, Sequence
 
-from .envutil import env_float, env_int
 from .eval.supervise import backoff_delay
 
 __all__ = ["ClientError", "ServeClient", "run_load", "percentile"]
@@ -52,19 +51,15 @@ class ClientError(RuntimeError):
 class ServeClient:
     """A small, retrying JSON-over-HTTP client for one serve daemon."""
 
-    def __init__(self, url: str = DEFAULT_URL,
-                 retries: Optional[int] = None,
-                 backoff: Optional[float] = None,
-                 timeout: float = 120.0) -> None:
+    def __init__(self, url: str = DEFAULT_URL, retries: int = 4,
+                 backoff: float = 0.2, timeout: float = 120.0) -> None:
         if "//" not in url:
             url = "http://" + url
         parsed = urllib.parse.urlsplit(url)
         self.host = parsed.hostname or "127.0.0.1"
         self.port = parsed.port or 80
-        self.retries = (env_int("REPRO_CLIENT_RETRIES", 4)
-                        if retries is None else max(int(retries), 0))
-        self.backoff = (env_float("REPRO_CLIENT_BACKOFF", 0.2)
-                        if backoff is None else max(float(backoff), 0.0))
+        self.retries = max(int(retries), 0)
+        self.backoff = max(float(backoff), 0.0)
         self.timeout = timeout
         self.attempts_total = 0  # across all requests, for load stats
 
@@ -183,8 +178,8 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
 
 
 def run_load(url: str, specs: Sequence[Dict], clients: int = 4,
-             requests_per_client: int = 4, retries: Optional[int] = None,
-             backoff: Optional[float] = None, timeout: float = 120.0,
+             requests_per_client: int = 4, retries: int = 4,
+             backoff: float = 0.2, timeout: float = 120.0,
              deadline_s: Optional[float] = None) -> Dict:
     """Hammer a serve daemon with N concurrent clients.
 

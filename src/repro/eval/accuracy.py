@@ -6,7 +6,7 @@ slow experiments.  Every runner is declared as an
 deduplicated batch of :class:`~repro.eval.engine.TrainJob` — FP32
 baselines shared between tables train exactly once, warm reruns replay
 finished trainings from the on-disk cache (training zero models), and
-cold grids fan out over worker processes (``REPRO_SWEEP_WORKERS``).
+cold grids fan out over the engine's worker processes (``workers``).
 The legacy function names remain as shims returning the artifact's
 value bit-identically.  ``quick=True`` shrinks epochs for CI-style runs
 while preserving the orderings the paper reports; ``config`` overrides
@@ -14,7 +14,7 @@ the budget outright (tests and benchmarks use tiny budgets).
 
 Because a single training run is minutes of work, these specs are the
 main beneficiaries of the supervision layer: a worker killed or hung
-mid-grid costs one training (retried under ``REPRO_JOB_RETRIES``), not
+mid-grid costs one training (retried under the engine's ``retries``), not
 the grid, and every finished training is journaled/persisted as it
 lands, so an interrupted table resumes instead of retraining.  The
 chaos suite (``tests/test_chaos.py``) holds these specs to the same

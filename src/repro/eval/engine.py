@@ -63,24 +63,19 @@ cache-replay paths: every flow seeds its own RNG streams from the job's
 is a pure function of its fields plus the code version every artifact
 id embeds.
 
-Environment knobs:
-
-- ``REPRO_SWEEP_WORKERS`` — default worker count for engines that are
-  not given one explicitly (``0``/``1`` = serial, the default);
-- ``REPRO_CACHE_DIR`` — root of the artifact store (default
-  ``~/.cache/repro``);
-- ``REPRO_CHUNK_SPLIT_NODES`` — scenario size (sim-scale nodes, default
-  100000) at which per-dataset simulation chunks split into per-job
-  chunks so a single huge scenario still fans out across the pool;
-- ``REPRO_JOB_RETRIES`` — retry budget per job after a failure, timeout
-  or worker death (default 0: fail on first error, today's behavior);
-- ``REPRO_JOB_TIMEOUT`` — per-job deadline in seconds (default 0:
-  disabled); enforced in-process via SIGALRM and, for worker processes,
-  backstopped by the supervisor's watchdog kill;
-- ``REPRO_JOB_BACKOFF`` — base of the exponential retry backoff in
-  seconds (default 0.05; attempt ``n`` waits ``backoff * 2**n``);
-- ``REPRO_SIM_BATCH`` — batched simulation of same-dataset job groups
-  (default 1: on; ``0`` forces the scalar per-job path everywhere).
+Settings are :class:`SweepEngine` constructor arguments, which ``repro
+run``/``repro serve`` set from their flags: ``workers`` (``0``/``1`` =
+serial, the default), ``retries`` (retry budget per job after a
+failure, timeout or worker death; default 0), ``timeout`` (per-job
+deadline in seconds, enforced in-process via SIGALRM and backstopped by
+the supervisor's watchdog kill for worker processes; default 0:
+disabled), ``backoff`` (base of the exponential retry backoff, default
+0.05 s; attempt ``n`` waits ``backoff * 2**n``) and ``batch`` (batched
+simulation of same-dataset job groups; ``False`` forces the scalar
+per-job path).  The environment names only where things live:
+``REPRO_CACHE_DIR`` is the root of the artifact store (default
+``~/.cache/repro``) and ``REPRO_REMOTE_URL`` a ``repro serve`` daemon
+to fetch missing results from.
 """
 
 from __future__ import annotations
@@ -94,7 +89,6 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
 
 from .. import faults
 from ..artifacts import ArtifactStore, derive_artifact_id
-from ..envutil import env_float, env_int
 from ..perf.cache import ContentCache, cached_load_dataset, graph_fingerprint
 from ..registry import get_accelerator
 from .supervise import JobFailure, Supervisor, run_serial
@@ -118,12 +112,6 @@ _EXECUTION_MODULES = ("repro.graphs.generators", "repro.graphs.partition",
                       "repro.mega.condense", "repro.sim.workload",
                       "repro.sim.locality", "repro.sim.batched",
                       "repro.quant.flows")
-
-
-def _env_workers() -> int:
-    # Malformed values warn once and fall back (see repro.envutil) —
-    # a typo'd knob must never abort a sweep mid-run.
-    return env_int("REPRO_SWEEP_WORKERS", 0)
 
 
 @dataclass(frozen=True)
@@ -275,10 +263,6 @@ _BATCH_MISSING = object()
 _SIM_BATCH_MAX = 256
 
 
-def _sim_batch_enabled() -> bool:
-    return env_int("REPRO_SIM_BATCH", 1) != 0
-
-
 def _batch_group_key(job: "SimJob") -> Optional[tuple]:
     """Workload-recipe key: jobs agreeing on it can share one batch."""
     try:
@@ -370,13 +354,11 @@ def _prepare_batch(members: List["SimJob"]) -> bool:
 def prepare_sim_batch(jobs: Sequence) -> List[int]:
     """The engine's ``prepare`` hook body: stash batched reports.
 
-    Returns the realized batch sizes (empty when batching is off or
-    nothing grouped).  The stash is cleared first so entries from an
-    aborted earlier run cannot leak across sweeps.
+    Returns the realized batch sizes (empty when nothing grouped).  The
+    stash is cleared first so entries from an aborted earlier run cannot
+    leak across sweeps.
     """
     _BATCH_STASH.clear()
-    if not _sim_batch_enabled():
-        return []
     sizes: List[int] = []
     for batch in plan_sim_batches(jobs):
         if _prepare_batch(batch):
@@ -416,11 +398,7 @@ def _execute_job(job, attempt: int = 0):
 # Simulation jobs over datasets at least this large chunk per job
 # instead of per dataset: one 500k-node scenario's simulations then fan
 # out across the pool instead of serializing inside a single worker.
-_DEFAULT_CHUNK_SPLIT_NODES = 100_000
-
-
-def _chunk_split_nodes() -> int:
-    return env_int("REPRO_CHUNK_SPLIT_NODES", _DEFAULT_CHUNK_SPLIT_NODES)
+_CHUNK_SPLIT_NODES = 100_000
 
 
 def _chunk_key(job):
@@ -429,8 +407,8 @@ def _chunk_key(job):
     Simulation jobs group per (dataset, seed) so one worker amortizes
     dataset/workload construction across accelerators — except on huge
     scenarios (the dataset entry's ``size_hint`` at or above
-    ``REPRO_CHUNK_SPLIT_NODES``, default 100k nodes), where each job is
-    its own chunk: per-job simulation cost dwarfs the amortized
+    ``_CHUNK_SPLIT_NODES``, 100k nodes), where each job is its own
+    chunk: per-job simulation cost dwarfs the amortized
     construction there, and the shared disk caches (dataset, workload,
     partition) already keep the workers from repeating it.  Training
     jobs are each their own chunk — a single training run is the
@@ -441,7 +419,7 @@ def _chunk_key(job):
         return job
     from ..registry import get_dataset
 
-    if get_dataset(job.dataset).size_hint >= _chunk_split_nodes():
+    if get_dataset(job.dataset).size_hint >= _CHUNK_SPLIT_NODES:
         return job
     return (job.dataset, job.seed)
 
@@ -449,13 +427,12 @@ def _chunk_key(job):
 class SweepEngine:
     """Deduplicating, caching, supervised (optionally parallel) runner."""
 
-    def __init__(self, workers: Optional[int] = None,
+    def __init__(self, workers: int = 0,
                  cache_dir: Optional[os.PathLike] = None,
-                 retries: Optional[int] = None,
-                 timeout: Optional[float] = None,
-                 backoff: Optional[float] = None, journal=None,
-                 batch: Optional[bool] = None, remote=None) -> None:
-        self.workers = _env_workers() if workers is None else max(int(workers), 0)
+                 retries: int = 0, timeout: float = 0.0,
+                 backoff: float = 0.05, journal=None,
+                 batch: bool = True, remote=None) -> None:
+        self.workers = max(int(workers), 0)
         self.reports = ContentCache("job_results")
         self.tables = ContentCache("tables")
         # Everything persistent is a content-addressed artifact (id
@@ -476,11 +453,11 @@ class SweepEngine:
         # Artifact ids this engine resolved or produced (id -> kind),
         # surfaced in experiment metadata for provenance and GC liveness.
         self.consumed_artifacts: Dict[str, str] = {}
-        # Supervision policy; None defers to the environment knobs at
-        # run time (so the CLI and tests can set them per invocation).
-        self._retries = retries
-        self._timeout = timeout
-        self._backoff = backoff
+        # Supervision policy, read at run time: the CLI sets these for
+        # one invocation and restores them afterwards.
+        self.retries = retries
+        self.timeout = timeout
+        self.backoff = backoff
         # Optional RunJournal: completed/failed jobs are appended as
         # they land, making any run resumable by id.
         self.journal = journal
@@ -491,8 +468,8 @@ class SweepEngine:
         # True once worker processes actually executed jobs (stays False
         # when the serial path or a fallback ran instead).
         self.pool_used = False
-        # Batched-simulation policy; None defers to REPRO_SIM_BATCH.
-        self._batch = batch
+        # Batched-simulation policy (False: the scalar reference path).
+        self.batch = bool(batch)
         # Honesty flags mirroring pool_used: did batched evaluation
         # actually stash reports, and at what realized group sizes?  On
         # the serial path these are ground truth (the hook runs in this
@@ -506,26 +483,6 @@ class SweepEngine:
         # (accumulates across run() calls; cleared by clear_memory).
         self.failures: List[JobFailure] = []
 
-    @property
-    def retries(self) -> int:
-        return (self._retries if self._retries is not None
-                else env_int("REPRO_JOB_RETRIES", 0))
-
-    @property
-    def timeout(self) -> float:
-        return (self._timeout if self._timeout is not None
-                else env_float("REPRO_JOB_TIMEOUT", 0.0))
-
-    @property
-    def backoff(self) -> float:
-        return (self._backoff if self._backoff is not None
-                else env_float("REPRO_JOB_BACKOFF", 0.05))
-
-    @property
-    def batch_enabled(self) -> bool:
-        return (bool(self._batch) if self._batch is not None
-                else _sim_batch_enabled())
-
     def _prepare_hook(self) -> Optional[Callable[[Sequence], None]]:
         """The batched-simulation ``prepare`` hook, or None when off.
 
@@ -534,7 +491,7 @@ class SweepEngine:
         stacked group), so it is disabled whenever a job timeout is in
         force — those sweeps keep today's scalar behavior exactly.
         """
-        if not self.batch_enabled or self.timeout > 0:
+        if not self.batch or self.timeout > 0:
             return None
 
         def prepare(jobs: Sequence) -> None:

@@ -23,8 +23,10 @@ Both paths report exhausted jobs as :class:`JobFailure` records (the
 engine's graceful-degradation currency) or, in fail-fast mode, finish
 storing whatever completed and re-raise the original exception.
 
-Retry/timeout knobs come from the engine (which defaults them from
-``REPRO_JOB_RETRIES``, ``REPRO_JOB_TIMEOUT`` and ``REPRO_JOB_BACKOFF``).
+Retry, timeout and backoff are arguments, passed in by the engine
+(:class:`repro.eval.engine.SweepEngine` holds them).  The fault harness
+(:mod:`repro.faults`) asks this module what it enforces on the running
+job: :func:`job_timeout` and :func:`in_worker`.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ __all__ = [
 
 
 class JobTimeout(RuntimeError):
-    """A job exceeded its ``REPRO_JOB_TIMEOUT`` deadline."""
+    """A job exceeded its per-job deadline."""
 
 
 @dataclass
@@ -89,31 +91,52 @@ _WATCHDOG_GRACE = 2.0
 # deadline/backoff wakeup is due sooner.
 _POLL_INTERVAL = 0.2
 
+# The deadline of the job executing in this process (0 = none), set for
+# the job's duration by job_deadline, and whether this process is a
+# forked worker (set after fork by _worker_main).
+_job_timeout = 0.0
+_in_worker = False
+
+
+def job_timeout() -> float:
+    """The deadline in seconds supervision holds the running job to
+    (0 when it has none, or outside a job)."""
+    return _job_timeout
+
+
+def in_worker() -> bool:
+    """True inside a supervised worker process (safe to kill: the
+    parent detects the death and retries the job)."""
+    return _in_worker
+
 
 @contextmanager
 def job_deadline(seconds: float):
     """Raise :class:`JobTimeout` if the body runs longer than ``seconds``.
 
     SIGALRM-based, so it preempts pure-Python work (including an
-    injected ``hang`` fault's sleep).  A no-op when ``seconds`` is zero,
-    off the main thread, or on platforms without ``SIGALRM`` — the
-    supervisor's watchdog is the backstop there.
+    injected ``hang`` fault's sleep).  The alarm is not armed when
+    ``seconds`` is zero, off the main thread, or on platforms without
+    ``SIGALRM`` — the supervisor's watchdog is the backstop there.
+    Either way :func:`job_timeout` reads ``seconds`` inside the body.
     """
-    if (seconds <= 0 or not hasattr(signal, "SIGALRM")
-            or threading.current_thread() is not threading.main_thread()):
-        yield
-        return
+    global _job_timeout
+    armed = (seconds > 0 and hasattr(signal, "SIGALRM")
+             and threading.current_thread() is threading.main_thread())
+    if armed:
+        def on_alarm(signum, frame):
+            raise JobTimeout(f"job exceeded the {seconds:g}s deadline")
 
-    def on_alarm(signum, frame):
-        raise JobTimeout(f"job exceeded the {seconds:g}s deadline")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+    previous_timeout, _job_timeout = _job_timeout, seconds
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+        if armed:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        _job_timeout = previous_timeout
 
 
 def backoff_delay(backoff: float, attempt: int, token: str = "") -> float:
@@ -228,7 +251,8 @@ def _worker_main(conn, jobs: Sequence, attempts: Sequence[int],
     memory, so a worker killed mid-chunk loses only its own batch — the
     requeued tail re-prepares in a fresh worker.
     """
-    os.environ["REPRO_FAULTS_WORKER"] = "1"
+    global _in_worker
+    _in_worker = True
     _run_prepare(prepare, jobs)
     for idx, (job, attempt) in enumerate(zip(jobs, attempts)):
         try:

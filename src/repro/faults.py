@@ -18,10 +18,11 @@ Fault kinds:
 - ``kill`` — SIGKILL the executing worker process mid-job (downgraded
   to an :class:`InjectedFault` raise when executing in the supervising
   process itself, which must survive);
-- ``hang`` — sleep well past ``REPRO_JOB_TIMEOUT`` so the per-job
-  deadline (or the parent watchdog) has to fire; downgraded to a raise
-  when no timeout is configured (a hang nobody can interrupt would
-  deadlock the suite, not test it);
+- ``hang`` — sleep well past the deadline supervision holds the job to
+  (:func:`repro.eval.supervise.job_timeout`, the engine's ``timeout``)
+  so the per-job deadline (or the parent watchdog) has to fire;
+  downgraded to a raise when the job has no deadline (a hang nobody can
+  interrupt would deadlock the suite, not test it);
 - ``raise`` — raise :class:`InjectedFault` mid-execution;
 - ``cache_readonly`` — make the next artifact-store write raise
   ``PermissionError``, as if the store went read-only mid-sweep;
@@ -94,9 +95,6 @@ NET_STALL_S = 0.25
 
 ENV_SPEC = "REPRO_FAULTS"
 ENV_SEED = "REPRO_FAULTS_SEED"
-# Set by the supervisor's worker entry point: process-killing faults
-# only fire where a supervisor is watching.
-ENV_WORKER = "REPRO_FAULTS_WORKER"
 
 _DRAW_DENOM = float(1 << 64)
 
@@ -174,17 +172,6 @@ def parse_fault_spec(spec: str, seed: int = 0) -> FaultPlan:
     return FaultPlan(rates=tuple(rates), caps=tuple(caps), seed=seed)
 
 
-def _job_timeout() -> float:
-    from .envutil import env_float
-
-    return env_float("REPRO_JOB_TIMEOUT", 0.0)
-
-
-def in_worker() -> bool:
-    """True inside a supervised worker process (safe to kill)."""
-    return os.environ.get(ENV_WORKER) == "1"
-
-
 @dataclass
 class FaultInjector:
     """Applies a :class:`FaultPlan` at the engine's injection points.
@@ -208,9 +195,15 @@ class FaultInjector:
 
     # -- injection points --------------------------------------------------
     def on_job(self, token: str, attempt: int = 0) -> None:
-        """Called by the engine at the top of every job execution."""
+        """Called by the engine at the top of every job execution.
+
+        Process-killing faults fire only where a supervisor is watching
+        (a forked worker), and a hang only where the job has a deadline.
+        """
         if attempt != 0:
             return
+        from .eval.supervise import in_worker, job_timeout
+
         if self.should_fire("kill", token):
             if in_worker():
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -218,7 +211,7 @@ class FaultInjector:
                 f"kill fault (downgraded to raise outside a supervised "
                 f"worker) for {token}")
         if self.should_fire("hang", token):
-            timeout = _job_timeout()
+            timeout = job_timeout()
             if timeout > 0:
                 # Sleep far past the deadline; the per-job SIGALRM or
                 # the parent watchdog has to cut this short.
@@ -227,8 +220,8 @@ class FaultInjector:
                     f"hang fault outlived the {timeout:g}s timeout "
                     f"unsupervised for {token}")
             raise InjectedFault(
-                f"hang fault (downgraded to raise: no REPRO_JOB_TIMEOUT "
-                f"configured) for {token}")
+                f"hang fault (downgraded to raise: the job has no "
+                f"timeout) for {token}")
         if self.should_fire("raise", token):
             raise InjectedFault(f"raise fault for {token}")
 

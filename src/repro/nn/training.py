@@ -170,7 +170,7 @@ def train_multiple_seeds(
       ``dataset-scale``).  The per-seed runs are declared as one
       deduplicated :class:`~repro.eval.engine.TrainJob` batch through
       the shared job engine — cached seeds replay from disk, cold seeds
-      can fan out over ``REPRO_SWEEP_WORKERS`` processes, and ``flow``
+      fan out over the engine's ``workers`` processes, and ``flow``
       selects the quantization flow (:data:`repro.quant.flows.TRAIN_FLOWS`).
     - **legacy**: ``model_factory`` is a callable ``seed -> Module`` and
       each seed trains serially in-process (required when the factory

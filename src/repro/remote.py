@@ -43,9 +43,10 @@ executes the job locally.  Every attempt carries its ordinal in
 (:mod:`repro.faults`) fire only on first attempts and bounded retries
 always converge.
 
-Environment knobs: ``REPRO_REMOTE_URL`` (enables the tier when set),
-``REPRO_REMOTE_RETRIES`` (4), ``REPRO_REMOTE_BACKOFF`` (0.2 s),
-``REPRO_REMOTE_TIMEOUT`` (30 s socket timeout, the anti-stall bound).
+``REPRO_REMOTE_URL`` enables the tier for every engine built without
+an explicit ``remote=``.  The retry budget (4), backoff base (0.2 s)
+and socket timeout (30 s, the anti-stall bound) are
+:class:`RemoteStore` arguments.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from typing import Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from .artifacts import (ArtifactIntegrityError, ArtifactStore, admit,
                         artifact_store, valid_id)
-from .envutil import env_float, env_int
 from .eval.supervise import backoff_delay
 
 __all__ = ["RemoteStore", "TransferFailure", "remote_store_from_env",
@@ -99,9 +99,8 @@ class RemoteStore:
 
     def __init__(self, url: Optional[str] = None,
                  store: Optional[ArtifactStore] = None,
-                 retries: Optional[int] = None,
-                 backoff: Optional[float] = None,
-                 timeout: Optional[float] = None) -> None:
+                 retries: int = 4, backoff: float = 0.2,
+                 timeout: float = 30.0) -> None:
         if url is None:
             url = os.environ.get(ENV_URL, "")
         if url and "//" not in url:
@@ -111,12 +110,9 @@ class RemoteStore:
         self.port = parsed.port or 80
         self.url = f"http://{self.host}:{self.port}"
         self._store = store  # None → the process-wide store at use time
-        self.retries = (env_int("REPRO_REMOTE_RETRIES", 4)
-                        if retries is None else max(int(retries), 0))
-        self.backoff = (env_float("REPRO_REMOTE_BACKOFF", 0.2)
-                        if backoff is None else max(float(backoff), 0.0))
-        self.timeout = (env_float("REPRO_REMOTE_TIMEOUT", 30.0)
-                        if timeout is None else max(float(timeout), 0.001))
+        self.retries = max(int(retries), 0)
+        self.backoff = max(float(backoff), 0.0)
+        self.timeout = max(float(timeout), 0.001)
         # Distribution accounting, surfaced through engine/serve stats.
         self.fetches = 0
         self.hits = 0          # verified, published, returned

@@ -248,16 +248,6 @@ def _jsonable_params(params: Mapping) -> Dict[str, object]:
     return out
 
 
-def _env_fail_fast() -> Optional[bool]:
-    """``REPRO_FAIL_FAST`` as a tri-state: None when unset/empty."""
-    import os
-
-    raw = os.environ.get("REPRO_FAIL_FAST", "").strip().lower()
-    if not raw:
-        return None
-    return raw in ("1", "true", "yes", "on")
-
-
 def _failure_records(engine, failures) -> List[Dict[str, object]]:
     """The artifact's ``errors`` metadata: one record per exhausted job."""
     records = []
@@ -275,7 +265,7 @@ def _failure_records(engine, failures) -> List[Dict[str, object]]:
 
 
 def run_experiment(name: str, engine=None, workers: Optional[int] = None,
-                   fail_fast: Optional[bool] = None, **params) -> Artifact:
+                   fail_fast: bool = True, **params) -> Artifact:
     """Run a registered experiment and return its :class:`Artifact`.
 
     ``params`` override the spec's declared defaults; ``engine``
@@ -293,17 +283,13 @@ def run_experiment(name: str, engine=None, workers: Optional[int] = None,
     digest a partial result set, ``value`` is ``None`` and the rows are
     a generic tabulation of the successful jobs.  The CLI passes
     ``fail_fast=False`` explicitly, so ``repro run`` degrades unless
-    ``--fail-fast`` is given; ``REPRO_FAIL_FAST=0/1`` overrides the
-    default when ``fail_fast`` is not passed.
+    ``--fail-fast`` is given.
     """
     from .eval.engine import get_engine
     from .perf.cache import code_version
 
     spec: ExperimentSpec = get_experiment(name)
     engine = engine if engine is not None else get_engine()
-    if fail_fast is None:
-        env = _env_fail_fast()
-        fail_fast = True if env is None else env
     merged = spec.params_with_defaults(params)
 
     jobs = spec.build_jobs(**merged)
@@ -376,8 +362,7 @@ def run_experiment(name: str, engine=None, workers: Optional[int] = None,
 
 def run_suite_experiment(name: str, suite: str, engine=None,
                          workers: Optional[int] = None,
-                         fail_fast: Optional[bool] = None,
-                         **params) -> Artifact:
+                         fail_fast: bool = True, **params) -> Artifact:
     """Run an experiment with a registered suite bound to its suite
     parameter (the CLI's ``run <experiment> --suite <name>`` path)."""
     from .registry import get_suite

@@ -8,26 +8,26 @@ on stdlib asyncio only; one request == one journaled run.
 
 Robustness properties, each of which tests/CI exercise directly:
 
-- **Admission control** — at most ``REPRO_SERVE_QUEUE_DEPTH`` requests
-  may be admitted (queued + running) at once; beyond that the server
-  answers ``429`` with a ``Retry-After`` hint derived from recent
-  execution latency, so load sheds at the edge instead of queueing
-  unboundedly.
+- **Admission control** — at most ``queue_depth`` (``--queue-depth``)
+  requests may be admitted (queued + running) at once; beyond that the
+  server answers ``429`` with a ``Retry-After`` hint derived from
+  recent execution latency, so load sheds at the edge instead of
+  queueing unboundedly.
 - **In-flight dedup** — identical concurrent requests (same experiment,
   suite and canonical params) share one execution; followers attach to
   the leader's task and every response is annotated with
   ``metadata["serve"]["deduped"]``.
-- **Per-request deadlines** — layered on the per-job
-  ``REPRO_JOB_TIMEOUT``: when a request's ``deadline_s`` (or the
-  server-wide ``REPRO_SERVE_DEADLINE``) expires, the *client* gets a
+- **Per-request deadlines** — layered on the engine's per-job
+  ``timeout`` (``--timeout``): when a request's ``deadline_s`` (or the
+  server-wide ``--deadline``) expires, the *client* gets a
   schema-valid degrade artifact immediately (empty rows,
   ``metadata["errors"]`` carrying a ``deadline`` record) while the
   sweep keeps running server-side — its jobs land in the artifact
   store and journal, so a retry is answered warm.
 - **Graceful drain** — SIGTERM/SIGINT stop admission (requests get
   503), let in-flight runs finish and journal, then exit 0.  If the
-  drain grace expires first, the exit code is nonzero and the
-  unfinished runs stay resumable.
+  drain grace (``--drain-grace``) expires first, the exit code is
+  nonzero and the unfinished runs stay resumable.
 - **Restart recovery** — on boot, before reporting ready, the server
   fills the registries, builds its engine, and re-adopts every
   unfinished serve-originated :class:`RunJournal` under the cache
@@ -86,7 +86,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from .envutil import env_float, env_int
 from .registry import RegistryError, get_experiment, get_suite
 
 __all__ = ["ServeConfig", "ReproServer", "ServerThread", "serve"]
@@ -99,18 +98,14 @@ _FAULT_DELAY_S = 0.05
 
 @dataclass
 class ServeConfig:
-    """Static configuration for one :class:`ReproServer`.
-
-    ``None`` fields fall back to their ``REPRO_SERVE_*`` environment
-    knob (or the built-in default) at server construction time.
-    """
+    """Static configuration for one :class:`ReproServer`."""
 
     host: str = "127.0.0.1"
     port: int = 8642                  # 0 = ephemeral (see --port-file)
     port_file: Optional[str] = None   # write the bound port here
-    queue_depth: Optional[int] = None   # REPRO_SERVE_QUEUE_DEPTH, 32
-    deadline_s: Optional[float] = None  # REPRO_SERVE_DEADLINE, 0 = none
-    drain_grace_s: Optional[float] = None  # REPRO_SERVE_DRAIN_GRACE, 30
+    queue_depth: int = 32             # admitted requests before 429
+    deadline_s: float = 0.0           # default per-request deadline, 0 = none
+    drain_grace_s: float = 30.0       # SIGTERM wait for in-flight runs
     workers: Optional[int] = None     # forwarded to run_experiment
     journal: bool = True              # journal every request's run
     recover: bool = True              # re-adopt unfinished runs on boot
@@ -128,17 +123,9 @@ class ReproServer:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        self.queue_depth = (self.config.queue_depth
-                            if self.config.queue_depth is not None
-                            else env_int("REPRO_SERVE_QUEUE_DEPTH", 32,
-                                         minimum=1))
-        self.queue_depth = max(self.queue_depth, 1)
-        self.deadline_s = (self.config.deadline_s
-                           if self.config.deadline_s is not None
-                           else env_float("REPRO_SERVE_DEADLINE", 0.0))
-        self.drain_grace_s = (self.config.drain_grace_s
-                              if self.config.drain_grace_s is not None
-                              else env_float("REPRO_SERVE_DRAIN_GRACE", 30.0))
+        self.queue_depth = max(self.config.queue_depth, 1)
+        self.deadline_s = self.config.deadline_s
+        self.drain_grace_s = self.config.drain_grace_s
 
         self.port: Optional[int] = None  # bound port, set inside run()
         self.ready = False

@@ -6,8 +6,8 @@ The contract under test (ROADMAP item 5): for every job,
 reference snapshots in :mod:`repro.perf.reference` pin the scalar side,
 so batched == scalar == seed.  On top of the core identity, the engine
 wiring must keep cache/artifact/journal semantics unchanged: warm
-replays execute zero jobs, ``REPRO_SIM_BATCH=0`` forces the scalar
-path, and batch honesty flags report what actually ran.
+replays execute zero jobs, ``SweepEngine(batch=False)`` forces the
+scalar path, and batch honesty flags report what actually ran.
 """
 
 import numpy as np
@@ -251,14 +251,12 @@ class TestEngineBatching:
         assert not batched.batch_used
         assert all(replay[j] == reference[j] for j in _GRID)
 
-    def test_env_knob_disables_batching(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BATCH", "0")
-        engine = _fresh_engine(tmp_path, "env-off")
-        assert not engine.batch_enabled
+    def test_env_knob_disables_batching(self, tmp_path):
+        engine = _fresh_engine(tmp_path, "off", batch=False)
         engine.run(_GRID[:4])
         assert not engine.batch_used
-        # The constructor override beats the environment.
-        assert _fresh_engine(tmp_path, "ctor", batch=True).batch_enabled
+        # Batching is on unless the constructor turns it off.
+        assert _fresh_engine(tmp_path, "default").batch
 
     def test_batch_max_splits_groups(self, tmp_path, monkeypatch):
         monkeypatch.setattr(engine_mod, "_SIM_BATCH_MAX", 5)

@@ -13,6 +13,7 @@ import multiprocessing
 
 import pytest
 
+from repro.eval import engine as engine_mod
 from repro.eval.engine import SimJob, SweepEngine
 from repro.eval.journal import RunJournal
 from repro.faults import InjectedFault, inject_faults
@@ -108,10 +109,11 @@ class TestSerialChaos:
             with pytest.raises(InjectedFault):
                 _run(engine, "stall_table", fail_fast=True)
 
-    def test_hang_is_cut_by_the_job_deadline(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "0.5")
-        baseline = _run(_fresh_engine(tmp_path, "clean"), "stall_table")
-        engine = _fresh_engine(tmp_path, "hang", retries=1, backoff=0.0)
+    def test_hang_is_cut_by_the_job_deadline(self, tmp_path):
+        baseline = _run(_fresh_engine(tmp_path, "clean", timeout=0.5),
+                        "stall_table")
+        engine = _fresh_engine(tmp_path, "hang", retries=1, backoff=0.0,
+                               timeout=0.5)
         with inject_faults(hang=1.0, seed=0):
             chaotic = _run(engine, "stall_table")
         _assert_identical(baseline, chaotic)
@@ -200,7 +202,7 @@ class TestArtifactChaos:
 class TestParallelChaos:
     def test_worker_kills_are_survived_bit_identically(self, tmp_path,
                                                        monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_SPLIT_NODES", "1")  # chunk per job
+        monkeypatch.setattr(engine_mod, "_CHUNK_SPLIT_NODES", 1)  # per job
         baseline = _run(_fresh_engine(tmp_path, "clean"), "speedup_table")
         engine = SweepEngine(workers=2, cache_dir=tmp_path / "kill",
                              retries=2, backoff=0.0)
@@ -248,11 +250,11 @@ class TestParallelChaos:
         assert not engine.failures
 
     def test_mixed_chaos_parallel_sweep(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_SPLIT_NODES", "1")
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "5")
-        baseline = _run(_fresh_engine(tmp_path, "clean"), "stall_table")
+        monkeypatch.setattr(engine_mod, "_CHUNK_SPLIT_NODES", 1)
+        baseline = _run(_fresh_engine(tmp_path, "clean", timeout=5.0),
+                        "stall_table")
         engine = SweepEngine(workers=2, cache_dir=tmp_path / "mix",
-                             retries=3, backoff=0.0)
+                             retries=3, backoff=0.0, timeout=5.0)
         with inject_faults(kill=0.3, raise_=0.3, corrupt_artifact=(1.0, 1),
                            seed=1):
             chaotic = _run(engine, "stall_table")

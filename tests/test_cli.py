@@ -140,16 +140,8 @@ class TestBenchForwarding:
 
 
 class TestRobustnessFlags:
-    """--retries/--timeout/--fail-fast/--run-id/--resume/--no-journal."""
-
-    @pytest.fixture(autouse=True)
-    def _restore_job_env(self, monkeypatch):
-        """The CLI exports --retries/--timeout into os.environ for keeps
-        (workers must inherit them); setenv-then-delenv registers a
-        restore even for variables that start out unset."""
-        for var in ("REPRO_JOB_RETRIES", "REPRO_JOB_TIMEOUT"):
-            monkeypatch.setenv(var, "0")
-            monkeypatch.delenv(var)
+    """--workers/--retries/--timeout/--fail-fast/--run-id/--resume/
+    --no-journal."""
 
     def test_run_is_journaled_by_default(self, sweep_engine, capsys):
         rc = main(["run", "stall_table", "--quiet",
@@ -217,15 +209,40 @@ class TestRobustnessFlags:
         _resume_args(args, {"experiments": ["stall_table"]})
         assert args.experiments == ["stall_table"]
 
-    def test_retries_and_timeout_export_env(self, sweep_engine, monkeypatch,
-                                            capsys):
-        import os
+    def test_in_process_main_leaves_no_settings_behind(self, sweep_engine,
+                                                        tmp_path, capsys):
+        """--retries/--timeout reach the engine for one command only:
+        nothing lands in os.environ, and neither the default engine nor
+        a fresh one inherits them; the journal still records them."""
+        from repro.eval.engine import SweepEngine
 
-        rc = main(["run", "stall_table", "--quiet", "--no-journal",
+        rc = main(["run", "stall_table", "--quiet",
+                   "--run-id", "cli-test-settings",
                    "--retries", "2", "--timeout", "30"])
         assert rc == 0
-        assert os.environ["REPRO_JOB_RETRIES"] == "2"
-        assert os.environ["REPRO_JOB_TIMEOUT"] == "30.0"
+        assert [k for k in os.environ if k.startswith("REPRO_JOB_")] == []
+        assert (sweep_engine.retries, sweep_engine.timeout) == (0, 0.0)
+        fresh = SweepEngine(cache_dir=tmp_path / "fresh")
+        assert (fresh.retries, fresh.timeout) == (0, 0.0)
+        spec = RunJournal.load("cli-test-settings").spec
+        assert (spec["retries"], spec["timeout"]) == (2, 30)
+
+    def test_workers_fan_out_over_processes(self, sweep_engine, capsys):
+        rc = main(["run", "stall_table", "--quiet", "--no-journal",
+                   "--workers", "2"])
+        assert rc == 0
+        assert sweep_engine.pool_used
+        assert sweep_engine.workers == 0
+
+    def test_timeout_cuts_a_hung_job(self, sweep_engine, capsys):
+        from repro.faults import inject_faults
+
+        with inject_faults(hang=(1.0, 1)):
+            rc = main(["run", "stall_table", "--quiet", "--no-journal",
+                       "--timeout", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "FAILED [timeout]" in err and "JobTimeout" in err
 
     def test_exhausted_jobs_exit_one_with_error_report(self, sweep_engine,
                                                        capsys):
@@ -492,9 +509,8 @@ class TestInterruptSignals:
         env["REPRO_CACHE_DIR"] = str(cache)
         env["REPRO_FAULTS"] = "hang=0.5:1"
         env["REPRO_FAULTS_SEED"] = str(seed)
-        env["REPRO_JOB_TIMEOUT"] = "600"
         argv = [sys.executable, "-m", "repro", "run", "stall_table",
-                "--quiet", "--run-id", "cli-interrupt"]
+                "--quiet", "--run-id", "cli-interrupt", "--timeout", "600"]
         proc = subprocess.Popen(argv, env=env, cwd=str(tmp_path),
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True)

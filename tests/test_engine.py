@@ -1,11 +1,11 @@
 """Tests for the sweep engine: parallel/serial identity, artifact-store
 round trips of job results and memos, and content-keyed invalidation."""
 
-import warnings
+import re
+from pathlib import Path
 
 import pytest
 
-from repro import envutil
 from repro.eval.engine import SimJob, SweepEngine, get_engine
 from repro.eval.experiments import clear_caches, simulate
 from repro.perf.cache import cache_stats, cached_load_dataset
@@ -277,13 +277,12 @@ class TestChunkSplitting:
         assert keys == set(jobs)
 
     def test_threshold_env_knob(self, monkeypatch):
-        from repro.eval.engine import _chunk_key
+        from repro.eval import engine as engine_mod
 
         job = SimJob.from_call("mega", "powerlaw-10k", "gcn")
-        monkeypatch.setenv("REPRO_CHUNK_SPLIT_NODES", "5000")
-        assert _chunk_key(job) == job
-        monkeypatch.setenv("REPRO_CHUNK_SPLIT_NODES", "not-a-number")
-        assert _chunk_key(job) == ("powerlaw-10k", 0)
+        assert engine_mod._chunk_key(job) == ("powerlaw-10k", 0)
+        monkeypatch.setattr(engine_mod, "_CHUNK_SPLIT_NODES", 5000)
+        assert engine_mod._chunk_key(job) == job
 
     def test_paper_datasets_carry_size_hints(self):
         from repro.registry import get_dataset
@@ -297,15 +296,10 @@ class TestSupervisionPolicy:
     """Engine-level retry/timeout/degrade plumbing (the chaos suite in
     ``test_chaos.py`` exercises the full fault matrix)."""
 
-    def test_policy_defaults_come_from_env(self, tmp_path, monkeypatch):
-        engine = SweepEngine(workers=0, cache_dir=tmp_path)
-        assert (engine.retries, engine.timeout, engine.backoff) \
-            == (0, 0.0, 0.05)
-        monkeypatch.setenv("REPRO_JOB_RETRIES", "3")
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "12.5")
-        monkeypatch.setenv("REPRO_JOB_BACKOFF", "0.5")
-        assert (engine.retries, engine.timeout, engine.backoff) \
-            == (3, 12.5, 0.5)
+    def test_policy_defaults_come_from_env(self, tmp_path):
+        engine = SweepEngine(cache_dir=tmp_path)
+        assert (engine.workers, engine.retries, engine.timeout,
+                engine.backoff, engine.batch) == (0, 0, 0.0, 0.05, True)
         pinned = SweepEngine(workers=0, cache_dir=tmp_path, retries=1,
                              timeout=2.0, backoff=0.1)
         assert (pinned.retries, pinned.timeout, pinned.backoff) \
@@ -376,45 +370,20 @@ def test_default_engine_is_shared():
     assert get_engine() is get_engine()
 
 
-class TestEnvHardening:
-    """Malformed REPRO_* env values warn once and fall back (repro.envutil)."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warnings(self):
-        envutil.reset_warned()
-        yield
-        envutil.reset_warned()
-
-    def test_malformed_int_warns_once_then_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "abc")
-        with pytest.warns(RuntimeWarning, match="REPRO_SWEEP_WORKERS"):
-            assert envutil.env_int("REPRO_SWEEP_WORKERS", 0) == 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert envutil.env_int("REPRO_SWEEP_WORKERS", 0) == 0
-
-    def test_malformed_float_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "abc")
-        with pytest.warns(RuntimeWarning, match="REPRO_JOB_TIMEOUT"):
-            assert envutil.env_float("REPRO_JOB_TIMEOUT", 0.0) == 0.0
-
-    def test_nan_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOB_BACKOFF", "nan")
-        with pytest.warns(RuntimeWarning, match="REPRO_JOB_BACKOFF"):
-            assert envutil.env_float("REPRO_JOB_BACKOFF", 0.05) == 0.05
-
-    def test_values_below_minimum_are_clamped(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOB_RETRIES", "-3")
-        assert envutil.env_int("REPRO_JOB_RETRIES", 0, minimum=0) == 0
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "-1.5")
-        assert envutil.env_float("REPRO_JOB_TIMEOUT", 0.0, minimum=0.0) == 0.0
-
-    def test_engine_survives_malformed_timeout_env(self, monkeypatch,
-                                                   tmp_path):
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "abc")
-        monkeypatch.setenv("REPRO_JOB_RETRIES", "oops")
-        engine = SweepEngine(cache_dir=tmp_path)
-        with pytest.warns(RuntimeWarning, match="REPRO_JOB_TIMEOUT"):
-            assert engine.timeout == 0.0
-        with pytest.warns(RuntimeWarning, match="REPRO_JOB_RETRIES"):
-            assert engine.retries == 0
+class TestEnvironmentSurface:
+    def test_repro_names_under_src_match_the_readme_table(self):
+        """The environment names only deployment locations and the fault
+        harness; every tuning setting is a flag or constructor argument.
+        README's knob table lists exactly the names the package reads."""
+        root = Path(__file__).resolve().parents[1]
+        names = {match for path in (root / "src").rglob("*.py")
+                 for match in re.findall(r"REPRO_[A-Z0-9_]+",
+                                         path.read_text())}
+        assert names == {"REPRO_CACHE_DIR", "REPRO_FAULTS",
+                         "REPRO_FAULTS_SEED", "REPRO_REMOTE_URL",
+                         "REPRO_SERVE_URL"}
+        readme = (root / "README.md").read_text()
+        section = readme.split("### Environment knobs", 1)[1]
+        section = section.split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", section, re.M)
+        assert sorted(rows) == sorted(names)

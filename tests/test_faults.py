@@ -55,17 +55,33 @@ class TestFaultInjector:
             injector.on_job("job", attempt=0)
         injector.on_job("job", attempt=1)  # retries converge
 
-    def test_kill_downgrades_to_raise_outside_worker(self, monkeypatch):
-        monkeypatch.delenv(faults.ENV_WORKER, raising=False)
+    def test_kill_downgrades_to_raise_outside_worker(self):
         injector = FaultInjector(parse_fault_spec("kill=1"))
         with pytest.raises(InjectedFault, match="downgraded"):
             injector.on_job("job", attempt=0)
 
-    def test_hang_downgrades_to_raise_without_timeout(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
+    def test_hang_downgrades_to_raise_without_timeout(self):
         injector = FaultInjector(parse_fault_spec("hang=1"))
-        with pytest.raises(InjectedFault, match="no REPRO_JOB_TIMEOUT"):
+        with pytest.raises(InjectedFault, match="the job has no timeout"):
             injector.on_job("job", attempt=0)
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "worker"])
+    def test_hang_honours_the_engine_timeout(self, tmp_path, monkeypatch,
+                                            workers):
+        """A hang sleeps past the deadline the engine enforces, serial
+        or in a worker, so the job fails as a timeout with no deadline
+        in the environment."""
+        from repro.eval.engine import SimJob, SweepEngine
+
+        monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
+        engine = SweepEngine(workers=workers, cache_dir=tmp_path,
+                             timeout=0.5, retries=0)
+        jobs = [SimJob.from_call(name, "cora", "gcn")
+                for name in ("gcnax", "hygcn")]
+        with inject_faults(hang=1.0):
+            engine.run(jobs, on_error="degrade")
+        assert [(f.kind, f.error_type) for f in engine.failures] \
+            == [("timeout", "JobTimeout")] * len(jobs)
 
     def test_cache_readonly_raises_permission_error(self):
         injector = FaultInjector(parse_fault_spec("cache_readonly=1"))

@@ -175,11 +175,11 @@ class TestEngineReadThrough:
             assert warm.executed_jobs == 1
             with ServerThread(ServeConfig(port=0, quiet=True)) as handle:
                 monkeypatch.setenv("REPRO_REMOTE_URL", handle.url)
-                monkeypatch.setenv("REPRO_REMOTE_BACKOFF", "0.01")
                 with inject_faults("net_corrupt=0.5,net_503=0.3", seed=5):
                     worker = SweepEngine(
                         workers=0, cache_dir=tmp_path / "worker-cache")
                     assert worker.remote is not None  # wired from env
+                    worker.remote.backoff = 0.01
                     rows = worker.run(jobs)
         assert worker.executed_jobs == 0  # replayed, never re-executed
         import pickle
@@ -194,16 +194,14 @@ class TestEngineReadThrough:
         worker.run(jobs)
         assert worker.remote.fetches == fetches
 
-    def test_unreachable_remote_degrades_to_execution(self, tmp_path,
-                                                      monkeypatch):
+    def test_unreachable_remote_degrades_to_execution(self, tmp_path):
         from repro.eval.engine import SimJob, SweepEngine
 
-        monkeypatch.setenv("REPRO_REMOTE_URL", "127.0.0.1:1")
-        monkeypatch.setenv("REPRO_REMOTE_RETRIES", "0")
-        monkeypatch.setenv("REPRO_REMOTE_BACKOFF", "0.01")
-        monkeypatch.setenv("REPRO_REMOTE_TIMEOUT", "2")
         with temporary_cache_dir(tmp_path / "cache"):
-            engine = SweepEngine(workers=0, cache_dir=tmp_path / "cache")
+            remote = RemoteStore("127.0.0.1:1", retries=0, backoff=0.01,
+                                 timeout=2)
+            engine = SweepEngine(workers=0, cache_dir=tmp_path / "cache",
+                                 remote=remote)
             jobs = [SimJob.from_call("gcnax", "cora", "gcn")]
             rows = engine.run(jobs)
         assert engine.executed_jobs == 1  # never a hung sweep

@@ -292,32 +292,15 @@ class TestDegradedArtifacts:
                 run_experiment("stall_table", datasets=("cora",),
                                fail_fast=True)
 
-    def test_fail_fast_default_from_env(self, sweep_engine, monkeypatch):
+    def test_library_default_is_fail_fast(self, sweep_engine):
+        """Without fail_fast, run_experiment raises — the legacy runner
+        semantics; degrade is opt-in (the CLI passes fail_fast=False
+        explicitly)."""
         from repro.faults import InjectedFault, inject_faults
 
-        monkeypatch.setenv("REPRO_FAIL_FAST", "1")
         with inject_faults(raise_=1.0):
             with pytest.raises(InjectedFault):
                 run_experiment("stall_table", datasets=("cora",))
-
-    def test_library_default_is_fail_fast(self, sweep_engine, monkeypatch):
-        """Without fail_fast or REPRO_FAIL_FAST, run_experiment raises —
-        the legacy runner semantics; degrade is opt-in (the CLI passes
-        fail_fast=False explicitly)."""
-        from repro.faults import InjectedFault, inject_faults
-
-        monkeypatch.delenv("REPRO_FAIL_FAST", raising=False)
-        with inject_faults(raise_=1.0):
-            with pytest.raises(InjectedFault):
-                run_experiment("stall_table", datasets=("cora",))
-
-    def test_env_can_opt_into_degrade(self, sweep_engine, monkeypatch):
-        from repro.faults import inject_faults
-
-        monkeypatch.setenv("REPRO_FAIL_FAST", "0")
-        with inject_faults(raise_=1.0):
-            artifact = run_experiment("stall_table", datasets=("cora",))
-        assert artifact.metadata["jobs"]["failed"] > 0
 
     def test_clean_run_has_no_errors_section(self, sweep_engine):
         artifact = run_experiment("stall_table", datasets=("cora",))

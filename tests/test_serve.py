@@ -277,6 +277,66 @@ class TestServeFaults:
             assert err.value.status == 503
 
 
+def _serve_in_process(monkeypatch, argv, probe):
+    """``repro serve <argv>`` in-process, with ``probe(server)`` run in
+    place of the event loop; returns what the probe returned."""
+    from repro.cli import main
+
+    seen = []
+
+    async def run(server):
+        seen.append(probe(server))
+        return 0
+
+    monkeypatch.setattr(ReproServer, "run", run)
+    assert main(["serve", "--port", "0", "--quiet", "--no-journal",
+                 *argv]) == 0
+    return seen[0]
+
+
+def _failed_under(server, **faults):
+    """Error types of one served stall_table run under ``faults``."""
+    with inject_faults(**faults):
+        result = server._execute_sync("stall_table", None,
+                                      {"datasets": ["cora"]}, None)
+    return [e["error_type"]
+            for e in result["artifact"]["metadata"].get("errors", [])]
+
+
+class TestServeFlags:
+    """Each `repro serve` flag reaches the server or the engine it runs
+    on, and the engine's settings are restored when the command ends."""
+
+    @pytest.mark.parametrize("argv, probe, expected", [
+        (["--queue-depth", "3"], lambda server: server.queue_depth, 3),
+        (["--deadline", "1.5"], lambda server: server.deadline_s, 1.5),
+        (["--drain-grace", "4"], lambda server: server.drain_grace_s, 4.0),
+        (["--retries", "1"], lambda server: _failed_under(server, raise_=1.0),
+         []),
+        (["--timeout", "2"],
+         lambda server: _failed_under(server, hang=(1.0, 1)), ["JobTimeout"]),
+    ], ids=["queue-depth", "deadline", "drain-grace", "retries", "timeout"])
+    def test_flag_takes_effect(self, serve_cache, monkeypatch, argv, probe,
+                               expected):
+        from repro.eval.engine import get_engine
+
+        assert _serve_in_process(monkeypatch, argv, probe) == expected
+        engine = get_engine()
+        assert (engine.retries, engine.timeout) == (0, 0.0)
+
+    def test_submit_client_retries(self, serve_cache, sleeper, capsys):
+        from repro.cli import main
+
+        with _thread_server() as handle:
+            argv = ["submit", "_serve_sleeper", "--url", handle.url,
+                    "--quiet"]
+            with inject_faults("serve_reject=1:1", seed=3):
+                assert main(argv + ["--client-retries", "0"]) == 2
+            assert "HTTP 503" in capsys.readouterr().err
+            with inject_faults("serve_reject=1:1", seed=3):
+                assert main(argv + ["--client-retries", "1"]) == 0
+
+
 class TestRecovery:
     def test_boot_readopts_unfinished_serve_runs(self, serve_cache):
         # A serve-origin journal with a header but no run-complete marker
@@ -339,7 +399,7 @@ class TestLoadGenerator:
 def _spawn_serve(cache_dir, port_file, extra_env=None, args=()):
     env = dict(os.environ, PYTHONPATH=SRC_ROOT,
                REPRO_CACHE_DIR=str(cache_dir))
-    for name in ("REPRO_FAULTS", "REPRO_FAULTS_SEED", "REPRO_JOB_TIMEOUT"):
+    for name in ("REPRO_FAULTS", "REPRO_FAULTS_SEED"):
         env.pop(name, None)
     env.update(extra_env or {})
     proc = subprocess.Popen(
@@ -396,8 +456,8 @@ class TestDaemonLifecycle:
         # the daemon dies mid-run with an unfinished journal.
         proc, url = _spawn_serve(
             cache, tmp_path / "port1",
-            extra_env={"REPRO_FAULTS": "hang=1:1", "REPRO_FAULTS_SEED": "0",
-                       "REPRO_JOB_TIMEOUT": "600"})
+            extra_env={"REPRO_FAULTS": "hang=1:1", "REPRO_FAULTS_SEED": "0"},
+            args=("--timeout", "600"))
         try:
             client = ServeClient(url)
             assert client.wait_ready(60)
