@@ -69,10 +69,11 @@ serial, the default), ``retries`` (retry budget per job after a
 failure, timeout or worker death; default 0), ``timeout`` (per-job
 deadline in seconds, enforced in-process via SIGALRM and backstopped by
 the supervisor's watchdog kill for worker processes; default 0:
-disabled), ``backoff`` (base of the exponential retry backoff, default
-0.05 s; attempt ``n`` waits ``backoff * 2**n``) and ``batch`` (batched
-simulation of same-dataset job groups; ``False`` forces the scalar
-per-job path).  The environment names only where things live:
+disabled) and ``backoff`` (base of the exponential retry backoff,
+default 0.05 s; attempt ``n`` waits ``backoff * 2**n``).  Batched
+simulation needs no setting: a group of at least two pending jobs
+sharing a workload recipe is batched unless a per-job ``timeout`` is
+set.  The environment names only where things live:
 ``REPRO_CACHE_DIR`` is the root of the artifact store (default
 ``~/.cache/repro``) and ``REPRO_REMOTE_URL`` a ``repro serve`` daemon
 to fetch missing results from.
@@ -131,8 +132,8 @@ class SimJob:
                   target_average_bits: Optional[float] = None,
                   seed: int = 0) -> "SimJob":
         variant = tuple(sorted((mega_kwargs or {}).items()))
-        return cls(accelerator, dataset, model, variant,
-                   target_average_bits, seed)
+        return cls(accelerator.lower(), dataset.lower(), model.lower(),
+                   variant, target_average_bits, seed)
 
     @property
     def precision(self) -> str:
@@ -206,24 +207,32 @@ def _workload_key(dataset: str, model: str, precision: str,
             target_average_bits, seed)
 
 
-def _build_workload_cached(dataset: str, model: str, precision: str,
-                           target_average_bits: Optional[float],
-                           seed: int) -> Workload:
-    from ..sim.workload import build_workload
+def _workloads(dataset: str, model: str, precision: str, seed: int,
+               targets: Sequence[Optional[float]]) -> List[Workload]:
+    """The workloads of one recipe at each of ``targets``, memoized.
 
-    key = _workload_key(dataset, model, precision, target_average_bits, seed)
-    return _WORKLOAD_MEMO.get_or_compute(
-        key,
-        lambda: build_workload(
-            dataset, model, precision, seed=seed,
-            graph=cached_load_dataset(dataset, scale="sim", seed=seed),
-            target_average_bits=target_average_bits,
-        ))
+    Targets missing from ``_WORKLOAD_MEMO`` are built in one
+    :func:`~repro.sim.workload.build_workload_batch` call, sharing the
+    graph load, sampling, degree ranking and feature-stats arrays, so
+    every job of a recipe in this process sees the same objects.
+    """
+    def key(target: Optional[float]) -> tuple:
+        return _workload_key(dataset, model, precision, target, seed)
 
+    found = {target: _WORKLOAD_MEMO.get(key(target))
+             for target in dict.fromkeys(targets)}
+    missing = [target for target, workload in found.items()
+               if workload is None]
+    if missing:
+        from ..sim.workload import build_workload_batch
 
-def _build_job_workload(job: SimJob) -> Workload:
-    return _build_workload_cached(job.dataset, job.model, job.precision,
-                                  job.target_average_bits, job.seed)
+        graph = cached_load_dataset(dataset, scale="sim", seed=seed)
+        fresh = build_workload_batch(dataset, model, precision=precision,
+                                     seed=seed, graph=graph,
+                                     targets=tuple(missing))
+        for target, workload in zip(missing, fresh):
+            found[target] = _WORKLOAD_MEMO.put(key(target), workload)
+    return [found[target] for target in targets]
 
 
 def _execute_train_job(job: TrainJob):
@@ -240,7 +249,7 @@ def _execute_train_job(job: TrainJob):
 
 
 # ----------------------------------------------------------------------
-# Batched simulation (ROADMAP item 5).
+# Batched simulation.
 #
 # The supervision layer's ``prepare`` hook hands the execute process its
 # whole job list (serial) or chunk (worker) before the per-job loop
@@ -298,51 +307,17 @@ def plan_sim_batches(jobs: Sequence) -> List[List["SimJob"]]:
     return batches
 
 
-def _group_workloads(members: List["SimJob"]) -> Dict[Optional[float], Workload]:
-    """Build (or reuse) the workloads of one batch group, per target.
-
-    Missing targets are built in one :func:`build_workload_batch` call —
-    sharing the graph load, sampling, degree ranking and feature-stats
-    arrays — and published into ``_WORKLOAD_MEMO`` so scalar fallbacks
-    and later sweeps see the exact same objects.
-    """
-    first = members[0]
-    precision = first.precision
-    targets = list(dict.fromkeys(job.target_average_bits for job in members))
-    keys = {target: _workload_key(first.dataset, first.model, precision,
-                                  target, first.seed)
-            for target in targets}
-    built: Dict[Optional[float], Workload] = {}
-    missing: List[Optional[float]] = []
-    for target in targets:
-        cached = _WORKLOAD_MEMO.get(keys[target])
-        if cached is not None:
-            built[target] = cached
-        else:
-            missing.append(target)
-    if missing:
-        from ..sim.workload import build_workload_batch
-
-        graph = cached_load_dataset(first.dataset, scale="sim",
-                                    seed=first.seed)
-        fresh = build_workload_batch(first.dataset, first.model,
-                                     precision=precision, seed=first.seed,
-                                     graph=graph, targets=tuple(missing))
-        for target, workload in zip(missing, fresh):
-            built[target] = _WORKLOAD_MEMO.put(keys[target], workload)
-    return built
-
-
 def _prepare_batch(members: List["SimJob"]) -> bool:
     """Batch-evaluate one group into the stash; False = scalar fallback."""
     from ..sim.batched import simulate_batch
 
+    first = members[0]
     try:
-        workloads_by_target = _group_workloads(members)
+        workloads = _workloads(first.dataset, first.model, first.precision,
+                               first.seed,
+                               [job.target_average_bits for job in members])
         models = [get_accelerator(job.accelerator).build(**dict(job.variant))
                   for job in members]
-        workloads = [workloads_by_target[job.target_average_bits]
-                     for job in members]
         reports = simulate_batch(models, workloads)
     except Exception:
         return False         # jobs execute (and report errors) scalar-ly
@@ -389,7 +364,8 @@ def _execute_job(job, attempt: int = 0):
     stashed = _BATCH_STASH.pop(job, _BATCH_MISSING)
     if stashed is not _BATCH_MISSING:
         return stashed
-    workload = _build_job_workload(job)
+    workload, = _workloads(job.dataset, job.model, job.precision, job.seed,
+                           (job.target_average_bits,))
     entry = get_accelerator(job.accelerator)
     # entry.build rejects variant kwargs on fixed-configuration presets.
     return entry.build(**dict(job.variant)).simulate(workload)
@@ -431,7 +407,7 @@ class SweepEngine:
                  cache_dir: Optional[os.PathLike] = None,
                  retries: int = 0, timeout: float = 0.0,
                  backoff: float = 0.05, journal=None,
-                 batch: bool = True, remote=None) -> None:
+                 remote=None) -> None:
         self.workers = max(int(workers), 0)
         self.reports = ContentCache("job_results")
         self.tables = ContentCache("tables")
@@ -468,8 +444,6 @@ class SweepEngine:
         # True once worker processes actually executed jobs (stays False
         # when the serial path or a fallback ran instead).
         self.pool_used = False
-        # Batched-simulation policy (False: the scalar reference path).
-        self.batch = bool(batch)
         # Honesty flags mirroring pool_used: did batched evaluation
         # actually stash reports, and at what realized group sizes?  On
         # the serial path these are ground truth (the hook runs in this
@@ -489,9 +463,9 @@ class SweepEngine:
         Batch preparation runs outside the per-job deadline machinery
         (SIGALRM / watchdog budgets are sized for one job, not a
         stacked group), so it is disabled whenever a job timeout is in
-        force — those sweeps keep today's scalar behavior exactly.
+        force — those sweeps run every job on the scalar path.
         """
-        if not self.batch or self.timeout > 0:
+        if self.timeout > 0:
             return None
 
         def prepare(jobs: Sequence) -> None:
@@ -724,8 +698,8 @@ class SweepEngine:
                     get_dataset(dataset).cache_token, key]
         workload, _art_id = self.artifacts.get_or_build(
             "memo", {"key": memo_key},
-            lambda: _build_workload_cached(dataset, model, precision,
-                                           target_average_bits, seed))
+            lambda: _workloads(dataset, model, precision, seed,
+                               (target_average_bits,))[0])
         return _WORKLOAD_MEMO.put(key, workload)
 
     def graph(self, dataset: str, seed: int = 0):

@@ -196,6 +196,7 @@ def run_serial(jobs: Sequence, execute: Callable[[object, int], object],
                timeout: float = 0.0, retries: int = 0, backoff: float = 0.05,
                fail_fast: bool = True,
                prepare: Optional[Callable[[Sequence], None]] = None,
+               first_attempts: Optional[Sequence[int]] = None,
                ) -> List[JobFailure]:
     """Execute ``jobs`` in-process under the retry/deadline policy.
 
@@ -209,12 +210,18 @@ def run_serial(jobs: Sequence, execute: Callable[[object, int], object],
     before execution starts (outside the per-job deadline) — the
     engine's batched-simulation hook; its failures are suppressed and
     the jobs just execute individually.
+
+    ``first_attempts``, when given, is each job's starting attempt
+    (default 0): a job whose earlier attempts ran in a worker resumes
+    where it left off, under the same total budget.
     """
     _run_prepare(prepare, jobs)
+    if first_attempts is None:
+        first_attempts = [0] * len(jobs)
     failures: List[JobFailure] = []
-    for job in jobs:
+    for job, first_attempt in zip(jobs, first_attempts):
         started = time.perf_counter()
-        for attempt in range(retries + 1):
+        for attempt in range(first_attempt, retries + 1):
             try:
                 with job_deadline(timeout):
                     result = execute(job, attempt)
@@ -416,36 +423,18 @@ class Supervisor:
 
     def _run_inline(self, pending: deque, on_result,
                     fail_fast: bool) -> List[JobFailure]:
-        """Finish the not-yet-dispatched tail in-process (no fork)."""
+        """Finish the not-yet-dispatched tail in-process (no fork),
+        each job resuming at the attempt its worker already used up."""
         jobs: List = []
         attempts: List[int] = []
         for task in pending:
             jobs.extend(task.jobs)
             attempts.extend(task.attempts)
         pending.clear()
-        _run_prepare(self.prepare, jobs)
-        failures: List[JobFailure] = []
-        for job, first_attempt in zip(jobs, attempts):
-            started = time.perf_counter()
-            for attempt in range(first_attempt, self.retries + 1):
-                try:
-                    with job_deadline(self.timeout):
-                        result = self.execute(job, attempt)
-                except Exception as exc:
-                    if attempt < self.retries:
-                        time.sleep(backoff_delay(self.backoff, attempt,
-                                                 repr(job)))
-                        continue
-                    if fail_fast:
-                        raise
-                    failures.append(_failure_from_exception(
-                        job, exc, attempt + 1, time.perf_counter() - started))
-                    break
-                else:
-                    on_result(job, result, attempt + 1,
-                              time.perf_counter() - started)
-                    break
-        return failures
+        return run_serial(jobs, self.execute, on_result,
+                          timeout=self.timeout, retries=self.retries,
+                          backoff=self.backoff, fail_fast=fail_fast,
+                          prepare=self.prepare, first_attempts=attempts)
 
     def _new_deadline(self) -> Optional[float]:
         if self.timeout <= 0:

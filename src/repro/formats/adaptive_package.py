@@ -50,6 +50,13 @@ class PackageConfig:
     medium: int = 128
     long: int = 192
 
+    def __post_init__(self) -> None:
+        for level, bits in zip(("short", "medium", "long"), self.lengths):
+            if bits <= HEADER_BITS:
+                raise ValueError(
+                    f"package length {level}={bits} cannot hold the "
+                    f"{HEADER_BITS}-bit header")
+
     @property
     def lengths(self) -> Tuple[int, int, int]:
         return (self.short, self.medium, self.long)
@@ -351,52 +358,26 @@ class AdaptivePackageFormat(SparseFormat):
 
     def measure(self, nnz_per_node: np.ndarray, bits_per_node: np.ndarray,
                 feature_dim: int) -> FormatReport:
-        """Exact footprint from statistics, mirroring the greedy encoder.
-
-        Runs of consecutive nodes sharing a bitwidth map to one register
-        run, exactly as the encoder behaves; the per-run Python loop of
-        the seed (kept as
-        :func:`repro.perf.reference.measure_adaptive_package_reference`)
-        is replaced by pure-integer array arithmetic over the runs, so
-        the result is bit-identical.
-        """
-        nnz = np.asarray(nnz_per_node, dtype=np.int64)
-        bits = np.asarray(bits_per_node, dtype=np.int64)
-
-        boundaries = np.nonzero(np.diff(bits))[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        stops = np.concatenate([boundaries, [len(bits)]])
-        run_bits = bits[starts]
-        offsets = np.concatenate([[0], np.cumsum(nnz)])
-        run_total = offsets[stops] - offsets[starts]
-        num_pkg, pkg_bits, padding = self._run_package_stats(
-            run_bits, run_total, np.zeros(len(run_bits), dtype=np.int64), 1)
-        num_packages = int(num_pkg[0])
-        package_bits = int(pkg_bits[0])
-        index_bits = int(node_index_bits(nnz, feature_dim).sum())
-        return FormatReport(
-            self.name,
-            package_bits + index_bits,
-            {
-                "packages": package_bits,
-                "bitmap": index_bits,
-                "padding": int(padding[0]),
-                "headers": HEADER_BITS * num_packages,
-                "num_packages": num_packages,
-            },
-        )
+        """Exact footprint from statistics, mirroring the greedy encoder:
+        a one-row :meth:`measure_batch`, bit-identical to the seed's
+        per-run loop (kept as
+        :func:`repro.perf.reference.measure_adaptive_package_reference`)."""
+        return self.measure_batch(
+            nnz_per_node, np.asarray(bits_per_node)[None, :], feature_dim)[0]
 
     def measure_batch(self, nnz_per_node: np.ndarray, bits_stack: np.ndarray,
                       feature_dim: int) -> List[FormatReport]:
-        """:meth:`measure` for J jobs sharing one sparsity pattern.
+        """Exact footprints of J jobs sharing one sparsity pattern.
 
         ``bits_stack`` is (J, N) — one per-node bitwidth row per job —
-        while ``nnz_per_node`` (N,) is shared.  All J jobs are measured
-        in one stacked pass: run boundaries are found on the flattened
-        stack (with forced breaks at row edges so registers never span
-        jobs) and package counts accumulate into per-job slots.  Each
-        returned report is bit-identical to calling :meth:`measure` on
-        the corresponding row.
+        while ``nnz_per_node`` (N,) is shared.  Runs of consecutive
+        nodes sharing a bitwidth map to one register run, exactly as
+        the encoder behaves.  All J jobs are measured in one stacked
+        pass: run boundaries are found on the flattened stack (with
+        forced breaks at row edges so registers never span jobs) and
+        package counts accumulate into per-job slots with pure-integer
+        array arithmetic, so each report is bit-identical to the seed
+        loop on its row.
         """
         nnz = np.asarray(nnz_per_node, dtype=np.int64)
         stack = np.ascontiguousarray(np.asarray(bits_stack, dtype=np.int64))

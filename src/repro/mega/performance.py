@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..formats import AdaptivePackageFormat, BitmapFormat
+from ..formats import AdaptivePackageFormat, BitmapFormat, FormatReport
 from ..paper_data import MEGA_TOTAL_POWER_MW
 from ..perf.cache import cached_partition
 from ..registry import ACCELERATORS, AcceleratorEntry
@@ -35,7 +35,18 @@ from .config import MegaConfig, mega_buffers
 if TYPE_CHECKING:
     from ..sim.workload import Workload
 
-__all__ = ["MegaModel"]
+__all__ = ["MegaModel", "output_nnz", "stored_bits"]
+
+
+def stored_bits(input_bits: np.ndarray) -> np.ndarray:
+    """Per-node storage bitwidths: MEGA stores <= 8-bit codes."""
+    return np.minimum(input_bits, 8)
+
+
+def output_nnz(num_nodes: int, f_out: int) -> np.ndarray:
+    """Per-node non-zeros of a layer's aggregated output feature map."""
+    return np.full(num_nodes, min(max(int(f_out * 0.5), 1), f_out),
+                   dtype=np.int64)
 
 
 class MegaModel(AcceleratorModel):
@@ -63,6 +74,43 @@ class MegaModel(AcceleratorModel):
                    structures: Optional[dict] = None) -> LayerCost:
         """One layer's cost; ``structures`` is an optional cross-job
         locality-structure memo supplied by the batched evaluator."""
+        layer = workload.layers[layer_index]
+        bits = stored_bits(layer.input_bits)
+        lane_groups = self.lane_groups(layer.input_nnz)
+        fmt = self._format()
+        out_nnz = output_nnz(workload.num_nodes, layer.out_dim)
+        return self.cost_from_row_stats(
+            workload, layer_index, lane_groups,
+            lane_bits=float((lane_groups * bits).sum()),
+            nnz_bits=float((layer.input_nnz * bits).sum()),
+            bits=bits,
+            input_report=fmt.measure(layer.input_nnz, bits, layer.in_dim),
+            output_report=fmt.measure(out_nnz, bits, layer.out_dim),
+            structures=structures)
+
+    def lane_groups(self, nnz: np.ndarray) -> np.ndarray:
+        """Per-node bit-serial lane groups of the Combination Engine."""
+        cfg = self.config
+        return np.ceil(nnz / (cfg.combination_tiles * cfg.bses_per_cpe))
+
+    def cost_from_row_stats(self, workload: Workload, layer_index: int,
+                            lane_groups: np.ndarray, *,
+                            lane_bits: float, nnz_bits: float,
+                            bits: np.ndarray, input_report: FormatReport,
+                            output_report: FormatReport,
+                            structures: Optional[dict] = None) -> LayerCost:
+        """The layer's cost from the statistics of its bits row.
+
+        ``lane_groups`` is the layer's :meth:`lane_groups` (it does not
+        depend on the bits), ``bits`` the row's :func:`stored_bits`
+        (Bitmap streams its maximum), ``lane_bits`` the sum of
+        ``lane_groups`` times ``bits``, ``nnz_bits`` the sum of
+        non-zeros times ``bits``, and the reports measure the input and
+        output feature maps in this model's storage format.  Every MEGA
+        formula lives here: :meth:`layer_cost` feeds it one row's
+        statistics, and the batched evaluator feeds it statistics
+        computed for many jobs in one stacked pass.
+        """
         from ..sim.locality import (shared_locality_structure,
                                     traffic_from_structure)
         from .condense import choose_num_parts
@@ -72,24 +120,18 @@ class MegaModel(AcceleratorModel):
         adjacency = workload.adjacency
         n, edges = workload.num_nodes, workload.num_edges
         f_out = layer.out_dim
-        bits = np.minimum(layer.input_bits, 8)  # MEGA stores <= 8-bit codes
 
         # ---- Combination Engine cycles --------------------------------
-        lane_groups = np.ceil(layer.input_nnz /
-                              (cfg.combination_tiles * cfg.bses_per_cpe))
         column_passes = math.ceil(f_out / cfg.cpes_per_tile)
-        bit_serial_cycles = float((lane_groups * bits).sum()) * column_passes
-
-        fmt = self._format()
-        report = fmt.measure(layer.input_nnz, bits, layer.in_dim)
         if self.storage == "adaptive-package":
-            num_packages = report.breakdown["num_packages"]
+            bit_serial_cycles = lane_bits * column_passes
+            num_packages = input_report.breakdown["num_packages"]
         else:
             # Bitmap streams fixed-width values: decoder work scales with
             # the max bitwidth, not each node's own (Fig. 19 ablation).
             max_bits = int(bits.max()) if len(bits) else 0
             bit_serial_cycles = float((lane_groups * max_bits).sum()) * column_passes
-            num_packages = math.ceil(report.total_bits / cfg.package.long)
+            num_packages = math.ceil(input_report.total_bits / cfg.package.long)
         decode_cycles = num_packages / cfg.combination_tiles
         combination_cycles = max(bit_serial_cycles, decode_cycles)
 
@@ -99,7 +141,7 @@ class MegaModel(AcceleratorModel):
         aggregation_cycles = max(aggregation_cycles, encode_cycles)
 
         # ---- DRAM traffic ----------------------------------------------
-        input_bytes = report.total_bits / 8.0
+        input_bytes = input_report.total_bits / 8.0
         traffic = self.dram.sequential_access(input_bytes, purpose="features_in")
         traffic.accumulate(self.dram.sequential_access(
             self.weight_traffic_bytes(layer, cfg.weight_bits), purpose="weights"))
@@ -127,13 +169,11 @@ class MegaModel(AcceleratorModel):
 
         # Aggregated output written back in packaged form (next layer's
         # input feature map, 8-bit codes at the learned bitwidths).
-        out_nnz = np.full(n, min(max(int(f_out * 0.5), 1), f_out), dtype=np.int64)
-        out_report = self._format().measure(out_nnz, bits, f_out)
         traffic.accumulate(self.dram.sequential_access(
-            out_report.total_bits / 8.0, purpose="features_out"))
+            output_report.total_bits / 8.0, purpose="features_out"))
 
         # ---- Energy -----------------------------------------------------
-        bitops = float((layer.input_nnz * bits).sum()) * cfg.weight_bits * f_out
+        bitops = nnz_bits * cfg.weight_bits * f_out
         pu_pj = bitops * self.energy.bitop_pj
         pu_pj += edges * f_out * self.energy.int_mac_pj(8, cfg.psum_bits)
         sram_bytes = (input_bytes + n * combined_bytes * 2.0

@@ -178,38 +178,6 @@ def synthesize_degree_aware_bits_batch(
     return out
 
 
-def _workload_base(entry, model_key: str, seed: int, graph: Optional[Graph]):
-    """Structural precompute shared by every variant of one
-    (dataset, model, seed): sampled adjacency, degrees, and the
-    rng-derived sparsity statistics.  The rng consumption order here is
-    exactly the seed ``build_workload`` sequence — and is independent of
-    the quantization target — which is what makes the batch builder
-    bit-identical to N scalar builds."""
-    spec = MODEL_SPECS[model_key]
-    if graph is None:
-        graph = entry.load(scale="sim", seed=seed)
-    rng = np.random.default_rng(seed + 17)
-
-    adjacency = graph.adjacency
-    if spec["sample"] is not None:
-        adjacency = graph.sample_neighbors(spec["sample"],
-                                           rng=np.random.default_rng(seed)).adjacency
-    n = adjacency.shape[0]
-    degrees = np.asarray(adjacency.astype(bool).sum(axis=1)).reshape(-1)
-
-    # Input layer: paper-scale feature length + per-node sparsity.
-    feature_dim, input_nnz = entry.feature_stats(rng=rng)
-    input_nnz = input_nnz[:n] if len(input_nnz) >= n else np.resize(input_nnz, n)
-
-    hidden = spec["hidden"]
-    hidden_density = entry.hidden_density(model_key)
-    spread = rng.lognormal(0.0, 0.25, size=n)
-    hidden_nnz = np.clip(
-        np.round(hidden * hidden_density * spread), 1, hidden
-    ).astype(np.int64)
-    return adjacency, n, degrees, feature_dim, input_nnz, hidden, hidden_nnz
-
-
 def build_workload(
     dataset: str,
     model_name: str,
@@ -231,44 +199,12 @@ def build_workload(
 
     ``dataset`` resolves through the dataset registry, so any registered
     scenario — a paper stand-in or a synthetic scale-sweep graph — feeds
-    the same simulators.
+    the same simulators.  This is a one-target
+    :func:`build_workload_batch`.
     """
-    model_key = model_name.lower()
-    entry = get_dataset(dataset)
-    adjacency, n, degrees, feature_dim, input_nnz, hidden, hidden_nnz = \
-        _workload_base(entry, model_key, seed, graph)
-
-    if precision == "fp32":
-        bits0 = np.full(n, 32, dtype=np.int64)
-        bits1 = np.full(n, 32, dtype=np.int64)
-    elif precision in ("int8", "uniform-int8"):
-        bits0 = np.full(n, 8, dtype=np.int64)
-        bits1 = np.full(n, 8, dtype=np.int64)
-    elif precision == "degree-aware":
-        target = target_average_bits or entry.average_bits(model_key)
-        # The Degree-Aware floor is 2 bits (Sec. V-C), so paper averages
-        # below ~2.4 would degenerate to an all-2-bit allocation with no
-        # high-precision tail; keep the tail the trained quantizer shows.
-        target = max(target, 2.4)
-        bits0 = synthesize_degree_aware_bits(degrees, target)
-        bits1 = synthesize_degree_aware_bits(degrees, target)
-    else:
-        raise ValueError(f"unknown precision {precision!r}")
-
-    weight_bits = 32 if precision == "fp32" else (8 if precision.endswith("int8") else 4)
-    layers = [
-        LayerSpec(feature_dim, hidden, input_nnz, bits0, weight_bits=weight_bits),
-        LayerSpec(hidden, entry.num_classes, hidden_nnz, bits1, weight_bits=weight_bits),
-    ]
-    return Workload(
-        name=f"{entry.name}-{model_key}-{precision}",
-        model_name=model_key,
-        dataset=entry.name,
-        adjacency=adjacency.tocsr(),
-        layers=layers,
-        precision=precision,
-        metadata={"feature_dim": feature_dim, "hidden": hidden},
-    )
+    return build_workload_batch(dataset, model_name, precision, seed=seed,
+                                graph=graph,
+                                targets=(target_average_bits,))[0]
 
 
 def build_workload_batch(
@@ -287,39 +223,60 @@ def build_workload_batch(
     rng-derived sparsity statistics are computed once; only the
     per-node bitwidth allocation varies per target, and that is
     synthesized as one stacked (T, n) pass.  Element ``i`` of the
-    result is bit-identical to
-    ``build_workload(..., target_average_bits=targets[i])``.
+    result depends on ``targets[i]`` alone, so it equals a one-target
+    build.
     """
     model_key = model_name.lower()
     entry = get_dataset(dataset)
-    adjacency, n, degrees, feature_dim, input_nnz, hidden, hidden_nnz = \
-        _workload_base(entry, model_key, seed, graph)
+    spec = MODEL_SPECS[model_key]
+    if graph is None:
+        graph = entry.load(scale="sim", seed=seed)
+    # The rng draws below do not depend on the quantization target, so
+    # every target sees the same structure.
+    rng = np.random.default_rng(seed + 17)
+
+    adjacency = graph.adjacency
+    if spec["sample"] is not None:
+        adjacency = graph.sample_neighbors(spec["sample"],
+                                           rng=np.random.default_rng(seed)).adjacency
+    n = adjacency.shape[0]
+    degrees = np.asarray(adjacency.astype(bool).sum(axis=1)).reshape(-1)
+
+    # Input layer: paper-scale feature length + per-node sparsity.
+    feature_dim, input_nnz = entry.feature_stats(rng=rng)
+    input_nnz = input_nnz[:n] if len(input_nnz) >= n else np.resize(input_nnz, n)
+
+    hidden = spec["hidden"]
+    hidden_density = entry.hidden_density(model_key)
+    spread = rng.lognormal(0.0, 0.25, size=n)
+    hidden_nnz = np.clip(
+        np.round(hidden * hidden_density * spread), 1, hidden
+    ).astype(np.int64)
     adjacency = adjacency.tocsr()
 
     if precision == "fp32":
-        rows0 = rows1 = [np.full(n, 32, dtype=np.int64)] * len(targets)
+        rows = [np.full(n, 32, dtype=np.int64)] * len(targets)
         weight_bits = 32
     elif precision in ("int8", "uniform-int8"):
-        rows0 = rows1 = [np.full(n, 8, dtype=np.int64)] * len(targets)
+        rows = [np.full(n, 8, dtype=np.int64)] * len(targets)
         weight_bits = 8
     elif precision == "degree-aware":
+        # The Degree-Aware floor is 2 bits (Sec. V-C), so paper averages
+        # below ~2.4 would degenerate to an all-2-bit allocation with no
+        # high-precision tail; keep the tail the trained quantizer shows.
         resolved = [max(t or entry.average_bits(model_key), 2.4) for t in targets]
-        stacked = synthesize_degree_aware_bits_batch(degrees, resolved)
-        # The scalar path synthesizes bits0 and bits1 independently (the
-        # function is deterministic, so they are equal-valued); hand out
-        # distinct arrays the same way.
-        rows0 = list(stacked)
-        rows1 = [row.copy() for row in stacked]
+        rows = list(synthesize_degree_aware_bits_batch(degrees, resolved))
         weight_bits = 4
     else:
         raise ValueError(f"unknown precision {precision!r}")
 
+    # Both layers carry the same per-node allocation.
     workloads = []
-    for bits0, bits1 in zip(rows0, rows1):
+    for bits in rows:
         layers = [
-            LayerSpec(feature_dim, hidden, input_nnz, bits0,
+            LayerSpec(feature_dim, hidden, input_nnz, bits,
                       weight_bits=weight_bits),
-            LayerSpec(hidden, entry.num_classes, hidden_nnz, bits1,
+            LayerSpec(hidden, entry.num_classes, hidden_nnz, bits,
                       weight_bits=weight_bits),
         ]
         workloads.append(Workload(

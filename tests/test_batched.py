@@ -1,17 +1,19 @@
 """Batched simulation: bit-identity against the scalar oracle.
 
-The contract under test (ROADMAP item 5): for every job,
+The contract under test: for every job,
 ``simulate_batch(models, workloads)[i]`` equals
 ``models[i].simulate(workloads[i])`` field for field — and the seed
 reference snapshots in :mod:`repro.perf.reference` pin the scalar side,
 so batched == scalar == seed.  On top of the core identity, the engine
 wiring must keep cache/artifact/journal semantics unchanged: warm
-replays execute zero jobs, ``SweepEngine(batch=False)`` forces the
-scalar path, and batch honesty flags report what actually ran.
+replays execute zero jobs, ``_SIM_BATCH_MAX = 1`` (every group a
+singleton) forces the scalar path, and batch honesty flags report what
+actually ran.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.eval.engine import (
     SimJob,
@@ -20,7 +22,7 @@ from repro.eval.engine import (
     prepare_sim_batch,
 )
 from repro.eval import engine as engine_mod
-from repro.formats import AdaptivePackageFormat, PackageConfig
+from repro.formats import HEADER_BITS, AdaptivePackageFormat, PackageConfig
 from repro.perf.cache import cached_load_dataset
 from repro.perf.reference import (
     average_feature_bits_reference,
@@ -28,7 +30,7 @@ from repro.perf.reference import (
 )
 from repro.perf.timers import Timer
 from repro.registry import ACCELERATORS, get_accelerator
-from repro.sim.batched import batchable_model, simulate_batch
+from repro.sim.batched import simulate_batch
 from repro.sim.workload import (
     build_workload,
     build_workload_batch,
@@ -96,10 +98,6 @@ class TestSimulateBatchIdentity:
         assert batched[0] == models[0].simulate(a)
         assert batched[1] == models[1].simulate(b)
 
-    def test_batchable_model_predicate(self):
-        assert batchable_model(get_accelerator("mega").build())
-        assert batchable_model(get_accelerator("hygcn").build())
-
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             simulate_batch([get_accelerator("mega").build()], [])
@@ -138,6 +136,43 @@ class TestMeasureBatch:
                 nnz, bits, 24, config=config)
             assert report.total_bits == scalar.total_bits == reference.total_bits
             assert report.breakdown == scalar.breakdown == reference.breakdown
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_inputs_match_reference(self, data):
+        """``measure`` and every ``measure_batch`` row equal the seed
+        loop on random inputs, failing where it fails (a run whose
+        bitwidth exceeds the long payload divides by zero)."""
+        n = data.draw(st.integers(1, 120))
+        rows = data.draw(st.integers(1, 4))
+        nnz = np.array(data.draw(st.lists(
+            st.one_of(st.just(0), st.integers(0, 40)),
+            min_size=n, max_size=n)), dtype=np.int64)
+        stack = np.array(data.draw(st.lists(
+            st.lists(st.integers(1, 8), min_size=n, max_size=n),
+            min_size=rows, max_size=rows)), dtype=np.int64)
+        level = st.integers(HEADER_BITS + 1, 256)
+        config = PackageConfig(data.draw(level), data.draw(level),
+                               data.draw(level))
+        feature_dim = data.draw(st.integers(1, 64))
+        fmt = AdaptivePackageFormat(config)
+
+        expected = []
+        for bits in stack:
+            try:
+                expected.append(measure_adaptive_package_reference(
+                    nnz, bits, feature_dim, config=config))
+            except ZeroDivisionError:
+                expected.append(None)
+                with pytest.raises(ZeroDivisionError):
+                    fmt.measure(nnz, bits, feature_dim)
+            else:
+                assert fmt.measure(nnz, bits, feature_dim) == expected[-1]
+        if any(report is None for report in expected):
+            with pytest.raises(ZeroDivisionError):
+                fmt.measure_batch(nnz, stack, feature_dim)
+        else:
+            assert fmt.measure_batch(nnz, stack, feature_dim) == expected
 
     def test_empty_batch_and_shape_guard(self):
         fmt = AdaptivePackageFormat()
@@ -227,14 +262,17 @@ _GRID = [SimJob.from_call(name, "cora", "gcn", target_average_bits=target)
 
 
 class TestEngineBatching:
-    def test_batched_equals_scalar_equals_warm(self, tmp_path):
-        scalar = _fresh_engine(tmp_path, "scalar", batch=False)
-        with Timer() as scalar_t:
-            reference = scalar.run(_GRID)
+    def test_batched_equals_scalar_equals_warm(self, tmp_path, monkeypatch):
+        scalar = _fresh_engine(tmp_path, "scalar")
+        with monkeypatch.context() as patch:
+            # A cap of 1 makes every group a singleton: nothing batches.
+            patch.setattr(engine_mod, "_SIM_BATCH_MAX", 1)
+            with Timer() as scalar_t:
+                reference = scalar.run(_GRID)
         assert not scalar.batch_used and scalar.batch_sizes == []
 
         engine_mod._WORKLOAD_MEMO.clear()
-        batched = _fresh_engine(tmp_path, "batched", batch=True)
+        batched = _fresh_engine(tmp_path, "batched")
         with Timer() as batched_t:
             results = batched.run(_GRID)
         assert batched.batch_used
@@ -251,21 +289,15 @@ class TestEngineBatching:
         assert not batched.batch_used
         assert all(replay[j] == reference[j] for j in _GRID)
 
-    def test_env_knob_disables_batching(self, tmp_path):
-        engine = _fresh_engine(tmp_path, "off", batch=False)
-        engine.run(_GRID[:4])
-        assert not engine.batch_used
-        # Batching is on unless the constructor turns it off.
-        assert _fresh_engine(tmp_path, "default").batch
-
     def test_batch_max_splits_groups(self, tmp_path, monkeypatch):
         monkeypatch.setattr(engine_mod, "_SIM_BATCH_MAX", 5)
         batches = plan_sim_batches(_GRID)
         assert [len(b) for b in batches] == [5, 5, 2]
-        engine = _fresh_engine(tmp_path, "split", batch=True)
+        engine = _fresh_engine(tmp_path, "split")
         results = engine.run(_GRID)
         assert engine.batch_sizes == [5, 5, 2]
-        scalar = _fresh_engine(tmp_path, "split-ref", batch=False)
+        monkeypatch.setattr(engine_mod, "_SIM_BATCH_MAX", 1)
+        scalar = _fresh_engine(tmp_path, "split-ref")
         engine_mod._WORKLOAD_MEMO.clear()
         reference = scalar.run(_GRID)
         assert all(results[j] == reference[j] for j in _GRID)
@@ -279,10 +311,9 @@ class TestEngineBatching:
         assert plan_sim_batches(mixed) == []
 
     def test_timeout_disables_prepare_hook(self, tmp_path):
-        engine = _fresh_engine(tmp_path, "deadline", batch=True, timeout=30.0)
+        engine = _fresh_engine(tmp_path, "deadline", timeout=30.0)
         assert engine._prepare_hook() is None
-        assert _fresh_engine(tmp_path, "free", batch=True)._prepare_hook() \
-            is not None
+        assert _fresh_engine(tmp_path, "free")._prepare_hook() is not None
 
     def test_prepare_stash_is_consumed_once(self):
         jobs = _GRID[:6]
@@ -296,7 +327,7 @@ class TestEngineBatching:
         engine_mod._BATCH_STASH.clear()
 
     def test_stats_carry_batch_flags(self, tmp_path):
-        engine = _fresh_engine(tmp_path, "stats", batch=True)
+        engine = _fresh_engine(tmp_path, "stats")
         engine.run(_GRID[:4])
         executed = engine.stats()["executed"]
         assert executed["batch_used"] is True

@@ -230,12 +230,15 @@ class TestParallelChaos:
                                  target_average_bits=target)
                 for name in ("mega", "mega-no-condense", "mega-bitmap")
                 for target in (None, 3.0, 4.0, 5.0, 6.0)]
-        baseline_engine = _fresh_engine(tmp_path, "clean", batch=False)
-        baseline = baseline_engine.run(jobs)
+        baseline_engine = _fresh_engine(tmp_path, "clean")
+        with monkeypatch.context() as patch:
+            # A cap of 1 makes every group a singleton: nothing batches.
+            patch.setattr(engine_mod, "_SIM_BATCH_MAX", 1)
+            baseline = baseline_engine.run(jobs)
         assert not baseline_engine.batch_used
 
         engine = SweepEngine(workers=2, cache_dir=tmp_path / "batch-kill",
-                             retries=3, backoff=0.0, batch=True)
+                             retries=3, backoff=0.0)
         with inject_faults(kill=0.2, corrupt_artifact=(1.0, 1),
                            seed=3) as injector:
             chaotic = engine.run(jobs)

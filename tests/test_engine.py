@@ -32,6 +32,15 @@ class TestSimJob:
         assert a == b and hash(a) == hash(b)
         assert a.variant_label == "condense=False+storage=bitmap"
 
+    def test_case_variants_are_one_job(self, sweep_engine):
+        upper = SimJob.from_call("MEGA", "Cora", "GCN")
+        lower = SimJob.from_call("mega", "cora", "gcn")
+        reports = sweep_engine.run([upper, lower])
+        assert sweep_engine.executed_jobs == 1
+        assert reports[upper] is reports[lower]
+        assert (sweep_engine.job_fingerprint(upper)
+                == sweep_engine.job_fingerprint(lower))
+
     def test_variant_on_baseline_rejected(self, sweep_engine):
         job = SimJob.from_call("hygcn", "cora", "gcn", {"condense": False})
         with pytest.raises(ValueError):
@@ -299,7 +308,7 @@ class TestSupervisionPolicy:
     def test_policy_defaults_come_from_env(self, tmp_path):
         engine = SweepEngine(cache_dir=tmp_path)
         assert (engine.workers, engine.retries, engine.timeout,
-                engine.backoff, engine.batch) == (0, 0, 0.0, 0.05, True)
+                engine.backoff) == (0, 0, 0.0, 0.05)
         pinned = SweepEngine(workers=0, cache_dir=tmp_path, retries=1,
                              timeout=2.0, backoff=0.1)
         assert (pinned.retries, pinned.timeout, pinned.backoff) \

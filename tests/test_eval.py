@@ -17,6 +17,7 @@ from repro.eval import (
     speedup_table,
     stall_table,
 )
+from repro.report import run_experiment
 
 WORKLOADS = (("cora", "gcn"), ("citeseer", "gcn"))
 
@@ -89,6 +90,13 @@ class TestStudies:
         values = list(out["cora"].values())
         assert min(values) == pytest.approx(1.0)
         assert all(v >= 1.0 for v in values)
+
+    def test_package_length_study_rejects_headerless_lengths(self):
+        """Lengths arrive as request parameters: a level that cannot
+        hold the header is refused, not ranked."""
+        with pytest.raises(ValueError, match="short=2"):
+            run_experiment("package_length_study", datasets=("cora",),
+                           settings=((2, 3, 4), (64, 128, 192)))
 
     def test_cr_sensitivity_monotone(self):
         """Fig. 22: speedup grows with compression ratio."""

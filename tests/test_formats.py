@@ -86,6 +86,20 @@ class TestAdaptivePackageInternals:
     def test_header_is_five_bits(self):
         assert HEADER_BITS == 5
 
+    @pytest.mark.parametrize("lengths,level", [
+        ((1, 1, 1), "short=1"),
+        ((64, HEADER_BITS, 192), "medium=5"),
+        ((64, 128, 0), "long=0"),
+    ])
+    def test_lengths_must_exceed_header(self, lengths, level):
+        with pytest.raises(ValueError, match=level):
+            PackageConfig(*lengths)
+
+    def test_smallest_legal_lengths(self):
+        length = HEADER_BITS + 1
+        cfg = PackageConfig(length, length, length)
+        assert cfg.capacity(2, 1) == 1
+
     def test_capacity(self):
         cfg = PackageConfig()
         assert cfg.capacity(0, 2) == (64 - 5) // 2

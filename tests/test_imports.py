@@ -291,8 +291,7 @@ def spy_fork():
     return fork()
 
 engine_mod._execute_job, os.fork = spy_execute, spy_fork
-engine = SweepEngine(workers=int(sys.argv[2]), cache_dir=sys.argv[1],
-                     batch=False)
+engine = SweepEngine(workers=int(sys.argv[2]), cache_dir=sys.argv[1])
 reports = engine.run([SimJob.from_call("mega", "cora", "gcn"),
                       SimJob.from_call("mega", "citeseer", "gcn")])
 seen["reports"] = len(reports)

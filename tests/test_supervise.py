@@ -282,6 +282,47 @@ class TestSupervisor:
         # time (>= the 0.4s the first job slept).
         assert failures[0].elapsed_s < 0.3
 
+    def test_inline_tail_when_fork_stops_working(self, tmp_path,
+                                                 monkeypatch):
+        """The first worker starts, every later ``Process.start()``
+        fails: the tail finishes in-process, each job lands once, and a
+        job that failed in the worker resumes at its next attempt."""
+        parent = os.getpid()
+        inline_calls = []
+
+        def execute(job, attempt):
+            if os.getpid() == parent:
+                inline_calls.append((job[0], attempt))
+            return _flaky_execute(job, attempt)
+
+        sup = Supervisor(workers=1, execute=execute, retries=1, backoff=0.0)
+
+        def refuse():
+            raise OSError("no more processes")
+
+        real_process = sup._ctx.Process
+        processes = []
+
+        def process(*args, **kwargs):
+            proc = real_process(*args, **kwargs)
+            if processes:
+                proc.start = refuse
+            processes.append(proc)
+            return proc
+
+        monkeypatch.setattr(sup._ctx, "Process", process)
+        landed = []
+        failures = sup.run(
+            [[("fail-a", str(tmp_path)), ("b", str(tmp_path))],
+             [("c", str(tmp_path))]],
+            lambda job, res, attempts, elapsed: landed.append(
+                (job[0], attempts)))
+        assert failures == []
+        assert sorted(landed) == [("b", 1), ("c", 1), ("fail-a", 2)]
+        assert sorted(inline_calls) == [("c", 0), ("fail-a", 1)]
+        assert sup.used_processes
+        assert sup._ctx is None
+
     def test_serial_fallback_without_fork(self, tmp_path):
         sup = Supervisor(workers=2, execute=_flaky_execute)
         sup._ctx = None  # simulate a platform without fork
