@@ -3,13 +3,14 @@ in-degree (the observation motivating Degree-Aware quantization)."""
 
 from conftest import once
 
-from repro.eval import degree_feature_magnitudes, print_table
+from repro.eval import print_table
 from repro.graphs.statistics import DEGREE_GROUPS
+from repro.report import run_experiment
 
 
 def test_fig03_feature_magnitude_by_degree(benchmark, quick):
-    out = once(benchmark, degree_feature_magnitudes, "cora", ("gcn", "gin"),
-               quick)
+    out = once(benchmark, run_experiment, "degree_feature_magnitudes",
+               dataset="cora", models=("gcn", "gin"), quick=quick).value
     labels = [f"[{lo},{min(hi, 168)}]" for lo, hi in DEGREE_GROUPS]
     rows = [[model] + vals for model, vals in out.items()]
     print_table(rows, ["model"] + labels,

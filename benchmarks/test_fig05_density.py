@@ -12,7 +12,7 @@ from repro.eval import print_table
 from repro.graphs import load_dataset
 from repro.graphs.statistics import density
 from repro.nn import TrainConfig, build_model, train
-from repro.sim.workload import FIG5_HIDDEN_DENSITY
+from repro.paper_data import FIG5_HIDDEN_DENSITY
 from repro.tensor import Tensor, no_grad
 
 

@@ -3,13 +3,15 @@ graphs, split into in-subgraph and sparse-connection traffic."""
 
 from conftest import once
 
-from repro.eval import locality_study, print_table
+from repro.eval import print_table
+from repro.report import run_experiment
 
 
 def _study(datasets):
     rows = []
     for dataset in datasets:
-        out = locality_study(dataset, strategies=("naive", "metis", "condense"))
+        out = run_experiment("locality_study", dataset=dataset,
+                             strategies=("naive", "metis", "condense")).value
         for strategy, vals in out.items():
             rows.append([dataset, strategy, vals["internal_mb"],
                          vals["cross_mb"], vals["total_mb"]])

@@ -7,12 +7,14 @@ variants for every workload, plus the geomean row the paper quotes
 
 from conftest import once
 
-from repro.eval import print_table, speedup_table
+from repro.eval import print_table
+from repro.report import run_experiment
 
 
 def test_fig14_speedup(benchmark, workloads):
     accelerators = ("hygcn", "gcnax", "grow", "sgcn", "hygcn-8bit", "gcnax-8bit")
-    table = once(benchmark, speedup_table, workloads, accelerators)
+    table = once(benchmark, run_experiment, "speedup_table",
+                 workloads=workloads, accelerators=accelerators).value
 
     rows = [[key] + [row[a] for a in accelerators] for key, row in table.items()]
     print_table(rows, ["workload"] + list(accelerators),

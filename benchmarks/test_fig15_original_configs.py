@@ -3,14 +3,16 @@ configurations (paper: 4.68x and 2.53x average, normalized to GCNAX)."""
 
 from conftest import once
 
-from repro.eval import original_config_comparison, print_table
+from repro.eval import print_table
 from repro.eval.reporting import geomean
+from repro.report import run_experiment
 
 
 def test_fig15_original_configurations(benchmark, quick):
     datasets = ("cora", "citeseer", "pubmed") if quick else \
         ("cora", "citeseer", "pubmed", "nell", "reddit")
-    out = once(benchmark, original_config_comparison, datasets)
+    out = once(benchmark, run_experiment, "original_config_comparison",
+               datasets=datasets).value
     rows = [[ds, row["gcnax"], row["grow"], row["mega"]]
             for ds, row in out.items()]
     print_table(rows, ["dataset", "gcnax", "grow", "mega"],

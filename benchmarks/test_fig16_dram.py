@@ -3,12 +3,14 @@
 
 from conftest import once
 
-from repro.eval import dram_table, print_table
+from repro.eval import print_table
+from repro.report import run_experiment
 
 
 def test_fig16_dram_reduction(benchmark, workloads):
     accelerators = ("hygcn", "gcnax", "grow", "sgcn")
-    table = once(benchmark, dram_table, workloads, accelerators)
+    table = once(benchmark, run_experiment, "dram_table",
+                 workloads=workloads, accelerators=accelerators).value
 
     rows = [[key] + [row[a] for a in accelerators] for key, row in table.items()]
     print_table(rows, ["workload"] + list(accelerators),

@@ -4,13 +4,15 @@ most on DRAM, e.g. 98.0x DRAM on Cora)."""
 
 from conftest import once
 
-from repro.eval import energy_breakdown_fig18, print_table
+from repro.eval import print_table
+from repro.report import run_experiment
 
 
 def test_fig18_energy_breakdown(benchmark, quick):
     datasets = ("cora", "citeseer", "pubmed") if quick else \
         ("cora", "citeseer", "pubmed", "nell", "reddit")
-    out = once(benchmark, energy_breakdown_fig18, datasets)
+    out = once(benchmark, run_experiment, "energy_breakdown_fig18",
+               datasets=datasets).value
     rows = []
     for dataset, accels in out.items():
         h = accels["hygcn"]

@@ -4,11 +4,13 @@ reduction, relative to HyGCN-C (paper: 4.8x -> 4.7x -> 1.1x speedups and
 
 from conftest import once
 
-from repro.eval import ablation_fig19, print_table
+from repro.eval import print_table
+from repro.report import run_experiment
 
 
 def test_fig19_technique_ablation(benchmark):
-    steps = once(benchmark, ablation_fig19, "cora", "gcn")
+    steps = once(benchmark, run_experiment, "ablation_fig19",
+                 dataset="cora", model="gcn").value
     order = ["hygcn-c", "quant+bitmap", "+adaptive-package", "+condense-edge"]
     base = steps["hygcn-c"]
     rows = []

@@ -3,11 +3,13 @@ Naive / METIS / GCoD / Condense locality strategies."""
 
 from conftest import once
 
-from repro.eval import locality_study, print_table, stall_table
+from repro.eval import print_table
+from repro.report import run_experiment
 
 
 def test_fig20a_pipeline_stall(benchmark):
-    table = once(benchmark, stall_table, ("cora", "citeseer", "pubmed"))
+    table = once(benchmark, run_experiment, "stall_table",
+                 datasets=("cora", "citeseer", "pubmed")).value
     rows = [[ds] + [row[a] for a in ("hygcn", "gcnax", "mega")]
             for ds, row in table.items()]
     print_table(rows, ["dataset", "hygcn", "gcnax", "mega"],
@@ -19,7 +21,8 @@ def test_fig20a_pipeline_stall(benchmark):
 
 
 def test_fig20b_locality_strategies(benchmark):
-    out = once(benchmark, locality_study, "cora")
+    out = once(benchmark, run_experiment, "locality_study",
+               dataset="cora").value
     rows = [[s, v["cross_mb"], v["total_mb"]] for s, v in out.items()]
     print_table(rows, ["strategy", "sparse_connections_MB", "total_MB"],
                 title="Fig. 20(b) — DRAM by locality strategy",

@@ -4,8 +4,9 @@ datasets, even though each dataset has its own optimum)."""
 
 from conftest import once
 
-from repro.eval import package_length_study, print_table
+from repro.eval import print_table
 from repro.eval.reporting import geomean
+from repro.report import run_experiment
 
 
 SETTINGS = ((16, 24, 32), (64, 128, 192), (160, 192, 296),
@@ -13,8 +14,9 @@ SETTINGS = ((16, 24, 32), (64, 128, 192), (160, 192, 296),
 
 
 def test_fig21_package_length_dse(benchmark):
-    out = once(benchmark, package_length_study,
-               ("cora", "citeseer", "pubmed"), SETTINGS)
+    out = once(benchmark, run_experiment, "package_length_study",
+               datasets=("cora", "citeseer", "pubmed"),
+               settings=SETTINGS).value
     rows = []
     for setting in SETTINGS:
         rows.append([str(setting)] + [out[ds][setting] for ds in out])

@@ -4,11 +4,13 @@ compression ratio on Cora, GCN and GIN (paper: scales well, e.g.
 
 from conftest import once
 
-from repro.eval import cr_sensitivity, print_table
+from repro.eval import print_table
+from repro.report import run_experiment
 
 
 def test_fig22_compression_sensitivity(benchmark):
-    out = once(benchmark, cr_sensitivity, "cora", ("gcn", "gin"))
+    out = once(benchmark, run_experiment, "cr_sensitivity", dataset="cora",
+               models=("gcn", "gin")).value
     rows = []
     for model, series in out.items():
         for cr, speedup in series.items():

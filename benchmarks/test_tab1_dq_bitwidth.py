@@ -4,13 +4,15 @@ CiteSeer GIN while CR grows 4x -> 8x)."""
 
 from conftest import full_mode, once
 
-from repro.eval import dq_bitwidth_sweep, print_table
+from repro.eval import print_table
+from repro.report import run_experiment
 
 
 def test_tab1_dq_bitwidth_sweep(benchmark, quick):
     dataset = "citeseer" if full_mode() else "cora"
-    out = once(benchmark, dq_bitwidth_sweep, dataset, "gin",
-               (8, 6, 4), quick)
+    out = once(benchmark, run_experiment, "dq_bitwidth_sweep",
+               dataset=dataset, model="gin", bitwidths=(8, 6, 4),
+               quick=quick).value
     rows = [[cfg, vals["accuracy"], vals["cr"]] for cfg, vals in out.items()]
     print_table(rows, ["config", "accuracy", "compression_ratio"],
                 title=f"Table I — DQ bitwidth sweep (GIN, {dataset})",

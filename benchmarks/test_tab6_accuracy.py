@@ -6,13 +6,15 @@ compressing further (up to 18.6x vs 8x), staying near FP32.
 
 from conftest import full_mode, once
 
-from repro.eval import accuracy_comparison, print_table
+from repro.eval import print_table
+from repro.report import run_experiment
 
 
 def test_tab6_accuracy_comparison(benchmark, quick):
     cases = (("cora", "gcn"), ("cora", "gin")) if full_mode() else \
         (("cora", "gcn"),)
-    out = once(benchmark, accuracy_comparison, cases, quick)
+    out = once(benchmark, run_experiment, "accuracy_comparison",
+               cases=cases, quick=quick).value
 
     rows = []
     for case, methods in out.items():

@@ -10,14 +10,8 @@ Run:  python examples/accelerator_comparison.py [--full]
 
 import sys
 
-from repro.eval import (
-    PAPER_WORKLOADS,
-    QUICK_WORKLOADS,
-    dram_table,
-    energy_table,
-    print_table,
-    speedup_table,
-)
+from repro.eval import PAPER_WORKLOADS, QUICK_WORKLOADS, print_table
+from repro.report import run_experiment
 
 ACCELERATORS = ("hygcn", "gcnax", "grow", "sgcn")
 
@@ -32,11 +26,12 @@ def main() -> None:
     workloads = PAPER_WORKLOADS if "--full" in sys.argv else QUICK_WORKLOADS
     print(f"simulating {len(workloads)} workloads x "
           f"{len(ACCELERATORS) + 1} accelerators ...")
-    show(speedup_table(workloads, ACCELERATORS),
+    params = dict(workloads=workloads, accelerators=ACCELERATORS)
+    show(run_experiment("speedup_table", **params).value,
          "MEGA speedup over baselines (Fig. 14)")
-    show(dram_table(workloads, ACCELERATORS),
+    show(run_experiment("dram_table", **params).value,
          "DRAM access reduction (Fig. 16)")
-    show(energy_table(workloads, ACCELERATORS),
+    show(run_experiment("energy_table", **params).value,
          "Energy savings (Fig. 17)")
     print("\npaper geomeans for reference: speedup 38.3/7.1/4.0/3.6x, "
           "DRAM 108.1/10.5/8.4/7.3x, energy 47.6/7.2/5.4/4.5x")

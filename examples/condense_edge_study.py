@@ -13,9 +13,10 @@ import sys
 
 import numpy as np
 
-from repro.eval import locality_study, print_table
+from repro.eval import print_table
 from repro.graphs import load_dataset, partition_graph
 from repro.mega import CondenseUnit, count_cross_accesses
+from repro.report import run_experiment
 
 
 def main(dataset: str = "cora") -> None:
@@ -45,7 +46,7 @@ def main(dataset: str = "cora") -> None:
           f"{plain} -> {condensed} ({plain / max(condensed, 1):.1f}x fewer)")
 
     print()
-    study = locality_study(dataset)
+    study = run_experiment("locality_study", dataset=dataset).value
     rows = [[s, v["internal_mb"], v["cross_mb"], v["total_mb"]]
             for s, v in study.items()]
     print_table(rows, ["strategy", "in_subgraphs_MB",

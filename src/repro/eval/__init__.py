@@ -21,21 +21,6 @@ _EXPORTS = {
     "BASELINE_NAMES": "experiments",
     "get_workload": "experiments",
     "simulate": "experiments",
-    "full_comparison": "experiments",
-    "speedup_table": "experiments",
-    "dram_table": "experiments",
-    "energy_table": "experiments",
-    "stall_table": "experiments",
-    "ablation_fig19": "experiments",
-    "locality_study": "experiments",
-    "package_length_study": "experiments",
-    "cr_sensitivity": "experiments",
-    "original_config_comparison": "experiments",
-    "energy_breakdown_fig18": "experiments",
-    "accuracy_comparison": "accuracy",
-    "accuracy_grid": "accuracy",
-    "dq_bitwidth_sweep": "accuracy",
-    "degree_feature_magnitudes": "accuracy",
     "geomean": "reporting",
     "format_table": "reporting",
     "print_table": "reporting",

@@ -7,10 +7,11 @@ deduplicated batch of :class:`~repro.eval.engine.TrainJob` — FP32
 baselines shared between tables train exactly once, warm reruns replay
 finished trainings from the on-disk cache (training zero models), and
 cold grids fan out over the engine's worker processes (``workers``).
-The legacy function names remain as shims returning the artifact's
-value bit-identically.  ``quick=True`` shrinks epochs for CI-style runs
-while preserving the orderings the paper reports; ``config`` overrides
-the budget outright (tests and benchmarks use tiny budgets).
+Run one with :func:`repro.report.run_experiment`, e.g.
+``run_experiment("accuracy_comparison", cases=(("cora", "gcn"),)).value``.
+``quick=True`` shrinks epochs for CI-style runs while preserving the
+orderings the paper reports; ``config`` overrides the budget outright
+(tests and benchmarks use tiny budgets).
 
 Because a single training run is minutes of work, these specs are the
 main beneficiaries of the supervision layer: a worker killed or hung
@@ -23,26 +24,18 @@ bit-identical-under-faults bar as the simulation sweeps.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping
 
 import numpy as np
 
 from ..registry import EXPERIMENTS, ExperimentSpec
-from ..report import run_experiment
 from .engine import TrainJob
 
 if TYPE_CHECKING:
     from ..nn import TrainConfig
     from ..quant import DegreeAwareConfig
 
-__all__ = [
-    "train_config",
-    "degree_aware_config",
-    "dq_bitwidth_sweep",
-    "accuracy_comparison",
-    "accuracy_grid",
-    "degree_feature_magnitudes",
-]
+__all__ = ["train_config", "degree_aware_config"]
 
 
 def train_config(quick: bool = True) -> TrainConfig:
@@ -223,68 +216,3 @@ EXPERIMENTS.add("degree_feature_magnitudes", ExperimentSpec(
     defaults=(("dataset", "cora"), ("models", ("gcn", "gin")),
               ("quick", True), ("seed", 0), ("config", None)),
 ))
-
-
-# ----------------------------------------------------------------------
-# Legacy shims (same names, same signatures, bit-identical values)
-# ----------------------------------------------------------------------
-
-def dq_bitwidth_sweep(dataset: str = "citeseer", model: str = "gin",
-                      bitwidths: Sequence[int] = (8, 7, 6, 5, 4),
-                      quick: bool = True, seed: int = 0,
-                      config: Optional[TrainConfig] = None,
-                      ) -> Dict[str, Dict[str, float]]:
-    """Table I: DQ accuracy/CR on CiteSeer GIN across bitwidths."""
-    return run_experiment("dq_bitwidth_sweep", dataset=dataset, model=model,
-                          bitwidths=tuple(bitwidths), quick=quick, seed=seed,
-                          config=config).value
-
-
-def accuracy_comparison(cases: Sequence[Tuple[str, str]] = (("cora", "gcn"),),
-                        quick: bool = True, seed: int = 0,
-                        target_average_bits: float = 2.5,
-                        config: Optional[TrainConfig] = None,
-                        ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Table VI: FP32 vs DQ-INT4 vs Degree-Aware per (dataset, model)."""
-    return run_experiment("accuracy_comparison", cases=tuple(cases),
-                          quick=quick, seed=seed,
-                          target_average_bits=target_average_bits,
-                          config=config).value
-
-
-def accuracy_grid(cases: Sequence[Tuple[str, str]] = (("cora", "gcn"),
-                                                      ("citeseer", "gcn"),
-                                                      ("cora", "gat")),
-                  flows: Sequence[str] = ("fp32", "dq", "degree-aware"),
-                  seeds: Sequence[int] = (0, 1, 2),
-                  quick: bool = True,
-                  target_average_bits: float = 2.5,
-                  config: Optional[TrainConfig] = None,
-                  ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Paper-style mean ± std grid over (case × flow × seed).
-
-    The full multi-seed protocol the paper reports (Tables I/VI footnote)
-    — affordable now that the whole grid is one deduplicated job batch:
-    warm cells replay from disk and cold cells fan out over the worker
-    pool.  Includes GAT (Discussion, Sec. VII-3) by default.
-    """
-    return run_experiment("accuracy_grid", cases=tuple(cases),
-                          flows=tuple(flows), seeds=tuple(seeds), quick=quick,
-                          target_average_bits=target_average_bits,
-                          config=config).value
-
-
-def degree_feature_magnitudes(dataset: str = "cora", models=("gcn", "gin"),
-                              quick: bool = True, seed: int = 0,
-                              config: Optional[TrainConfig] = None,
-                              ) -> Dict[str, List[float]]:
-    """Fig. 3: mean aggregated-feature magnitude per in-degree group.
-
-    Trains each model briefly (via the ``feature-magnitudes`` flow, so
-    repeated figure runs replay from the cache), then measures
-    |features| after the first aggregation, bucketed by the paper's
-    in-degree groups.
-    """
-    return run_experiment("degree_feature_magnitudes", dataset=dataset,
-                          models=tuple(models), quick=quick, seed=seed,
-                          config=config).value

@@ -6,9 +6,10 @@ experiments`` prints the index) is declared as an
 reducer — registered with the experiment registry and executed through
 :func:`repro.report.run_experiment`, which wraps the outcome in a
 schema'd :class:`~repro.report.Artifact` (the CLI's ``repro run
-<experiment>`` path).  The legacy function names
-(``speedup_table`` & co.) remain as thin shims returning the artifact's
-in-memory value — bit-identical to the pre-registry implementations.
+<experiment>`` path).  That is the one way to run one, and the spec's
+``defaults`` the one place its parameters are declared::
+
+    run_experiment("speedup_table", workloads=QUICK_WORKLOADS).value
 
 Workload suites (``paper``, ``quick``, ``scale-sweep``, ``smoke``) are
 registered here too; any spec with a ``suite_param`` can be re-pointed
@@ -25,19 +26,19 @@ land.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 import numpy as np
 
 from ..perf.cache import cached_partition, clear_all_caches
 from ..registry import EXPERIMENTS, SUITES, ExperimentSpec, SuiteEntry
-from ..report import run_experiment
+from ..sim.accelerator import SimReport
 from ..sim.dram import DramModel
 from .engine import SimJob, get_engine
 from .reporting import geomean
 
 if TYPE_CHECKING:
-    from ..sim.accelerator import SimReport
     from ..sim.workload import Workload
 
 __all__ = [
@@ -46,17 +47,6 @@ __all__ = [
     "SCALE_SWEEP_WORKLOADS",
     "get_workload",
     "simulate",
-    "full_comparison",
-    "speedup_table",
-    "dram_table",
-    "energy_table",
-    "stall_table",
-    "ablation_fig19",
-    "locality_study",
-    "package_length_study",
-    "cr_sensitivity",
-    "original_config_comparison",
-    "energy_breakdown_fig18",
     "clear_caches",
 ]
 
@@ -99,10 +89,6 @@ SUITES.add("scale-sweep-10k", SuiteEntry(
     "scale-sweep-10k",
     (("powerlaw-10k", "gcn"), ("community-10k", "gcn")),
     "the 10k-node scale scenarios only (CI-sized scale smoke run)"))
-
-
-def _sim_graph(dataset: str):
-    return get_engine().graph(dataset)
 
 
 def get_workload(dataset: str, model: str, precision: str) -> Workload:
@@ -159,24 +145,15 @@ def _ratio_jobs(workloads, accelerators):
     return _grid_jobs(workloads, tuple(accelerators) + ("mega",))
 
 
-def _ratio_reduce(metric: str, results: Mapping, workloads, accelerators):
-    """Per-workload ratios of a metric vs MEGA, plus the geomean row."""
+def _ratio_reduce(ratio, results: Mapping, workloads, accelerators):
+    """Per-workload ``ratio(mega, baseline)`` (a ``SimReport`` method
+    called on MEGA's report), plus the geomean row."""
     table: Dict[str, Dict[str, float]] = {}
     for dataset, model in workloads:
         mega = results[(dataset, model, "mega")]
-        row = {}
-        for name in accelerators:
-            rep = results[(dataset, model, name)]
-            if metric == "speedup":
-                row[name] = rep.total_cycles / mega.total_cycles
-            elif metric == "dram":
-                row[name] = (rep.traffic.transferred_bytes
-                             / mega.traffic.transferred_bytes)
-            elif metric == "energy":
-                row[name] = rep.energy.total_pj / mega.energy.total_pj
-            else:
-                raise ValueError(metric)
-        table[f"{dataset}-{model}"] = row
+        table[f"{dataset}-{model}"] = {
+            name: ratio(mega, results[(dataset, model, name)])
+            for name in accelerators}
     table["geomean"] = {
         name: geomean(row[name] for key, row in table.items() if key != "geomean")
         for name in accelerators
@@ -355,8 +332,7 @@ EXPERIMENTS.add("speedup_table", ExperimentSpec(
     name="speedup_table",
     description="Fig. 14: MEGA's speedup over every baseline per workload",
     build_jobs=_ratio_jobs,
-    reduce=lambda results, workloads, accelerators: _ratio_reduce(
-        "speedup", results, workloads, accelerators),
+    reduce=partial(_ratio_reduce, SimReport.speedup_over),
     defaults=(("workloads", QUICK_WORKLOADS),
               ("accelerators", BASELINE_NAMES + ("hygcn-8bit", "gcnax-8bit"))),
     suite_param="workloads",
@@ -367,8 +343,7 @@ EXPERIMENTS.add("dram_table", ExperimentSpec(
     name="dram_table",
     description="Fig. 16: DRAM access reduction of MEGA over the baselines",
     build_jobs=_ratio_jobs,
-    reduce=lambda results, workloads, accelerators: _ratio_reduce(
-        "dram", results, workloads, accelerators),
+    reduce=partial(_ratio_reduce, SimReport.dram_reduction_over),
     defaults=(("workloads", QUICK_WORKLOADS), ("accelerators", BASELINE_NAMES)),
     suite_param="workloads",
     smoke=True,
@@ -378,8 +353,7 @@ EXPERIMENTS.add("energy_table", ExperimentSpec(
     name="energy_table",
     description="Fig. 17: energy savings of MEGA over the baselines",
     build_jobs=_ratio_jobs,
-    reduce=lambda results, workloads, accelerators: _ratio_reduce(
-        "energy", results, workloads, accelerators),
+    reduce=partial(_ratio_reduce, SimReport.energy_saving_over),
     defaults=(("workloads", QUICK_WORKLOADS), ("accelerators", BASELINE_NAMES)),
     suite_param="workloads",
     smoke=True,
@@ -460,100 +434,3 @@ EXPERIMENTS.add("energy_breakdown_fig18", ExperimentSpec(
     suite_param="datasets",
     suite_kind="datasets",
 ))
-
-
-# ----------------------------------------------------------------------
-# Legacy shims (same names, same signatures, bit-identical values)
-# ----------------------------------------------------------------------
-
-def full_comparison(workloads: Sequence[Tuple[str, str]] = QUICK_WORKLOADS,
-                    accelerators: Sequence[str] = BASELINE_NAMES + ("mega",),
-                    ) -> Dict[Tuple[str, str], Dict[str, SimReport]]:
-    """All (workload, accelerator) simulation reports, as one batch."""
-    return run_experiment("full_comparison", workloads=tuple(workloads),
-                          accelerators=tuple(accelerators)).value
-
-
-def speedup_table(workloads=QUICK_WORKLOADS,
-                  accelerators=BASELINE_NAMES + ("hygcn-8bit", "gcnax-8bit")):
-    """Fig. 14: MEGA's speedup over every baseline per workload."""
-    return run_experiment("speedup_table", workloads=tuple(workloads),
-                          accelerators=tuple(accelerators)).value
-
-
-def dram_table(workloads=QUICK_WORKLOADS, accelerators=BASELINE_NAMES):
-    """Fig. 16: DRAM access reduction of MEGA over the baselines."""
-    return run_experiment("dram_table", workloads=tuple(workloads),
-                          accelerators=tuple(accelerators)).value
-
-
-def energy_table(workloads=QUICK_WORKLOADS, accelerators=BASELINE_NAMES):
-    """Fig. 17: energy savings of MEGA over the baselines."""
-    return run_experiment("energy_table", workloads=tuple(workloads),
-                          accelerators=tuple(accelerators)).value
-
-
-def stall_table(datasets=("cora", "citeseer", "pubmed"),
-                accelerators=("hygcn", "gcnax", "mega")) -> Dict[str, Dict[str, float]]:
-    """Fig. 20(a): fraction of cycles stalled on DRAM, GCN workloads."""
-    return run_experiment("stall_table", datasets=tuple(datasets),
-                          accelerators=tuple(accelerators)).value
-
-
-def ablation_fig19(dataset: str = "cora", model: str = "gcn") -> Dict[str, SimReport]:
-    """Fig. 19: contribution of each technique, vs HyGCN-C.
-
-    Steps: HyGCN-C (A(XW) order, FP32) -> +quantization stored in Bitmap
-    -> +Adaptive-Package -> +Condense-Edge (full MEGA).
-    """
-    return run_experiment("ablation_fig19", dataset=dataset, model=model).value
-
-
-def locality_study(dataset: str = "cora", feature_dim: int = 128,
-                   feature_bits: int = 4,
-                   strategies=("naive", "metis", "gcod", "condense"),
-                   num_parts: Optional[int] = None) -> Dict[str, Dict[str, float]]:
-    """Fig. 6 / Fig. 20(b): aggregation DRAM per scheduling strategy.
-
-    Returns per strategy the internal ("in subgraphs") and cross
-    ("sparse connections") traffic in MB.  The whole table is
-    content-cached through the engine (keyed by the graph fingerprint
-    and every parameter), so repeat figure runs replay it from disk.
-    """
-    return run_experiment("locality_study", dataset=dataset,
-                          feature_dim=feature_dim, feature_bits=feature_bits,
-                          strategies=tuple(strategies),
-                          num_parts=num_parts).value
-
-
-def package_length_study(
-    datasets=("cora", "citeseer", "pubmed"),
-    settings=((16, 24, 32), (64, 128, 192), (160, 192, 296),
-              (192, 296, 400), (400, 512, 800)),
-) -> Dict[str, Dict[Tuple[int, int, int], float]]:
-    """Fig. 21: input-feature DRAM vs package length levels, normalized
-    to each dataset's optimum."""
-    return run_experiment("package_length_study", datasets=tuple(datasets),
-                          settings=tuple(tuple(s) for s in settings)).value
-
-
-def cr_sensitivity(dataset: str = "cora", models=("gcn", "gin"),
-                   targets=(8.0, 6.4, 4.3, 3.2, 2.5)) -> Dict[str, Dict[float, float]]:
-    """Fig. 22: MEGA speedup over HyGCN as compression ratio grows."""
-    return run_experiment("cr_sensitivity", dataset=dataset,
-                          models=tuple(models), targets=tuple(targets)).value
-
-
-def original_config_comparison(datasets=("cora", "citeseer", "pubmed"),
-                               model: str = "gcn") -> Dict[str, Dict[str, float]]:
-    """Fig. 15: MEGA vs GCNAX/GROW in their original configurations,
-    normalized to GCNAX."""
-    return run_experiment("original_config_comparison",
-                          datasets=tuple(datasets), model=model).value
-
-
-def energy_breakdown_fig18(datasets=("cora", "citeseer", "pubmed"),
-                           model: str = "gcn") -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Fig. 18: DRAM/SRAM/PU/leakage energy, HyGCN normalized to MEGA."""
-    return run_experiment("energy_breakdown_fig18",
-                          datasets=tuple(datasets), model=model).value

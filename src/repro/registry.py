@@ -269,14 +269,16 @@ class _SuiteRegistry(Registry[SuiteEntry]):
 class ExperimentSpec:
     """A declarative experiment: job batch builder + reducer.
 
-    ``build_jobs(**params)`` returns an ordered mapping of result key ->
+    ``defaults`` declares every parameter with its default value, and is
+    the only place they are written; a parameter it does not name is
+    refused (:meth:`params_with_defaults`).  ``build_jobs(**params)``
+    returns an ordered mapping of result key ->
     :class:`~repro.eval.engine.SimJob` / ``TrainJob`` (empty for
     experiments that compute directly through the engine's table cache);
     ``reduce(results, **params)`` receives the resolved ``{key: report}``
-    mapping and produces the experiment's value — exactly what the
-    pre-registry runner functions returned, so the legacy names can shim
-    onto specs bit-identically.  :func:`repro.report.run_experiment`
-    wraps the pair into a schema'd :class:`~repro.report.Artifact`.
+    mapping and produces the experiment's value.
+    :func:`repro.report.run_experiment` runs the pair and wraps that
+    value in a schema'd :class:`~repro.report.Artifact`.
     """
 
     name: str
@@ -295,6 +297,12 @@ class ExperimentSpec:
 
     def params_with_defaults(self, params: Mapping) -> Dict[str, object]:
         merged = dict(self.defaults)
+        undeclared = sorted(set(params) - set(merged))
+        if undeclared:
+            raise RegistryError(
+                f"experiment {self.name!r} has no parameter "
+                f"{', '.join(map(repr, undeclared))}; declared: "
+                f"{', '.join(merged) or '(none)'}")
         merged.update(params)
         return merged
 

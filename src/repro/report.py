@@ -3,12 +3,12 @@
 :func:`run_experiment` executes a registered
 :class:`~repro.registry.ExperimentSpec` through the shared
 :class:`~repro.eval.engine.SweepEngine` and wraps the outcome in an
-:class:`Artifact`: the experiment's legacy in-memory value (exactly what
-the pre-registry runner functions returned), a flat machine-readable row
-projection, and metadata recording how the result was produced (jobs
-deduplicated/executed, engine cache hits, the source digest every
-stored artifact id embeds).  Artifacts render to JSON (schema-validated,
-round-trippable), CSV and markdown — the CLI's ``--out`` directory.
+:class:`Artifact`: the spec reducer's in-memory value, a flat
+machine-readable row projection, and metadata recording how the result
+was produced (jobs deduplicated/executed, engine cache hits, the source
+digest every stored artifact id embeds).  Artifacts render to JSON
+(schema-validated, round-trippable), CSV and markdown — the CLI's
+``--out`` directory.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class Artifact:
     columns: List[str]
     rows: List[Dict[str, object]]
     metadata: Dict[str, object] = field(default_factory=dict)
-    # The legacy in-memory value (what the shimmed runner returns).
+    # The reducer's in-memory value (what library callers read).
     # Deliberately excluded from serialization: it may hold SimReports
     # and numpy arrays; the rows are the machine-readable projection.
     value: object = None
@@ -268,15 +268,15 @@ def run_experiment(name: str, engine=None, workers: Optional[int] = None,
                    fail_fast: bool = True, **params) -> Artifact:
     """Run a registered experiment and return its :class:`Artifact`.
 
-    ``params`` override the spec's declared defaults; ``engine``
-    defaults to the process-wide :func:`~repro.eval.engine.get_engine`.
-    The artifact's ``value`` is bit-identical to what the legacy runner
-    function returns (the shims call straight through here).
+    ``params`` override the spec's declared defaults (a name the spec
+    does not declare raises :class:`~repro.registry.RegistryError`
+    before any job runs); ``engine`` defaults to the process-wide
+    :func:`~repro.eval.engine.get_engine`.  The artifact's ``value`` is
+    what the spec's reducer returned.
 
     ``fail_fast`` controls what a job that exhausts its retry budget
-    does.  ``True`` — the library default, matching what the legacy
-    runner functions always did — re-raises the original exception
-    (after storing everything that completed).  ``False`` degrades
+    does.  ``True``, the library default, re-raises the original
+    exception (after storing everything that completed).  ``False`` degrades
     gracefully: the sweep finishes, the artifact carries the rows that
     succeeded, and ``metadata["errors"]`` records each failed job
     (fingerprint, exception, attempts, elapsed); if the reducer cannot

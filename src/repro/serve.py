@@ -429,10 +429,11 @@ class ReproServer:
                 extra_headers=(("Retry-After", str(self._retry_after())),))
             return
 
-        # Validate the spec up front so typos fail fast, before a task
-        # is admitted.
+        # Validate the spec and its parameters up front so typos fail
+        # fast, before a task is admitted or journaled.
         try:
             spec = get_experiment(name)
+            spec.params_with_defaults(params)
             if suite is not None:
                 get_suite(suite)
                 if spec.suite_param is None:

@@ -17,10 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..graphs import Graph
-# Paper constants live in repro.paper_data (re-exported here because
-# they predate it and are part of this module's public API).
-from ..paper_data import FIG5_HIDDEN_DENSITY, PAPER_AVERAGE_BITS
 from ..nn.models import MODEL_SPECS
+from ..paper_data import FIG5_HIDDEN_DENSITY
 from ..registry import get_dataset
 
 __all__ = [
@@ -31,8 +29,6 @@ __all__ = [
     "workload_from_quant_run",
     "synthesize_degree_aware_bits",
     "synthesize_degree_aware_bits_batch",
-    "FIG5_HIDDEN_DENSITY",
-    "PAPER_AVERAGE_BITS",
 ]
 
 

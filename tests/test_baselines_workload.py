@@ -7,7 +7,6 @@ from repro.baselines import BASELINE_PRESETS, BaselineConfig, build_baseline
 from repro.graphs import load_dataset
 from repro.mega import MegaModel
 from repro.sim.workload import (
-    PAPER_AVERAGE_BITS,
     build_workload,
     synthesize_degree_aware_bits,
     workload_from_quant_run,

@@ -3,20 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval import (
-    ablation_fig19,
-    cr_sensitivity,
-    energy_breakdown_fig18,
-    format_table,
-    geomean,
-    locality_study,
-    normalize_to,
-    original_config_comparison,
-    package_length_study,
-    simulate,
-    speedup_table,
-    stall_table,
-)
+from repro.eval import format_table, geomean, normalize_to, simulate
 from repro.report import run_experiment
 
 WORKLOADS = (("cora", "gcn"), ("citeseer", "gcn"))
@@ -43,20 +30,20 @@ class TestReporting:
 
 class TestTables:
     def test_speedup_table_mega_wins(self):
-        table = speedup_table(workloads=WORKLOADS,
-                              accelerators=("hygcn", "gcnax"))
+        table = run_experiment("speedup_table", workloads=WORKLOADS,
+                               accelerators=("hygcn", "gcnax")).value
         for row_key, row in table.items():
             for name, speedup in row.items():
                 assert speedup > 1.0, (row_key, name)
 
     def test_geomean_row_present(self):
-        table = speedup_table(workloads=WORKLOADS,
-                              accelerators=("gcnax",))
+        table = run_experiment("speedup_table", workloads=WORKLOADS,
+                               accelerators=("gcnax",)).value
         assert "geomean" in table
 
     def test_stall_ordering(self):
         """Fig. 20(a): MEGA stalls less than HyGCN."""
-        table = stall_table(datasets=("cora",))
+        table = run_experiment("stall_table", datasets=("cora",)).value
         assert table["cora"]["mega"] <= table["cora"]["hygcn"]
 
     def test_simulate_memoized(self):
@@ -67,7 +54,8 @@ class TestTables:
 
 class TestAblation:
     def test_fig19_ordering(self):
-        steps = ablation_fig19("cora", "gcn")
+        steps = run_experiment("ablation_fig19", dataset="cora",
+                               model="gcn").value
         cycles = [steps[k].total_cycles for k in
                   ("hygcn-c", "quant+bitmap", "+adaptive-package", "+condense-edge")]
         # Each technique may only help (or be neutral).
@@ -80,13 +68,14 @@ class TestAblation:
 class TestStudies:
     def test_locality_study_ordering(self):
         """Fig. 6 / 20(b): condense has the least sparse-connection DRAM."""
-        out = locality_study("cora")
+        out = run_experiment("locality_study", dataset="cora").value
         assert out["condense"]["cross_mb"] <= out["gcod"]["cross_mb"]
         assert out["gcod"]["cross_mb"] <= out["metis"]["cross_mb"]
         assert set(out) == {"naive", "metis", "gcod", "condense"}
 
     def test_package_length_study_normalized(self):
-        out = package_length_study(datasets=("cora",))
+        out = run_experiment("package_length_study",
+                             datasets=("cora",)).value
         values = list(out["cora"].values())
         assert min(values) == pytest.approx(1.0)
         assert all(v >= 1.0 for v in values)
@@ -100,15 +89,18 @@ class TestStudies:
 
     def test_cr_sensitivity_monotone(self):
         """Fig. 22: speedup grows with compression ratio."""
-        out = cr_sensitivity("cora", models=("gcn",), targets=(8.0, 4.0, 2.5))
+        out = run_experiment("cr_sensitivity", dataset="cora",
+                             models=("gcn",), targets=(8.0, 4.0, 2.5)).value
         speedups = list(out["gcn"].values())
         assert speedups[-1] >= speedups[0]
 
     def test_original_config_mega_wins(self):
-        out = original_config_comparison(datasets=("cora",))
+        out = run_experiment("original_config_comparison",
+                             datasets=("cora",)).value
         assert out["cora"]["mega"] > out["cora"]["grow"] >= 0.5
         assert out["cora"]["gcnax"] == 1.0
 
     def test_energy_breakdown_hygcn_dominated_by_dram(self):
-        out = energy_breakdown_fig18(datasets=("cora",))
+        out = run_experiment("energy_breakdown_fig18",
+                             datasets=("cora",)).value
         assert out["cora"]["hygcn"]["dram"] > 1.0

@@ -178,6 +178,30 @@ class TestSuiteRegistry:
         assert suite.datasets == ("cora", "pubmed")
 
 
+class TestExperimentParams:
+    def test_defaults_cover_exactly_what_each_spec_reads(self):
+        """``defaults`` is the one declaration of an experiment's
+        parameters: its reducer takes exactly those after ``results``,
+        its job builder accepts them, and its suite parameter is one."""
+        import inspect
+
+        for name, spec in EXPERIMENTS.items():
+            declared = dict(spec.defaults)
+            reads = list(inspect.signature(spec.reduce).parameters)[1:]
+            assert set(reads) == set(declared), name
+            inspect.signature(spec.build_jobs).bind(**declared)
+            if spec.suite_param is not None:
+                assert spec.suite_param in declared, name
+
+    def test_undeclared_param_raises_before_any_job(self, sweep_engine):
+        from repro.report import run_experiment
+
+        with pytest.raises(RegistryError, match=(
+                r"no parameter 'dataset'; declared: datasets, accelerators")):
+            run_experiment("stall_table", dataset=("cora",))
+        assert sweep_engine.executed_jobs == 0
+
+
 class TestScenarioThroughEngine:
     def test_scale_sweep_scenario_runs_through_cached_engine(self, sweep_engine):
         """A registered synthetic scenario executes through the same

@@ -1,5 +1,5 @@
-"""ExperimentSpec/Artifact layer: shim bit-identity, old-vs-new
-comparison against hand-rolled engine sweeps, and artifact schema."""
+"""ExperimentSpec/Artifact layer: old-vs-new comparison against
+hand-rolled engine sweeps, and artifact schema."""
 
 import json
 
@@ -15,91 +15,6 @@ from repro.report import (ARTIFACT_SCHEMA, Artifact, ArtifactError,
 
 WORKLOADS = (("cora", "gcn"), ("citeseer", "gcn"))
 DATASETS = ("cora", "citeseer")
-
-
-class TestShimsBitIdentical:
-    """Each legacy runner returns exactly its spec counterpart's value."""
-
-    def test_full_comparison(self, sweep_engine):
-        legacy = exp.full_comparison(WORKLOADS, ("hygcn", "mega"))
-        spec = run_experiment("full_comparison", workloads=WORKLOADS,
-                              accelerators=("hygcn", "mega")).value
-        assert legacy == spec
-
-    def test_speedup_table(self, sweep_engine):
-        legacy = exp.speedup_table(WORKLOADS, ("hygcn", "gcnax"))
-        spec = run_experiment("speedup_table", workloads=WORKLOADS,
-                              accelerators=("hygcn", "gcnax")).value
-        assert legacy == spec
-
-    def test_dram_and_energy_tables(self, sweep_engine):
-        assert exp.dram_table(WORKLOADS, ("hygcn",)) == run_experiment(
-            "dram_table", workloads=WORKLOADS, accelerators=("hygcn",)).value
-        assert exp.energy_table(WORKLOADS, ("hygcn",)) == run_experiment(
-            "energy_table", workloads=WORKLOADS, accelerators=("hygcn",)).value
-
-    def test_stall_table(self, sweep_engine):
-        legacy = exp.stall_table(datasets=DATASETS)
-        spec = run_experiment("stall_table", datasets=DATASETS).value
-        assert legacy == spec
-
-    def test_ablation_fig19(self, sweep_engine):
-        legacy = exp.ablation_fig19("cora", "gcn")
-        spec = run_experiment("ablation_fig19").value
-        assert list(legacy) == list(spec)
-        assert all(legacy[k].total_cycles == spec[k].total_cycles
-                   for k in legacy)
-
-    def test_locality_study(self, sweep_engine):
-        legacy = exp.locality_study(strategies=("naive", "condense"))
-        spec = run_experiment("locality_study",
-                              strategies=("naive", "condense")).value
-        assert legacy == spec
-
-    def test_package_length_study(self, sweep_engine):
-        settings = ((16, 24, 32), (64, 128, 192))
-        legacy = exp.package_length_study(datasets=("cora",),
-                                          settings=settings)
-        spec = run_experiment("package_length_study", datasets=("cora",),
-                              settings=settings).value
-        assert legacy == spec
-
-    def test_cr_sensitivity(self, sweep_engine):
-        legacy = exp.cr_sensitivity(models=("gcn",), targets=(8.0, 4.3))
-        spec = run_experiment("cr_sensitivity", models=("gcn",),
-                              targets=(8.0, 4.3)).value
-        assert legacy == spec
-
-    def test_original_config_comparison(self, sweep_engine):
-        legacy = exp.original_config_comparison(datasets=DATASETS)
-        spec = run_experiment("original_config_comparison",
-                              datasets=DATASETS).value
-        assert legacy == spec
-
-    def test_energy_breakdown(self, sweep_engine):
-        legacy = exp.energy_breakdown_fig18(datasets=("cora",))
-        spec = run_experiment("energy_breakdown_fig18",
-                              datasets=("cora",)).value
-        assert legacy == spec
-
-    def test_accuracy_shims(self, sweep_engine):
-        from repro.eval.accuracy import (accuracy_comparison,
-                                         dq_bitwidth_sweep)
-        from repro.nn import TrainConfig
-
-        tiny = TrainConfig(epochs=3, patience=100)
-        cases = (("cora", "gcn"),)
-        legacy = accuracy_comparison(cases=cases, config=tiny)
-        spec = run_experiment("accuracy_comparison", cases=cases,
-                              config=tiny).value
-        assert legacy == spec
-
-        legacy = dq_bitwidth_sweep(dataset="cora", model="gcn",
-                                   bitwidths=(4,), config=tiny)
-        spec = run_experiment("dq_bitwidth_sweep", dataset="cora",
-                              model="gcn", bitwidths=(4,),
-                              config=tiny).value
-        assert legacy == spec
 
 
 class TestOldVsNew:
@@ -123,7 +38,8 @@ class TestOldVsNew:
                           if key != "geomean")
             for name in accelerators}
 
-        table = exp.speedup_table(WORKLOADS, accelerators)
+        table = run_experiment("speedup_table", workloads=WORKLOADS,
+                               accelerators=accelerators).value
         assert table == manual
 
     def test_stall_table_matches_manual_sweep(self, sweep_engine):
@@ -133,13 +49,15 @@ class TestOldVsNew:
         manual = {ds: {name: reports[jobs[(ds, name)]].stall_fraction
                        for name in ("hygcn", "gcnax", "mega")}
                   for ds in DATASETS}
-        assert exp.stall_table(datasets=DATASETS) == manual
+        assert run_experiment("stall_table",
+                              datasets=DATASETS).value == manual
 
     def test_ablation_matches_direct_models(self, sweep_engine):
         """The registered ablation entries equal hand-built MegaModels."""
         from repro.mega import MegaModel
 
-        table = exp.ablation_fig19("cora", "gcn")
+        table = run_experiment("ablation_fig19", dataset="cora",
+                               model="gcn").value
         workload = exp.get_workload("cora", "gcn", "degree-aware")
         direct_bitmap = MegaModel(storage="bitmap",
                                   condense=False).simulate(workload)
@@ -293,9 +211,8 @@ class TestDegradedArtifacts:
                                fail_fast=True)
 
     def test_library_default_is_fail_fast(self, sweep_engine):
-        """Without fail_fast, run_experiment raises — the legacy runner
-        semantics; degrade is opt-in (the CLI passes fail_fast=False
-        explicitly)."""
+        """Without fail_fast, run_experiment raises; degrade is opt-in
+        (the CLI passes fail_fast=False explicitly)."""
         from repro.faults import InjectedFault, inject_faults
 
         with inject_faults(raise_=1.0):

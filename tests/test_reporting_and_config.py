@@ -7,9 +7,10 @@ from repro.eval.reporting import format_table, geomean, normalize_to
 from repro.formats import PackageConfig
 from repro.graphs import load_dataset
 from repro.mega import MegaConfig, MegaModel
+from repro.paper_data import FIG5_HIDDEN_DENSITY, PAPER_AVERAGE_BITS
 from repro.sim import DramModel, DramTraffic
 from repro.sim.accelerator import LayerCost, SimReport
-from repro.sim.workload import FIG5_HIDDEN_DENSITY, PAPER_AVERAGE_BITS, build_workload
+from repro.sim.workload import build_workload
 
 
 class TestReportingHelpers:

@@ -87,6 +87,18 @@ class TestEndpoints:
             assert err.value.status == 400
             assert client.attempts_total == 1  # permanent, not retried
 
+    def test_undeclared_param_400_no_retries_burned(self, serve_cache):
+        with _thread_server() as handle:
+            client = ServeClient(handle.url, retries=3)
+            with pytest.raises(ClientError) as err:
+                client.submit("stall_table", params={"dataset": ["cora"]})
+            assert err.value.status == 400
+            assert "'dataset'" in err.value.body
+            assert "datasets, accelerators" in err.value.body
+            assert client.attempts_total == 1  # permanent, not retried
+            assert client.stats()["counters"]["executed_runs"] == 0
+        assert list_runs() == []  # refused before admission: no journal
+
     def test_suite_on_non_suite_experiment_400(self, serve_cache, sleeper):
         with _thread_server() as handle:
             client = ServeClient(handle.url, retries=0)

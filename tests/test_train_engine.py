@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from repro.eval import engine as engine_mod
-from repro.eval.accuracy import (
-    accuracy_comparison,
-    accuracy_grid,
-    degree_feature_magnitudes,
-    dq_bitwidth_sweep,
-)
 from repro.eval.engine import SweepEngine, TrainJob
 from repro.nn import TrainConfig, build_model, evaluate, evaluate_masks, train
 from repro.perf.cache import cached_load_dataset
 from repro.perf.timers import Timer
+from repro.report import run_experiment
 
 # Tiny budget: these tests exercise orchestration, not convergence.
 QUICK = TrainConfig(epochs=3, patience=100)
@@ -131,7 +126,8 @@ class TestAccuracyRunnersThroughEngine:
 
     def test_accuracy_comparison_warm_rerun_trains_zero(self, sweep_engine,
                                                         monkeypatch):
-        cold = accuracy_comparison(cases=self.CASES, config=QUICK)
+        cold = run_experiment("accuracy_comparison", cases=self.CASES,
+                              config=QUICK).value
         from repro.eval.experiments import clear_caches
 
         clear_caches()  # drop engine memory; the disk store survives
@@ -140,50 +136,57 @@ class TestAccuracyRunnersThroughEngine:
             raise AssertionError(f"warm rerun trained a model: {job}")
 
         monkeypatch.setattr(engine_mod, "_execute_train_job", forbidden)
-        warm = accuracy_comparison(cases=self.CASES, config=QUICK)
+        warm = run_experiment("accuracy_comparison", cases=self.CASES,
+                              config=QUICK).value
         assert warm == cold
         assert sweep_engine.executed_train_jobs == 0
 
     def test_accuracy_comparison_parallel_identical(self, sweep_engine,
                                                     tmp_path):
-        serial = accuracy_comparison(cases=self.CASES, config=QUICK)
+        serial = run_experiment("accuracy_comparison", cases=self.CASES,
+                                config=QUICK).value
         parallel_engine = SweepEngine(workers=2,
                                       cache_dir=tmp_path / "par-cache")
         previous = engine_mod.set_engine(parallel_engine)
         try:
-            parallel = accuracy_comparison(cases=self.CASES, config=QUICK)
+            parallel = run_experiment("accuracy_comparison",
+                                      cases=self.CASES, config=QUICK).value
         finally:
             engine_mod.set_engine(previous)
         assert parallel_engine.pool_used
         assert parallel == serial
 
     def test_dq_bitwidth_sweep_shares_fp32_with_comparison(self, sweep_engine):
-        accuracy_comparison(cases=self.CASES, config=QUICK)
+        run_experiment("accuracy_comparison", cases=self.CASES, config=QUICK)
         trained = sweep_engine.executed_train_jobs
-        sweep = dq_bitwidth_sweep(dataset="cora", model="gcn", bitwidths=(4,),
-                                  config=QUICK)
+        sweep = run_experiment("dq_bitwidth_sweep", dataset="cora",
+                               model="gcn", bitwidths=(4,),
+                               config=QUICK).value
         # fp32 and dq-int4 for (cora, gcn) already trained for Table VI.
         assert sweep_engine.executed_train_jobs == trained
         assert "fp32" in sweep and "4bit" in sweep
 
     def test_degree_feature_magnitudes_cached(self, sweep_engine):
-        first = degree_feature_magnitudes(models=("gcn",), config=QUICK)
+        first = run_experiment("degree_feature_magnitudes", models=("gcn",),
+                               config=QUICK).value
         trained = sweep_engine.executed_train_jobs
-        second = degree_feature_magnitudes(models=("gcn",), config=QUICK)
+        second = run_experiment("degree_feature_magnitudes", models=("gcn",),
+                                config=QUICK).value
         assert sweep_engine.executed_train_jobs == trained
         assert second == first
         assert len(first["gcn"]) > 0
 
     def test_accuracy_grid_shape_and_dedup(self, sweep_engine):
-        grid = accuracy_grid(cases=self.CASES, flows=("fp32",), seeds=(0, 1),
-                             config=QUICK)
+        grid = run_experiment("accuracy_grid", cases=self.CASES,
+                              flows=("fp32",), seeds=(0, 1),
+                              config=QUICK).value
         cell = grid["cora-gcn"]["fp32"]
         assert cell["runs"] == 2
         assert cell["std_accuracy"] >= 0.0
         # seeds already trained: a rerun adds nothing
         trained = sweep_engine.executed_train_jobs
-        accuracy_grid(cases=self.CASES, flows=("fp32",), seeds=(0, 1),
-                      config=QUICK)
+        run_experiment("accuracy_grid", cases=self.CASES, flows=("fp32",),
+                       seeds=(0, 1), config=QUICK)
         assert sweep_engine.executed_train_jobs == trained
 
 
