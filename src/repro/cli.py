@@ -52,20 +52,22 @@ other suite: a warm rerun (same ``REPRO_CACHE_DIR``, same code version)
 executes zero jobs, and scenarios of 100k+ nodes fan out per job across
 the worker pool.
 
-``run`` and ``serve`` hand ``--workers``/``--retries``/``--timeout``
-(and ``run``'s ``--fail-fast``) to the engine they run on for the
-length of the command, and restore its settings afterwards.
-
-Every ``run`` is journaled by default (``--no-journal`` opts out): the
-run's spec and every completed job land in an append-only JSONL file
-under the cache directory, so an interrupted sweep — SIGKILL included —
-resumes with ``run --resume <run-id>``, re-executing only the jobs that
-never finished (completed jobs replay from the artifact store).  SIGINT
-and SIGTERM mid-sweep are caught: the journal is marked ``interrupted``
-(still resumable), a resume hint is printed, and the exit code is 130.
-Jobs that
-exhaust ``--retries`` degrade into the artifact's ``errors`` metadata
-and exit code 1; ``--fail-fast`` restores raise-on-first-error.
+``run`` turns its flags (on ``--resume``, the journaled spec with each
+explicit flag winning) into a run spec for
+:func:`repro.report.run_journaled`, as ``serve`` does with its requests
+and recovered runs; ``--workers``/``--retries``/``--timeout``/
+``--fail-fast`` hold for that run only.  A run that executes a job is
+journaled (``--no-journal`` opts out) from its first job on, when its
+run id and resume hint are printed: the run's spec and every completed
+job land in an append-only JSONL file under the cache directory, so an
+interrupted sweep — SIGKILL included — resumes with ``run --resume
+<run-id>``, re-executing only the jobs that never finished (completed
+jobs replay from the artifact store).  SIGINT and SIGTERM mid-sweep are
+caught: the journal is marked ``interrupted`` (still resumable), a
+resume hint is printed, and the exit code is 130.  Jobs that exhaust
+``--retries`` degrade into the artifact's ``errors`` metadata, the
+journal ends ``run-failed`` and the exit code is 1; ``--fail-fast``
+restores raise-on-first-error.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ import sys
 from typing import List, Optional
 
 from .registry import (ACCELERATORS, DATASETS, EXPERIMENTS, SUITES,
-                       RegistryError, get_experiment, get_suite)
-from .report import run_experiment
+                       RegistryError)
+from .report import check_run_spec, run_journaled
 
 __all__ = ["main"]
 
@@ -266,7 +268,8 @@ def _cmd_list(what: str, args: Optional[argparse.Namespace] = None) -> int:
             except (OSError, ValueError):
                 print(f"  {run_id}  [unreadable]")
                 continue
-            state = "complete" if journal.complete else "resumable"
+            state = ("complete" if journal.complete else
+                     "failed" if journal.failed else "resumable")
             print(f"  {run_id}  {state}: {len(journal.completed_jobs())} jobs "
                   f"ok, {len(journal.failed_jobs())} failed")
         return 0
@@ -287,93 +290,36 @@ def _cmd_list(what: str, args: Optional[argparse.Namespace] = None) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _engine_settings(args: argparse.Namespace, **settings):
-    """Hand ``--retries``/``--timeout`` (when given) and ``settings`` to
-    the default engine for one command, restoring its previous values
-    afterwards so an in-process caller's engine is left as found.
-
-    Forked workers get retries and timeout from the engine's
-    :class:`~repro.eval.supervise.Supervisor`, not from the environment.
-    """
-    from .eval.engine import get_engine
-
-    if args.retries is not None:
-        settings["retries"] = max(int(args.retries), 0)
-    if args.timeout is not None:
-        settings["timeout"] = max(float(args.timeout), 0.0)
-    engine = get_engine()
-    previous = {name: getattr(engine, name) for name in settings}
-    for name, value in settings.items():
-        setattr(engine, name, value)
-    try:
-        yield engine
-    finally:
-        for name, value in previous.items():
-            setattr(engine, name, value)
+def _run_spec(args: argparse.Namespace,
+              journaled: Optional[dict] = None) -> dict:
+    """``repro run``'s run spec: its flags, or on ``--resume`` the
+    journaled spec with each explicit flag winning (``--resume <id>
+    --workers 8`` re-runs the same spec with a bigger pool)."""
+    spec = dict(journaled) if journaled is not None else {"origin": "cli"}
+    flags = {"experiments": list(args.experiments) or None,
+             "suite": args.suite, "workers": args.workers,
+             "retries": args.retries, "timeout": args.timeout,
+             "fail_fast": args.fail_fast or None}
+    spec.update((name, value) for name, value in flags.items()
+                if value is not None)
+    return spec
 
 
-def _resume_args(args: argparse.Namespace, spec: dict) -> None:
-    """Rehydrate the CLI namespace from a journaled run spec.
-
-    Explicit flags on the resume invocation win over the journaled
-    values, so ``--resume <id> --workers 8`` re-runs the same spec with
-    a bigger pool.
-    """
-    if not args.experiments:
-        args.experiments = list(spec.get("experiments", []))
-    if args.suite is None:
-        args.suite = spec.get("suite")
-    if args.workers is None:
-        args.workers = spec.get("workers")
-    if args.retries is None:
-        args.retries = spec.get("retries")
-    if args.timeout is None:
-        args.timeout = spec.get("timeout")
-    args.fail_fast = args.fail_fast or bool(spec.get("fail_fast"))
-
-
-def _run_one(args: argparse.Namespace, name: str, formats: List[str]) -> int:
-    """Run one experiment for ``repro run``; returns its failed jobs."""
-    spec = get_experiment(name)
-    params = {}
-    if args.suite is not None:
-        suite = get_suite(args.suite)
-        if spec.suite_param is None:
-            if args.experiments:
-                raise RegistryError(
-                    f"experiment {name!r} is not suite-parameterized; "
-                    f"drop --suite or pick one of: "
-                    f"{', '.join(n for n, s in EXPERIMENTS.items() if s.suite_param)}")
-            # Smoke-set run: specs without a suite parameter run on
-            # their declared defaults.
-        else:
-            params = spec.suite_params(suite)
-    artifact = run_experiment(name, workers=args.workers,
-                              fail_fast=args.fail_fast, **params)
-    failed = artifact.metadata["jobs"].get("failed", 0)
-    if not args.quiet:
-        jobs = artifact.metadata["jobs"]
-        print(f"== {artifact.experiment} "
-              f"({jobs['unique']} jobs, {jobs['executed']} executed, "
-              f"{artifact.metadata['elapsed_s'] * 1e3:.0f} ms) ==")
-        print(artifact.to_markdown())
-        print()
-    if failed:
-        for error in artifact.metadata.get("errors", []):
-            print(f"FAILED [{error['kind']}] {error['job']}: "
-                  f"{error['error_type']}: {error['error']} "
-                  f"(after {error['attempts']} attempt(s))",
-                  file=sys.stderr)
-    if args.out:
-        for path in artifact.save(args.out, formats=formats):
-            print(f"wrote {path}")
-    return failed
+def _print_resume_hint(journal) -> None:
+    # Flushed: a SIGKILLed run must still have shown its id.
+    print(f"run id: {journal.run_id} (resume with: python -m repro run "
+          f"--resume {journal.run_id})", flush=True)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .eval.journal import RunJournal
+    from .eval.journal import RunJournal, new_run_id
 
+    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
+    unknown_formats = set(formats) - {"json", "csv", "md"}
+    if unknown_formats:
+        print(f"error: unknown --formats {sorted(unknown_formats)}; "
+              f"expected json, csv, md", file=sys.stderr)
+        return 2
     journal = None
     if args.resume is not None:
         try:
@@ -390,40 +336,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"header (first line torn or corrupt); cannot resume",
                   file=sys.stderr)
             return 2
-        _resume_args(args, journal.spec)
-        journal.record_event("resumed")
+    elif not args.no_journal:
+        journal = RunJournal(args.run_id or new_run_id())
+    # Check the flags before the run touches the journal: a typo exits 2
+    # and leaves a resumed run as it was.
+    spec = _run_spec(args, journal.spec if args.resume is not None else None)
+    check_run_spec(spec)
+    if args.resume is not None:
+        _print_resume_hint(journal)
 
-    names = list(args.experiments)
-    if not names:
-        names = [name for name, spec in EXPERIMENTS.items() if spec.smoke]
-        if not names:
-            print("no smoke experiments registered", file=sys.stderr)
-            return 2
-    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
-    unknown_formats = set(formats) - {"json", "csv", "md"}
-    if unknown_formats:
-        print(f"error: unknown --formats {sorted(unknown_formats)}; "
-              f"expected json, csv, md", file=sys.stderr)
-        return 2
-
-    if journal is None and not args.no_journal:
-        journal = RunJournal.create(run_id=args.run_id, spec={
-            "experiments": list(args.experiments),
-            "suite": args.suite,
-            "workers": args.workers,
-            "retries": args.retries,
-            "timeout": args.timeout,
-            "fail_fast": bool(args.fail_fast),
-        })
-    if journal is not None:
-        print(f"run id: {journal.run_id} (resume with: python -m repro run "
-              f"--resume {journal.run_id})")
-
-    # Resolve every name up front so a typo fails before any sweep runs.
-    for name in names:
-        get_experiment(name)
     failed_jobs = 0
-    interrupted = False
     # Turn SIGTERM into KeyboardInterrupt so both interruption signals
     # take the same graceful path: journal marked, resume hint printed,
     # exit 130.  signal.signal raises off the main thread; then the
@@ -434,26 +356,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise KeyboardInterrupt
 
     previous_sigterm = None
-    try:
+    with contextlib.suppress(ValueError, OSError):
         previous_sigterm = signal_module.signal(signal_module.SIGTERM,
                                                 _interrupt)
-    except (ValueError, OSError):
-        pass
     try:
-        with _engine_settings(args, journal=journal):
-            for name in names:
-                failed_jobs += _run_one(args, name, formats)
+        run = run_journaled(spec, journal, on_create=_print_resume_hint)
+        with contextlib.closing(run):
+            for artifact in run:
+                jobs = artifact.metadata["jobs"]
+                failed_jobs += jobs["failed"]
+                if not args.quiet:
+                    print(f"== {artifact.experiment} ({jobs['unique']} jobs, "
+                          f"{jobs['executed']} executed, "
+                          f"{artifact.metadata['elapsed_s'] * 1e3:.0f} ms) ==")
+                    print(artifact.to_markdown())
+                    print()
+                for error in artifact.metadata.get("errors", []):
+                    print(f"FAILED [{error['kind']}] {error['job']}: "
+                          f"{error['error_type']}: {error['error']} "
+                          f"(after {error['attempts']} attempt(s))",
+                          file=sys.stderr)
+                if args.out:
+                    for path in artifact.save(args.out, formats=formats):
+                        print(f"wrote {path}")
     except KeyboardInterrupt:
-        interrupted = True
-    finally:
-        if previous_sigterm is not None:
-            try:
-                signal_module.signal(signal_module.SIGTERM, previous_sigterm)
-            except (ValueError, OSError):
-                pass
-    if interrupted:
-        if journal is not None:
-            journal.record_event("interrupted")
+        if journal is not None and journal.path.is_file():
             print(f"interrupted: completed jobs are journaled; resume with "
                   f"`python -m repro run --resume {journal.run_id}`",
                   file=sys.stderr)
@@ -461,8 +388,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print("interrupted (run was not journaled; it cannot be resumed "
                   "by id)", file=sys.stderr)
         return 130
-    if journal is not None and not failed_jobs:
-        journal.record_event("run-complete")
+    finally:
+        if previous_sigterm is not None:
+            with contextlib.suppress(ValueError, OSError):
+                signal_module.signal(signal_module.SIGTERM, previous_sigterm)
     if failed_jobs:
         print(f"error: {failed_jobs} job(s) exhausted their retry budget; "
               f"artifacts carry partial rows (see metadata errors)",
@@ -566,6 +495,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
+    from .report import engine_settings
     from .serve import ReproServer, ServeConfig
 
     config = ServeConfig(
@@ -575,7 +505,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         journal=not args.no_journal, recover=not args.no_recover,
         quiet=args.quiet)
     server = ReproServer(config)
-    with _engine_settings(args):
+    with engine_settings(args.retries, args.timeout):
         code = asyncio.run(server.run())
         if server.unfinished:
             # The drain grace expired with runs still executing on the

@@ -435,8 +435,10 @@ class SweepEngine:
         self.timeout = timeout
         self.backoff = backoff
         # Optional RunJournal: completed/failed jobs are appended as
-        # they land, making any run resumable by id.
+        # they land, making any run resumable by id.  Or ``open_journal``
+        # makes it at the first pending job, before any job starts.
         self.journal = journal
+        self.open_journal: Optional[Callable] = None
         self.executed_jobs = 0
         # Models actually trained by this engine (TrainJobs that reached
         # the execute layer; cache-resolved jobs never count).
@@ -572,6 +574,8 @@ class SweepEngine:
                 self.consumed_artifacts[art_id] = self._job_kind(job)
                 results[job] = self.reports.put(job, cached)
                 continue
+            if self.journal is None and self.open_journal is not None:
+                self.journal = self.open_journal()
             pending.append(job)
 
         if pending:
@@ -729,9 +733,6 @@ class SweepEngine:
         self.batch_sizes = []
         self.failures = []
         self.consumed_artifacts = {}
-
-    def clear_disk(self) -> None:
-        self.artifacts.clear()
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         out = {"reports": self.reports.stats(), "tables": self.tables.stats(),

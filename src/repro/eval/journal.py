@@ -1,12 +1,14 @@
 """Append-only run journals: the checkpoint behind ``repro run --resume``.
 
 A journal is one JSONL file per run under
-``<REPRO_CACHE_DIR>/runs/<run-id>/journal.jsonl``.  The first record
-captures what the run *is* (the experiment names, suite and CLI
-parameters), and every subsequent record is an event: one line per
+``<REPRO_CACHE_DIR>/runs/<run-id>/journal.jsonl``, started by
+:func:`repro.report.run_journaled` once its run finds a job to execute.
+The first record is the run spec (the :data:`repro.report.RUN_SPEC`
+fields), and every subsequent record is an event: one line per
 completed or failed job (its engine fingerprint, attempts, elapsed
-time), one per finished experiment, and a final ``run-complete``
-marker.  Each line is flushed and fsync'd as it is appended, so a
+time), one per finished experiment, and how the run ended
+(``run-complete``, or ``run-failed`` with the failed-job count or the
+exception).  Each line is flushed and fsync'd as it is appended, so a
 SIGKILL mid-sweep leaves at worst one torn trailing line — which
 :meth:`RunJournal.load` tolerates by ignoring it.
 
@@ -61,6 +63,7 @@ class RunJournal:
     def __init__(self, run_id: str,
                  directory: Optional[os.PathLike] = None) -> None:
         self.run_id = run_id
+        self.directory = directory
         self.path = runs_dir(directory) / run_id / "journal.jsonl"
         self._records: List[Dict] = []
         self._write_disabled = False
@@ -140,8 +143,8 @@ class RunJournal:
         self.append({"type": "experiment", "name": name,
                      "executed": executed, "failed": failed})
 
-    def record_event(self, event: str) -> None:
-        self.append({"type": event, "at": time.time()})
+    def record_event(self, event: str, **fields) -> None:
+        self.append({"type": event, "at": time.time(), **fields})
 
     # -- queries -----------------------------------------------------------
     @property
@@ -188,6 +191,11 @@ class RunJournal:
     @property
     def complete(self) -> bool:
         return any(r.get("type") == "run-complete" for r in self._records)
+
+    @property
+    def failed(self) -> bool:
+        """A ``run-failed`` run: resumable by hand, not by serve boot."""
+        return any(r.get("type") == "run-failed" for r in self._records)
 
     @property
     def created(self) -> Optional[float]:
@@ -262,8 +270,8 @@ def gc_runs(keep_days: Optional[float] = None, force: bool = False,
 
     Completed runs (those with a ``run-complete`` marker) older than
     ``keep_days`` are removed — with ``keep_days=None`` every completed
-    run goes.  Resumable runs (incomplete journals, i.e. checkpoints a
-    ``--resume`` could still finish) and unreadable journals are kept
+    run goes.  Resumable runs (incomplete or failed journals: checkpoints
+    a ``--resume`` could still finish) and unreadable journals are kept
     unless ``force`` is set.  Returns ``{"removed": [...], "kept":
     [...]}`` with run ids sorted as :func:`list_runs` lists them.
     """

@@ -36,10 +36,6 @@ class FormatReport:
     breakdown: Dict[str, int] = field(default_factory=dict)
 
     @property
-    def total_bytes(self) -> float:
-        return self.total_bits / 8.0
-
-    @property
     def total_mb(self) -> float:
         return self.total_bits / 8.0 / 2 ** 20
 

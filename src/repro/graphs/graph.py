@@ -106,11 +106,6 @@ class Graph:
     def average_degree(self) -> float:
         return self.num_edges / max(self.num_nodes, 1)
 
-    @property
-    def adjacency_density(self) -> float:
-        n = self.num_nodes
-        return self.num_edges / float(n * n) if n else 0.0
-
     def feature_density(self) -> float:
         """Fraction of non-zero entries in ``X`` (paper Fig. 5 input)."""
         if "feature_density" not in self._cache:
@@ -196,10 +191,6 @@ class Graph:
         """Return (dst, src) arrays of the directed edge list."""
         coo = coo_view(self.adjacency)
         return coo.row.astype(np.int64), coo.col.astype(np.int64)
-
-    def reorder(self, permutation: np.ndarray) -> "Graph":
-        """Relabel nodes so that new id ``i`` is old id ``permutation[i]``."""
-        return self.subgraph(np.asarray(permutation))
 
     def summary(self) -> Dict[str, float]:
         """Key statistics used in the paper's Table II."""

@@ -179,11 +179,6 @@ class DegreeAwareQuantizer(QuantHooks):
         s = np.exp(self.log_scales[layer].data.astype(np.float64))
         return s[self.node_degree_param]
 
-    def group_bitwidths(self, layer: int) -> np.ndarray:
-        """Learned (continuous) bitwidth per degree group."""
-        cfg = self.config
-        return np.clip(self.bits[layer].data, cfg.min_bits, cfg.max_bits).copy()
-
     def average_bits(self) -> float:
         """Dimension-weighted average feature bitwidth across layers.
 

@@ -308,8 +308,11 @@ class ExperimentSpec:
 
     def suite_params(self, suite: SuiteEntry) -> Dict[str, object]:
         if self.suite_param is None:
+            takers = ", ".join(name for name, spec in EXPERIMENTS.items()
+                               if spec.suite_param)
             raise RegistryError(
-                f"experiment {self.name!r} is not suite-parameterized")
+                f"experiment {self.name!r} is not suite-parameterized; "
+                f"those that are: {takers}")
         value: object = (suite.workloads if self.suite_kind == "pairs"
                          else suite.datasets)
         return {self.suite_param: value}

@@ -81,10 +81,6 @@ class TransferFailure:
     error: str
     attempts: int
 
-    def to_dict(self) -> Dict:
-        return {"id": self.art_id, "error_type": self.error_type,
-                "error": self.error, "attempts": self.attempts}
-
 
 class _Miss(Exception):
     """The remote answered 404: a permanent miss, not a failure."""
@@ -343,9 +339,6 @@ class RemoteStore:
                 "rejected": self.rejected, "resumed": self.resumed,
                 "retries_used": self.retries_used,
                 "failures": len(self.failures)}
-
-    def failure_records(self) -> List[Dict]:
-        return [failure.to_dict() for failure in self.failures]
 
 
 def remote_store_from_env(store: Optional[ArtifactStore] = None

@@ -9,24 +9,35 @@ was produced (jobs deduplicated/executed, engine cache hits, the source
 digest every stored artifact id embeds).  Artifacts render to JSON
 (schema-validated, round-trippable), CSV and markdown — the CLI's
 ``--out`` directory.
+
+:func:`run_journaled` runs a whole run spec (:data:`RUN_SPEC`) through
+it; ``repro run`` (fresh or ``--resume``), ``POST /run`` and serve boot
+recovery all call it, and every run journal header is its spec.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-from .registry import ExperimentSpec, get_experiment
+from .registry import (EXPERIMENTS, ExperimentSpec, RegistryError,
+                       get_experiment, get_suite)
 
 __all__ = [
     "ARTIFACT_SCHEMA",
+    "RUN_SPEC",
     "Artifact",
     "ArtifactError",
+    "check_run_spec",
+    "engine_settings",
     "run_experiment",
+    "run_journaled",
     "run_suite_experiment",
     "tabulate_value",
     "validate_artifact_dict",
@@ -364,11 +375,123 @@ def run_suite_experiment(name: str, suite: str, engine=None,
                          workers: Optional[int] = None,
                          fail_fast: bool = True, **params) -> Artifact:
     """Run an experiment with a registered suite bound to its suite
-    parameter (the CLI's ``run <experiment> --suite <name>`` path)."""
-    from .registry import get_suite
-
-    spec = get_experiment(name)
-    suite_params = spec.suite_params(get_suite(suite))
-    suite_params.update(params)
+    parameter, as a run spec's ``suite`` binds it."""
+    ((_, params),) = check_run_spec(
+        {"experiments": [name], "suite": suite, "params": params})
     return run_experiment(name, engine=engine, workers=workers,
-                          fail_fast=fail_fast, **suite_params)
+                          fail_fast=fail_fast, **params)
+
+
+# The run-spec fields every journal header holds, with the default an
+# omitted one takes.  Serve boot recovery adopts only origin "serve"; no
+# experiments means the smoke set; None retries/timeout keep the engine's.
+RUN_SPEC: Dict[str, object] = {
+    "origin": "cli", "experiments": (), "suite": None, "params": {},
+    "workers": None, "retries": None, "timeout": None, "fail_fast": False,
+}
+
+
+def check_run_spec(spec: Mapping) -> List[Tuple[str, Dict[str, object]]]:
+    """The ``(experiment, params)`` pairs a run spec runs, suite bound;
+    raises :class:`~repro.registry.RegistryError` for a field outside
+    :data:`RUN_SPEC`, an unknown experiment or suite, a suite on a
+    named experiment that takes none, or an undeclared parameter."""
+    unknown = sorted(set(spec) - set(RUN_SPEC))
+    if unknown:
+        raise RegistryError(
+            f"run spec has no field {', '.join(map(repr, unknown))}; "
+            f"fields: {', '.join(RUN_SPEC)}")
+    spec = {**RUN_SPEC, **spec}
+    named = list(spec["experiments"])
+    names = named or [name for name, entry in EXPERIMENTS.items()
+                      if entry.smoke]
+    if not names:
+        raise RegistryError("no smoke experiments registered")
+    suite = get_suite(spec["suite"]) if spec["suite"] is not None else None
+    plan = []
+    for name in names:
+        entry = get_experiment(name)
+        params = dict(spec["params"])
+        # The one suite-binding rule: the suite fills the suite parameter
+        # (params win) of each named experiment and smoke one having it.
+        if suite is not None and (named or entry.suite_param is not None):
+            params = {**entry.suite_params(suite), **params}
+        entry.params_with_defaults(params)
+        plan.append((name, params))
+    return plan
+
+
+@contextlib.contextmanager
+def engine_settings(retries: Optional[int] = None,
+                    timeout: Optional[float] = None, **settings):
+    """Set ``retries``/``timeout`` (when not None) and ``settings`` on
+    the process-wide engine, then restore what it had."""
+    from .eval.engine import get_engine
+
+    engine = get_engine()
+    if retries is not None:
+        settings["retries"] = max(int(retries), 0)
+    if timeout is not None:
+        settings["timeout"] = max(float(timeout), 0.0)
+    previous = {name: getattr(engine, name) for name in settings}
+    for name, value in settings.items():
+        setattr(engine, name, value)
+    try:
+        yield engine
+    finally:
+        for name, value in previous.items():
+            setattr(engine, name, value)
+
+
+def run_journaled(spec: Mapping, journal=None,
+                  on_create: Optional[Callable] = None) -> Iterator[Artifact]:
+    """Run a run spec, yielding one :class:`Artifact` per experiment.
+
+    :func:`check_run_spec` checks the spec before any job runs, and the
+    process-wide engine takes its retries, timeout and journal for the
+    run.  ``journal`` is None (unjournaled), a loaded journal to resume,
+    or a fresh ``RunJournal(run_id)`` that ``RunJournal.create`` writes,
+    then calling ``on_create(journal)``, when the engine finds its first
+    pending job: a run that executes nothing leaves no journal.  The
+    journal ends ``run-complete``, ``run-failed`` (the failed-job count
+    or the exception; boot recovery skips it) or ``interrupted``.
+    """
+    from .eval.journal import RunJournal
+
+    spec = {**RUN_SPEC, **spec}
+    fresh = journal is not None and not journal.has_run_header
+    live = None if fresh else journal
+
+    def open_journal():
+        nonlocal live
+        live = RunJournal.create(journal.run_id, spec, journal.directory)
+        if on_create is not None:
+            on_create(live)
+        return live
+
+    if live is not None:
+        live.record_event("resumed")
+    failed = 0
+    try:
+        plan = check_run_spec(spec)
+        with engine_settings(spec["retries"], spec["timeout"], journal=live,
+                             open_journal=open_journal if fresh else None):
+            for name, params in plan:
+                artifact = run_experiment(
+                    name, workers=spec["workers"],
+                    fail_fast=bool(spec["fail_fast"]), **params)
+                failed += artifact.metadata["jobs"]["failed"]
+                yield artifact
+    except (KeyboardInterrupt, GeneratorExit):  # stopped before its end
+        if live is not None:
+            live.record_event("interrupted")
+        raise
+    except Exception as exc:
+        if live is not None:
+            live.record_event("run-failed",
+                              error=f"{type(exc).__name__}: {exc}")
+        raise
+    if live is not None and failed:
+        live.record_event("run-failed", failed=failed)
+    elif live is not None:
+        live.record_event("run-complete")

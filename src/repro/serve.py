@@ -4,7 +4,9 @@ A long-running daemon that keeps the process-wide sweep engine (memory
 caches, artifact store, supervisor pool) hot and accepts experiment
 requests over HTTP — the same declarative ``(experiment, suite,
 params)`` specs :mod:`repro.registry` defines and the CLI runs.  Built
-on stdlib asyncio only; one request == one journaled run.
+on stdlib asyncio only; one request == one run spec (``origin``
+``"serve"``) run by :func:`repro.report.run_journaled`, journaled once
+it executes a job (a warm request answers ``run_id`` null).
 
 Robustness properties, each of which tests/CI exercise directly:
 
@@ -29,10 +31,11 @@ Robustness properties, each of which tests/CI exercise directly:
   drain grace (``--drain-grace``) expires first, the exit code is
   nonzero and the unfinished runs stay resumable.
 - **Restart recovery** — on boot, before reporting ready, the server
-  fills the registries, builds its engine, and re-adopts every
-  unfinished serve-originated :class:`RunJournal` under the cache
-  directory and re-runs it to completion (completed jobs replay from
-  the artifact store), so a SIGKILL'd daemon loses no accepted work.
+  fills the registries, builds its engine, and re-runs every
+  serve-origin :class:`RunJournal` that ended neither ``run-complete``
+  nor ``run-failed`` (completed jobs replay from the artifact store),
+  so a SIGKILL'd daemon loses no accepted work and a failing run is
+  tried once (``repro run --resume`` can still retry it).
 
 Endpoints: ``GET /healthz`` (process liveness), ``GET /readyz``
 (recovery finished, not draining), ``GET /stats`` (queue depth,
@@ -86,9 +89,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from .registry import RegistryError, get_experiment, get_suite
+from .registry import RegistryError
+from .report import check_run_spec, run_journaled
 
-__all__ = ["ServeConfig", "ReproServer", "ServerThread", "serve"]
+__all__ = ["ServeConfig", "ReproServer", "ServerThread"]
 
 _MAX_HEADER_BYTES = 32 * 1024
 _MAX_BODY_BYTES = 1024 * 1024
@@ -106,8 +110,8 @@ class ServeConfig:
     queue_depth: int = 32             # admitted requests before 429
     deadline_s: float = 0.0           # default per-request deadline, 0 = none
     drain_grace_s: float = 30.0       # SIGTERM wait for in-flight runs
-    workers: Optional[int] = None     # forwarded to run_experiment
-    journal: bool = True              # journal every request's run
+    workers: Optional[int] = None     # every run spec's workers
+    journal: bool = True              # journal runs that execute a job
     recover: bool = True              # re-adopt unfinished runs on boot
     quiet: bool = False
 
@@ -134,7 +138,7 @@ class ReproServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
         self._executor = None
-        self._inflight: Dict[str, asyncio.Task] = {}
+        self._inflight: Dict[str, asyncio.Future] = {}
         self._admitted = 0
         self._open_requests = 0
         self._ema_latency_s: Optional[float] = None
@@ -429,16 +433,13 @@ class ReproServer:
                 extra_headers=(("Retry-After", str(self._retry_after())),))
             return
 
-        # Validate the spec and its parameters up front so typos fail
+        # Check the run spec up front, as the run will, so typos fail
         # fast, before a task is admitted or journaled.
+        spec = {"origin": "serve", "experiments": [name], "suite": suite,
+                "params": params, "workers": self.config.workers,
+                "fail_fast": False}
         try:
-            spec = get_experiment(name)
-            spec.params_with_defaults(params)
-            if suite is not None:
-                get_suite(suite)
-                if spec.suite_param is None:
-                    raise RegistryError(
-                        f"experiment {name!r} is not suite-parameterized")
+            check_run_spec(spec)
         except RegistryError as exc:
             self._respond(writer, 400, {"error": str(exc)})
             return
@@ -460,8 +461,8 @@ class ReproServer:
                 return
             self._admitted += 1
             started = self._loop.time()
-            task = self._loop.create_task(
-                self._execute(name, suite, params))
+            task = asyncio.ensure_future(self._loop.run_in_executor(
+                self._executor, self._execute_sync, spec))
             self._inflight[key] = task
             task.add_done_callback(
                 lambda t, key=key, started=started:
@@ -693,7 +694,7 @@ class ReproServer:
             },
         }
 
-    def _on_run_done(self, key: str, task: asyncio.Task,
+    def _on_run_done(self, key: str, task: asyncio.Future,
                      started: float) -> None:
         self._admitted -= 1
         if self._inflight.get(key) is task:
@@ -707,42 +708,18 @@ class ReproServer:
                                    else 0.7 * ema + 0.3 * elapsed)
 
     # -- execution (single executor thread) --------------------------------
-    async def _execute(self, name: str, suite: Optional[str],
-                       params: Dict) -> Dict:
-        return await self._loop.run_in_executor(
-            self._executor, self._execute_sync, name, suite, params, None)
+    def _execute_sync(self, spec: Dict, journal=None) -> Dict:
+        """Run a request's spec, or a recovered ``journal``'s."""
+        from .eval.journal import RunJournal, new_run_id
 
-    def _execute_sync(self, name: str, suite: Optional[str], params: Dict,
-                      journal) -> Dict:
-        from .eval.engine import get_engine
-        from .eval.journal import RunJournal
-        from .report import run_experiment, run_suite_experiment
-
-        engine = get_engine()
         if journal is None and self.config.journal:
-            journal = RunJournal.create(spec={
-                "origin": "serve", "experiment": name, "suite": suite,
-                "params": dict(params)})
-        previous = engine.journal
-        engine.journal = journal
-        try:
-            if suite is not None:
-                artifact = run_suite_experiment(
-                    name, suite, workers=self.config.workers,
-                    fail_fast=False, **params)
-            else:
-                artifact = run_experiment(
-                    name, workers=self.config.workers, fail_fast=False,
-                    **params)
-        finally:
-            engine.journal = previous
-        failed = int(artifact.metadata.get("jobs", {}).get("failed", 0))
-        if journal is not None and not failed:
-            journal.record_event("run-complete")
+            journal = RunJournal(new_run_id())
+        artifacts = list(run_journaled(spec, journal))
         self.counters["executed_runs"] += 1
-        return {"artifact": artifact.to_dict(),
-                "run_id": journal.run_id if journal is not None else None,
-                "failed": failed}
+        return {"artifact": artifacts[-1].to_dict(),
+                "run_id": artifacts[-1].metadata.get("run_id"),
+                "failed": sum(artifact.metadata["jobs"]["failed"]
+                              for artifact in artifacts)}
 
     # -- boot: registries, engine, journal re-adoption ----------------------
     def _boot_sync(self) -> None:
@@ -764,17 +741,12 @@ class ReproServer:
                 journal = RunJournal.load(run_id)
             except (OSError, ValueError):
                 continue
-            if journal.complete or not journal.has_run_header:
-                continue
-            spec = journal.spec
-            if spec.get("origin") != "serve":
-                continue  # CLI runs belong to `repro run --resume`
+            if (journal.complete or journal.failed
+                    or journal.spec.get("origin") != "serve"):
+                continue  # finished, or a CLI run (`repro run --resume`)
             self._log(f"recovering unfinished run {run_id}")
-            journal.record_event("resumed")
             try:
-                result = self._execute_sync(
-                    spec.get("experiment"), spec.get("suite"),
-                    dict(spec.get("params") or {}), journal)
+                result = self._execute_sync(journal.spec, journal)
             except Exception as exc:
                 self.counters["recovery_failures"] += 1
                 self._log(f"recovery of {run_id} failed: "
@@ -783,11 +755,6 @@ class ReproServer:
             self.counters["recovered_runs"] += 1
             self._log(f"recovered {run_id} "
                       f"(failed jobs: {result['failed']})")
-
-
-def serve(config: Optional[ServeConfig] = None) -> int:
-    """Run a server to completion on a fresh event loop (the CLI path)."""
-    return asyncio.run(ReproServer(config).run())
 
 
 class ServerThread:

@@ -31,10 +31,6 @@ class BufferSpec:
     def capacity_bytes(self) -> int:
         return int(self.capacity_kb * 1024)
 
-    @property
-    def capacity_bits(self) -> int:
-        return self.capacity_bytes * 8
-
 
 class BufferSet:
     """A named collection of buffers with energy accounting."""
@@ -50,10 +46,6 @@ class BufferSet:
     @property
     def total_kb(self) -> float:
         return sum(s.capacity_kb for s in self.specs.values())
-
-    @property
-    def total_leakage_mw(self) -> float:
-        return sum(s.leakage_mw for s in self.specs.values())
 
     def access_energy_pj(self, read_bytes: float, write_bytes: float) -> float:
         """Energy of moving data through SRAM (uniform per-bit costs)."""

@@ -156,6 +156,17 @@ class TestRobustnessFlags:
         assert len(journal.completed_jobs()) > 0
         assert sweep_engine.journal is None  # detached after the run
 
+    def test_warm_run_writes_no_journal(self, sweep_engine, capsys):
+        from repro.eval.journal import list_runs
+
+        assert main(["run", "stall_table", "--quiet"]) == 0
+        runs = list_runs()
+        capsys.readouterr()
+        assert main(["run", "stall_table", "--quiet",
+                     "--run-id", "cli-test-warm"]) == 0
+        assert list_runs() == runs
+        assert "resume with" not in capsys.readouterr().out
+
     def test_no_journal_opts_out(self, sweep_engine, capsys):
         rc = main(["run", "stall_table", "--quiet", "--no-journal"])
         assert rc == 0
@@ -192,22 +203,31 @@ class TestRobustnessFlags:
         assert rc == 2
         assert "no run-spec header" in capsys.readouterr().err
 
+    def test_resume_flag_typo_leaves_journal_untouched(self, sweep_engine,
+                                                       capsys):
+        journal = RunJournal.create(run_id="cli-test-typo",
+                                    spec={"experiments": ["stall_table"]})
+        rc = main(["run", "--resume", "cli-test-typo", "stall_tabel"])
+        assert rc == 2
+        assert "stall_tabel" in capsys.readouterr().err
+        assert RunJournal.load("cli-test-typo").records == journal.records
+
     def test_resume_args_explicit_experiments_win(self):
         import argparse
 
-        from repro.cli import _resume_args
+        from repro.cli import _run_spec
 
         args = argparse.Namespace(experiments=["ablation_fig19"], suite=None,
                                   workers=None, retries=None, timeout=None,
                                   fail_fast=False)
-        _resume_args(args, {"experiments": ["stall_table"], "suite": "quick",
-                            "workers": 4})
-        assert args.experiments == ["ablation_fig19"]  # explicit wins
-        assert args.suite == "quick"
-        assert args.workers == 4
+        spec = _run_spec(args, {"experiments": ["stall_table"],
+                                "suite": "quick", "workers": 4})
+        assert spec["experiments"] == ["ablation_fig19"]  # explicit wins
+        assert spec["suite"] == "quick"
+        assert spec["workers"] == 4
         args.experiments = []
-        _resume_args(args, {"experiments": ["stall_table"]})
-        assert args.experiments == ["stall_table"]
+        spec = _run_spec(args, {"experiments": ["stall_table"]})
+        assert spec["experiments"] == ["stall_table"]
 
     def test_in_process_main_leaves_no_settings_behind(self, sweep_engine,
                                                         tmp_path, capsys):
@@ -271,6 +291,20 @@ class TestRobustnessFlags:
                 main(["run", "stall_table", "--quiet", "--no-journal",
                       "--fail-fast"])
 
+    def test_hint_prints_when_the_journal_is_created(self, sweep_engine,
+                                                     capsys):
+        # The first job raises out of the run, so no experiment ends: the
+        # hint a SIGKILLed run leaves is the one printed at creation.
+        from repro.faults import InjectedFault, inject_faults
+
+        with inject_faults(raise_=1.0):
+            with pytest.raises(InjectedFault):
+                main(["run", "stall_table", "--quiet", "--fail-fast",
+                      "--run-id", "cli-test-hint"])
+        assert ("resume with: python -m repro run --resume cli-test-hint"
+                in capsys.readouterr().out)
+        assert RunJournal.load("cli-test-hint").failed
+
     def test_list_runs(self, sweep_engine, capsys):
         assert main(["run", "stall_table", "--quiet",
                      "--run-id", "cli-test-list"]) == 0
@@ -300,6 +334,21 @@ class TestGcCli:
         assert main(["list", "runs"]) == 0
         listing = capsys.readouterr().out
         assert "gc-open" in listing and "gc-done" not in listing
+
+    def test_failed_run_lists_as_failed_and_is_kept(self, gc_cache,
+                                                    capsys):
+        from repro.faults import inject_faults
+
+        with inject_faults(raise_=1.0):
+            assert main(["run", "stall_table", "--quiet",
+                         "--run-id", "gc-failed"]) == 1
+        last = RunJournal.load("gc-failed").records[-1]
+        assert last["type"] == "run-failed" and last["failed"] > 0
+        capsys.readouterr()
+        assert main(["list", "runs"]) == 0
+        assert "gc-failed  failed" in capsys.readouterr().out
+        assert main(["list", "runs", "--gc"]) == 0
+        assert "removed 0 run(s), kept 1" in capsys.readouterr().out
 
     def test_gc_force_prunes_resumable(self, gc_cache, capsys):
         RunJournal.create(run_id="gc-open")

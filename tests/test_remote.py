@@ -78,9 +78,9 @@ class TestFetch:
                              retries=1, backoff=0.01, timeout=2.0)
         assert remote.fetch("art_" + "a" * 16, "fallback") == "fallback"
         assert len(remote.failures) == 1
-        record = remote.failures[0].to_dict()
-        assert record["id"] == "art_" + "a" * 16
-        assert record["attempts"] == 2
+        failure = remote.failures[0]
+        assert failure.art_id == "art_" + "a" * 16
+        assert failure.attempts == 2
         assert remote.stats()["failures"] == 1
 
     def test_index_negotiates_the_delta(self, served, tmp_path):

@@ -131,8 +131,21 @@ class TestSubmit:
         journal = RunJournal.load(response["run_id"])
         assert journal.complete
         assert journal.spec["origin"] == "serve"
-        assert journal.spec["experiment"] == "stall_table"
+        assert journal.spec["experiments"] == ["stall_table"]
         assert len(journal.completed_jobs()) > 0
+
+    def test_warm_request_writes_no_journal(self, serve_cache):
+        body = {"params": {"datasets": ["cora"]}}
+        with _thread_server() as handle:
+            client = ServeClient(handle.url)
+            cold = client.submit("stall_table", **body)
+            runs = list_runs()
+            assert runs == [cold["run_id"]]
+            warm = client.submit("stall_table", **body)
+            assert warm["failed"] == 0
+            assert warm["run_id"] is None
+            assert warm["artifact"]["metadata"]["serve"]["run_id"] is None
+            assert list_runs() == runs
 
     def test_no_journal_config_skips_journaling(self, serve_cache):
         with _thread_server(journal=False) as handle:
@@ -309,8 +322,9 @@ def _serve_in_process(monkeypatch, argv, probe):
 def _failed_under(server, **faults):
     """Error types of one served stall_table run under ``faults``."""
     with inject_faults(**faults):
-        result = server._execute_sync("stall_table", None,
-                                      {"datasets": ["cora"]}, None)
+        result = server._execute_sync({
+            "origin": "serve", "experiments": ["stall_table"],
+            "params": {"datasets": ["cora"]}})
     return [e["error_type"]
             for e in result["artifact"]["metadata"].get("errors", [])]
 
@@ -354,7 +368,7 @@ class TestRecovery:
         # A serve-origin journal with a header but no run-complete marker
         # is exactly what a SIGKILL'd daemon leaves behind.
         RunJournal.create(run_id="serve-crashed", spec={
-            "origin": "serve", "experiment": "stall_table", "suite": None,
+            "origin": "serve", "experiments": ["stall_table"], "suite": None,
             "params": {"datasets": ["cora"], "accelerators": ["mega"]}})
         with _thread_server() as handle:
             stats = ServeClient(handle.url).stats()
@@ -369,7 +383,7 @@ class TestRecovery:
         RunJournal.create(run_id="cli-unfinished", spec={
             "experiments": ["stall_table"]})
         done = RunJournal.create(run_id="serve-done", spec={
-            "origin": "serve", "experiment": "stall_table", "suite": None,
+            "origin": "serve", "experiments": ["stall_table"], "suite": None,
             "params": {}})
         done.record_event("run-complete")
         with _thread_server() as handle:
@@ -377,9 +391,65 @@ class TestRecovery:
             assert stats["counters"]["recovered_runs"] == 0
         assert not RunJournal.load("cli-unfinished").complete
 
+    def test_failed_recovery_is_tried_once(self, serve_cache):
+        # A parameter stall_table does not declare, a dataset no registry
+        # knows, and the old serve header that named one "experiment"
+        # (not migrated: the field is a spec error): all three runs fail
+        # on the first boot and are closed with run-failed instead of
+        # failing on every boot.
+        runs = {
+            "serve-undeclared": {"experiments": ["stall_table"],
+                                 "params": {"dataset": ["cora"]}},
+            "serve-unknown-dataset": {
+                "experiments": ["stall_table"],
+                "params": {"datasets": ["no-such-dataset"]}},
+            "serve-old-format": {"experiment": "stall_table", "params": {}},
+        }
+        for run_id, spec in runs.items():
+            RunJournal.create(run_id=run_id, spec={
+                "origin": "serve", "suite": None, **spec})
+        failures = []
+        for _ in range(3):
+            with _thread_server() as handle:
+                failures.append(ServeClient(handle.url).stats()[
+                    "counters"]["recovery_failures"])
+        assert failures == [3, 0, 0]
+        for run_id in runs:
+            journal = RunJournal.load(run_id)
+            assert journal.records[-1]["type"] == "run-failed"
+            assert journal.records[-1]["error"]
+            assert journal.failed and not journal.complete
+        old_format = RunJournal.load("serve-old-format").records[-1]
+        assert "'experiment'" in old_format["error"]
+
+    def test_run_with_failed_jobs_is_closed_not_readopted(self, serve_cache):
+        with _thread_server() as handle:
+            with inject_faults(raise_=1.0):
+                response = ServeClient(handle.url).submit(
+                    "stall_table", params={"datasets": ["cora"]})
+        assert response["failed"] > 0
+        journal = RunJournal.load(response["run_id"])
+        assert journal.records[-1]["type"] == "run-failed"
+        assert journal.records[-1]["failed"] == response["failed"]
+        with _thread_server() as handle:
+            counters = ServeClient(handle.url).stats()["counters"]
+        assert counters["recovered_runs"] == 0
+        assert counters["recovery_failures"] == 0
+
+    def test_cli_resume_reruns_the_served_spec(self, serve_cache, capsys):
+        from repro.cli import main
+
+        with _thread_server() as handle:
+            response = ServeClient(handle.url).submit("ablation_fig19")
+        before = len(RunJournal.load(response["run_id"]).records)
+        assert main(["run", "--resume", response["run_id"], "--quiet"]) == 0
+        added = RunJournal.load(response["run_id"]).records[before:]
+        assert [r["name"] for r in added
+                if r["type"] == "experiment"] == ["ablation_fig19"]
+
     def test_no_recover_config_skips_adoption(self, serve_cache):
         RunJournal.create(run_id="serve-crashed", spec={
-            "origin": "serve", "experiment": "stall_table", "suite": None,
+            "origin": "serve", "experiments": ["stall_table"], "suite": None,
             "params": {}})
         with _thread_server(recover=False) as handle:
             assert ServeClient(handle.url).stats()["counters"][
@@ -476,6 +546,15 @@ class TestDaemonLifecycle:
             response = client.submit("stall_table", suite="quick",
                                      deadline_s=0.5)
             assert response["deadline_expired"] is True
+            # The header lands at the first pending job, after the cold
+            # daemon's set-up, which may outlast the deadline.  That job
+            # hangs, so waiting for the header still pins it being
+            # written before the first job.
+            deadline = time.monotonic() + 60
+            while not any(RunJournal.load(run_id, cache).has_run_header
+                          for run_id in list_runs(cache)):
+                assert time.monotonic() < deadline, "no journal header"
+                time.sleep(0.05)
         finally:
             proc.kill()
             proc.wait()
