@@ -3,8 +3,12 @@ under the sweep engine.
 
 Everything a sweep persists is an artifact here: job results (kinds
 ``sim-report`` and ``train-result``), large partitions (``partition``)
-and the engine's derived memos — graph fingerprints, workloads and
-tables (``memo``).  The design follows the two-stage pattern of
+and the engine's derived memos — graph fingerprints and tables
+(``memo``).  One handle on the cache directory's store,
+:func:`artifact_store`, is shared by the engine (unless it is given its
+own ``cache_dir``), the partition cache, ``repro serve`` and the CLI, so
+their counters, read-only latch and quarantine warning are one set.
+The design follows the two-stage pattern of
 SNIPPETS.md's Lambda-Hat (Stage A builds a content-addressed target
 once, Stage B consumes it many times):
 
@@ -563,10 +567,9 @@ class ArtifactStore:
             else:
                 yield entry.name, entry, ""
 
-    def verify(self, sweep_tmp: bool = True) -> Dict:
+    def verify(self) -> Dict:
         """:func:`admit` every entry; quarantine what fails or is filed
-        outside its shard; optionally sweep dead in-progress temp
-        directories.
+        outside its shard; sweep dead in-progress temp directories.
 
         Returns ``{"checked", "ok", "quarantined": [{id, reason}],
         "swept_tmp", "quarantine_entries", "shards": {shard: count}}``.
@@ -592,7 +595,7 @@ class ArtifactStore:
                 reason = str(exc) or type(exc).__name__
                 self._quarantine(name, reason, path=path)
                 newly_quarantined.append({"id": name, "reason": reason})
-        swept = self._sweep_tmp() if sweep_tmp else 0
+        swept = self._sweep_tmp()
         return {"checked": checked, "ok": ok,
                 "quarantined": newly_quarantined, "swept_tmp": swept,
                 "quarantine_entries": len(self.quarantine_entries()),
@@ -987,19 +990,19 @@ class ArtifactStore:
                 "io_errors": self.io_errors}
 
 
-_STORE: Optional[ArtifactStore] = None
-_STORE_BASE: Optional[Path] = None
+# One handle per cache directory, so redirecting ``REPRO_CACHE_DIR``
+# and back (``temporary_cache_dir`` in tests) finds the handle the
+# restored engine holds instead of opening a second one.
+_STORES: Dict[Path, ArtifactStore] = {}
 
 
 def artifact_store() -> ArtifactStore:
-    """The process-wide store under the *current* cache directory
-    (rebuilt when ``REPRO_CACHE_DIR`` is redirected, e.g. by
-    ``temporary_cache_dir`` in tests)."""
-    global _STORE, _STORE_BASE
+    """The process-wide store under the *current* cache directory; an
+    engine built without a ``cache_dir`` uses this handle."""
     from .perf.cache import default_cache_dir
 
     base = default_cache_dir()
-    if _STORE is None or _STORE_BASE != base:
-        _STORE = ArtifactStore(directory=base)
-        _STORE_BASE = base
-    return _STORE
+    store = _STORES.get(base)
+    if store is None:
+        store = _STORES[base] = ArtifactStore(directory=base)
+    return store

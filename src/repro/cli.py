@@ -214,13 +214,11 @@ def _build_parser() -> argparse.ArgumentParser:
     art_sub.add_parser("list", help="list every artifact (id, kind, size)")
     show_p = art_sub.add_parser("show", help="print one artifact's manifest")
     show_p.add_argument("id", metavar="ART_ID")
-    verify_p = art_sub.add_parser(
+    art_sub.add_parser(
         "verify", help="admit every entry (manifest, re-derived id, "
                        "payload hash); quarantine corrupt and misfiled "
-                       "entries, report per-shard counts (exit 1 if any "
-                       "were quarantined)")
-    verify_p.add_argument("--no-sweep-tmp", action="store_true",
-                          help="keep dead in-progress temp directories")
+                       "entries, sweep dead temp directories, report "
+                       "per-shard counts (exit 1 if any were quarantined)")
     gc_p = art_sub.add_parser(
         "gc", help="sweep entries not referenced by run journals or pins "
                    "(dry-run unless --force)")
@@ -433,7 +431,7 @@ def _cmd_artifacts(args: argparse.Namespace) -> int:
         print(json.dumps(manifest, indent=2, sort_keys=True))
         return 0
     if args.action == "verify":
-        outcome = store.verify(sweep_tmp=not args.no_sweep_tmp)
+        outcome = store.verify()
         print(f"verified {outcome['checked']} entr"
               f"{'y' if outcome['checked'] == 1 else 'ies'}: "
               f"{outcome['ok']} ok, {len(outcome['quarantined'])} "

@@ -16,7 +16,9 @@ stand-in, synthetic scale sweep, or user-defined — flows through the
 same three layers:
 
 1. an in-process memory cache (same object returned for repeat jobs, so
-   figure scripts sharing a sweep stay cheap and identity-stable);
+   figure scripts sharing a sweep stay cheap and identity-stable), which
+   keeps each result's artifact id beside it, so an experiment lists
+   its own jobs' ids (:meth:`SweepEngine.artifact_ids`);
 2. a persistent, content-addressed artifact store
    (:class:`repro.artifacts.ArtifactStore`): each completed job
    publishes as a first-class artifact (kind ``sim-report`` or
@@ -30,8 +32,11 @@ same three layers:
    imported the corpus) replays a sweep without re-simulating, any code
    change invalidates every entry, and corrupt entries are quarantined
    and rebuilt rather than served.  The cheap derived values (graph
-   fingerprints, workloads, tables) are ``memo`` artifacts in the same
-   store;
+   fingerprints and tables) are ``memo`` artifacts in the same store,
+   which is the process-wide :func:`~repro.artifacts.artifact_store`
+   unless the engine is given its own ``cache_dir``.  Workloads are
+   not persisted: each process builds a recipe's workloads once and
+   keeps them in memory (``_WORKLOAD_MEMO``);
 3. actual execution, *supervised* (see :mod:`repro.eval.supervise`):
    serially with per-job deadlines and bounded retries, or fanned out
    over forked worker processes the supervisor owns — simulation jobs
@@ -89,7 +94,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple, TypeVar)
 
 from .. import faults
-from ..artifacts import ArtifactStore, derive_artifact_id
+from ..artifacts import ArtifactStore, artifact_store, derive_artifact_id
 from ..perf.cache import ContentCache, cached_load_dataset, graph_fingerprint
 from ..registry import get_accelerator
 from .supervise import JobFailure, Supervisor, run_serial
@@ -195,16 +200,11 @@ class TrainJob:
         return self.seed if self.graph_seed is None else self.graph_seed
 
 
-# Worker/serial-side memo of built workloads, shared by every job of one
-# (dataset, model, precision) in a process.  Module-level (not on the
-# engine) so forked pool workers reuse whatever the parent already built.
+# The one cache of built workloads, shared by every job of one
+# (dataset, model, precision) in a process and by ``get_workload``.
+# Module-level (not on the engine) so forked workers reuse whatever the
+# parent already built; nothing persists it.
 _WORKLOAD_MEMO = ContentCache("workloads")
-
-
-def _workload_key(dataset: str, model: str, precision: str,
-                  target_average_bits: Optional[float], seed: int) -> tuple:
-    return (dataset.lower(), model.lower(), precision,
-            target_average_bits, seed)
 
 
 def _workloads(dataset: str, model: str, precision: str, seed: int,
@@ -217,7 +217,7 @@ def _workloads(dataset: str, model: str, precision: str, seed: int,
     every job of a recipe in this process sees the same objects.
     """
     def key(target: Optional[float]) -> tuple:
-        return _workload_key(dataset, model, precision, target, seed)
+        return (dataset.lower(), model.lower(), precision, target, seed)
 
     found = {target: _WORKLOAD_MEMO.get(key(target))
              for target in dict.fromkeys(targets)}
@@ -385,8 +385,8 @@ def _chunk_key(job):
     scenarios (the dataset entry's ``size_hint`` at or above
     ``_CHUNK_SPLIT_NODES``, 100k nodes), where each job is its own
     chunk: per-job simulation cost dwarfs the amortized
-    construction there, and the shared disk caches (dataset, workload,
-    partition) already keep the workers from repeating it.  Training
+    construction there, and large partitions persist to the shared
+    artifact store, so the workers do not repeat those.  Training
     jobs are each their own chunk — a single training run is the
     expensive unit and the (case × flow × seed) grid is the axis worth
     parallelizing.
@@ -409,14 +409,20 @@ class SweepEngine:
                  backoff: float = 0.05, journal=None,
                  remote=None) -> None:
         self.workers = max(int(workers), 0)
+        # job -> (result, the artifact id it is stored under, or None
+        # when the publish failed).
         self.reports = ContentCache("job_results")
         self.tables = ContentCache("tables")
         # Everything persistent is a content-addressed artifact (id
         # derived from its inputs + the code version): job results
         # (kind "sim-report"/"train-result") and the cheap derived memos
-        # — graph fingerprints, workloads, tables (kind "memo") — with
+        # — graph fingerprints and tables (kind "memo") — with
         # manifest-backed integrity, quarantine and export/import.
-        self.artifacts = ArtifactStore(directory=cache_dir)
+        # Without a cache_dir that is the process-wide store, so the
+        # engine, the partition cache, serve and the CLI share one set
+        # of counters, one read-only latch and one quarantine warning.
+        self.artifacts = (artifact_store() if cache_dir is None
+                          else ArtifactStore(directory=cache_dir))
         # Optional remote read-through tier (memory → artifacts → remote
         # → execute): when REPRO_REMOTE_URL names a `repro serve` daemon,
         # fresh machines pull admitted artifacts instead of executing.
@@ -426,9 +432,6 @@ class SweepEngine:
             from ..remote import remote_store_from_env
             remote = remote_store_from_env(self.artifacts)
         self.remote = remote
-        # Artifact ids this engine resolved or produced (id -> kind),
-        # surfaced in experiment metadata for provenance and GC liveness.
-        self.consumed_artifacts: Dict[str, str] = {}
         # Supervision policy, read at run time: the CLI sets these for
         # one invocation and restores them afterwards.
         self.retries = retries
@@ -537,6 +540,16 @@ class SweepEngine:
         fetched and journaled under."""
         return derive_artifact_id(*self._job_key(job))
 
+    def artifact_ids(self, jobs: Sequence) -> Dict[str, str]:
+        """``{artifact id: kind}`` of the stored results of ``jobs`` held
+        in memory, sorted by id: an experiment's provenance."""
+        ids = {}
+        for job in jobs:
+            _report, art_id = self.reports.peek(job, (None, None))
+            if art_id is not None:
+                ids[art_id] = self._job_kind(job)
+        return dict(sorted(ids.items()))
+
     @staticmethod
     def _job_kind(job) -> str:
         return "train-result" if isinstance(job, TrainJob) else "sim-report"
@@ -559,24 +572,24 @@ class SweepEngine:
         workers = self.workers if workers is None else max(int(workers), 0)
         unique = list(dict.fromkeys(jobs))
         results: Dict = {}
-        pending: List = []
+        pending: Dict = {}       # job -> artifact id
         sentinel = object()
         for job in unique:
-            report = self.reports.get(job)
-            if report is not None:
-                results[job] = report
+            entry = self.reports.get(job)
+            if entry is not None:
+                results[job] = entry[0]
                 continue
             art_id = self.job_fingerprint(job)
             cached = self.artifacts.get(art_id, sentinel)
             if cached is sentinel and self.remote is not None:
                 cached = self.remote.fetch(art_id, sentinel)
             if cached is not sentinel:
-                self.consumed_artifacts[art_id] = self._job_kind(job)
-                results[job] = self.reports.put(job, cached)
+                self.reports.put(job, (cached, art_id))
+                results[job] = cached
                 continue
             if self.journal is None and self.open_journal is not None:
                 self.journal = self.open_journal()
-            pending.append(job)
+            pending[job] = art_id
 
         if pending:
             for module in _EXECUTION_MODULES:
@@ -599,22 +612,20 @@ class SweepEngine:
         except Exception:
             return f"unfingerprintable:{job!r}"
 
-    def _store(self, job, report, results: Dict, attempts: int = 1,
-               elapsed: float = 0.0) -> None:
-        """Persist one landed result: memory, artifact store, then
-        journal — in that order, so a journal ``ok`` line carrying an
-        artifact id always implies the published entry it promises
-        already exists (a failed/torn publish journals without an id,
-        and the job simply re-executes in the next process)."""
-        results[job] = self.reports.put(job, report)
-        kind, inputs = self._job_key(job)
-        art_id = self.artifacts.put(kind, inputs, report)
-        if art_id is not None:
-            self.consumed_artifacts[art_id] = kind
+    def _store(self, job, report, art_id: str, results: Dict,
+               attempts: int = 1, elapsed: float = 0.0) -> None:
+        """Persist one landed result under its id ``art_id``: artifact
+        store, memory, then journal — in that order, so a journal ``ok``
+        line carrying an artifact id always implies the published entry
+        it promises already exists (a failed/torn publish journals
+        without an id, and the job simply re-executes in the next
+        process)."""
+        published = self.artifacts.put(*self._job_key(job), report)
+        self.reports.put(job, (report, published))
+        results[job] = report
         if self.journal is not None:
-            self.journal.record_job(derive_artifact_id(kind, inputs), "ok",
-                                    attempts=attempts, elapsed_s=elapsed,
-                                    artifact=art_id)
+            self.journal.record_job(art_id, "ok", attempts=attempts,
+                                    elapsed_s=elapsed, artifact=published)
 
     def _record_failure(self, failure: JobFailure) -> None:
         self.failures.append(failure)
@@ -625,24 +636,25 @@ class SweepEngine:
                 error=f"{failure.error_type}: {failure.error}",
                 kind=failure.kind)
 
-    def _on_result(self, results: Dict):
+    def _on_result(self, pending: Dict, results: Dict):
         def landed(job, report, attempts: int, elapsed: float) -> None:
             self._note_executed([job])
-            self._store(job, report, results, attempts=attempts,
-                        elapsed=elapsed)
+            self._store(job, report, pending[job], results,
+                        attempts=attempts, elapsed=elapsed)
         return landed
 
-    def _run_serial(self, pending: Sequence, results: Dict,
+    def _run_serial(self, pending: Dict, results: Dict,
                     fail_fast: bool = True) -> List[JobFailure]:
         """Execute jobs one by one under the retry/deadline policy,
         persisting each result as it lands (a failure part-way keeps
         everything computed so far cached)."""
-        return run_serial(pending, _execute_job, self._on_result(results),
+        return run_serial(list(pending), _execute_job,
+                          self._on_result(pending, results),
                           timeout=self.timeout, retries=self.retries,
                           backoff=self.backoff, fail_fast=fail_fast,
                           prepare=self._prepare_hook())
 
-    def _run_parallel(self, pending: Sequence, workers: int, results: Dict,
+    def _run_parallel(self, pending: Dict, workers: int, results: Dict,
                       fail_fast: bool = True) -> List[JobFailure]:
         """Fan job chunks out over supervised worker processes.
 
@@ -674,7 +686,8 @@ class SweepEngine:
             timeout=self.timeout, retries=self.retries, backoff=self.backoff,
             prepare=prepare)
         try:
-            return supervisor.run(chunk_list, self._on_result(results),
+            return supervisor.run(chunk_list,
+                                  self._on_result(pending, results),
                                   fail_fast=fail_fast)
         finally:
             self.pool_used = self.pool_used or supervisor.used_processes
@@ -688,28 +701,6 @@ class SweepEngine:
         return self.run([job])[job]
 
     # -- non-simulation artifacts ------------------------------------------
-    def workload(self, dataset: str, model: str, precision: str,
-                 target_average_bits: Optional[float] = None,
-                 seed: int = 0) -> Workload:
-        """Memoized (memory + ``memo`` artifact) workload construction."""
-        key = _workload_key(dataset, model, precision, target_average_bits, seed)
-        workload = _WORKLOAD_MEMO.get(key)
-        if workload is not None:
-            return workload
-        from ..registry import get_dataset
-
-        memo_key = ["workload", self.dataset_fingerprint(dataset, seed),
-                    get_dataset(dataset).cache_token, key]
-        workload, _art_id = self.artifacts.get_or_build(
-            "memo", {"key": memo_key},
-            lambda: _workloads(dataset, model, precision, seed,
-                               (target_average_bits,))[0])
-        return _WORKLOAD_MEMO.put(key, workload)
-
-    def graph(self, dataset: str, seed: int = 0):
-        """The simulated-scale graph every runner shares."""
-        return cached_load_dataset(dataset, scale="sim", seed=seed)
-
     def cached_table(self, key_parts: tuple, compute: Callable[[], T]) -> T:
         """Memoize a whole derived table (memory + ``memo`` artifact).
 
@@ -732,7 +723,6 @@ class SweepEngine:
         self.batch_used = False
         self.batch_sizes = []
         self.failures = []
-        self.consumed_artifacts = {}
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         out = {"reports": self.reports.stats(), "tables": self.tables.stats(),

@@ -31,11 +31,12 @@ from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 import numpy as np
 
-from ..perf.cache import cached_partition, clear_all_caches
+from ..perf.cache import (cached_load_dataset, cached_partition,
+                          clear_all_caches)
 from ..registry import EXPERIMENTS, SUITES, ExperimentSpec, SuiteEntry
 from ..sim.accelerator import SimReport
 from ..sim.dram import DramModel
-from .engine import SimJob, get_engine
+from .engine import SimJob, _workloads, get_engine
 from .reporting import geomean
 
 if TYPE_CHECKING:
@@ -92,8 +93,9 @@ SUITES.add("scale-sweep-10k", SuiteEntry(
 
 
 def get_workload(dataset: str, model: str, precision: str) -> Workload:
-    """Engine-cached workload construction (memory + on-disk)."""
-    return get_engine().workload(dataset, model, precision)
+    """The simulated workload of one recipe, memoized in memory with
+    the ones the engine's simulation jobs build."""
+    return _workloads(dataset, model, precision, 0, (None,))[0]
 
 
 def simulate(accelerator: str, dataset: str, model: str,
@@ -109,7 +111,8 @@ def simulate(accelerator: str, dataset: str, model: str,
 
 
 def clear_caches() -> None:
-    """Reset every sweep-related cache layer (engine memory + legacy).
+    """Reset every in-process sweep cache: engine memory (job results,
+    tables, workloads), datasets and partitions.
 
     Disk entries survive (they are content-keyed and code-versioned);
     this drops the in-process state so tests and benchmarks cannot leak
@@ -196,7 +199,7 @@ def _locality_reduce(results: Mapping, dataset, feature_dim, feature_bits,
     def compute() -> Dict[str, Dict[str, float]]:
         from ..sim.locality import aggregation_locality_traffic
 
-        graph = engine.graph(dataset)
+        graph = cached_load_dataset(dataset, scale="sim")
         dram = DramModel()
         feat_bytes = feature_dim * feature_bits / 8.0
         buffer_nodes = max(int(128 * 1024 / (feature_dim * 2.0)), 1)

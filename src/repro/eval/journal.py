@@ -18,7 +18,8 @@ journal marks ``ok`` with an artifact id was published to the engine's
 written, so replaying the journaled spec re-executes only jobs the
 journal (and store) never saw.  The journal contributes the *recipe* —
 ``repro run --resume <id>`` needs no re-typed arguments — and the
-per-job provenance trail.
+per-job provenance trail, which is also artifact-store GC's mark set
+(:func:`referenced_artifacts` reads every journal on each call).
 """
 
 from __future__ import annotations
@@ -207,27 +208,10 @@ class RunJournal:
         return None
 
 
-# Per-journal referenced-id sets, keyed by path and validated against
-# (mtime_ns, size) — journals are append-only, so an unchanged stat means
-# an unchanged id set and repeated gc invocations skip the re-parse.
-# Torn journals cache an empty set under the same stamp, so the warning
-# fires once per torn state, not once per gc.
-_REF_CACHE: Dict[Path, tuple] = {}
-
-
 def _journal_artifact_ids(run_id: str, path: Path,
                           directory: Optional[os.PathLike]) -> Set[str]:
     try:
-        stat = path.stat()
-    except OSError:
-        return set()
-    stamp = (stat.st_mtime_ns, stat.st_size)
-    cached = _REF_CACHE.get(path)
-    if cached is not None and cached[0] == stamp:
-        return cached[1]
-    try:
-        ids = frozenset(
-            RunJournal.load(run_id, directory=directory).artifact_ids())
+        return RunJournal.load(run_id, directory=directory).artifact_ids()
     except OSError:
         return set()
     except ValueError as exc:
@@ -238,9 +222,7 @@ def _journal_artifact_ids(run_id: str, path: Path,
             f"({exc}); its artifacts are only protected by pins or "
             f"keep_days until the journal is repaired or pruned",
             RuntimeWarning, stacklevel=4)
-        ids = frozenset()
-    _REF_CACHE[path] = (stamp, ids)
-    return set(ids)
+        return set()
 
 
 def referenced_artifacts(
@@ -248,13 +230,10 @@ def referenced_artifacts(
     """Artifact ids referenced by *any* journaled run under the cache
     directory — the mark set for :meth:`repro.artifacts.ArtifactStore.gc`.
 
-    Per-journal id sets are cached keyed by the journal's
-    ``(mtime_ns, size)``, so repeated invocations (long-lived daemons,
-    back-to-back ``repro artifacts gc``) only re-parse journals that
-    actually changed.  Torn journals are skipped with a warning instead
-    of aborting the mark phase; unreadable journals contribute nothing
-    (their runs' artifacts are then only protected by pins or
-    ``keep_days``)."""
+    Every call parses every journal.  Torn journals are skipped with a
+    warning instead of aborting the mark phase; unreadable journals
+    contribute nothing (their runs' artifacts are then only protected by
+    pins or ``keep_days``)."""
     live: Set[str] = set()
     root = runs_dir(directory)
     for run_id in list_runs(directory):

@@ -116,7 +116,9 @@ class Graph:
     # ------------------------------------------------------------------
     # Aggregation operators
     # ------------------------------------------------------------------
-    def normalized_adjacency(self, kind: str = "gcn") -> sp.csr_matrix:
+    def normalized_adjacency(self, kind: str = "gcn",
+                             max_neighbors: Optional[int] = None
+                             ) -> sp.csr_matrix:
         """Return the aggregation matrix used by a model family.
 
         ``kind`` is one of:
@@ -126,10 +128,20 @@ class Graph:
         - ``"add"``: raw sum aggregation with self loops (GIN, eps = 0).
         - ``"mean"``: row-normalized mean over in-neighbors (GraphSAGE).
         - ``"raw"``: the adjacency itself.
+
+        ``max_neighbors`` builds the operator over a GraphSAGE-style
+        sample of at most that many in-neighbors per node, drawn from a
+        fixed ``default_rng(0)`` stream, so it too is a pure function of
+        the adjacency.  Every operator is memoized on the instance.
         """
-        key = f"norm:{kind}"
+        key = f"norm:{kind}:{max_neighbors}"
         if key in self._cache:
             return self._cache[key]
+        if max_neighbors is not None:
+            sampled = self.sample_neighbors(max_neighbors,
+                                            rng=np.random.default_rng(0))
+            out = self._cache[key] = sampled.normalized_adjacency(kind)
+            return out
         a = self.adjacency.astype(bool).astype(np.float32)
         n = self.num_nodes
         if kind == "gcn":

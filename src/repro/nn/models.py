@@ -14,8 +14,6 @@ from typing import Optional
 import numpy as np
 
 from ..graphs import Graph
-from ..perf.cache import (cached_normalized_adjacency,
-                          cached_sampled_normalized_adjacency)
 from ..tensor import Tensor, functional as F
 from .layers import GATConv, GINConv, GraphConv, QuantHooks, SageConv
 from .module import Module
@@ -54,10 +52,9 @@ class _TwoLayerGNN(Module):
         return self
 
     def _adjacency(self, graph: Graph):
-        # Content-keyed: one aggregation operator per (graph content,
-        # model family), shared across model instances, training seeds
-        # and quantization flows.
-        return cached_normalized_adjacency(graph, self.aggregation)
+        # Memoized on the graph: one operator per (graph, model family),
+        # shared across model instances, training seeds and flows.
+        return graph.normalized_adjacency(self.aggregation)
 
     def forward(self, features: Tensor, graph: Graph) -> Tensor:
         adjacency = self._adjacency(graph)
@@ -122,13 +119,7 @@ class GraphSage(_TwoLayerGNN):
         self.layer2 = SageConv(hidden_dim, num_classes, 1, hooks=hooks, rng=rng)
 
     def _adjacency(self, graph: Graph):
-        if self.sample_neighbors is None:
-            return cached_normalized_adjacency(graph, "mean")
-        # The sampled operator is deterministic in the graph content
-        # (fixed sampling stream), so the content-keyed cache replaces
-        # the old per-model-instance id()-keyed one and is shared across
-        # seeds and flows.
-        return cached_sampled_normalized_adjacency(graph, self.sample_neighbors)
+        return graph.normalized_adjacency("mean", self.sample_neighbors)
 
 
 class GAT(_TwoLayerGNN):

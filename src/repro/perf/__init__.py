@@ -1,11 +1,10 @@
 """Performance subsystem: content-keyed caches, timers and the kernel
 benchmark runner.
 
-- :mod:`repro.perf.cache` memoizes expensive graph-derived artifacts
-  (partitions, normalized adjacencies, loaded datasets) keyed by the
-  *content* of the inputs, so repeated experiment sweeps stop
-  recomputing them per call site, and provides the code-version digest
-  every persisted artifact id carries;
+- :mod:`repro.perf.cache` memoizes loaded datasets and partitions keyed
+  by the *content* of the inputs, so repeated experiment sweeps stop
+  recomputing them per call site, and provides the graph fingerprint
+  and the code-version digest every persisted artifact id carries;
 - :mod:`repro.perf.timers` provides the lightweight wall-clock timers
   and counters the benchmark runner is built on;
 - :mod:`repro.perf.reference` preserves the original (seed) pure-Python
@@ -22,7 +21,6 @@ from .cache import (
     ContentCache,
     cache_stats,
     cached_load_dataset,
-    cached_normalized_adjacency,
     cached_partition,
     clear_all_caches,
     code_version,
@@ -37,7 +35,6 @@ __all__ = [
     "TimingStats",
     "cache_stats",
     "cached_load_dataset",
-    "cached_normalized_adjacency",
     "cached_partition",
     "clear_all_caches",
     "code_version",

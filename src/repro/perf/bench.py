@@ -117,21 +117,20 @@ def _speedup(reference_s: float, fast_s: float) -> float:
     return reference_s / fast_s if fast_s > 0 else float("inf")
 
 
-def _bench_encode(values, bits, repeats: int, check: bool) -> dict:
+def _bench_encode(values, bits, repeats: int) -> dict:
     fmt = AdaptivePackageFormat()
     fast = time_callable(lambda: fmt.encode(values, bits), repeats=repeats)
     with Timer() as ref:
         reference = encode_adaptive_package_reference(values, bits)
-    if check:
-        encoded = fmt.encode(values, bits)
-        assert encoded.num_packages == reference.num_packages
-        assert encoded.report().breakdown == reference.report().breakdown
-        assert np.array_equal(fmt.decode(encoded), values)
+    encoded = fmt.encode(values, bits)
+    assert encoded.num_packages == reference.num_packages
+    assert encoded.report().breakdown == reference.report().breakdown
+    assert np.array_equal(fmt.decode(encoded), values)
     return {"fast": fast.as_dict(), "reference_s": ref.elapsed,
             "speedup": _speedup(ref.elapsed, fast.best_s)}
 
 
-def _bench_condense(graph, parts, repeats: int, check: bool) -> dict:
+def _bench_condense(graph, parts, repeats: int) -> dict:
     # Constructions (FIFO seeding) happen outside the timed region for
     # both implementations: the kernel under test is the node stream.
     runs = []
@@ -143,11 +142,10 @@ def _bench_condense(graph, parts, repeats: int, check: bool) -> dict:
     reference_unit = CondenseUnitReference(graph.adjacency, parts)
     with Timer() as ref:
         reference_unit.run()
-    if check:
-        fast_unit = CondenseUnit(graph.adjacency, parts)
-        assert fast_unit.run() == reference_unit.sparse_buffer
-        assert fast_unit.comparisons == reference_unit.comparisons
-        assert fast_unit.matches == reference_unit.matches
+    fast_unit = CondenseUnit(graph.adjacency, parts)
+    assert fast_unit.run() == reference_unit.sparse_buffer
+    assert fast_unit.comparisons == reference_unit.comparisons
+    assert fast_unit.matches == reference_unit.matches
     best = min(runs)
     return {"fast": {"best_s": best, "mean_s": sum(runs) / len(runs),
                      "repeats": repeats},
@@ -155,7 +153,7 @@ def _bench_condense(graph, parts, repeats: int, check: bool) -> dict:
             "speedup": _speedup(ref.elapsed, best)}
 
 
-def _bench_sample(graph, repeats: int, check: bool, max_neighbors: int = 25) -> dict:
+def _bench_sample(graph, repeats: int, max_neighbors: int = 25) -> dict:
     # Compare adjacency-to-adjacency (the reference never builds a Graph).
     fast = time_callable(
         lambda: sample_adjacency(graph.adjacency, max_neighbors,
@@ -164,37 +162,35 @@ def _bench_sample(graph, repeats: int, check: bool, max_neighbors: int = 25) -> 
     with Timer() as ref:
         sample_neighbors_reference(graph.adjacency, max_neighbors,
                                    rng=np.random.default_rng(0))
-    if check:
-        sampled = sample_adjacency(graph.adjacency, max_neighbors)
-        row_nnz = np.diff(sampled.indptr)
-        assert row_nnz.max() <= max_neighbors
-        assert np.array_equal(
-            row_nnz, np.minimum(np.diff(graph.adjacency.tocsr().indptr),
-                                max_neighbors))
+    sampled = sample_adjacency(graph.adjacency, max_neighbors)
+    row_nnz = np.diff(sampled.indptr)
+    assert row_nnz.max() <= max_neighbors
+    assert np.array_equal(
+        row_nnz, np.minimum(np.diff(graph.adjacency.tocsr().indptr),
+                            max_neighbors))
     return {"fast": fast.as_dict(), "reference_s": ref.elapsed,
             "speedup": _speedup(ref.elapsed, fast.best_s)}
 
 
-def _bench_csr_decode(values, bits, repeats: int, check: bool) -> dict:
+def _bench_csr_decode(values, bits, repeats: int) -> dict:
     fmt = CsrFormat()
     encoded = fmt.encode(values, bits)
     fast = time_callable(lambda: fmt.decode(encoded), repeats=repeats)
     with Timer() as ref:
         reference = csr_decode_reference(encoded)
-    if check:
-        assert np.array_equal(fmt.decode(encoded), reference)
+    assert np.array_equal(fmt.decode(encoded), reference)
     return {"fast": fast.as_dict(), "reference_s": ref.elapsed,
             "speedup": _speedup(ref.elapsed, fast.best_s)}
 
 
-def _bench_partition(size: str, repeats: int, check: bool) -> dict:
+def _bench_partition(size: str, repeats: int) -> dict:
     """Vectorized partitioner vs the preserved seed loops at one
     scale-scenario operating point.
 
     The vectorized side is timed best-of-``repeats`` (single repeat at
     the 500k size — one run is seconds); the reference runs once (it is
-    the slow side by construction).  ``check`` asserts seed determinism,
-    the balance guarantee, and edge-cut parity within 15% of the seed
+    the slow side by construction).  It asserts seed determinism, the
+    balance guarantee, and edge-cut parity within 15% of the seed
     implementation (the property-test tolerance).
     """
     dataset, num_parts = PARTITION_SIZES[size]
@@ -208,14 +204,13 @@ def _bench_partition(size: str, repeats: int, check: bool) -> dict:
     new = results[0]
     with Timer() as ref_t:
         ref = partition_graph_reference(adjacency, num_parts)
-    if check:
-        assert all(np.array_equal(r.parts, new.parts) for r in results), \
-            "partition_graph must be deterministic per seed"
-        assert new.balance <= 1.1 + 1e-9 or \
-            new.balance <= np.ceil(adjacency.shape[0] / num_parts) / \
-            (adjacency.shape[0] / num_parts) + 1e-9, new.balance
-        assert new.edge_cut <= ref.edge_cut * 1.15, \
-            f"edge cut {new.edge_cut} vs reference {ref.edge_cut}"
+    assert all(np.array_equal(r.parts, new.parts) for r in results), \
+        "partition_graph must be deterministic per seed"
+    assert new.balance <= 1.1 + 1e-9 or \
+        new.balance <= np.ceil(adjacency.shape[0] / num_parts) / \
+        (adjacency.shape[0] / num_parts) + 1e-9, new.balance
+    assert new.edge_cut <= ref.edge_cut * 1.15, \
+        f"edge cut {new.edge_cut} vs reference {ref.edge_cut}"
     return {
         "dataset": dataset,
         "nodes": int(adjacency.shape[0]),
@@ -329,7 +324,7 @@ class _ServeDaemon:
             return self.proc.wait(timeout=10)
 
 
-def _bench_artifact_store(quick: bool, check: bool = True) -> dict:
+def _bench_artifact_store(quick: bool) -> dict:
     """Throughput of the content-addressed artifact store plus the
     warm-import replay.
 
@@ -362,17 +357,15 @@ def _bench_artifact_store(quick: bool, check: bool = True) -> dict:
                 store.get(art_id)
         with Timer() as verify_t:
             outcome = store.verify()
-        if check:
-            assert outcome["ok"] == entries and not outcome["quarantined"], \
-                f"pristine corpus must verify clean: {outcome}"
+        assert outcome["ok"] == entries and not outcome["quarantined"], \
+            f"pristine corpus must verify clean: {outcome}"
         corpus = Path(tmp) / "corpus.tar.gz"
         with Timer() as export_t:
             store.export(corpus)
         other = ArtifactStore(directory=Path(tmp) / "other")
         with Timer() as import_t:
             imported = other.import_(corpus)
-        if check:
-            assert imported["imported"] == entries, imported
+        assert imported["imported"] == entries, imported
 
         # Warm-import replay: cold sweep on cache A, ship A's corpus to
         # a fresh cache B, replay there with zero executions.
@@ -396,12 +389,11 @@ def _bench_artifact_store(quick: bool, check: bool = True) -> dict:
             with Timer() as warm:
                 warm_reports = engine_b.run(jobs)
             executed_warm = engine_b.executed_jobs
-        if check:
-            assert executed_warm == 0, \
-                f"imported corpus must replay with 0 executions " \
-                f"({executed_warm})"
-            assert all(warm_reports[j] == cold_reports[j] for j in jobs), \
-                "replay from an imported corpus must be bit-identical"
+        assert executed_warm == 0, \
+            f"imported corpus must replay with 0 executions " \
+            f"({executed_warm})"
+        assert all(warm_reports[j] == cold_reports[j] for j in jobs), \
+            "replay from an imported corpus must be bit-identical"
     clear_all_caches()
 
     def rate(count: int, elapsed: float) -> float:
@@ -428,7 +420,7 @@ def _bench_artifact_store(quick: bool, check: bool = True) -> dict:
     }
 
 
-def _bench_fleet_replay(quick: bool, check: bool = True) -> dict:
+def _bench_fleet_replay(quick: bool) -> dict:
     """Fleet distribution end to end: a fresh-cache worker replays a
     served corpus over a hostile network.
 
@@ -510,20 +502,19 @@ def _bench_fleet_replay(quick: bool, check: bool = True) -> dict:
         drain_exit = drain_exit or chaos_exit
 
         identical = all(fleet_reports[j] == cold_reports[j] for j in jobs)
-        if check:
-            assert executed_fleet == 0, \
-                f"fleet replay must execute 0 jobs ({executed_fleet})"
-            assert identical, \
-                "fleet replay must be bit-identical to local execution"
-            assert worker_verify["quarantined"] == [], worker_verify
-            assert all(v is not None for v in chaos_values), \
-                "forced chaos must converge on every fetch"
-            assert chaos.rejected >= len(corpus_ids), \
-                f"every first transfer was damaged; all must be rejected " \
-                f"before publish ({chaos.rejected})"
-            assert chaos_verify["quarantined"] == [], \
-                "no damaged payload may ever publish"
-            assert drain_exit == 0, f"drain exit code {drain_exit}"
+        assert executed_fleet == 0, \
+            f"fleet replay must execute 0 jobs ({executed_fleet})"
+        assert identical, \
+            "fleet replay must be bit-identical to local execution"
+        assert worker_verify["quarantined"] == [], worker_verify
+        assert all(v is not None for v in chaos_values), \
+            "forced chaos must converge on every fetch"
+        assert chaos.rejected >= len(corpus_ids), \
+            f"every first transfer was damaged; all must be rejected " \
+            f"before publish ({chaos.rejected})"
+        assert chaos_verify["quarantined"] == [], \
+            "no damaged payload may ever publish"
+        assert drain_exit == 0, f"drain exit code {drain_exit}"
     clear_all_caches()
 
     return {
@@ -554,7 +545,7 @@ def _bench_fleet_replay(quick: bool, check: bool = True) -> dict:
 
 
 def run_benchmarks(sizes: Optional[List[str]] = None, repeats: int = 3,
-                   check: bool = True, seed: int = 0,
+                   seed: int = 0,
                    quick: Optional[bool] = None) -> dict:
     """Time every hot kernel on each requested size, then the
     ``train_epoch``, ``artifact_store`` and ``fleet_replay`` entries;
@@ -592,19 +583,19 @@ def run_benchmarks(sizes: Optional[List[str]] = None, repeats: int = 3,
         parts = cached_partition(graph.adjacency, num_parts,
                                  refine_passes=1).parts
         kernels["adaptive_package_encode"][size] = _bench_encode(
-            values, bits, repeats, check)
+            values, bits, repeats)
         kernels["condense_run"][size] = _bench_condense(
-            graph, parts, repeats, check)
+            graph, parts, repeats)
         kernels["sample_neighbors"][size] = _bench_sample(
-            graph, repeats, check)
+            graph, repeats)
         kernels["csr_decode"][size] = _bench_csr_decode(
-            values, bits, repeats, check)
+            values, bits, repeats)
         kernels["partition_graph"][size] = _bench_partition(
-            size, repeats, check)
+            size, repeats)
     report["kernels"] = kernels
     report["train_epoch"] = _bench_train_epoch(quick)
-    report["artifact_store"] = _bench_artifact_store(quick, check=check)
-    report["fleet_replay"] = _bench_fleet_replay(quick, check=check)
+    report["artifact_store"] = _bench_artifact_store(quick)
+    report["fleet_replay"] = _bench_fleet_replay(quick)
     return report
 
 
@@ -665,8 +656,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="explicit size list (overrides --quick)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repeats for the vectorized kernels")
-    parser.add_argument("--no-check", action="store_true",
-                        help="skip the equivalence assertions")
     parser.add_argument("--output", default="BENCH_repro.json",
                         help="output JSON path (default: %(default)s)")
     args = parser.parse_args(argv)
@@ -679,7 +668,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"cannot write --output {args.output!r}: {exc}")
     clear_all_caches()
     report = run_benchmarks(sizes=sizes, repeats=args.repeats,
-                            check=not args.no_check,
                             quick=True if args.quick else None)
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2)

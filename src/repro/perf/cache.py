@@ -1,21 +1,23 @@
 """Content-keyed memoization of expensive graph-derived artifacts.
 
-The experiment sweeps in :mod:`repro.eval.experiments` and the MEGA
-performance model used to recompute partitions, aggregation operators
-and synthetic datasets once per call site (or memoize them on fragile
-``id()`` keys that can collide after garbage collection).  This module
-keys every cache entry on the *content* of the inputs instead:
+Two values are cached here, each keyed on the *content* of its inputs
+rather than on fragile ``id()`` keys that can collide after garbage
+collection:
 
-- :func:`graph_fingerprint` hashes a sparse matrix's CSR arrays into a
-  short hex digest (memoized per live object, so the O(E) hash is paid
-  once per matrix);
-- :func:`cached_partition`, :func:`cached_normalized_adjacency` and
-  :func:`cached_load_dataset` are drop-in wrappers over
-  :func:`~repro.graphs.partition.partition_graph`,
-  :meth:`~repro.graphs.Graph.normalized_adjacency` and
-  :func:`~repro.graphs.datasets.load_dataset`.
+- :func:`cached_load_dataset` memoizes
+  :func:`~repro.graphs.datasets.load_dataset` per ``(name, scale,
+  seed)`` (synthetic generation is deterministic in those);
+- :func:`cached_partition` memoizes
+  :func:`~repro.graphs.partition.partition_graph` per adjacency
+  fingerprint and partitioner parameters.
 
-All caches expose hit/miss counters (:func:`cache_stats`) so the bench
+:func:`graph_fingerprint` hashes a sparse matrix's CSR arrays into a
+short hex digest (memoized per live object, so the O(E) hash is paid
+once per matrix).  Aggregation operators are not cached here: a
+:class:`~repro.graphs.Graph` memoizes its own in ``Graph._cache``, and
+the dataset cache hands every caller the same ``Graph``.
+
+Both caches expose hit/miss counters (:func:`cache_stats`) so the bench
 runner can report cold-vs-warm timings, and :func:`clear_all_caches`
 resets them for benchmarking.  These caches live in memory; what
 persists across processes goes through the content-addressed
@@ -47,8 +49,6 @@ __all__ = [
     "ContentCache",
     "graph_fingerprint",
     "cached_partition",
-    "cached_normalized_adjacency",
-    "cached_sampled_normalized_adjacency",
     "cached_load_dataset",
     "cache_stats",
     "clear_all_caches",
@@ -87,6 +87,10 @@ class ContentCache:
         self.hits += 1
         return value
 
+    def peek(self, key, default: Optional[T] = None) -> Optional[T]:
+        """The entry, counting neither a hit nor a miss."""
+        return self._store.get(key, default)
+
     def put(self, key, value: T) -> T:
         self._store[key] = value
         return value
@@ -108,12 +112,9 @@ class ContentCache:
 
 
 PARTITION_CACHE = ContentCache("partition")
-ADJACENCY_CACHE = ContentCache("normalized_adjacency")
 DATASET_CACHE = ContentCache("dataset")
-SAMPLED_ADJACENCY_CACHE = ContentCache("sampled_adjacency")
 
-_ALL_CACHES = (PARTITION_CACHE, ADJACENCY_CACHE, DATASET_CACHE,
-               SAMPLED_ADJACENCY_CACHE)
+_ALL_CACHES = (PARTITION_CACHE, DATASET_CACHE)
 
 # id(matrix) -> (weakref, digest): fingerprints are content hashes, but
 # memoized per live object so repeated lookups are O(1).
@@ -189,36 +190,6 @@ def cached_partition(
         return run()
 
     return PARTITION_CACHE.get_or_compute(key, compute)
-
-
-def cached_normalized_adjacency(graph: Graph, kind: str = "gcn") -> sp.csr_matrix:
-    """Memoized aggregation operator, shared across Graph instances that
-    carry the same adjacency content (the per-instance ``_cache`` only
-    helps within one instance's lifetime)."""
-    key = (graph_fingerprint(graph.adjacency), kind)
-    return ADJACENCY_CACHE.get_or_compute(
-        key, lambda: graph.normalized_adjacency(kind))
-
-
-def cached_sampled_normalized_adjacency(graph: Graph, max_neighbors: int,
-                                        kind: str = "mean") -> sp.csr_matrix:
-    """Memoized GraphSAGE-style sampled aggregation operator.
-
-    :meth:`~repro.graphs.Graph.sample_neighbors` draws from a fixed
-    ``default_rng(0)`` stream, so the sampled operator is a pure function
-    of the adjacency content — one shared entry serves every model
-    instance, seed and quantization flow training on the same graph.
-    """
-    key = (graph_fingerprint(graph.adjacency), max_neighbors, kind)
-
-    def compute() -> sp.csr_matrix:
-        import numpy as np
-
-        sampled = graph.sample_neighbors(max_neighbors,
-                                         rng=np.random.default_rng(0))
-        return sampled.normalized_adjacency(kind)
-
-    return SAMPLED_ADJACENCY_CACHE.get_or_compute(key, compute)
 
 
 def cached_load_dataset(name: str, scale: str = "train", seed: int = 0) -> Graph:

@@ -26,7 +26,6 @@ _EXPORTS = {
     "average_bitwidth": "compression",
     "compression_ratio": "compression",
     "feature_memory_kb": "compression",
-    "bitwidth_histogram": "compression",
     "QuantRunResult": "config",
     "layer_dims_for": "flows",
     "run_fp32": "flows",

@@ -8,7 +8,7 @@ sizes the accelerator-side models consume.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "compression_ratio",
     "feature_memory_bits",
     "feature_memory_kb",
-    "bitwidth_histogram",
 ]
 
 
@@ -52,11 +51,3 @@ def feature_memory_kb(node_bits_per_layer: Sequence[np.ndarray],
     total = sum(feature_memory_bits(bits, dim)
                 for bits, dim in zip(node_bits_per_layer, layer_dims))
     return total / (8 * 1024)
-
-
-def bitwidth_histogram(node_bits: np.ndarray, max_bits: int = 8) -> List[float]:
-    """Fraction of nodes at each integer bitwidth 1..max_bits."""
-    bits = np.asarray(node_bits, dtype=np.int64)
-    counts = np.bincount(np.clip(bits, 0, max_bits), minlength=max_bits + 1)
-    frac = counts / max(len(bits), 1)
-    return frac[1:].tolist()

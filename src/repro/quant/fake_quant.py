@@ -28,8 +28,6 @@ __all__ = [
     "qmax_for_bits",
     "FakeQuantPerGroup",
     "FakeQuantPerColumn",
-    "fake_quant_per_group",
-    "fake_quant_per_column",
 ]
 
 _LN2 = float(np.log(2.0))
@@ -186,17 +184,3 @@ class FakeQuantPerColumn(Function):
         lsq = 1.0 / np.sqrt(max(ctx["n"] * qmax, 1.0))
         grad_s = elem_s.sum(axis=0) * lsq
         return grad_w, grad_s, None
-
-
-def fake_quant_per_group(x: Tensor, scales: Tensor, bits: Tensor, groups: np.ndarray,
-                         min_bits: float = 2.0, max_bits: float = 8.0) -> Tensor:
-    """Apply :class:`FakeQuantPerGroup` with scalar bit bounds."""
-    g = np.asarray(groups)
-    lo = np.full(scales.shape, float(min_bits))
-    hi = np.full(scales.shape, float(max_bits))
-    return FakeQuantPerGroup.apply(x, scales, bits, g, lo, hi)
-
-
-def fake_quant_per_column(w: Tensor, scales: Tensor, bits: float = 4.0) -> Tensor:
-    """Apply :class:`FakeQuantPerColumn` (weights / combined features)."""
-    return FakeQuantPerColumn.apply(w, scales, float(bits))

@@ -2,7 +2,9 @@
 
 The plain data-independent scheme (all nodes share one bitwidth) used
 for ablation and for the 8-bit accelerator variants (HyGCN(8bit),
-GCNAX(8bit) in Fig. 14).
+GCNAX(8bit) in Fig. 14).  The DQ baseline
+(:class:`~repro.quant.degree_quant.DegreeQuantizer`) is this scheme
+plus stochastic high-degree protection.
 """
 
 from __future__ import annotations
@@ -44,11 +46,17 @@ class UniformQuantizer(QuantHooks):
         return FakeQuantSTE.apply(x, np.float64(scale), np.float64(self.config.bits))
 
     def weight(self, w: Tensor, layer: int) -> Tensor:
-        obs = self._weight_obs.setdefault(layer, EmaColumnObserver())
+        return self._per_column(self._weight_obs, w, layer)
+
+    def _per_column(self, observers: Dict[int, EmaColumnObserver],
+                    x: Tensor, layer: int) -> Tensor:
+        """Fake-quantize ``x`` per column at the weight bitwidth, with
+        the column observer ``observers`` keeps for ``layer``."""
+        obs = observers.setdefault(layer, EmaColumnObserver())
         if self.training or obs.value is None:
-            obs.update(w.data)
+            obs.update(x.data)
         scale = obs.scale(self._wbits)
-        return FakeQuantSTE.apply(w, scale[None, :], np.float64(self._wbits))
+        return FakeQuantSTE.apply(x, scale[None, :], np.float64(self._wbits))
 
     def parameters(self) -> List[Tensor]:
         return []

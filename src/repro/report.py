@@ -27,7 +27,8 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from .registry import (EXPERIMENTS, ExperimentSpec, RegistryError,
-                       get_experiment, get_suite)
+                       get_accelerator, get_dataset, get_experiment,
+                       get_suite)
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -307,7 +308,6 @@ def run_experiment(name: str, engine=None, workers: Optional[int] = None,
     executed_before = engine.executed_jobs
     trained_before = engine.executed_train_jobs
     failed_before = len(engine.failures)
-    artifacts_before = set(getattr(engine, "consumed_artifacts", ()))
     started = time.perf_counter()
     on_error = "raise" if fail_fast else "degrade"
     reports = (engine.run(list(jobs.values()), workers=workers,
@@ -356,12 +356,9 @@ def run_experiment(name: str, engine=None, workers: Optional[int] = None,
     metadata["cache"] = {counter: getattr(store, counter) for counter in (
         "hits", "misses", "puts", "quarantined", "write_failures",
         "io_errors")}
-    consumed = getattr(engine, "consumed_artifacts", None)
-    if consumed is not None:
-        # Provenance: the content-addressed artifact ids this run
-        # resolved or produced (sorted for stable serialization).
-        metadata["artifacts"] = {art_id: consumed[art_id] for art_id
-                                 in sorted(set(consumed) - artifacts_before)}
+    # Provenance: the stored artifact id of every job this experiment
+    # resolved, from whichever tier answered it.
+    metadata["artifacts"] = engine.artifact_ids(jobs.values())
     if engine.journal is not None:
         metadata["run_id"] = engine.journal.run_id
         engine.journal.record_experiment(
@@ -395,7 +392,8 @@ def check_run_spec(spec: Mapping) -> List[Tuple[str, Dict[str, object]]]:
     """The ``(experiment, params)`` pairs a run spec runs, suite bound;
     raises :class:`~repro.registry.RegistryError` for a field outside
     :data:`RUN_SPEC`, an unknown experiment or suite, a suite on a
-    named experiment that takes none, or an undeclared parameter."""
+    named experiment that takes none, an undeclared parameter, or a job
+    naming an unknown accelerator or dataset."""
     unknown = sorted(set(spec) - set(RUN_SPEC))
     if unknown:
         raise RegistryError(
@@ -416,7 +414,12 @@ def check_run_spec(spec: Mapping) -> List[Tuple[str, Dict[str, object]]]:
         # (params win) of each named experiment and smoke one having it.
         if suite is not None and (named or entry.suite_param is not None):
             params = {**entry.suite_params(suite), **params}
-        entry.params_with_defaults(params)
+        # The registry lookups job_fingerprint makes for every job.
+        for job in entry.build_jobs(**entry.params_with_defaults(params)
+                                    ).values():
+            get_dataset(job.dataset)
+            if hasattr(job, "accelerator"):
+                get_accelerator(job.accelerator)
         plan.append((name, params))
     return plan
 

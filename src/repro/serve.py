@@ -486,6 +486,11 @@ class ReproServer:
                 "run_id": None, "failed": 1, "deduped": deduped,
                 "deadline_expired": True})
             return
+        except RegistryError as exc:
+            # A name the run looked up itself (a jobless experiment's
+            # dataset): as permanent as one refused at admission.
+            self._respond(writer, 400, {"error": str(exc)})
+            return
         except Exception as exc:
             self.counters["failed"] += 1
             self._respond(writer, 500,

@@ -671,7 +671,7 @@ class TestEngineIntegration:
                                target_average_bits=4.0)
         engine.run([job])
         art_id = engine.job_fingerprint(job)
-        assert engine.consumed_artifacts == {art_id: "sim-report"}
+        assert engine.artifact_ids([job]) == {art_id: "sim-report"}
         (record,) = [r for r in engine.journal.records
                      if r.get("type") == "job"]
         assert record["fingerprint"] == record["artifact"] == art_id
@@ -717,8 +717,9 @@ class TestGlobalStore:
             first = artifact_store()
             assert first.base == tmp_path / "one"
             assert artifact_store() is first  # cached per directory
-        with temporary_cache_dir(tmp_path / "two"):
-            assert artifact_store().base == tmp_path / "two"
+            with temporary_cache_dir(tmp_path / "two"):
+                assert artifact_store().base == tmp_path / "two"
+            assert artifact_store() is first  # back: the same handle
 
 
 class TestSharding:

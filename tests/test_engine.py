@@ -2,14 +2,18 @@
 round trips of job results and memos, and content-keyed invalidation."""
 
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.eval.engine import SimJob, SweepEngine, get_engine
-from repro.eval.experiments import clear_caches, simulate
+from repro.artifacts import artifact_store
+from repro.eval.engine import (SimJob, SweepEngine, get_engine,
+                               temporary_cache_dir)
+from repro.eval.experiments import clear_caches, get_workload, simulate
 from repro.perf.cache import cache_stats, cached_load_dataset
 from repro.perf.timers import Timer
+from repro.report import run_experiment
 from repro.sim.accelerator import SimReport
 from repro.sim.workload import build_workload
 
@@ -119,22 +123,12 @@ class TestSweepEngine:
 
     def test_workload_honors_every_precision(self, sweep_engine):
         """Non-standard precisions build real workloads, never fp32 proxies."""
-        wl = sweep_engine.workload("cora", "gcn", "uniform-int8")
+        wl = get_workload("cora", "gcn", "uniform-int8")
         assert wl.precision == "uniform-int8"
         assert (wl.layers[0].input_bits == 8).all()
         assert wl.layers[0].weight_bits == 8
         with pytest.raises(ValueError):
-            sweep_engine.workload("cora", "gcn", "float16")
-
-    def test_workload_disk_round_trip(self, sweep_engine, tmp_path):
-        wl = sweep_engine.workload("cora", "gcn", "degree-aware")
-        replay_engine = SweepEngine(workers=0, cache_dir=tmp_path / "sweep-cache")
-        wl2 = replay_engine.workload("cora", "gcn", "degree-aware")
-        assert wl2.name == wl.name
-        assert (wl2.adjacency != wl.adjacency).nnz == 0
-        for l2, l1 in zip(wl2.layers, wl.layers):
-            assert (l2.input_bits == l1.input_bits).all()
-            assert (l2.input_nnz == l1.input_nnz).all()
+            get_workload("cora", "gcn", "float16")
 
     def test_memo_round_trip_loads_no_dataset(self, sweep_engine, tmp_path):
         """A second engine on the same store resolves graph fingerprints
@@ -188,6 +182,76 @@ class TestCacheInvalidation:
         # Disk survives a memory clear: the rerun replays, not recomputes.
         simulate("gcnax", "cora", "gcn")
         assert sweep_engine.executed_jobs == 0
+
+
+class TestOneCachePerValue:
+    """Each derived value has one cache: datasets and partitions in
+    ``repro.perf``, aggregation operators on their ``Graph``, workloads
+    in the engine's memory, and job results and memos in the one
+    process-wide artifact store."""
+
+    def test_perf_caches_hold_datasets_and_partitions(self):
+        assert set(cache_stats()) == {"partition", "dataset"}
+
+    def test_models_aggregate_with_the_graphs_own_operators(self):
+        import ast
+
+        import numpy as np
+
+        from repro.nn import models
+
+        tree = ast.parse(Path(models.__file__).read_text())
+        imported = [node.module or "" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)]
+        imported += [alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) for alias in node.names]
+        assert not [name for name in imported if "perf" in name]
+        graph = cached_load_dataset("cora")
+        for name, kind, sample in (("gcn", "gcn", None), ("gin", "add", None),
+                                   ("graphsage", "mean", 25)):
+            model = models.build_model(name, graph.feature_dim,
+                                       graph.num_classes)
+            assert (model._adjacency(graph)
+                    is graph.normalized_adjacency(kind, sample))
+        sampled = graph.sample_neighbors(
+            25, rng=np.random.default_rng(0)).normalized_adjacency("mean")
+        assert (graph.normalized_adjacency("mean", 25) != sampled).nnz == 0
+
+    def test_workloads_are_not_persisted(self, tmp_path):
+        with temporary_cache_dir(tmp_path):
+            clear_caches()
+            run_experiment("package_length_study",
+                           datasets=("cora", "citeseer", "pubmed"))
+            store = get_engine().artifacts
+            manifests = [store.read_manifest(art_id) for art_id in store.ids()]
+        memos = Counter(manifest["inputs"]["key"][0]
+                        for manifest in manifests
+                        if manifest["kind"] == "memo")
+        assert memos == {"graph-fp": 3, "table": 3}
+
+    def test_engine_reports_the_process_wide_store(self, tmp_path):
+        """Partitions of a large graph publish to the same store handle
+        as the engine's results, so the run's counters count them."""
+        with temporary_cache_dir(tmp_path):
+            clear_caches()
+            assert get_engine().artifacts is artifact_store()
+            artifact = run_experiment("stall_table", datasets=("nell",),
+                                      accelerators=("grow", "mega"))
+            kinds = Counter(entry["kind"]
+                            for entry in artifact_store().list_entries())
+        assert kinds == {"sim-report": 2, "memo": 1, "partition": 4}
+        assert artifact.metadata["cache"]["puts"] == 7
+        own = SweepEngine(cache_dir=tmp_path / "own")
+        assert own.artifacts is not artifact_store()
+
+    def test_duplicate_caches_are_gone(self, tmp_path):
+        from repro.eval import journal
+
+        assert not hasattr(SweepEngine, "workload")
+        assert not hasattr(SweepEngine, "graph")
+        assert not hasattr(SweepEngine(cache_dir=tmp_path),
+                           "consumed_artifacts")
+        assert not hasattr(journal, "_REF_CACHE")
 
 
 class TestCacheRaces:

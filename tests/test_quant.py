@@ -243,6 +243,25 @@ class TestDegreeQuantizer:
         q = DegreeQuantizer(graph, DegreeQuantConfig(bits=6))
         assert q._wbits == 6
 
+    def test_unprotected_dq_is_uniform_quantization(self, graph):
+        """With no node protected, DQ quantizes features and weights
+        exactly as the uniform quantizer does; it adds only the
+        aggregation-input hook."""
+        dq = DegreeQuantizer(graph, DegreeQuantConfig(bits=4, p_max=0.0))
+        uniform = UniformQuantizer(graph, UniformQuantConfig(bits=4))
+        x = Tensor(graph.features)
+        w = Tensor(np.random.default_rng(0).normal(
+            size=(graph.feature_dim, 16)).astype(np.float32))
+        for hooks in (dq, uniform):
+            hooks.training = True
+        np.testing.assert_array_equal(dq.features(x, 0).data,
+                                      uniform.features(x, 0).data)
+        np.testing.assert_array_equal(dq.weight(w, 0).data,
+                                      uniform.weight(w, 0).data)
+        assert uniform.aggregated(w, 0) is w
+        codes = dq.aggregated(w, 0).data / dq._aggregated_obs[0].scale(4)
+        np.testing.assert_allclose(codes, np.round(codes), atol=1e-3)
+
 
 class TestUniformQuantizer:
     def test_node_bitwidths_uniform(self, graph):

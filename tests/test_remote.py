@@ -188,7 +188,7 @@ class TestEngineReadThrough:
             local_rows[jobs[0]])  # bit-identical to local execution
         stats = worker.stats()
         assert stats["remote"]["hits"] == 1
-        assert set(worker.consumed_artifacts.values()) == {"sim-report"}
+        assert set(worker.artifact_ids(jobs).values()) == {"sim-report"}
         # Second run answers from memory: no further remote traffic.
         fetches = worker.remote.fetches
         worker.run(jobs)

@@ -78,6 +78,21 @@ class TestArtifact:
         assert warm.metadata["jobs"]["executed"] == 0
         assert warm.value == artifact.value
 
+    def test_artifacts_list_every_job_whichever_tier_answers(self,
+                                                             sweep_engine):
+        """An experiment lists the stored id of each of its own jobs,
+        also when an earlier experiment resolved them in this process."""
+        workloads = (("cora", "gcn"),)
+        run_experiment("speedup_table", workloads=workloads)
+        artifact = run_experiment("dram_table", workloads=workloads)
+        assert artifact.metadata["jobs"]["executed"] == 0  # memory hits
+        jobs = [SimJob.from_call(name, "cora", "gcn") for name in
+                ("hygcn", "gcnax", "grow", "sgcn", "mega")]
+        assert artifact.metadata["artifacts"] == {
+            sweep_engine.job_fingerprint(job): "sim-report" for job in jobs}
+        again = run_experiment("dram_table", workloads=workloads)
+        assert again.metadata["artifacts"] == artifact.metadata["artifacts"]
+
     def test_json_roundtrip_through_schema(self, sweep_engine):
         artifact = run_experiment("speedup_table", workloads=WORKLOADS,
                                   accelerators=("hygcn",))

@@ -99,6 +99,27 @@ class TestEndpoints:
             assert client.stats()["counters"]["executed_runs"] == 0
         assert list_runs() == []  # refused before admission: no journal
 
+    def test_unknown_names_in_param_values_400_not_retried(self,
+                                                           serve_cache):
+        """An unknown accelerator or dataset inside a parameter value is
+        refused as permanently as an unknown parameter: before admission
+        where the run builds jobs, from the run itself where it does
+        not (``locality_study`` loads its dataset directly)."""
+        requests = (("stall_table", {"datasets": ["no-such-dataset"]}),
+                    ("stall_table", {"accelerators": ["no-such-acc"]}),
+                    ("locality_study", {"dataset": "no-such-dataset"}))
+        with _thread_server() as handle:
+            client = ServeClient(handle.url)
+            for name, params in requests:
+                with pytest.raises(ClientError) as err:
+                    client.submit(name, params=params)
+                assert err.value.status == 400
+                assert "no-such-" in err.value.body
+            assert client.attempts_total == len(requests)
+            counters = client.stats()["counters"]
+        assert counters["failed"] == 0
+        assert list_runs() == []
+
     def test_suite_on_non_suite_experiment_400(self, serve_cache, sleeper):
         with _thread_server() as handle:
             client = ServeClient(handle.url, retries=0)
