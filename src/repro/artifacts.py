@@ -55,12 +55,13 @@ once, Stage B consumes it many times):
   ``keep_days`` protects them (the next run recomputes them).
 
 - **Verified export/import.**  :meth:`ArtifactStore.export` writes a
-  manifest-listed tarball or rsync-able directory tree (every entry
-  admitted on the way out); :meth:`ArtifactStore.import_` admits every
-  entry, checks its hash against the corpus index too, and rejects a
-  partial, damaged or inconsistent archive whole *before* publishing
-  anything — so a warm corpus from a trusted source can ship to a
-  worker fleet.
+  tarball (``.tar``, or gzip'd ``.tar.gz``/``.tgz``) indexed by
+  ``corpus.json``, every entry admitted on the way out, and refuses any
+  other destination; :meth:`ArtifactStore.import_` reads such a
+  tarball, admits every entry, checks its hash against the corpus
+  index too, and rejects a partial, damaged or inconsistent archive
+  whole *before* publishing anything — so a warm corpus from a trusted
+  source can ship to a worker fleet.
 
 - **Sharded layout.**  Entries live in per-prefix shard directories
   (``objects/ab/art_ab12…``), keeping directory fan-out bounded as
@@ -749,11 +750,6 @@ class ArtifactStore:
                 "swept_tmp": swept_tmp, "dry_run": not apply}
 
     # -- export / import ---------------------------------------------------
-    @staticmethod
-    def _is_tar(dest: os.PathLike) -> bool:
-        name = str(dest)
-        return name.endswith((".tar", ".tar.gz", ".tgz"))
-
     def _export_records(self, ids: Optional[Sequence[str]]) -> Tuple[
             List[Dict], List[Dict]]:
         """Admit each entry on its way out; corrupt ones are quarantined
@@ -781,116 +777,82 @@ class ArtifactStore:
 
     def export(self, dest: os.PathLike,
                ids: Optional[Sequence[str]] = None) -> Dict:
-        """Write a verified, manifest-listed corpus: a tarball when
-        ``dest`` ends in ``.tar``/``.tar.gz``/``.tgz``, else an
-        rsync-able directory tree mirroring the store layout."""
+        """Write a verified, manifest-listed corpus tarball: plain for a
+        ``.tar`` ``dest``, gzip'd for ``.tar.gz``/``.tgz``; any other
+        destination raises :class:`ArtifactError` before anything is
+        read or written."""
+        dest = Path(dest)
+        if not dest.name.endswith((".tar", ".tar.gz", ".tgz")):
+            raise ArtifactError(f"cannot export to {str(dest)!r}: a corpus "
+                                f"is a .tar, .tar.gz or .tgz file")
+        import io
+        import tarfile
+
         records, skipped = self._export_records(ids)
         corpus = {"schema": CORPUS_SCHEMA, "created": time.time(),
                   "entries": records}
-        dest = Path(dest)
-        if self._is_tar(dest):
-            import io
-            import tarfile
-
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            tmp = dest.with_name(dest.name + f".tmp.{os.getpid()}")
-            mode = "w:gz" if str(dest).endswith(("gz", "tgz")) else "w"
-            try:
-                with tarfile.open(tmp, mode) as tar:
-                    corpus_bytes = json.dumps(corpus, sort_keys=True,
-                                              indent=1).encode()
-                    info = tarfile.TarInfo("corpus.json")
-                    info.size = len(corpus_bytes)
-                    tar.addfile(info, io.BytesIO(corpus_bytes))
-                    for record in records:
-                        art_id = record["id"]
-                        tar.add(self.manifest_path(art_id),
-                                arcname=f"objects/{art_id}/manifest.json")
-                        tar.add(self.payload_path(art_id),
-                                arcname=f"objects/{art_id}/payload.bin")
-                os.replace(tmp, dest)
-            finally:
-                if tmp.exists():
-                    tmp.unlink()
-        else:
-            objects = dest / "objects"
-            objects.mkdir(parents=True, exist_ok=True)
-            for record in records:
-                art_id = record["id"]
-                entry_tmp = dest / f".tmp.{art_id}.{os.getpid()}"
-                shutil.rmtree(entry_tmp, ignore_errors=True)
-                shutil.copytree(self.entry_dir(art_id), entry_tmp)
-                target = objects / art_id
-                try:
-                    os.rename(entry_tmp, target)
-                except OSError as exc:
-                    if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY,
-                                         errno.EISDIR):
-                        raise
-                    shutil.rmtree(entry_tmp, ignore_errors=True)
-            # The corpus index lands last: its presence marks a complete
-            # export (import refuses trees without it).
-            _write_manifest(dest / "corpus.json", corpus)
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        tmp = dest.with_name(dest.name + f".tmp.{os.getpid()}")
+        mode = "w" if dest.name.endswith(".tar") else "w:gz"
+        try:
+            with tarfile.open(tmp, mode) as tar:
+                corpus_bytes = json.dumps(corpus, sort_keys=True,
+                                          indent=1).encode()
+                info = tarfile.TarInfo("corpus.json")
+                info.size = len(corpus_bytes)
+                tar.addfile(info, io.BytesIO(corpus_bytes))
+                for record in records:
+                    art_id = record["id"]
+                    tar.add(self.manifest_path(art_id),
+                            arcname=f"objects/{art_id}/manifest.json")
+                    tar.add(self.payload_path(art_id),
+                            arcname=f"objects/{art_id}/payload.bin")
+            os.replace(tmp, dest)
+        finally:
+            if tmp.exists():
+                tmp.unlink()
         return {"dest": str(dest), "exported": len(records),
                 "skipped": skipped,
                 "bytes": sum(r["payload_bytes"] for r in records)}
 
     def _iter_archive(self, src: Path):
         """Yield ``(record, manifest_bytes, payload_bytes)`` for every
-        entry listed by the archive's corpus index, raising
+        entry listed by the tarball's corpus index, raising
         :class:`ArtifactIntegrityError` on missing pieces.  Every record
         is checked (a map with a valid id) before any path is built."""
-        if self._is_tar(src):
-            import tarfile
-            from zlib import error as zlib_error
+        import tarfile
+        from zlib import error as zlib_error
 
-            try:
-                with tarfile.open(src, "r:*") as tar:
-                    blobs: Dict[str, bytes] = {}
-                    for member in tar.getmembers():
-                        if not member.isfile():
-                            continue
-                        fh = tar.extractfile(member)
-                        if fh is not None:
-                            blobs[member.name] = fh.read()
-            except (tarfile.TarError, EOFError, zlib_error) as exc:
-                # A truncated or bit-flipped archive fails at the
-                # container layer (gzip/tar), before any per-entry
-                # check can run — same verdict: reject it whole.
+        try:
+            with tarfile.open(src, "r:*") as tar:
+                blobs: Dict[str, bytes] = {}
+                for member in tar.getmembers():
+                    if not member.isfile():
+                        continue
+                    fh = tar.extractfile(member)
+                    if fh is not None:
+                        blobs[member.name] = fh.read()
+        except (tarfile.TarError, EOFError, zlib_error) as exc:
+            # A truncated or bit-flipped archive fails at the container
+            # layer (gzip/tar), before any per-entry check can run —
+            # same verdict: reject it whole.
+            raise ArtifactIntegrityError(
+                f"{src}: archive is unreadable — truncated or corrupt "
+                f"({exc})") from None
+        corpus_raw = blobs.get("corpus.json")
+        if corpus_raw is None:
+            raise ArtifactIntegrityError(
+                f"{src}: archive has no corpus.json index")
+        corpus = self._parse_corpus(src, corpus_raw)
+        for record in corpus["entries"]:
+            art_id = record["id"]
+            manifest = blobs.get(f"objects/{art_id}/manifest.json")
+            payload = blobs.get(f"objects/{art_id}/payload.bin")
+            if manifest is None or payload is None:
                 raise ArtifactIntegrityError(
-                    f"{src}: archive is unreadable — truncated or "
-                    f"corrupt ({exc})") from None
-            corpus_raw = blobs.get("corpus.json")
-            if corpus_raw is None:
-                raise ArtifactIntegrityError(
-                    f"{src}: archive has no corpus.json index")
-            corpus = self._parse_corpus(src, corpus_raw)
-            for record in corpus["entries"]:
-                art_id = record["id"]
-                manifest = blobs.get(f"objects/{art_id}/manifest.json")
-                payload = blobs.get(f"objects/{art_id}/payload.bin")
-                if manifest is None or payload is None:
-                    raise ArtifactIntegrityError(
-                        f"{src}: archive is partial — entry {art_id} "
-                        f"listed in corpus.json is missing")
-                yield record, manifest, payload
-        else:
-            corpus_path = src / "corpus.json"
-            if not corpus_path.is_file():
-                raise ArtifactIntegrityError(
-                    f"{src}: tree has no corpus.json index (incomplete "
-                    f"export?)")
-            corpus = self._parse_corpus(src, corpus_path.read_bytes())
-            for record in corpus["entries"]:
-                art_id = record["id"]
-                mpath = src / "objects" / art_id / "manifest.json"
-                ppath = src / "objects" / art_id / "payload.bin"
-                try:
-                    yield record, mpath.read_bytes(), ppath.read_bytes()
-                except OSError:
-                    raise ArtifactIntegrityError(
-                        f"{src}: tree is partial — entry {art_id} listed "
-                        f"in corpus.json is missing") from None
+                    f"{src}: archive is partial — entry {art_id} listed "
+                    f"in corpus.json is missing")
+            yield record, manifest, payload
 
     @staticmethod
     def _parse_corpus(src, raw: bytes) -> Dict:
@@ -912,8 +874,8 @@ class ArtifactStore:
         return corpus
 
     def import_(self, src: os.PathLike) -> Dict:
-        """Import a corpus, admitting every entry and rejecting the
-        archive whole before publishing anything.
+        """Import a corpus tarball, admitting every entry and rejecting
+        the archive whole before publishing anything.
 
         Per entry: :func:`admit` (well-formed manifest, re-derived id,
         payload size and sha256), and the corpus index must list the
@@ -957,32 +919,10 @@ class ArtifactStore:
         self._warned_quarantine = self._warned_readonly = False
 
     def stats(self) -> Dict[str, int]:
-        objects = size_bytes = 0
-        for art_id in self.ids():
-            objects += 1
-            try:
-                size_bytes += self.payload_path(art_id).stat().st_size
-            except OSError:
-                pass
-        try:
-            shard_dirs = sum(1 for entry in self.objects.iterdir()
-                             if entry.is_dir() and _is_shard_name(entry.name))
-        except OSError:
-            shard_dirs = 0
-        try:
-            tmp_entries = sum(1 for _ in self.tmp.iterdir())
-        except OSError:
-            tmp_entries = 0
-        try:
-            quarantine_entries = sum(1 for _ in
-                                     self.quarantine_root.iterdir())
-        except OSError:
-            quarantine_entries = 0
-        return {"objects": objects, "size_bytes": size_bytes,
-                "shards": shard_dirs,
-                "tmp_entries": tmp_entries,
-                "quarantine_entries": quarantine_entries,
-                "puts": self.puts, "gets": self.gets,
+        """This handle's counters since it opened (or was cleared); what
+        the store holds is :meth:`ids`, :meth:`list_entries`,
+        :meth:`quarantine_entries` and :meth:`verify`."""
+        return {"puts": self.puts, "gets": self.gets,
                 "hits": self.hits, "misses": self.misses,
                 "races_lost": self.races_lost,
                 "quarantined": self.quarantined,

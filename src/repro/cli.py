@@ -26,7 +26,7 @@ Subcommands:
   entries and manifests, admit the whole corpus (quarantining what
   fails or is misfiled outside its ``objects/<xx>/`` shard, and
   reporting per-shard counts), sweep unreferenced entries (dry-run by
-  default), and ship a corpus between machines (``export`` →
+  default), and ship a corpus tarball between machines (``export`` →
   ``import`` admits every entry and rejects partial or damaged
   archives whole; import only from trusted sources).
 
@@ -227,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gc_p.add_argument("--force", action="store_true",
                       help="actually delete (default: dry-run report)")
     export_p = art_sub.add_parser(
-        "export", help="write a verified corpus (tarball for *.tar/"
-                       "*.tar.gz/*.tgz destinations, else a directory tree)")
+        "export", help="write a verified corpus tarball (DEST ends in .tar, "
+                       "or .tar.gz/.tgz for gzip; any other DEST exits 2)")
     export_p.add_argument("dest", metavar="DEST")
     export_p.add_argument("--ids", default=None, metavar="ID,ID,...",
                           help="export only these artifact ids (default: "
@@ -406,11 +406,10 @@ def _cmd_artifacts(args: argparse.Namespace) -> int:
     store = artifact_store()
     if args.action == "list":
         entries = store.list_entries()
-        stats = store.stats()
-        print(f"artifact store at {store.root}: {stats['objects']} "
-              f"entr{'y' if stats['objects'] == 1 else 'ies'}, "
-              f"{stats['size_bytes']} bytes payload, "
-              f"{stats['quarantine_entries']} quarantined")
+        print(f"artifact store at {store.root}: {len(entries)} "
+              f"entr{'y' if len(entries) == 1 else 'ies'}, "
+              f"{sum(e.get('payload_bytes', 0) for e in entries)} bytes "
+              f"payload, {len(store.quarantine_entries())} quarantined")
         for entry in entries:
             if "error" in entry:
                 print(f"  {entry['id']}  [unreadable: {entry['error']}]")

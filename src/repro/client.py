@@ -15,6 +15,11 @@ discipline the server's failure modes call for:
   converge;
 - other 4xx responses are permanent and raise immediately.
 
+Every request to a daemon, :class:`repro.remote.RemoteStore`'s artifact
+fetches included, goes through :meth:`ServeClient.connect`: one
+connection per request, closed after its response, stamped with the
+attempt ordinal.
+
 A client retries 4 times from a 0.2 s backoff base by default (the
 ``retries``/``backoff`` arguments; ``repro submit --client-retries``).
 :func:`run_load` is the thread-based load generator behind the CI serve
@@ -24,12 +29,13 @@ summarized as p50/p99/mean latency, throughput and error rate.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import threading
 import time
 import urllib.parse
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .eval.supervise import backoff_delay
 
@@ -64,21 +70,34 @@ class ServeClient:
         self.attempts_total = 0  # across all requests, for load stats
 
     # -- one attempt -------------------------------------------------------
-    def _once(self, method: str, path: str, payload: Optional[Dict],
-              attempt: int):
+    @contextlib.contextmanager
+    def connect(self, method: str, path: str, payload: Optional[Dict] = None,
+                attempt: int = 0, headers: Iterable[Tuple[str, str]] = ()
+                ) -> Iterator[http.client.HTTPResponse]:
+        """One request on its own connection, yielding the unread
+        response; the connection closes on exit.  ``payload`` goes as a
+        JSON body, and ``attempt`` as ``X-Repro-Attempt`` (the daemon's
+        fault hooks fire only on attempt 0)."""
+        request_headers = {"X-Repro-Attempt": str(attempt),
+                           "Connection": "close"}
+        body = None
+        if payload is not None:
+            body = json.dumps(payload).encode()
+            request_headers["Content-Type"] = "application/json"
+        request_headers.update(headers)
         conn = http.client.HTTPConnection(self.host, self.port,
                                           timeout=self.timeout)
         try:
-            body = None if payload is None else json.dumps(payload).encode()
-            headers = {"Content-Type": "application/json",
-                       "X-Repro-Attempt": str(attempt),
-                       "Connection": "close"}
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-            return response.status, data, response.getheader("Retry-After")
+            conn.request(method, path, body=body, headers=request_headers)
+            yield conn.getresponse()
         finally:
             conn.close()
+
+    def _once(self, method: str, path: str, payload: Optional[Dict],
+              attempt: int):
+        with self.connect(method, path, payload, attempt) as response:
+            return (response.status, response.read(),
+                    response.getheader("Retry-After"))
 
     # -- retrying request --------------------------------------------------
     def request_json(self, method: str, path: str,

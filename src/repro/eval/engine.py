@@ -555,8 +555,7 @@ class SweepEngine:
         return "train-result" if isinstance(job, TrainJob) else "sim-report"
 
     # -- execution ---------------------------------------------------------
-    def run(self, jobs: Sequence, workers: Optional[int] = None,
-            on_error: str = "raise") -> Dict:
+    def run(self, jobs: Sequence, on_error: str = "raise") -> Dict:
         """Execute a batch of jobs (of either kind), deduplicated,
         through the memory → artifact store → execute stack.
 
@@ -569,7 +568,6 @@ class SweepEngine:
         if on_error not in ("raise", "degrade"):
             raise ValueError(
                 f"on_error must be 'raise' or 'degrade', not {on_error!r}")
-        workers = self.workers if workers is None else max(int(workers), 0)
         unique = list(dict.fromkeys(jobs))
         results: Dict = {}
         pending: Dict = {}       # job -> artifact id
@@ -595,9 +593,8 @@ class SweepEngine:
             for module in _EXECUTION_MODULES:
                 importlib.import_module(module)
             fail_fast = on_error == "raise"
-            if workers > 1 and len(pending) > 1:
-                failures = self._run_parallel(pending, workers, results,
-                                              fail_fast)
+            if self.workers > 1 and len(pending) > 1:
+                failures = self._run_parallel(pending, results, fail_fast)
             else:
                 failures = self._run_serial(pending, results, fail_fast)
             for failure in failures:
@@ -654,7 +651,7 @@ class SweepEngine:
                           backoff=self.backoff, fail_fast=fail_fast,
                           prepare=self._prepare_hook())
 
-    def _run_parallel(self, pending: Dict, workers: int, results: Dict,
+    def _run_parallel(self, pending: Dict, results: Dict,
                       fail_fast: bool = True) -> List[JobFailure]:
         """Fan job chunks out over supervised worker processes.
 
@@ -682,7 +679,7 @@ class SweepEngine:
                     self.batch_used = True
                     self.batch_sizes.extend(planned)
         supervisor = Supervisor(
-            workers=min(workers, len(chunk_list)), execute=_execute_job,
+            workers=min(self.workers, len(chunk_list)), execute=_execute_job,
             timeout=self.timeout, retries=self.retries, backoff=self.backoff,
             prepare=prepare)
         try:

@@ -265,6 +265,21 @@ class _SuiteRegistry(Registry[SuiteEntry]):
 # Experiments
 # ----------------------------------------------------------------------
 
+def _param_kind(value) -> Optional[str]:
+    """The kind of value a parameter with this default takes: a bool, a
+    number (int or float), a string or a sequence (list or tuple); None
+    (a ``None`` default) takes anything."""
+    if isinstance(value, bool):
+        return "a bool"
+    if isinstance(value, (int, float)):
+        return "a number"
+    if isinstance(value, str):
+        return "a string"
+    if isinstance(value, (list, tuple)):
+        return "a sequence"
+    return None
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A declarative experiment: job batch builder + reducer.
@@ -296,6 +311,9 @@ class ExperimentSpec:
     smoke: bool = False
 
     def params_with_defaults(self, params: Mapping) -> Dict[str, object]:
+        """The defaults with ``params`` applied; a parameter the spec
+        does not declare, or a value of another kind than its default
+        (see :func:`_param_kind`), raises :class:`RegistryError`."""
         merged = dict(self.defaults)
         undeclared = sorted(set(params) - set(merged))
         if undeclared:
@@ -303,6 +321,12 @@ class ExperimentSpec:
                 f"experiment {self.name!r} has no parameter "
                 f"{', '.join(map(repr, undeclared))}; declared: "
                 f"{', '.join(merged) or '(none)'}")
+        for name, value in params.items():
+            kind = _param_kind(merged[name])
+            if kind is not None and _param_kind(value) != kind:
+                raise RegistryError(
+                    f"experiment {self.name!r} parameter {name!r} takes "
+                    f"{kind}, not {type(value).__name__} {value!r:.80}")
         merged.update(params)
         return merged
 

@@ -1,8 +1,8 @@
 """Verified remote artifact fetch: the fleet-distribution client.
 
 :class:`RemoteStore` lets a worker pull warm artifacts from one
-``repro serve`` daemon instead of re-executing jobs or shipping rsync'd
-export tarballs.  The engine resolves through it as a read-through
+``repro serve`` daemon instead of re-executing jobs or shipping export
+tarballs.  The engine resolves through it as a read-through
 tier — memory → local artifact store → remote → execute — so a fresh
 machine pointed at a warm store replays a whole corpus with zero jobs
 executed, and a machine that cannot reach the store degrades to local
@@ -38,10 +38,12 @@ mid-body resumes from the received offset via ``Range``/``If-Range``
 (the ETag is the content hash, so a resumed tail can never splice onto
 the wrong body).  A fetch that exhausts its budget is recorded as a
 structured :class:`TransferFailure` and reads as a miss — the engine
-executes the job locally.  Every attempt carries its ordinal in
-``X-Repro-Attempt``, so injected ``net_*`` faults
-(:mod:`repro.faults`) fire only on first attempts and bounded retries
-always converge.
+executes the job locally.  Each request goes out on its own
+connection through :meth:`repro.client.ServeClient.connect`, which
+stamps the attempt's ordinal in ``X-Repro-Attempt``, so injected
+``net_*`` faults (:mod:`repro.faults`) fire only on first attempts and
+bounded retries always converge; the retry policy above is this
+module's own (it ignores ``Retry-After``).
 
 ``REPRO_REMOTE_URL`` enables the tier for every engine built without
 an explicit ``remote=``.  The retry budget (4), backoff base (0.2 s)
@@ -52,16 +54,15 @@ and socket timeout (30 s, the anti-stall bound) are
 from __future__ import annotations
 
 import http.client
-import json
 import os
 import pickle
 import time
-import urllib.parse
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import Dict, List, Optional, TypeVar
 
 from .artifacts import (ArtifactIntegrityError, ArtifactStore, admit,
                         artifact_store, valid_id)
+from .client import ServeClient
 from .eval.supervise import backoff_delay
 
 __all__ = ["RemoteStore", "TransferFailure", "remote_store_from_env",
@@ -99,16 +100,12 @@ class RemoteStore:
                  timeout: float = 30.0) -> None:
         if url is None:
             url = os.environ.get(ENV_URL, "")
-        if url and "//" not in url:
-            url = "http://" + url
-        parsed = urllib.parse.urlsplit(url)
-        self.host = parsed.hostname or "127.0.0.1"
-        self.port = parsed.port or 80
-        self.url = f"http://{self.host}:{self.port}"
+        # Only the client's connection: the retry policy is this class's.
+        self._client = ServeClient(url, timeout=max(float(timeout), 0.001))
+        self.url = f"http://{self._client.host}:{self._client.port}"
         self._store = store  # None → the process-wide store at use time
         self.retries = max(int(retries), 0)
         self.backoff = max(float(backoff), 0.0)
-        self.timeout = max(float(timeout), 0.001)
         # Distribution accounting, surfaced through engine/serve stats.
         self.fetches = 0
         self.hits = 0          # verified, published, returned
@@ -121,63 +118,10 @@ class RemoteStore:
     def _local(self) -> ArtifactStore:
         return self._store if self._store is not None else artifact_store()
 
-    # -- raw HTTP ----------------------------------------------------------
-    def _get(self, path: str, attempt: int,
-             extra_headers: Iterable[Tuple[str, str]] = ()):
-        """One GET; returns ``(status, body, response)``.  Raises
-        ``_Miss`` on 404, ``_Retryable`` on 429/5xx, and lets socket
-        errors / IncompleteRead propagate to the caller's policy."""
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            headers = {"X-Repro-Attempt": str(attempt),
-                       "Connection": "close"}
-            headers.update(dict(extra_headers))
-            conn.request("GET", path, headers=headers)
-            response = conn.getresponse()
-            if response.status == 404:
-                raise _Miss(path)
-            if response.status == 429 or response.status >= 500:
-                raise _Retryable(f"GET {path}: HTTP {response.status}")
-            body = response.read()
-            return response.status, body, response
-        finally:
-            conn.close()
-
     def _pause(self, attempt: int, token: str) -> None:
         delay = backoff_delay(self.backoff, attempt, token=f"remote|{token}")
         if delay > 0:
             time.sleep(delay)
-
-    # -- delta negotiation -------------------------------------------------
-    def index(self, have: Optional[Iterable[str]] = None
-              ) -> Optional[List[str]]:
-        """Ids the remote holds that ``have`` does not, or None when the
-        remote cannot be reached within the retry budget."""
-        query = ""
-        if have:
-            query = "?have=" + ",".join(sorted(set(have)))
-        for attempt in range(self.retries + 1):
-            if attempt:
-                self.retries_used += 1
-                self._pause(attempt - 1, "index")
-            try:
-                status, body, _ = self._get("/artifacts/index" + query,
-                                            attempt)
-            except _Miss:
-                return None
-            except (_Retryable, OSError, http.client.HTTPException):
-                continue
-            if status != 200:
-                return None
-            try:
-                payload = json.loads(body)
-            except ValueError:
-                continue
-            ids = payload.get("ids") if isinstance(payload, dict) else None
-            if isinstance(ids, list):
-                return [i for i in ids if valid_id(i)]
-        return None
 
     # -- the verified fetch ------------------------------------------------
     def fetch(self, art_id: str, default: Optional[T] = None) -> Optional[T]:
@@ -234,13 +178,21 @@ class RemoteStore:
             error=str(error), attempts=self.retries + 1))
         return default
 
+    @staticmethod
+    def _check(response, what: str, *ok: int) -> None:
+        """Raise ``_Miss`` on 404 and ``_Retryable`` on any status
+        outside ``ok`` (429 and 5xx included)."""
+        if response.status == 404:
+            raise _Miss(what)
+        if response.status not in ok:
+            raise _Retryable(f"{what}: HTTP {response.status}")
+
     def _fetch_manifest(self, art_id: str, attempt: int) -> bytes:
         """Download one entry's raw manifest (for :func:`admit`)."""
-        status, body, _ = self._get(f"/artifacts/{art_id}/manifest",
-                                    attempt)
-        if status != 200:
-            raise _Retryable(f"manifest for {art_id}: HTTP {status}")
-        return body
+        with self._client.connect("GET", f"/artifacts/{art_id}/manifest",
+                                  attempt=attempt) as response:
+            self._check(response, f"manifest for {art_id}", 200)
+            return response.read()
 
     def _fetch_payload(self, art_id: str, manifest: Dict,
                        attempt: int) -> bytes:
@@ -258,36 +210,23 @@ class RemoteStore:
         etag = manifest["payload_sha256"]
         buf = b""
         for pass_no in range(self.retries + 2):
-            headers: List[Tuple[str, str]] = []
+            headers = ()
             if buf:
                 self.resumed += 1
-                headers = [("Range", f"bytes={len(buf)}-"),
-                           ("If-Range", etag)]
-            conn = http.client.HTTPConnection(self.host, self.port,
-                                              timeout=self.timeout)
-            try:
-                request_headers = {"X-Repro-Attempt": str(attempt + pass_no),
-                                   "Connection": "close"}
-                request_headers.update(dict(headers))
-                conn.request("GET", f"/artifacts/{art_id}",
-                             headers=request_headers)
-                response = conn.getresponse()
-                if response.status == 404:
-                    raise _Miss(art_id)
-                if response.status == 429 or response.status >= 500:
-                    raise _Retryable(f"payload {art_id}: HTTP "
-                                     f"{response.status}")
+                headers = (("Range", f"bytes={len(buf)}-"),
+                           ("If-Range", etag))
+            with self._client.connect("GET", f"/artifacts/{art_id}",
+                                      attempt=attempt + pass_no,
+                                      headers=headers) as response:
+                self._check(response, f"payload {art_id}", 200, 206)
                 if response.status == 200:
                     buf = b""  # the server reset the range: full body
-                elif response.status == 206:
+                else:
                     content_range = response.getheader("Content-Range", "")
                     if not content_range.startswith(f"bytes {len(buf)}-"):
                         raise _Retryable(
                             f"payload {art_id}: resumed at the wrong "
                             f"offset ({content_range!r})")
-                else:
-                    raise _Retryable(f"payload {art_id}: HTTP "
-                                     f"{response.status}")
                 response_etag = (response.getheader("ETag", "") or
                                  "").strip('"')
                 if response_etag and response_etag != etag:
@@ -295,15 +234,12 @@ class RemoteStore:
                         f"{art_id}: transfer ETag {response_etag[:12]}… "
                         f"does not match the manifest hash {etag[:12]}…")
                 try:
-                    chunk = response.read()
+                    buf += response.read()
                 except http.client.IncompleteRead as exc:
                     # The wire cut the body short of its Content-Length:
                     # keep what arrived and resume from that offset.
                     buf += exc.partial or b""
                     continue
-                buf += chunk
-            finally:
-                conn.close()
             if len(buf) >= expected:
                 return buf
             # Short without an exception (cut at a frame boundary):

@@ -276,8 +276,8 @@ def _failure_records(engine, failures) -> List[Dict[str, object]]:
     return records
 
 
-def run_experiment(name: str, engine=None, workers: Optional[int] = None,
-                   fail_fast: bool = True, **params) -> Artifact:
+def run_experiment(name: str, engine=None, fail_fast: bool = True,
+                   **params) -> Artifact:
     """Run a registered experiment and return its :class:`Artifact`.
 
     ``params`` override the spec's declared defaults (a name the spec
@@ -310,8 +310,8 @@ def run_experiment(name: str, engine=None, workers: Optional[int] = None,
     failed_before = len(engine.failures)
     started = time.perf_counter()
     on_error = "raise" if fail_fast else "degrade"
-    reports = (engine.run(list(jobs.values()), workers=workers,
-                          on_error=on_error) if jobs else {})
+    reports = (engine.run(list(jobs.values()), on_error=on_error)
+               if jobs else {})
     failures = engine.failures[failed_before:]
     keyed = {key: reports[job] for key, job in jobs.items()
              if job in reports}
@@ -350,12 +350,7 @@ def run_experiment(name: str, engine=None, workers: Optional[int] = None,
     }
     if failures:
         metadata["errors"] = _failure_records(engine, failures)
-    # The store's counters, not ArtifactStore.stats(): that walks every
-    # entry, and `repro serve` runs this on every request.
-    store = engine.artifacts
-    metadata["cache"] = {counter: getattr(store, counter) for counter in (
-        "hits", "misses", "puts", "quarantined", "write_failures",
-        "io_errors")}
+    metadata["cache"] = engine.artifacts.stats()
     # Provenance: the stored artifact id of every job this experiment
     # resolved, from whichever tier answered it.
     metadata["artifacts"] = engine.artifact_ids(jobs.values())
@@ -369,14 +364,12 @@ def run_experiment(name: str, engine=None, workers: Optional[int] = None,
 
 
 def run_suite_experiment(name: str, suite: str, engine=None,
-                         workers: Optional[int] = None,
                          fail_fast: bool = True, **params) -> Artifact:
     """Run an experiment with a registered suite bound to its suite
     parameter, as a run spec's ``suite`` binds it."""
     ((_, params),) = check_run_spec(
         {"experiments": [name], "suite": suite, "params": params})
-    return run_experiment(name, engine=engine, workers=workers,
-                          fail_fast=fail_fast, **params)
+    return run_experiment(name, engine=engine, fail_fast=fail_fast, **params)
 
 
 # The run-spec fields every journal header holds, with the default an
@@ -451,10 +444,11 @@ def run_journaled(spec: Mapping, journal=None,
     """Run a run spec, yielding one :class:`Artifact` per experiment.
 
     :func:`check_run_spec` checks the spec before any job runs, and the
-    process-wide engine takes its retries, timeout and journal for the
-    run.  ``journal`` is None (unjournaled), a loaded journal to resume,
-    or a fresh ``RunJournal(run_id)`` that ``RunJournal.create`` writes,
-    then calling ``on_create(journal)``, when the engine finds its first
+    process-wide engine takes its workers, retries and timeout (None
+    keeps the engine's own) and journal for the run.  ``journal`` is
+    None (unjournaled), a loaded journal to resume, or a fresh
+    ``RunJournal(run_id)`` that ``RunJournal.create`` writes, then
+    calling ``on_create(journal)``, when the engine finds its first
     pending job: a run that executes nothing leaves no journal.  The
     journal ends ``run-complete``, ``run-failed`` (the failed-job count
     or the exception; boot recovery skips it) or ``interrupted``.
@@ -477,12 +471,14 @@ def run_journaled(spec: Mapping, journal=None,
     failed = 0
     try:
         plan = check_run_spec(spec)
-        with engine_settings(spec["retries"], spec["timeout"], journal=live,
-                             open_journal=open_journal if fresh else None):
+        settings = {"journal": live,
+                    "open_journal": open_journal if fresh else None}
+        if spec["workers"] is not None:
+            settings["workers"] = max(int(spec["workers"]), 0)
+        with engine_settings(spec["retries"], spec["timeout"], **settings):
             for name, params in plan:
                 artifact = run_experiment(
-                    name, workers=spec["workers"],
-                    fail_fast=bool(spec["fail_fast"]), **params)
+                    name, fail_fast=bool(spec["fail_fast"]), **params)
                 failed += artifact.metadata["jobs"]["failed"]
                 yield artifact
     except (KeyboardInterrupt, GeneratorExit):  # stopped before its end

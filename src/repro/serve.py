@@ -53,9 +53,6 @@ fetch client):
   which content addressing already forbids).
 - ``GET /artifacts/<id>/manifest`` — the stored manifest JSON as is;
   the fetcher admits it before requesting the payload.
-- ``GET /artifacts/index?have=<id,id,…>`` — delta negotiation: the ids
-  this store holds that the caller is missing, so a fleet worker pulls
-  only its delta.
 
 Artifact reads bypass the ``/run`` executor (they never touch the
 engine) but honor drain: a draining server answers 503 so clients fail
@@ -66,8 +63,9 @@ Request-path fault injection (``serve_drop`` / ``serve_delay`` /
 /run`` handling, and the hostile-network kinds (``net_truncate`` /
 ``net_corrupt`` / ``net_503`` / ``net_stall``) at the artifact
 response path — the body cut short, a byte flipped in flight, a 503,
-a stall.  Faults fire only when the client reports attempt 0 in
-``X-Repro-Attempt``, so :class:`repro.client.ServeClient`'s and
+a stall.  Both read the client's ``X-Repro-Attempt`` (which
+:meth:`repro.client.ServeClient.connect` stamps on every request) and
+fire only on attempt 0, so :class:`repro.client.ServeClient`'s and
 :class:`repro.remote.RemoteStore`'s bounded retries always converge.
 
 :class:`ServerThread` runs the whole server inside the current process
@@ -98,6 +96,10 @@ _MAX_HEADER_BYTES = 32 * 1024
 _MAX_BODY_BYTES = 1024 * 1024
 _IO_TIMEOUT_S = 30.0
 _FAULT_DELAY_S = 0.05
+_REASONS = {200: "OK", 206: "Partial Content", 400: "Bad Request",
+            404: "Not Found", 416: "Range Not Satisfiable",
+            429: "Too Many Requests", 500: "Internal Server Error",
+            503: "Service Unavailable"}
 
 
 @dataclass
@@ -276,31 +278,17 @@ class ReproServer:
         return method.upper(), path, headers, body
 
     def _respond(self, writer: asyncio.StreamWriter, status: int,
-                 payload: Dict, extra_headers: Tuple[Tuple[str, str], ...] = ()
-                 ) -> None:
-        reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                   416: "Range Not Satisfiable", 429: "Too Many Requests",
-                   500: "Internal Server Error", 503: "Service Unavailable"}
-        data = json.dumps(payload, sort_keys=False).encode()
-        head = [f"HTTP/1.1 {status} {reasons.get(status, 'Status')}",
-                "Content-Type: application/json",
-                f"Content-Length: {len(data)}",
-                "Connection: close"]
-        head.extend(f"{name}: {value}" for name, value in extra_headers)
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + data)
-
-    def _respond_bytes(self, writer: asyncio.StreamWriter, status: int,
-                       data: bytes, declared_length: Optional[int] = None,
-                       extra_headers: Tuple[Tuple[str, str], ...] = (),
-                       content_type: str = "application/octet-stream"
-                       ) -> None:
-        """Binary response.  ``declared_length`` may exceed ``len(data)``
-        — that is exactly how the ``net_truncate`` fault forges a
+                 body, extra_headers: Tuple[Tuple[str, str], ...] = (),
+                 declared_length: Optional[int] = None,
+                 content_type: str = "application/json") -> None:
+        """Write one response: ``body`` is a JSON-able map, or bytes
+        sent as they are.  ``declared_length`` may exceed the body's
+        length — that is exactly how the ``net_truncate`` fault forges a
         mid-transfer connection cut (the client sees a short body
         against the promised Content-Length)."""
-        reasons = {200: "OK", 206: "Partial Content"}
+        data = body if isinstance(body, bytes) else json.dumps(body).encode()
         length = len(data) if declared_length is None else declared_length
-        head = [f"HTTP/1.1 {status} {reasons.get(status, 'Status')}",
+        head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}",
                 f"Content-Type: {content_type}",
                 f"Content-Length: {length}",
                 "Connection: close"]
@@ -317,7 +305,7 @@ class ReproServer:
     # -- routing -----------------------------------------------------------
     async def _route(self, method: str, path: str, headers: Dict[str, str],
                      body: bytes, writer: asyncio.StreamWriter) -> None:
-        path, _, query = path.partition("?")
+        path = path.partition("?")[0]
         if method == "GET" and path == "/healthz":
             self._respond(writer, 200, {"ok": True})
         elif method == "GET" and path == "/readyz":
@@ -330,8 +318,6 @@ class ReproServer:
                     extra_headers=(("Retry-After", "1"),))
         elif method == "GET" and path == "/stats":
             self._respond(writer, 200, self.stats())
-        elif method == "GET" and path == "/artifacts/index":
-            self._handle_artifact_index(query, writer)
         elif method == "GET" and path.startswith("/artifacts/"):
             self._open_requests += 1
             try:
@@ -412,7 +398,7 @@ class ReproServer:
 
         # Request-path fault injection, keyed like job faults: fires
         # only on the client's first attempt so retries converge.
-        action = self._fault_action(key, headers)
+        action = self._fault(headers, "on_request", key)
         if action == "drop":
             self.counters["faults"] += 1
             writer.transport.abort()
@@ -506,8 +492,12 @@ class ReproServer:
             "artifact": artifact, "run_id": result["run_id"],
             "failed": result["failed"], "deduped": deduped})
 
-    def _fault_action(self, key: str, headers: Dict[str, str]
-                      ) -> Optional[str]:
+    @staticmethod
+    def _fault(headers: Dict[str, str], hook: str,
+               token: str) -> Optional[str]:
+        """The active fault plan's action for this request, from the
+        injector's ``hook`` (``on_request`` or ``on_transfer``) at the
+        attempt the client reports in ``X-Repro-Attempt``."""
         from .faults import active_injector
 
         injector = active_injector()
@@ -517,29 +507,9 @@ class ReproServer:
             attempt = int(headers.get("x-repro-attempt", "0") or "0")
         except ValueError:
             attempt = 0
-        return injector.on_request(key, attempt=attempt)
+        return getattr(injector, hook)(token, attempt=attempt)
 
     # -- GET /artifacts/* (fleet distribution) -----------------------------
-    def _handle_artifact_index(self, query: str,
-                               writer: asyncio.StreamWriter) -> None:
-        """Delta negotiation: the ids this store holds that the caller
-        does not (``have=`` a comma-separated id list)."""
-        from .artifacts import artifact_store
-        import urllib.parse
-
-        if self.draining:
-            self._respond(writer, 503, {"error": "draining"},
-                          extra_headers=(("Retry-After", "1"),))
-            return
-        have = set()
-        for value in urllib.parse.parse_qs(query).get("have", []):
-            have.update(i.strip() for i in value.split(",") if i.strip())
-        ids = artifact_store().ids()
-        missing = [i for i in ids if i not in have]
-        self._respond(writer, 200, {
-            "ids": missing, "total": len(ids),
-            "matched": len(ids) - len(missing)})
-
     async def _handle_artifact(self, path: str, headers: Dict[str, str],
                                writer: asyncio.StreamWriter) -> None:
         """Serve one artifact's payload or its manifest.
@@ -588,7 +558,7 @@ class ReproServer:
 
         # Hostile-network fault injection applies *after* the admitted
         # load: the damage models the wire, never the store.
-        action = self._transfer_fault(art_id, headers)
+        action = self._fault(headers, "on_transfer", f"net|{art_id}")
         if action == "503":
             self.counters["faults"] += 1
             self.counters["net_faults"] += 1
@@ -602,8 +572,7 @@ class ReproServer:
 
         if want_manifest:
             self.counters["artifact_hits"] += 1
-            self._respond_bytes(writer, 200, manifest_raw,
-                                content_type="application/json")
+            self._respond(writer, 200, manifest_raw)
             return
 
         etag = manifest["payload_sha256"]
@@ -639,8 +608,9 @@ class ReproServer:
             body = body[:len(body) // 2]
         self.counters["artifact_hits"] += 1
         self.counters["artifact_bytes"] += len(body)
-        self._respond_bytes(writer, status, body, declared_length=declared,
-                            extra_headers=tuple(extra))
+        self._respond(writer, status, body, extra_headers=tuple(extra),
+                      declared_length=declared,
+                      content_type="application/octet-stream")
 
     @staticmethod
     def _parse_range(value: str, total: int) -> Optional[int]:
@@ -658,19 +628,6 @@ class ReproServer:
         if start >= total > 0 or (total == 0 and start > 0):
             return None
         return start
-
-    def _transfer_fault(self, art_id: str,
-                        headers: Dict[str, str]) -> Optional[str]:
-        from .faults import active_injector
-
-        injector = active_injector()
-        if injector is None:
-            return None
-        try:
-            attempt = int(headers.get("x-repro-attempt", "0") or "0")
-        except ValueError:
-            attempt = 0
-        return injector.on_transfer(f"net|{art_id}", attempt=attempt)
 
     def _deadline_artifact(self, name: str, deadline_s: float,
                            key: str) -> Dict:

@@ -23,6 +23,30 @@ def _hermetic_sweep_cache(tmp_path_factory):
 
 
 @pytest.fixture
+def edit_corpus(tmp_path):
+    """``edit_corpus(tarball, edit)``: unpack an exported corpus tarball,
+    call ``edit(root)`` on the unpacked files, and pack what is left
+    back into the same (plain) tarball — how a test damages a corpus
+    the way a bad disk or a careless hand would."""
+    import tarfile
+
+    def edit_corpus(tarball, edit):
+        root = tmp_path / f"{tarball.name}.unpacked"
+        with tarfile.open(tarball) as tar:
+            for member in tar.getmembers():
+                path = root / member.name
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(tar.extractfile(member).read())
+        edit(root)
+        with tarfile.open(tarball, "w") as tar:
+            for path in sorted(root.rglob("*")):
+                if path.is_file():
+                    tar.add(path, arcname=path.relative_to(root).as_posix())
+
+    return edit_corpus
+
+
+@pytest.fixture
 def sweep_engine(tmp_path):
     """A fresh, isolated SweepEngine installed as the process default.
 

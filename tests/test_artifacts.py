@@ -125,7 +125,7 @@ class TestPutGet:
                            producer=PRODUCER)
         assert art_id is None
         assert store.write_failures == 1
-        assert store.stats()["objects"] == 0
+        assert len(store.ids()) == 0
         # Not a read-only store: the next write still lands.
         assert store.put("demo", {"case": 2}, 7, producer=PRODUCER)
 
@@ -172,10 +172,9 @@ class TestQuarantine:
             warnings_mod.simplefilter("error")
             assert store.get(ids[1], "fallback") == "fallback"
         assert store.quarantined == 2
-        stats = store.stats()
-        assert stats["objects"] == 0
-        assert stats["quarantine_entries"] == 2
         records = store.quarantine_entries()
+        assert len(store.ids()) == 0
+        assert len(records) == 2
         assert {r["id"] for r in records} == set(ids)
         assert all("sha256" in r["reason"] for r in records)
 
@@ -287,10 +286,12 @@ def _http_status(url, path):
 class TestDamageMatrix:
     """One damage, every local path that calls ``admit``: ``get`` misses
     and quarantines, ``verify`` quarantines, ``import_`` rejects the
-    archive whole, and serve's ``GET /artifacts/<id>`` answers 404."""
+    corpus tarball whole, and serve's ``GET /artifacts/<id>`` answers
+    404."""
 
     @pytest.mark.parametrize("damage", sorted(DAMAGES))
-    def test_every_local_path_refuses_damage(self, tmp_path, damage):
+    def test_every_local_path_refuses_damage(self, tmp_path, edit_corpus,
+                                             damage):
         from repro.serve import ServeConfig, ServerThread
 
         apply, reason = DAMAGES[damage]
@@ -317,12 +318,12 @@ class TestDamageMatrix:
 
         source = ArtifactStore(directory=tmp_path / "source")
         ids = _put_demo(source, 2)
-        tree = tmp_path / "tree"
-        source.export(tree)
-        apply(tree / "objects" / ids[1])
+        corpus = tmp_path / "corpus.tar"
+        source.export(corpus)
+        edit_corpus(corpus, lambda root: apply(root / "objects" / ids[1]))
         target = ArtifactStore(directory=tmp_path / "target")
         with pytest.raises(ArtifactIntegrityError, match=reason):
-            target.import_(tree)
+            target.import_(corpus)
         assert target.ids() == []  # the clean entry was not published
 
         with temporary_cache_dir(tmp_path / "serve"):
@@ -396,7 +397,7 @@ class TestKillDuringWrite:
             assert report["checked"] == 0
             assert art_id not in store
         # The dead writer's temp directory was swept — no leaks.
-        assert store.stats()["tmp_entries"] == 0
+        assert len(list(store.tmp.iterdir())) == 0
         # And a fresh writer converges on the complete entry either way.
         rebuilt = store.put("kill-test", {"point": point},
                             {"data": list(range(256))}, producer=PRODUCER)
@@ -436,7 +437,7 @@ class TestConcurrentWriters:
         assert store.get(next(iter(ids))) == {"data": list(range(512))}
         report = store.verify()
         assert report["checked"] == report["ok"] == 1
-        assert store.stats()["tmp_entries"] == 0  # losers cleaned up
+        assert len(list(store.tmp.iterdir())) == 0  # losers cleaned up
 
 
 class TestGcLiveness:
@@ -454,7 +455,7 @@ class TestGcLiveness:
         assert plan["dry_run"] is True
         assert plan["removed"] == [dead]
         assert sorted(plan["kept_live"]) == sorted([journaled, pinned])
-        assert store.stats()["objects"] == 3  # dry-run deleted nothing
+        assert len(store.ids()) == 3  # dry-run deleted nothing
 
         outcome = store.gc(apply=True)
         assert outcome["removed"] == [dead]
@@ -479,10 +480,10 @@ class TestGcLiveness:
         payload.write_bytes(b"\x00" + payload.read_bytes()[1:])
         with pytest.warns(RuntimeWarning, match="quarantined"):
             store.verify()
-        assert store.stats()["quarantine_entries"] == 1
+        assert len(store.quarantine_entries()) == 1
         outcome = store.gc(apply=True)
         assert len(outcome["quarantine_removed"]) == 1
-        assert store.stats()["quarantine_entries"] == 0
+        assert len(store.quarantine_entries()) == 0
 
     def test_unpin_removes_protection(self, tmp_path):
         store = ArtifactStore(directory=tmp_path / "cache")
@@ -496,8 +497,7 @@ class TestGcLiveness:
 
 
 class TestExportImport:
-    @pytest.mark.parametrize("dest_name", ["corpus.tar.gz", "corpus.tar",
-                                           "corpus-tree"])
+    @pytest.mark.parametrize("dest_name", ["corpus.tar.gz", "corpus.tar"])
     def test_round_trip(self, tmp_path, dest_name):
         src_store = ArtifactStore(directory=tmp_path / "a")
         ids = _put_demo(src_store, 3)
@@ -513,6 +513,13 @@ class TestExportImport:
         for i, art_id in enumerate(ids):
             assert dst_store.get(art_id) == {"value": i}
         assert dst_store.verify()["ok"] == 3
+
+    def test_export_refuses_a_non_tar_destination(self, tmp_path):
+        store = ArtifactStore(directory=tmp_path / "a")
+        _put_demo(store, 3)
+        with pytest.raises(ArtifactError, match=r"\.tar, \.tar\.gz or \.tgz"):
+            store.export(tmp_path / "corpus-tree")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
 
     def test_reimport_skips_existing(self, tmp_path):
         store = ArtifactStore(directory=tmp_path / "a")
@@ -543,30 +550,32 @@ class TestExportImport:
         other = ArtifactStore(directory=tmp_path / "b")
         assert other.import_(tmp_path / "corpus.tar.gz")["imported"] == 1
 
-    def test_import_rejects_edited_manifest(self, tmp_path):
+    def test_import_rejects_edited_manifest(self, tmp_path, edit_corpus):
         store = ArtifactStore(directory=tmp_path / "a")
         art_id = _put_demo(store)[0]
-        tree = tmp_path / "tree"
-        store.export(tree)
-        _edit_manifest(inputs={"n": 12345})(tree / "objects" / art_id)
+        corpus = tmp_path / "corpus.tar"
+        store.export(corpus)
+        edit_corpus(corpus, lambda root: _edit_manifest(inputs={"n": 12345})(
+            root / "objects" / art_id))
 
         target = ArtifactStore(directory=tmp_path / "b")
         with pytest.raises(ArtifactIntegrityError, match="re-derive"):
-            target.import_(tree)
+            target.import_(corpus)
         assert target.ids() == []
 
-    def test_import_rejects_partial_tree(self, tmp_path):
+    def test_import_rejects_partial_tree(self, tmp_path, edit_corpus):
         import shutil
 
         store = ArtifactStore(directory=tmp_path / "a")
         ids = _put_demo(store, 2)
-        tree = tmp_path / "tree"
-        store.export(tree)
-        shutil.rmtree(tree / "objects" / ids[0])
+        corpus = tmp_path / "corpus.tar"
+        store.export(corpus)
+        edit_corpus(corpus,
+                    lambda root: shutil.rmtree(root / "objects" / ids[0]))
 
         target = ArtifactStore(directory=tmp_path / "b")
         with pytest.raises(ArtifactIntegrityError, match="partial"):
-            target.import_(tree)
+            target.import_(corpus)
         assert target.ids() == []  # all-or-nothing: entry 2 not published
 
     def test_import_rejects_truncated_tarball(self, tmp_path):
@@ -583,15 +592,16 @@ class TestExportImport:
             target.import_(dest)
         assert target.ids() == []
 
-    def test_import_rejects_tree_without_corpus_index(self, tmp_path):
+    def test_import_rejects_tree_without_corpus_index(self, tmp_path,
+                                                      edit_corpus):
         store = ArtifactStore(directory=tmp_path / "a")
         _put_demo(store)
-        tree = tmp_path / "tree"
-        store.export(tree)
-        (tree / "corpus.json").unlink()
+        corpus = tmp_path / "corpus.tar"
+        store.export(corpus)
+        edit_corpus(corpus, lambda root: (root / "corpus.json").unlink())
         target = ArtifactStore(directory=tmp_path / "b")
         with pytest.raises(ArtifactIntegrityError, match="corpus.json"):
-            target.import_(tree)
+            target.import_(corpus)
 
 
 class TestFaultHooks:
@@ -600,10 +610,10 @@ class TestFaultHooks:
             art_id = store.put("demo", {"n": 0}, {"value": 0},
                                producer=PRODUCER)
         assert art_id is None
-        assert store.stats()["objects"] == 0
+        assert len(store.ids()) == 0
         # The abandoned temp entry is droppable garbage, and a later
         # fault-free writer publishes cleanly.
-        assert store.stats()["tmp_entries"] >= 1
+        assert len(list(store.tmp.iterdir())) >= 1
         rebuilt = store.put("demo", {"n": 0}, {"value": 0},
                             producer=PRODUCER)
         assert rebuilt is not None
@@ -625,7 +635,7 @@ class TestFaultHooks:
         assert store.write_failures == 1
         # Latched: later writes fail silently even without the fault.
         assert store.put("demo", {"n": 1}, 2, producer=PRODUCER) is None
-        assert store.stats()["objects"] == 0
+        assert len(store.ids()) == 0
 
 
 class TestEngineIntegration:
@@ -684,7 +694,7 @@ class TestEngineIntegration:
         from repro.eval.engine import SweepEngine
 
         engine = SweepEngine(workers=0, cache_dir=tmp_path / "cache")
-        assert engine.stats()["artifacts"]["objects"] == 0
+        assert engine.stats()["artifacts"]["puts"] == 0
 
     def test_imported_corpus_replays_figures_without_loading_graphs(
             self, tmp_path):
@@ -735,7 +745,7 @@ class TestSharding:
         assert (store.objects / shard / art_id / "payload.bin").is_file()
         assert not (store.objects / art_id).exists()
         assert store.get(art_id) == {"value": 0}
-        assert store.stats()["shards"] >= 1
+        assert len(store.verify()["shards"]) >= 1
 
     def test_root_level_entry_is_quarantined_as_misfiled(self, store):
         """An entry at the ``objects/`` root, where the retired flat
@@ -751,4 +761,4 @@ class TestSharding:
         assert "filed under shard ''" in report["quarantined"][0]["reason"]
         assert store.gc(apply=True)["quarantine_removed"]
         assert not (store.objects / art_id).exists()
-        assert store.stats()["quarantine_entries"] == 0
+        assert len(store.quarantine_entries()) == 0

@@ -195,7 +195,7 @@ class TestArtifactChaos:
         engine.clear_memory()
         second = _run(engine, "stall_table")
         _assert_identical(baseline, second)
-        assert engine.artifacts.stats()["objects"] > 0  # clean republish
+        assert len(engine.artifacts.ids()) > 0  # clean republish
 
 
 @needs_fork
@@ -327,7 +327,7 @@ class TestFleetChaos:
         warm = SweepEngine(workers=0, cache_dir=server_cache)
         baseline = _run(warm, "stall_table")
         assert warm.executed_jobs > 0
-        assert warm.artifacts.stats()["objects"] > 0
+        assert len(warm.artifacts.ids()) > 0
 
         spec = "net_truncate=0.4,net_corrupt=0.4,net_503=0.3,net_stall=0.2"
         with temporary_cache_dir(server_cache):

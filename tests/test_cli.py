@@ -425,7 +425,7 @@ class TestArtifactsCli:
         assert main(["artifacts", "gc"]) == 0
         out = capsys.readouterr().out
         assert f"would remove {ids[0]}" in out and "dry-run" in out
-        assert art_store.stats()["objects"] == 2  # nothing deleted yet
+        assert len(art_store.ids()) == 2  # nothing deleted yet
         assert main(["artifacts", "gc", "--force"]) == 0
         assert "removed 1 entry" in capsys.readouterr().out
         assert art_store.ids() == [ids[1]]
@@ -443,6 +443,14 @@ class TestArtifactsCli:
             assert "imported 3 entries" in capsys.readouterr().out
             assert artifact_store().verify()["ok"] == 3
 
+    def test_export_to_a_non_tar_destination_exits_2(self, art_store,
+                                                     tmp_path, capsys):
+        self._seed(art_store)
+        dest = tmp_path / "corpus-tree"
+        assert main(["artifacts", "export", str(dest)]) == 2
+        assert "a corpus is a .tar" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_export_unknown_id_exits_2(self, art_store, tmp_path, capsys):
         rc = main(["artifacts", "export", str(tmp_path / "c.tar"),
                    "--ids", "art_" + "f" * 16])
@@ -450,17 +458,21 @@ class TestArtifactsCli:
         assert "unknown artifact" in capsys.readouterr().err
 
     def test_import_rejects_tampered_archive(self, art_store, tmp_path,
-                                             capsys):
+                                             capsys, edit_corpus):
         ids = self._seed(art_store, 1)
-        tree = tmp_path / "tree"
-        assert main(["artifacts", "export", str(tree)]) == 0
-        victim = tree / "objects" / ids[0] / "payload.bin"
-        victim.write_bytes(victim.read_bytes()[:-1])  # truncate
+        corpus = tmp_path / "corpus.tar"
+        assert main(["artifacts", "export", str(corpus)]) == 0
+
+        def truncate(root):
+            victim = root / "objects" / ids[0] / "payload.bin"
+            victim.write_bytes(victim.read_bytes()[:-1])
+
+        edit_corpus(corpus, truncate)
         capsys.readouterr()
         from repro.artifacts import artifact_store
 
         with temporary_cache_dir(tmp_path / "other"):
-            rc = main(["artifacts", "import", str(tree)])
+            rc = main(["artifacts", "import", str(corpus)])
             assert rc == 1
             assert "import rejected" in capsys.readouterr().err
             assert artifact_store().ids() == []  # nothing published
@@ -469,20 +481,24 @@ class TestArtifactsCli:
                                        {"id": "../../../etc"}],
                              ids=["not-a-map", "no-id", "path-traversal-id"])
     def test_import_rejects_malformed_corpus_index(self, art_store, tmp_path,
-                                                   capsys, entry):
+                                                   capsys, edit_corpus, entry):
         """A corpus index entry that is not a map with a valid id is
         rejected before any path is built from it."""
         self._seed(art_store, 1)
-        tree = tmp_path / "tree"
-        assert main(["artifacts", "export", str(tree)]) == 0
-        corpus = json.loads((tree / "corpus.json").read_text())
-        corpus["entries"].append(entry)
-        (tree / "corpus.json").write_text(json.dumps(corpus))
+        archive = tmp_path / "corpus.tar"
+        assert main(["artifacts", "export", str(archive)]) == 0
+
+        def append_entry(root):
+            corpus = json.loads((root / "corpus.json").read_text())
+            corpus["entries"].append(entry)
+            (root / "corpus.json").write_text(json.dumps(corpus))
+
+        edit_corpus(archive, append_entry)
         capsys.readouterr()
         from repro.artifacts import artifact_store
 
         with temporary_cache_dir(tmp_path / "other"):
-            rc = main(["artifacts", "import", str(tree)])
+            rc = main(["artifacts", "import", str(archive)])
             assert rc == 1
             err = capsys.readouterr().err
             assert "import rejected" in err and "invalid entry" in err

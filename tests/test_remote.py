@@ -9,7 +9,10 @@ execution, and the engine's memory → disk → remote → execute
 resolution order.
 """
 
+import contextlib
+import http.server
 import json
+import threading
 
 import pytest
 
@@ -35,17 +38,17 @@ def served(tmp_path):
             yield handle, store, ids
 
 
-def _fetcher(handle, tmp_path, **kwargs):
+def _fetcher(url, tmp_path, **kwargs):
     local = ArtifactStore(directory=tmp_path / "worker-cache")
     kwargs.setdefault("backoff", 0.01)
-    return RemoteStore(url=handle.url, store=local, **kwargs), local
+    return RemoteStore(url=url, store=local, **kwargs), local
 
 
 class TestFetch:
     def test_round_trip_publishes_into_the_local_store(self, served,
                                                        tmp_path):
         handle, server_store, ids = served
-        remote, local = _fetcher(handle, tmp_path)
+        remote, local = _fetcher(handle.url, tmp_path)
         value = remote.fetch(ids[0])
         assert value == {"value": 0, "pad": "x" * 600}
         # The verified download published through the staged protocol:
@@ -60,14 +63,14 @@ class TestFetch:
 
     def test_unknown_id_is_a_miss_not_a_failure(self, served, tmp_path):
         handle, _, _ = served
-        remote, _ = _fetcher(handle, tmp_path)
+        remote, _ = _fetcher(handle.url, tmp_path)
         assert remote.fetch("art_" + "0" * 16, "fallback") == "fallback"
         assert remote.misses == 1
         assert remote.failures == []  # a 404 is an answer, not an error
 
     def test_invalid_id_short_circuits(self, served, tmp_path):
         handle, _, _ = served
-        remote, _ = _fetcher(handle, tmp_path)
+        remote, _ = _fetcher(handle.url, tmp_path)
         assert remote.fetch("not-an-id") is None
         assert remote.misses == 1 and remote.fetches == 1
 
@@ -83,14 +86,6 @@ class TestFetch:
         assert failure.attempts == 2
         assert remote.stats()["failures"] == 1
 
-    def test_index_negotiates_the_delta(self, served, tmp_path):
-        handle, _, ids = served
-        remote, _ = _fetcher(handle, tmp_path)
-        assert sorted(remote.index()) == sorted(ids)
-        assert remote.index(have=ids) == []
-        delta = remote.index(have=ids[:2])
-        assert sorted(delta) == sorted(ids[2:])
-
 
 class TestHostileNetwork:
     """Every injected damage kind is rejected before publish and the
@@ -101,7 +96,7 @@ class TestHostileNetwork:
     def test_every_net_kind_converges(self, served, tmp_path, spec):
         handle, server_store, ids = served
         with inject_faults(spec, seed=7):
-            remote, local = _fetcher(handle, tmp_path)
+            remote, local = _fetcher(handle.url, tmp_path)
             for i, art_id in enumerate(ids):
                 assert remote.fetch(art_id) == {"value": i,
                                                 "pad": "x" * 600}
@@ -117,7 +112,7 @@ class TestHostileNetwork:
         # applies per token, and net_truncate fires on the net| side
         # for every id at rate 1.0 regardless).
         with inject_faults("net_truncate=1.0", seed=7):
-            remote, local = _fetcher(handle, tmp_path)
+            remote, local = _fetcher(handle.url, tmp_path)
             values = [remote.fetch(i) for i in ids]
         assert all(v is not None for v in values)
         assert remote.resumed > 0  # IncompleteRead → Range continuation
@@ -126,7 +121,7 @@ class TestHostileNetwork:
     def test_corruption_is_rejected_and_counted(self, served, tmp_path):
         handle, _, ids = served
         with inject_faults("net_corrupt=1.0", seed=7):
-            remote, local = _fetcher(handle, tmp_path)
+            remote, local = _fetcher(handle.url, tmp_path)
             assert remote.fetch(ids[0]) is not None
         assert remote.rejected > 0
         assert remote.retries_used > 0
@@ -136,7 +131,7 @@ class TestHostileNetwork:
         handle, _, ids = served
         spec = "net_truncate=0.4,net_corrupt=0.4,net_503=0.3,net_stall=0.2"
         with inject_faults(spec, seed=11):
-            remote, local = _fetcher(handle, tmp_path)
+            remote, local = _fetcher(handle.url, tmp_path)
             for i, art_id in enumerate(ids):
                 assert remote.fetch(art_id) == {"value": i,
                                                 "pad": "x" * 600}
@@ -153,13 +148,125 @@ class TestHostileNetwork:
         manifest["inputs"] = {"n": 999}  # self-consistent hash, wrong id
         mpath.write_text(json.dumps(manifest, sort_keys=True))
 
-        remote, local = _fetcher(handle, tmp_path, retries=1)
+        remote, local = _fetcher(handle.url, tmp_path, retries=1)
         assert remote.fetch(victim, "fallback") == "fallback"
         assert remote.rejected == 2  # every attempt rejected
         assert len(remote.failures) == 1
         assert remote.failures[0].error_type == "ArtifactIntegrityError"
         assert "re-derive" in remote.failures[0].error
         assert victim not in local  # never published
+
+
+@contextlib.contextmanager
+def _stub_server(store, answer):
+    """A stdlib HTTP server on a thread that serves ``store``'s manifests
+    as stored and answers every payload request with ``answer(handler)``
+    (``handler.reply(status, body, headers, length)`` writes it)."""
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def log_message(self, *args):
+            pass
+
+        def reply(self, status, body, headers=(), length=None):
+            self.send_response(status)
+            self.send_header("Content-Length",
+                             str(len(body) if length is None else length))
+            self.send_header("Connection", "close")
+            for name, value in headers:
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+            self.close_connection = True
+
+        def do_GET(self):
+            _, art_id, *rest = self.path.strip("/").split("/")
+            if rest == ["manifest"]:
+                self.reply(200, store.manifest_path(art_id).read_bytes())
+            else:
+                answer(self)
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestWireDefenses:
+    """The fetcher's own checks on a payload answer, against a stub
+    server that scripts the answer: a 200 to a ``Range`` request
+    restarts the buffer, a 206 at the wrong offset is a transport error,
+    and an ``ETag`` that disagrees with the manifest is a rejection."""
+
+    @staticmethod
+    def _entry(tmp_path):
+        store = ArtifactStore(directory=tmp_path / "stub-cache")
+        art_id = store.put("demo", {"n": 0}, {"value": 0, "pad": "x" * 600},
+                           producer=PRODUCER)
+        etag = store.read_manifest(art_id)["payload_sha256"]
+        return store, art_id, store.payload_path(art_id).read_bytes(), etag
+
+    def test_full_answer_to_a_range_request_restarts_the_buffer(
+            self, tmp_path):
+        store, art_id, payload, etag = self._entry(tmp_path)
+        headers = [("ETag", f'"{etag}"')]
+
+        def answer(handler):
+            if "Range" in handler.headers:  # ignore the range: full body
+                handler.reply(200, payload, headers)
+            else:  # cut short of the promised Content-Length
+                handler.reply(200, payload[:len(payload) // 2], headers,
+                              length=len(payload))
+
+        with _stub_server(store, answer) as url:
+            remote, local = _fetcher(url, tmp_path)
+            assert remote.fetch(art_id) == {"value": 0, "pad": "x" * 600}
+        assert remote.resumed == 1
+        assert remote.retries_used == 0 and remote.rejected == 0
+        assert local.read(art_id)[1] == payload
+
+    def test_partial_answer_at_the_wrong_offset_is_retried(self, tmp_path):
+        store, art_id, payload, etag = self._entry(tmp_path)
+        headers = [("ETag", f'"{etag}"')]
+
+        def answer(handler):
+            if "Range" in handler.headers:  # resumes from byte 0
+                handler.reply(206, payload, headers + [
+                    ("Content-Range",
+                     f"bytes 0-{len(payload) - 1}/{len(payload)}")])
+            else:
+                handler.reply(200, payload[:len(payload) // 2], headers,
+                              length=len(payload))
+
+        with _stub_server(store, answer) as url:
+            remote, local = _fetcher(url, tmp_path, retries=1)
+            assert remote.fetch(art_id, "fallback") == "fallback"
+        (failure,) = remote.failures
+        assert "wrong offset" in failure.error and failure.attempts == 2
+        assert remote.rejected == 0
+        assert local.ids() == []  # nothing published
+
+    def test_etag_disagreeing_with_the_manifest_is_rejected(self, tmp_path):
+        store, art_id, payload, _etag = self._entry(tmp_path)
+
+        def answer(handler):  # the right bytes under the wrong hash
+            handler.reply(200, payload, [("ETag", '"' + "0" * 64 + '"')])
+
+        with _stub_server(store, answer) as url:
+            remote, local = _fetcher(url, tmp_path, retries=1)
+            assert remote.fetch(art_id, "fallback") == "fallback"
+        assert remote.rejected == 2  # every attempt rejected
+        (failure,) = remote.failures
+        assert failure.error_type == "ArtifactIntegrityError"
+        assert "ETag" in failure.error
+        assert local.ids() == []  # never published
 
 
 class TestEngineReadThrough:

@@ -239,5 +239,5 @@ class TestDegradedArtifacts:
         assert "errors" not in artifact.metadata
         assert artifact.metadata["jobs"]["failed"] == 0
         assert set(artifact.metadata["cache"]) == {
-            "hits", "misses", "puts", "quarantined", "write_failures",
-            "io_errors"}
+            "puts", "gets", "hits", "misses", "races_lost", "quarantined",
+            "write_failures", "io_errors"}

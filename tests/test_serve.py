@@ -120,6 +120,43 @@ class TestEndpoints:
         assert counters["failed"] == 0
         assert list_runs() == []
 
+    def test_wrong_kind_of_param_value_400_not_retried(self, serve_cache):
+        """A value whose kind differs from its declared default's is
+        refused before admission, naming the parameter."""
+        requests = (("stall_table", {"datasets": 5}, "datasets"),
+                    ("locality_study", {"dataset": 3}, "dataset"),
+                    ("stall_table", {"accelerators": "mega"}, "accelerators"))
+        with _thread_server() as handle:
+            client = ServeClient(handle.url)
+            for name, params, param in requests:
+                with pytest.raises(ClientError) as err:
+                    client.submit(name, params=params)
+                assert err.value.status == 400
+                assert f"parameter {param!r}" in err.value.body
+            assert client.attempts_total == len(requests)
+            counters = client.stats()["counters"]
+        assert counters["failed"] == 0 and counters["executed_runs"] == 0
+        assert list_runs() == []
+
+    def test_stats_never_walk_the_store(self, serve_cache, monkeypatch):
+        """``GET /stats`` reports the store's counters, not a census of
+        its entries, so it costs the same on any store."""
+        from repro.artifacts import ArtifactStore, artifact_store
+        from repro.eval.engine import get_engine
+
+        store = artifact_store()
+        for i in range(400):
+            store.put("demo", {"n": i}, i, producer="serve-test")
+
+        def walk(self):
+            raise AssertionError("stats walked the store")
+
+        monkeypatch.setattr(ArtifactStore, "_iter_entries", walk)
+        assert get_engine().stats()["artifacts"]["puts"] == 400
+        with _thread_server() as handle:
+            stats = ServeClient(handle.url, retries=0).stats()
+        assert stats["engine"]["artifacts"]["puts"] == 400
+
     def test_suite_on_non_suite_experiment_400(self, serve_cache, sleeper):
         with _thread_server() as handle:
             client = ServeClient(handle.url, retries=0)
@@ -611,8 +648,8 @@ class TestDaemonLifecycle:
 
 class TestArtifactEndpoints:
     """Tentpole (b): the artifact distribution API — payload + manifest
-    with content-hash ETags, Range resume, and delta negotiation —
-    behind the same admission/drain/stats machinery as POST /run."""
+    with content-hash ETags and Range resume — behind the same
+    admission/drain/stats machinery as POST /run."""
 
     @staticmethod
     def _get(url, path, headers=None):
@@ -700,21 +737,6 @@ class TestArtifactEndpoints:
                 headers={"Range": f"bytes={len(expected)}-"})
             assert status == 416
             assert headers["Content-Range"] == f"bytes */{len(expected)}"
-
-    def test_index_delta_negotiation(self, serve_cache):
-        _, ids = self._publish(serve_cache, 3)
-        with _thread_server() as handle:
-            status, _, body = self._get(handle.url, "/artifacts/index")
-            assert status == 200
-            listing = json.loads(body)
-            assert sorted(listing["ids"]) == sorted(ids)
-            assert listing["total"] == 3 and listing["matched"] == 0
-            have = ",".join(ids[:2])
-            status, _, body = self._get(handle.url,
-                                        f"/artifacts/index?have={have}")
-            delta = json.loads(body)
-            assert delta["ids"] == [ids[2]]
-            assert delta["matched"] == 2
 
     def test_corrupt_entry_is_quarantined_not_served(self, serve_cache):
         store, (art_id,) = self._publish(serve_cache)
