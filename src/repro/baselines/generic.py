@@ -25,11 +25,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Optional
 
-import numpy as np
-
 from ..formats.base import bits_needed
 from ..paper_data import TABLE_V_BASELINES, TABLE_VII_ORIGINAL
-from ..perf.cache import cached_partition
 from ..registry import ACCELERATORS, AcceleratorEntry
 from ..sim import BufferSet, BufferSpec, DramModel
 from ..sim.accelerator import AcceleratorModel, LayerCost
@@ -129,10 +126,10 @@ class GenericAcceleratorModel(AcceleratorModel):
         super().__init__(buffers, dram=dram)
 
     # ------------------------------------------------------------------
-    def layer_cost(self, workload: Workload, layer_index: int,
-                   structures: Optional[dict] = None) -> LayerCost:
-        """One layer's cost; ``structures`` is an optional cross-job
-        locality-structure memo supplied by the batched evaluator."""
+    def layer_cost(self, workload: Workload, layer_index: int) -> LayerCost:
+        """One layer's cost.  Its aggregation locality comes from
+        :func:`~repro.sim.locality.locality_structure`, built once per
+        (graph, tiling) and process."""
         cfg = self.config
         layer = workload.layers[layer_index]
         n, edges = workload.num_nodes, workload.num_edges
@@ -159,8 +156,7 @@ class GenericAcceleratorModel(AcceleratorModel):
             agg_edges = edges if cfg.sparsity_aggregation else edges
             aggregation_cycles = agg_edges * f_out / agg_lanes
 
-        traffic = self._layer_traffic(workload, layer_index,
-                                      structures=structures)
+        traffic = self._layer_traffic(workload, layer_index)
 
         macs = (edges * f_in + dense_vals * f_out if cfg.execution_order == "AXW"
                 else (total_nnz if cfg.sparsity_combination else dense_vals) * f_out
@@ -195,8 +191,7 @@ class GenericAcceleratorModel(AcceleratorModel):
             return (total_nnz * bits_f + num_nodes * dim) / 8.0
         raise ValueError(f"unknown storage {cfg.storage!r}")
 
-    def _layer_traffic(self, workload: Workload, layer_index: int,
-                       structures: Optional[dict] = None):
+    def _layer_traffic(self, workload: Workload, layer_index: int):
         cfg = self.config
         layer = workload.layers[layer_index]
         n, edges = workload.num_nodes, workload.num_edges
@@ -223,23 +218,17 @@ class GenericAcceleratorModel(AcceleratorModel):
             traffic.accumulate(self.dram.sequential_access(ax_bytes, purpose="ax_write"))
             traffic.accumulate(self.dram.sequential_access(ax_bytes, purpose="ax_read"))
         else:
-            from ..sim.locality import (shared_locality_structure,
-                                        traffic_from_structure)
+            from ..sim.locality import aggregation_locality_traffic
 
             combined_bytes = f_out * bits_f / 8.0
             buffer_bytes = self.buffers["aggregation"].capacity_bytes
             buffer_nodes = max(int(buffer_bytes / max(f_out * 4.0, 1.0)), 1)
-            parts = None
-            if cfg.locality == "metis":
-                num_parts = max(int(math.ceil(n / buffer_nodes)), 1)
-                if num_parts > 1:
-                    parts = self._partition(workload, num_parts)
-            strategy = "metis" if parts is not None else "naive"
-            structure = shared_locality_structure(
-                workload.adjacency, strategy=strategy, parts=parts,
-                buffer_nodes=buffer_nodes, structures=structures)
-            agg = traffic_from_structure(
-                structure, combined_bytes, self.dram, strategy=strategy,
+            num_parts = max(int(math.ceil(n / buffer_nodes)), 1)
+            partitioned = cfg.locality == "metis" and num_parts > 1
+            agg = aggregation_locality_traffic(
+                workload.adjacency, combined_bytes, self.dram,
+                strategy="metis" if partitioned else "naive",
+                num_parts=num_parts, buffer_nodes=buffer_nodes,
                 combination_buffer_bytes=self.buffers["unified"].capacity_bytes,
             )
             traffic.accumulate(agg.total)
@@ -251,9 +240,3 @@ class GenericAcceleratorModel(AcceleratorModel):
         traffic.accumulate(self.dram.sequential_access(
             edges * (bits_needed(n) + 32) / 8.0, purpose="adjacency"))
         return traffic
-
-    def _partition(self, workload: Workload, num_parts: int) -> np.ndarray:
-        # Content-keyed (the old id(workload) key could collide after GC
-        # and never shared work between equal-content workloads).
-        return cached_partition(workload.adjacency, num_parts, seed=0,
-                                refine_passes=1).parts

@@ -31,8 +31,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 import numpy as np
 
-from ..perf.cache import (cached_load_dataset, cached_partition,
-                          clear_all_caches)
+from ..perf.cache import cached_load_dataset, clear_all_caches
 from ..registry import EXPERIMENTS, SUITES, ExperimentSpec, SuiteEntry
 from ..sim.accelerator import SimReport
 from ..sim.dram import DramModel
@@ -206,14 +205,11 @@ def _locality_reduce(results: Mapping, dataset, feature_dim, feature_bits,
         parts_count = num_parts
         if parts_count is None:
             parts_count = max(int(np.ceil(graph.num_nodes / buffer_nodes)), 2)
-        parts = cached_partition(graph.adjacency, parts_count, seed=0,
-                                 refine_passes=1).parts
         out: Dict[str, Dict[str, float]] = {}
         for strategy in strategies:
             traffic = aggregation_locality_traffic(
                 graph.adjacency, feat_bytes, dram, strategy=strategy,
-                parts=None if strategy == "naive" else parts,
-                buffer_nodes=buffer_nodes,
+                num_parts=parts_count, buffer_nodes=buffer_nodes,
             )
             out[strategy] = {
                 "internal_mb": traffic.internal.total_mb,

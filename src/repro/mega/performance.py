@@ -26,7 +26,6 @@ import numpy as np
 
 from ..formats import AdaptivePackageFormat, BitmapFormat, FormatReport
 from ..paper_data import MEGA_TOTAL_POWER_MW
-from ..perf.cache import cached_partition
 from ..registry import ACCELERATORS, AcceleratorEntry
 from ..sim import DramModel, DramTraffic
 from ..sim.accelerator import AcceleratorModel, LayerCost
@@ -70,10 +69,9 @@ class MegaModel(AcceleratorModel):
         self.partition = partition
 
     # ------------------------------------------------------------------
-    def layer_cost(self, workload: Workload, layer_index: int,
-                   structures: Optional[dict] = None) -> LayerCost:
-        """One layer's cost; ``structures`` is an optional cross-job
-        locality-structure memo supplied by the batched evaluator."""
+    def layer_cost(self, workload: Workload, layer_index: int) -> LayerCost:
+        """One layer's cost: one row's statistics through
+        :meth:`cost_from_row_stats`."""
         layer = workload.layers[layer_index]
         bits = stored_bits(layer.input_bits)
         lane_groups = self.lane_groups(layer.input_nnz)
@@ -85,8 +83,7 @@ class MegaModel(AcceleratorModel):
             nnz_bits=float((layer.input_nnz * bits).sum()),
             bits=bits,
             input_report=fmt.measure(layer.input_nnz, bits, layer.in_dim),
-            output_report=fmt.measure(out_nnz, bits, layer.out_dim),
-            structures=structures)
+            output_report=fmt.measure(out_nnz, bits, layer.out_dim))
 
     def lane_groups(self, nnz: np.ndarray) -> np.ndarray:
         """Per-node bit-serial lane groups of the Combination Engine."""
@@ -97,8 +94,7 @@ class MegaModel(AcceleratorModel):
                             lane_groups: np.ndarray, *,
                             lane_bits: float, nnz_bits: float,
                             bits: np.ndarray, input_report: FormatReport,
-                            output_report: FormatReport,
-                            structures: Optional[dict] = None) -> LayerCost:
+                            output_report: FormatReport) -> LayerCost:
         """The layer's cost from the statistics of its bits row.
 
         ``lane_groups`` is the layer's :meth:`lane_groups` (it does not
@@ -109,10 +105,11 @@ class MegaModel(AcceleratorModel):
         output feature maps in this model's storage format.  Every MEGA
         formula lives here: :meth:`layer_cost` feeds it one row's
         statistics, and the batched evaluator feeds it statistics
-        computed for many jobs in one stacked pass.
+        computed for many jobs in one stacked pass.  The aggregation
+        locality comes from :func:`~repro.sim.locality.locality_structure`,
+        built once per (graph, tiling) and process.
         """
-        from ..sim.locality import (shared_locality_structure,
-                                    traffic_from_structure)
+        from ..sim.locality import aggregation_locality_traffic
         from .condense import choose_num_parts
 
         layer = workload.layers[layer_index]
@@ -150,19 +147,13 @@ class MegaModel(AcceleratorModel):
         combined_bytes = f_out * cfg.weight_bits / 8.0
         agg_buffer = self.buffers["aggregation"].capacity_bytes
         num_parts = choose_num_parts(n, f_out, agg_buffer, cfg.psum_bits)
-        parts = None
-        if self.partition and num_parts > 1:
-            # Content-keyed memoization: workloads sharing one adjacency
-            # (every layer, every precision variant) hit the same entry.
-            parts = cached_partition(adjacency, num_parts, seed=0,
-                                     refine_passes=1).parts
-        strategy = "condense" if self.condense else ("metis" if parts is not None else "naive")
+        partitioned = self.partition and num_parts > 1
+        strategy = "condense" if self.condense else ("metis" if partitioned else "naive")
         buffer_nodes = max(int(agg_buffer / (f_out * cfg.psum_bits / 8.0)), 1)
-        structure = shared_locality_structure(
-            adjacency, strategy=strategy, parts=parts,
-            buffer_nodes=buffer_nodes, structures=structures)
-        agg_traffic = traffic_from_structure(
-            structure, combined_bytes, self.dram, strategy=strategy,
+        agg_traffic = aggregation_locality_traffic(
+            adjacency, combined_bytes, self.dram, strategy=strategy,
+            num_parts=num_parts if partitioned else None,
+            buffer_nodes=buffer_nodes,
             combination_buffer_bytes=self.buffers["combination"].capacity_bytes,
         )
         traffic.accumulate(agg_traffic.total)

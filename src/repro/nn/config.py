@@ -18,7 +18,6 @@ class TrainConfig:
 
     epochs: int = 200
     lr: float = 0.01
-    quant_lr: float = 0.02          # learning rate for quantization parameters
     weight_decay: float = 5e-4
     patience: int = 50
     grad_clip: float = 5.0

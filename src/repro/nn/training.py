@@ -64,7 +64,6 @@ def train(
     graph: Graph,
     config: Optional[TrainConfig] = None,
     extra_loss: Optional[Callable[[], Optional[Tensor]]] = None,
-    extra_params: Optional[List[Tensor]] = None,
     extra_optimizers: Optional[List] = None,
     select_when: Optional[Callable[[], bool]] = None,
 ) -> TrainResult:
@@ -72,28 +71,20 @@ def train(
 
     ``extra_loss`` supplies a regularizer evaluated per step — the
     Degree-Aware flow passes ``lambda: hooks.extra_loss()`` so the
-    memory penalty (Eq. 4/5) joins the task loss.  ``select_when``
-    gates checkpoint selection: epochs where it returns False are not
-    eligible as the "best" model (the Degree-Aware flow uses it to
-    require the memory budget to be met before accuracy is credited).
+    memory penalty (Eq. 4/5) joins the task loss, and
+    ``extra_optimizers`` steps the quantization parameters beside the
+    model's (Degree-Aware's Adam-for-scales + SGD-for-bits split).
+    ``select_when`` gates checkpoint selection: epochs where it returns
+    False are not eligible as the "best" model (the Degree-Aware flow
+    uses it to require the memory budget to be met before accuracy is
+    credited).
     """
     config = config or TrainConfig()
     optimizer = Adam(model.parameters(), lr=config.lr,
                      weight_decay=config.weight_decay)
-    extra_params = [p for p in (extra_params or []) if p.requires_grad]
-    # Quantization parameters (scales/bitwidths) train without weight
-    # decay and with their own learning rate for stability.  A flow may
-    # instead hand over pre-built optimizers (e.g. Degree-Aware's
-    # Adam-for-scales + SGD-for-bits split).
-    if extra_optimizers is not None:
-        quant_optimizers = list(extra_optimizers)
-    elif extra_params:
-        quant_optimizers = [Adam(extra_params, lr=config.quant_lr, weight_decay=0.0)]
-    else:
-        quant_optimizers = []
+    quant_optimizers = list(extra_optimizers or [])
     features = Tensor(graph.features)
     best_val, best_state, best_test = -1.0, None, 0.0
-    best_extra: List[np.ndarray] = []
     since_best = 0
     history: List[Dict[str, float]] = []
     start = time.perf_counter()
@@ -130,7 +121,6 @@ def train(
         if eligible and val_acc > best_val:
             best_val = val_acc
             best_state = model.state_dict()
-            best_extra = [p.data.copy() for p in (extra_params or [])]
             best_test = test_acc
             since_best = 0
         else:
@@ -140,8 +130,6 @@ def train(
 
     if best_state is not None:
         model.load_state_dict(best_state)
-        for p, data in zip(extra_params or [], best_extra):
-            p.data = data
     return TrainResult(
         best_val_accuracy=best_val,
         test_accuracy=best_test,

@@ -1,9 +1,10 @@
 """Performance subsystem: content-keyed caches, timers and the kernel
 benchmark runner.
 
-- :mod:`repro.perf.cache` memoizes loaded datasets and partitions keyed
-  by the *content* of the inputs, so repeated experiment sweeps stop
-  recomputing them per call site, and provides the graph fingerprint
+- :mod:`repro.perf.cache` memoizes loaded datasets, partitions and
+  aggregation-locality structures keyed by the *content* of the
+  inputs, so repeated experiment sweeps stop recomputing them per call
+  site, and provides the graph fingerprint
   and the code-version digest every persisted artifact id carries;
 - :mod:`repro.perf.timers` provides the lightweight wall-clock timers
   and counters the benchmark runner is built on;

@@ -426,12 +426,20 @@ def _bench_fleet_replay(quick: bool) -> dict:
 
     Three phases: a local engine warms a corpus (cold timing baseline);
     a ``repro serve`` daemon on that warm cache — with wire faults
-    injected daemon-side (``net_corrupt=0.3,net_503=0.2``) — serves it
-    to a fresh-cache in-process worker whose engine resolves through
+    injected daemon-side (``net_corrupt=1.0:2,net_503=1.0:1``) — serves
+    it to a fresh-cache in-process worker whose engine resolves through
     the remote tier (must execute zero jobs and stay bit-identical);
     then a forced-chaos pass (client-side ``net_corrupt=1.0``) pulls
     the corpus into a third fresh cache, proving every damaged transfer
     is rejected before publish and the bounded retry converges.
+
+    The daemon's plan fires at rate 1.0 under caps, so it hits the
+    first transfers whatever the artifact ids are: the first manifest
+    request uses up one ``net_corrupt`` firing undamaged (only payloads
+    are flipped), the first payload arrives corrupt and must be
+    rejected, and the next first-attempt transfer is answered 503.  A
+    rate below 1.0 would decide per artifact id, and ids change with
+    every code version.
     """
     import tempfile
     from pathlib import Path
@@ -446,7 +454,7 @@ def _bench_fleet_replay(quick: bool) -> dict:
     names = ("hygcn", "mega") if quick else ("hygcn", "mega", "gcnax")
     jobs = [SimJob.from_call(name, dataset, model)
             for dataset, model in pairs for name in names]
-    fault_env = {"REPRO_FAULTS": "net_corrupt=0.3,net_503=0.2",
+    fault_env = {"REPRO_FAULTS": "net_corrupt=1.0:2,net_503=1.0:1",
                  "REPRO_FAULTS_SEED": "0"}
 
     with tempfile.TemporaryDirectory(prefix="repro-fleet-bench-") as tmp:
@@ -507,6 +515,10 @@ def _bench_fleet_replay(quick: bool) -> dict:
         assert identical, \
             "fleet replay must be bit-identical to local execution"
         assert worker_verify["quarantined"] == [], worker_verify
+        assert server_stats["net_faults"] >= 1, \
+            f"the daemon injected no wire fault ({server_stats})"
+        assert remote_stats["rejected"] >= 1, \
+            f"the worker rejected no damaged transfer ({remote_stats})"
         assert all(v is not None for v in chaos_values), \
             "forced chaos must converge on every fetch"
         assert chaos.rejected >= len(corpus_ids), \
@@ -637,9 +649,11 @@ def _print_summary(report: dict) -> None:
               f"({fleet['executed_warm_jobs']} jobs executed, "
               f"{fleet['fleet_speedup']:.1f}x, bit-identical: "
               f"{fleet['identical']})")
+        print(f"  wire faults   {fleet['net_faults']} injected by the daemon, "
+              f"{fleet['remote']['rejected']} damaged transfers rejected "
+              f"by the worker")
         print(f"  chaos         {fleet['rejected_transfers']} transfers "
-              f"rejected / {fleet['resumed_transfers']} resumed, "
-              f"{fleet['net_faults']} wire faults injected, "
+              f"rejected / {fleet['resumed_transfers']} resumed in all, "
               f"{fleet['chaos']['quarantined']} corrupt payloads published")
         print(f"  drain         exit {fleet['drain_exit_code']} "
               f"(SIGTERM, graceful)")

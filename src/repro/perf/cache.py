@@ -1,15 +1,18 @@
 """Content-keyed memoization of expensive graph-derived artifacts.
 
-Two values are cached here, each keyed on the *content* of its inputs
-rather than on fragile ``id()`` keys that can collide after garbage
-collection:
+Three values are cached here, each keyed on the *content* of its
+inputs rather than on fragile ``id()`` keys that can collide after
+garbage collection:
 
 - :func:`cached_load_dataset` memoizes
   :func:`~repro.graphs.datasets.load_dataset` per ``(name, scale,
   seed)`` (synthetic generation is deterministic in those);
 - :func:`cached_partition` memoizes
   :func:`~repro.graphs.partition.partition_graph` per adjacency
-  fingerprint and partitioner parameters.
+  fingerprint and partitioner parameters;
+- ``LOCALITY_CACHE`` holds the aggregation-locality statistics of each
+  (adjacency fingerprint, tiling); its only reader and writer is
+  :func:`~repro.sim.locality.locality_structure`.
 
 :func:`graph_fingerprint` hashes a sparse matrix's CSR arrays into a
 short hex digest (memoized per live object, so the O(E) hash is paid
@@ -17,7 +20,7 @@ once per matrix).  Aggregation operators are not cached here: a
 :class:`~repro.graphs.Graph` memoizes its own in ``Graph._cache``, and
 the dataset cache hands every caller the same ``Graph``.
 
-Both caches expose hit/miss counters (:func:`cache_stats`) so the bench
+Every cache exposes hit/miss counters (:func:`cache_stats`) so the bench
 runner can report cold-vs-warm timings, and :func:`clear_all_caches`
 resets them for benchmarking.  These caches live in memory; what
 persists across processes goes through the content-addressed
@@ -113,8 +116,9 @@ class ContentCache:
 
 PARTITION_CACHE = ContentCache("partition")
 DATASET_CACHE = ContentCache("dataset")
+LOCALITY_CACHE = ContentCache("locality")
 
-_ALL_CACHES = (PARTITION_CACHE, DATASET_CACHE)
+_ALL_CACHES = (PARTITION_CACHE, DATASET_CACHE, LOCALITY_CACHE)
 
 # id(matrix) -> (weakref, digest): fingerprints are content hashes, but
 # memoized per live object so repeated lookups are O(1).

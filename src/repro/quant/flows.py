@@ -53,7 +53,7 @@ def run_degree_quant(model_name: str, graph: Graph, bits: int = 4,
     hooks = DegreeQuantizer(graph, DegreeQuantConfig(bits=bits, seed=seed))
     model = build_model(model_name, graph.feature_dim, graph.num_classes,
                         hooks=hooks, seed=seed)
-    result = train(model, graph, config=config, extra_params=hooks.parameters())
+    result = train(model, graph, config=config)
     return QuantRunResult(
         method=f"dq-int{bits}", model_name=model_name, dataset=graph.name,
         test_accuracy=result.test_accuracy, average_bits=hooks.average_bits(),
@@ -69,7 +69,7 @@ def run_uniform(model_name: str, graph: Graph, bits: int = 8,
     hooks = UniformQuantizer(graph, UniformQuantConfig(bits=bits))
     model = build_model(model_name, graph.feature_dim, graph.num_classes,
                         hooks=hooks, seed=seed)
-    result = train(model, graph, config=config, extra_params=hooks.parameters())
+    result = train(model, graph, config=config)
     return QuantRunResult(
         method=f"uniform-int{bits}", model_name=model_name, dataset=graph.name,
         test_accuracy=result.test_accuracy, average_bits=hooks.average_bits(),

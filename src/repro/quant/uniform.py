@@ -9,7 +9,7 @@ plus stochastic high-degree protection.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -57,9 +57,6 @@ class UniformQuantizer(QuantHooks):
             obs.update(x.data)
         scale = obs.scale(self._wbits)
         return FakeQuantSTE.apply(x, scale[None, :], np.float64(self._wbits))
-
-    def parameters(self) -> List[Tensor]:
-        return []
 
     def node_bitwidths(self, layer: int) -> np.ndarray:
         return np.full(self.num_nodes, self.config.bits, dtype=np.int64)

@@ -12,18 +12,15 @@ time; this module evaluates a whole batch in one pass:
   of all jobs sharing a format is measured by one
   :meth:`~repro.formats.SparseFormat.measure_batch` call (a single
   flattened run-boundary pass for Adaptive-Package).
-- **Shared structural precompute** — the O(E log E) locality
-  statistics (:class:`~repro.sim.locality.LocalityStructure`) depend
-  only on (adjacency, tiling), so one memo serves every job and layer
-  that tiles the graph the same way; graph partitions are already
-  content-cached.
 - **Scalar formulas, per job** — each job's ``LayerCost`` comes from
   :meth:`~repro.mega.performance.MegaModel.cost_from_row_stats`, the
   method the scalar ``layer_cost`` calls with one row's statistics, and
   the ``SimReport`` from
   :meth:`~repro.sim.accelerator.AcceleratorModel.assemble_report`.
-  Baseline jobs run their scalar ``layer_cost`` with the shared
-  locality memo.
+  The O(E log E) locality statistics come from
+  :func:`~repro.sim.locality.locality_structure`, which builds each
+  (graph, tiling) structure once per process for this path and the
+  scalar one alike.
 
 The contract is **bit-identity**: for every job,
 ``simulate_batch(...)[i]`` equals ``models[i].simulate(workloads[i])``
@@ -34,12 +31,10 @@ per-row exactly like the scalar 1-D sum (property-tested in
 ``tests/test_batched.py`` against the scalar path and the
 ``repro.perf.reference`` seed snapshots).
 
-Models the evaluator does not understand (anything that is neither a
-:class:`~repro.mega.performance.MegaModel` nor a
-:class:`~repro.baselines.generic.GenericAcceleratorModel`), and jobs
-whose workloads do not share the batch's adjacency/sparsity arrays,
-fall through to ``model.simulate`` — the scalar oracle — so a batch
-never changes results, only wall-clock.
+Every other model (the baselines included), and MEGA jobs whose
+workloads do not share the batch's adjacency/sparsity arrays, fall
+through to ``model.simulate`` — the scalar oracle — so a batch never
+changes results, only wall-clock.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..baselines.generic import GenericAcceleratorModel
 from ..formats import FormatReport
 from ..mega.performance import MegaModel, output_nnz, stored_bits
 from .accelerator import AcceleratorModel, LayerCost, SimReport
@@ -80,31 +74,25 @@ def simulate_batch(models: Sequence[AcceleratorModel],
 
     Returns reports aligned with the inputs.  MEGA jobs whose
     workloads share structure evaluate through the stacked path;
-    baseline jobs run the scalar formulas with the locality-structure
-    memo; everything else falls back to ``model.simulate``.
+    everything else falls back to ``model.simulate``.
     """
     if len(models) != len(workloads):
         raise ValueError("models and workloads must be parallel sequences")
     reports: List[Optional[SimReport]] = [None] * len(models)
-    structures: Dict[tuple, object] = {}
 
     mega_groups: Dict[int, List[int]] = {}
     mega_rep: Dict[int, Workload] = {}
     for i, (model, workload) in enumerate(zip(models, workloads)):
-        if isinstance(model, MegaModel):
-            key = id(workload.adjacency)
-            rep = mega_rep.get(key)
-            if rep is None:
-                mega_rep[key] = workload
-                mega_groups[key] = [i]
-            elif _same_shape(rep, workload):
-                mega_groups[key].append(i)
-            else:
-                reports[i] = model.simulate(workload)
-        elif isinstance(model, GenericAcceleratorModel):
-            costs = [model.layer_cost(workload, li, structures=structures)
-                     for li in range(len(workload.layers))]
-            reports[i] = model.assemble_report(workload, costs)
+        if not isinstance(model, MegaModel):
+            reports[i] = model.simulate(workload)
+            continue
+        key = id(workload.adjacency)
+        rep = mega_rep.get(key)
+        if rep is None:
+            mega_rep[key] = workload
+            mega_groups[key] = [i]
+        elif _same_shape(rep, workload):
+            mega_groups[key].append(i)
         else:
             reports[i] = model.simulate(workload)
 
@@ -112,7 +100,7 @@ def simulate_batch(models: Sequence[AcceleratorModel],
         group_models = [models[i] for i in indices]
         group_workloads = [workloads[i] for i in indices]
         for i, report in zip(indices, _simulate_mega_group(
-                group_models, group_workloads, structures)):
+                group_models, group_workloads)):
             reports[i] = report
     return reports  # type: ignore[return-value]
 
@@ -123,21 +111,20 @@ def simulate_batch(models: Sequence[AcceleratorModel],
 # (cost_from_row_stats, which the scalar layer_cost calls too).
 # ----------------------------------------------------------------------
 
-def _simulate_mega_group(models: List[MegaModel], workloads: List[Workload],
-                         structures: dict) -> List[SimReport]:
+def _simulate_mega_group(models: List[MegaModel],
+                         workloads: List[Workload]) -> List[SimReport]:
     num_layers = len(workloads[0].layers)
     per_job: List[List[LayerCost]] = [[] for _ in models]
     for li in range(num_layers):
         for costs, cost in zip(per_job,
-                               _mega_layer_costs(models, workloads, li,
-                                                 structures)):
+                               _mega_layer_costs(models, workloads, li)):
             costs.append(cost)
     return [model.assemble_report(workload, costs)
             for model, workload, costs in zip(models, workloads, per_job)]
 
 
 def _mega_layer_costs(models: List[MegaModel], workloads: List[Workload],
-                      li: int, structures: dict) -> List[LayerCost]:
+                      li: int) -> List[LayerCost]:
     layer0 = workloads[0].layers[li]
     in_dim, f_out = layer0.in_dim, layer0.out_dim
     nnz = layer0.input_nnz
@@ -204,6 +191,5 @@ def _mega_layer_costs(models: List[MegaModel], workloads: List[Workload],
             nnz_bits=float(nnz_bits[row]),
             bits=bits_stack[row],
             input_report=in_reports[j],
-            output_report=out_reports[j],
-            structures=structures))
+            output_report=out_reports[j]))
     return costs

@@ -17,22 +17,29 @@ scheduling strategy:
   subgraph were previously reordered into a contiguous region, so they
   are read once each, back to back, at full transaction utilization
   (plus the one-time write traffic of the reordering itself).
+
+The expensive part of the model depends only on a graph and how it is
+tiled.  :func:`locality_structure` is the one place that tiles a graph
+— by the content-cached partition, or in contiguous id tiles — and it
+builds each (graph, tiling) :class:`LocalityStructure` once per
+process, so every layer, job and batch that tiles one graph the same
+way shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..graphs.sparse_utils import coo_view, cross_edge_mask
+from ..perf.cache import LOCALITY_CACHE, cached_partition, graph_fingerprint
 from .dram import DramModel, DramTraffic
 
 __all__ = ["AggregationTraffic", "LocalityStructure", "aggregation_locality_traffic",
-           "locality_structure", "shared_locality_structure", "traffic_from_structure",
-           "cross_subgraph_pairs"]
+           "locality_structure", "traffic_from_structure", "cross_subgraph_pairs"]
 
 STRATEGIES = ("naive", "metis", "gcod", "condense")
 
@@ -83,10 +90,9 @@ class LocalityStructure:
     predicate and the O(E log E) unique-pair dedups — depends only on
     the adjacency and the tile assignment, not on the per-job feature
     size, scheduling strategy, or buffer geometry.  Splitting it out
-    lets the batched evaluator compute it once per (graph, tiling) and
-    reuse it across every job in a batch; ``unique_pairs`` is lazy so
-    the scalar path keeps paying it only for the gcod/condense
-    strategies, exactly as the seed did.
+    lets :func:`locality_structure` compute it once per (graph, tiling)
+    and share it across every layer and job; ``unique_pairs`` is lazy
+    so a tiling only the naive/metis strategies read never pays it.
     """
 
     def __init__(self, adjacency: sp.csr_matrix, tiles: np.ndarray) -> None:
@@ -120,48 +126,36 @@ class LocalityStructure:
 
 def locality_structure(
     adjacency: sp.csr_matrix,
-    strategy: str = "condense",
-    parts: Optional[np.ndarray] = None,
+    num_parts: Optional[int] = None,
     buffer_nodes: Optional[int] = None,
 ) -> LocalityStructure:
-    """Build the :class:`LocalityStructure` the strategy would tile with."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    n = adjacency.shape[0]
-    if strategy == "naive" or parts is None:
-        tiles = _contiguous_tiles(n, buffer_nodes or n)
-    else:
-        tiles = np.asarray(parts, dtype=np.int64)
-    return LocalityStructure(adjacency, tiles)
+    """The :class:`LocalityStructure` of ``adjacency`` under one tiling.
 
-
-def shared_locality_structure(
-    adjacency: sp.csr_matrix,
-    strategy: str = "condense",
-    parts: Optional[np.ndarray] = None,
-    buffer_nodes: Optional[int] = None,
-    structures: Optional[dict] = None,
-) -> LocalityStructure:
-    """:func:`locality_structure` with an optional cross-job memo.
-
-    ``structures`` is a dict owned by one batched-evaluation pass; keys
-    identify the tiling by object identity (``id(adjacency)`` /
-    ``id(parts)``), which is safe exactly because the dict never
-    outlives the batch holding those objects alive.  With
-    ``structures=None`` this is the plain scalar path.
+    An integer ``num_parts`` tiles by the content-cached partition
+    (:func:`~repro.perf.cache.cached_partition` at seed 0, one
+    refinement pass; 1 gives one tile).  ``None`` tiles contiguously in
+    id tiles of ``buffer_nodes`` (the whole graph when that is
+    ``None``).  Each structure is built once per process: it is
+    memoized in ``repro.perf.cache``'s ``locality`` cache under the
+    adjacency's content fingerprint and the tiling, so an equal-content
+    adjacency shares it too.
     """
-    if structures is None:
-        return locality_structure(adjacency, strategy=strategy, parts=parts,
-                                  buffer_nodes=buffer_nodes)
-    if strategy == "naive" or parts is None:
-        key = (id(adjacency), "contig", buffer_nodes or adjacency.shape[0])
+    n = adjacency.shape[0]
+    if num_parts is None:
+        tiling = ("contiguous", buffer_nodes or n)
     else:
-        key = (id(adjacency), "parts", id(parts))
-    structure = structures.get(key)
-    if structure is None:
-        structure = structures[key] = locality_structure(
-            adjacency, strategy=strategy, parts=parts, buffer_nodes=buffer_nodes)
-    return structure
+        tiling = ("parts", num_parts)
+
+    def build() -> LocalityStructure:
+        if num_parts is None:
+            tiles = _contiguous_tiles(n, buffer_nodes or n)
+        else:
+            tiles = cached_partition(adjacency, num_parts, seed=0,
+                                     refine_passes=1).parts
+        return LocalityStructure(adjacency, tiles)
+
+    return LOCALITY_CACHE.get_or_compute(
+        (graph_fingerprint(adjacency), tiling), build)
 
 
 def traffic_from_structure(
@@ -174,7 +168,7 @@ def traffic_from_structure(
 ) -> AggregationTraffic:
     """Per-job scalar arithmetic of the locality model.
 
-    Consumes a precomputed (shareable) :class:`LocalityStructure`; the
+    Consumes a shared :class:`LocalityStructure`; the
     strategy/feature/buffer-dependent part is a handful of scalar ops.
     """
     if strategy not in STRATEGIES:
@@ -225,7 +219,7 @@ def aggregation_locality_traffic(
     feature_bytes_per_node: float,
     dram: DramModel,
     strategy: str = "condense",
-    parts: Optional[np.ndarray] = None,
+    num_parts: Optional[int] = None,
     buffer_nodes: Optional[int] = None,
     combination_buffer_bytes: float = 96 * 1024,
     sparse_buffer_bytes: float = 32 * 1024,
@@ -237,14 +231,16 @@ def aggregation_locality_traffic(
     feature_bytes_per_node:
         Size of one node's *combined* feature vector in DRAM (already
         quantized/compressed as the accelerator stores it).
-    parts:
-        Node -> subgraph assignment for the partitioned strategies; for
-        ``naive`` contiguous tiles of ``buffer_nodes`` are used instead.
+    num_parts:
+        Subgraph count the partitioned strategies tile with (see
+        :func:`locality_structure`); ``naive`` always tiles
+        contiguously by ``buffer_nodes``.
     buffer_nodes:
         Aggregation-buffer capacity in nodes (partial-sum residency).
     """
-    structure = locality_structure(adjacency, strategy=strategy, parts=parts,
-                                   buffer_nodes=buffer_nodes)
+    structure = locality_structure(
+        adjacency, num_parts=None if strategy == "naive" else num_parts,
+        buffer_nodes=buffer_nodes)
     return traffic_from_structure(
         structure, feature_bytes_per_node, dram, strategy=strategy,
         combination_buffer_bytes=combination_buffer_bytes,

@@ -191,7 +191,7 @@ class TestOneCachePerValue:
     process-wide artifact store."""
 
     def test_perf_caches_hold_datasets_and_partitions(self):
-        assert set(cache_stats()) == {"partition", "dataset"}
+        assert set(cache_stats()) == {"partition", "dataset", "locality"}
 
     def test_models_aggregate_with_the_graphs_own_operators(self):
         import ast

@@ -73,6 +73,17 @@ class TestStudies:
         assert out["gcod"]["cross_mb"] <= out["metis"]["cross_mb"]
         assert set(out) == {"naive", "metis", "gcod", "condense"}
 
+    def test_locality_study_single_part_is_one_tile(self):
+        """``num_parts=1`` tiles the partitioned strategies as one
+        subgraph (no sparse connections); ``naive`` keeps its contiguous
+        tiles.  The rows are the ones the study has always written."""
+        one = run_experiment("locality_study", num_parts=1).value
+        assert one["naive"] == run_experiment("locality_study").value["naive"]
+        for strategy in ("metis", "gcod", "condense"):
+            assert one[strategy] == {"internal_mb": 0.3253173828125,
+                                     "cross_mb": 0.0,
+                                     "total_mb": 0.3253173828125}
+
     def test_package_length_study_normalized(self):
         out = run_experiment("package_length_study",
                              datasets=("cora",)).value

@@ -5,6 +5,8 @@ import pytest
 
 from repro.graphs import load_dataset
 from repro.graphs.partition import partition_graph
+from repro.mega import MegaModel
+from repro.perf.cache import cache_stats, cached_load_dataset, clear_all_caches
 from repro.sim import (
     BufferSet,
     BufferSpec,
@@ -14,7 +16,13 @@ from repro.sim import (
     EnergyBreakdown,
     EnergyConstants,
 )
-from repro.sim.locality import aggregation_locality_traffic, cross_subgraph_pairs
+from repro.sim.locality import (
+    LocalityStructure,
+    aggregation_locality_traffic,
+    cross_subgraph_pairs,
+    locality_structure,
+)
+from repro.sim.workload import build_workload
 
 
 class TestDram:
@@ -104,42 +112,42 @@ class TestLocality:
         return graph, parts, DramModel()
 
     def test_unknown_strategy_raises(self, setup):
-        graph, parts, dram = setup
+        graph, _, dram = setup
         with pytest.raises(ValueError):
             aggregation_locality_traffic(graph.adjacency, 64, dram,
                                          strategy="quantum")
 
     def test_condense_cross_leq_gcod_leq_metis(self, setup):
         """The Fig. 20(b) ordering: condense < gcod <= metis."""
-        graph, parts, dram = setup
+        graph, _, dram = setup
         results = {}
         for strategy in ("metis", "gcod", "condense"):
             t = aggregation_locality_traffic(
-                graph.adjacency, 64, dram, strategy=strategy, parts=parts)
+                graph.adjacency, 64, dram, strategy=strategy, num_parts=4)
             results[strategy] = t.cross.transferred_bytes
         assert results["gcod"] <= results["metis"]
         assert results["condense"] <= results["gcod"]
 
     def test_condense_full_utilization(self, setup):
-        graph, parts, dram = setup
+        graph, _, dram = setup
         # Force DRAM spilling (sparse buffer disabled) to observe the
         # contiguous-read utilization of the reordered features.
         t = aggregation_locality_traffic(graph.adjacency, 64, dram,
-                                         strategy="condense", parts=parts,
+                                         strategy="condense", num_parts=4,
                                          sparse_buffer_bytes=0)
         assert t.cross.utilization > 0.45  # contiguous reads
 
     def test_condense_small_graph_stays_on_chip(self, setup):
-        graph, parts, dram = setup
+        graph, _, dram = setup
         t = aggregation_locality_traffic(graph.adjacency, 64, dram,
-                                         strategy="condense", parts=parts)
+                                         strategy="condense", num_parts=4)
         # The tiny graph's cross features fit the 32 KB Sparse Buffer.
         assert t.cross.transferred_bytes == 0
 
     def test_metis_half_utilization_small_features(self, setup):
-        graph, parts, dram = setup
+        graph, _, dram = setup
         t = aggregation_locality_traffic(graph.adjacency, 64, dram,
-                                         strategy="metis", parts=parts)
+                                         strategy="metis", num_parts=4)
         assert t.cross.utilization == pytest.approx(0.5)
 
     def test_naive_uses_contiguous_tiles(self, setup):
@@ -150,9 +158,9 @@ class TestLocality:
         assert t.reorder_writes.transferred_bytes == 0
 
     def test_condense_accounts_reorder_writes(self, setup):
-        graph, parts, dram = setup
+        graph, _, dram = setup
         t = aggregation_locality_traffic(graph.adjacency, 64, dram,
-                                         strategy="condense", parts=parts,
+                                         strategy="condense", num_parts=4,
                                          sparse_buffer_bytes=0)
         assert t.reorder_writes.useful_bytes == t.cross.useful_bytes
 
@@ -164,7 +172,57 @@ class TestLocality:
 
     def test_single_part_no_cross(self, setup):
         graph, _, dram = setup
-        parts = np.zeros(graph.num_nodes, dtype=np.int64)
         t = aggregation_locality_traffic(graph.adjacency, 64, dram,
-                                         strategy="condense", parts=parts)
+                                         strategy="condense", num_parts=1)
         assert t.cross.transferred_bytes == 0
+
+
+class TestLocalityCache:
+    """``locality_structure`` builds each (graph, tiling) once per process."""
+
+    def test_simulate_builds_each_structure_once(self, monkeypatch):
+        built = []
+        init = LocalityStructure.__init__
+
+        def counting_init(self, adjacency, tiles):
+            built.append(len(tiles))
+            init(self, adjacency, tiles)
+
+        monkeypatch.setattr(LocalityStructure, "__init__", counting_init)
+        clear_all_caches()
+        graph = cached_load_dataset("cora", scale="sim", seed=0)
+        model = MegaModel()
+        first = None
+        for target in (3.0, 4.0, 5.0):
+            model.simulate(build_workload("cora", "gcn", seed=0, graph=graph,
+                                          target_average_bits=target))
+            first = len(built) if first is None else first
+        assert first >= 1
+        assert len(built) == first  # later targets reuse every structure
+
+    def test_one_structure_per_tiling(self):
+        adjacency = load_dataset("cora", scale="tiny").adjacency
+        n = adjacency.shape[0]
+        clear_all_caches()
+        tilings = {
+            (2, None): partition_graph(adjacency, 2, seed=0,
+                                       refine_passes=1).parts,
+            (3, None): partition_graph(adjacency, 3, seed=0,
+                                       refine_passes=1).parts,
+            (None, 32): np.arange(n) // 32,
+            (None, 64): np.arange(n) // 64,
+        }
+        structures = {key: locality_structure(adjacency, *key)
+                      for key in tilings}
+        assert len({id(s) for s in structures.values()}) == 4
+        for key, tiles in tilings.items():
+            got, fresh = structures[key], LocalityStructure(adjacency, tiles)
+            assert (got.num_cross_edges, got.internal_unique,
+                    got.mean_part_size, got.unique_pairs) == (
+                fresh.num_cross_edges, fresh.internal_unique,
+                fresh.mean_part_size, fresh.unique_pairs)
+            assert locality_structure(adjacency.copy(), *key) is got
+        assert cache_stats()["locality"]["entries"] == 4
+        clear_all_caches()
+        assert cache_stats()["locality"] == {"entries": 0, "hits": 0,
+                                             "misses": 0}
