@@ -3,8 +3,10 @@
 These are the original pure-Python loops that
 :class:`~repro.formats.AdaptivePackageFormat.encode`,
 :class:`~repro.mega.CondenseUnit`, :meth:`~repro.graphs.Graph.sample_neighbors`
-and :meth:`~repro.formats.CsrFormat.decode` shipped with.  They are kept
-verbatim so that
+and :meth:`~repro.formats.CsrFormat.decode` shipped with, and the Eq. 2
+fake-quantization kernels of :mod:`repro.quant.fake_quant` as they were
+before the rounding, the clip level and the column fake-quantizer were
+each written once.  They are kept verbatim so that
 
 - the property-based equivalence tests can assert the vectorized
   kernels produce bit-identical outputs, and
@@ -28,6 +30,7 @@ from ..formats.adaptive_package import (
     PackageConfig,
 )
 from ..mega.condense import sparse_connection_sources
+from ..tensor import Function
 
 __all__ = [
     "encode_adaptive_package_reference",
@@ -43,6 +46,10 @@ __all__ = [
     "train_reference",
     "measure_adaptive_package_reference",
     "average_feature_bits_reference",
+    "quantize_integer_reference",
+    "FakeQuantSTEReference",
+    "FakeQuantPerColumnReference",
+    "FakeQuantPerGroupReference",
 ]
 
 
@@ -452,12 +459,13 @@ def clip_grad_norm_reference(params, max_norm: float) -> float:
 
 
 def train_reference(model, graph, config=None, extra_loss=None,
-                    extra_params=None, select_when=None):
+                    extra_optimizers=None, select_when=None):
     """The seed training loop: allocating optimizer steps and separate
     ``evaluate`` forwards for the validation and (on best epochs) test
     masks.  Used by the benchmark runner as the per-epoch baseline; the
     production :func:`repro.nn.training.train` must produce bit-identical
-    accuracies from the same seed.
+    accuracies from the same seed.  ``extra_optimizers`` (a quantization
+    flow's optimizers) are stepped exactly as ``train`` steps them.
     """
     import time
 
@@ -468,13 +476,9 @@ def train_reference(model, graph, config=None, extra_loss=None,
     config = config or TrainConfig()
     optimizer = AdamReference(model.parameters(), lr=config.lr,
                               weight_decay=config.weight_decay)
-    extra_params = [p for p in (extra_params or []) if p.requires_grad]
-    quant_optimizers = ([AdamReference(extra_params, lr=config.quant_lr,
-                                       weight_decay=0.0)]
-                        if extra_params else [])
+    quant_optimizers = list(extra_optimizers or [])
     features = Tensor(graph.features)
     best_val, best_state, best_test = -1.0, None, 0.0
-    best_extra = []
     since_best = 0
     history = []
     start = time.perf_counter()
@@ -506,7 +510,6 @@ def train_reference(model, graph, config=None, extra_loss=None,
         if eligible and val_acc > best_val:
             best_val = val_acc
             best_state = model.state_dict()
-            best_extra = [p.data.copy() for p in (extra_params or [])]
             best_test = evaluate(model, graph, graph.test_mask)
             since_best = 0
         else:
@@ -517,8 +520,6 @@ def train_reference(model, graph, config=None, extra_loss=None,
 
     if best_state is not None:
         model.load_state_dict(best_state)
-        for p, data in zip(extra_params or [], best_extra):
-            p.data = data
     return TrainResult(
         best_val_accuracy=best_val,
         test_accuracy=best_test,
@@ -585,3 +586,135 @@ def average_feature_bits_reference(workload) -> float:
         total_bits += float(layer.input_bits.sum()) * layer.in_dim
         total_vals += layer.num_nodes * layer.in_dim
     return total_bits / total_vals
+
+
+# ----------------------------------------------------------------------
+# Seed Eq. 2 fake-quantization kernels (one copy of the rounding each)
+# ----------------------------------------------------------------------
+
+_LN2 = float(np.log(2.0))
+
+
+def _qmax_for_bits_seed(bits, unsigned: bool = False) -> np.ndarray:
+    """The seed clip level, always in float64."""
+    bits = np.asarray(bits)
+    exponent = np.round(bits) if unsigned else np.round(bits) - 1
+    return (2.0 ** exponent - 1).astype(np.float64)
+
+
+def quantize_integer_reference(x: np.ndarray, scale: np.ndarray, bits,
+                               unsigned: bool = None) -> np.ndarray:
+    """Seed ``quantize_integer``: rounds ``|x| / scale``, then signs."""
+    if unsigned is None:
+        unsigned = bool(np.min(x) >= 0)
+    qmax = _qmax_for_bits_seed(bits, unsigned=unsigned)
+    v = np.abs(x) / scale
+    q = np.minimum(np.floor(v + 0.5), qmax)
+    return (np.sign(x) * q).astype(np.int64)
+
+
+class FakeQuantSTEReference(Function):
+    """Seed ``FakeQuantSTE``: fixed (observer) scale, floored at 1e-12."""
+
+    @staticmethod
+    def forward(ctx: dict, x: np.ndarray, scale: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        b = round(float(np.max(bits)))
+        qmax = float(2.0 ** b - 1) if np.min(x) >= 0 else float(2.0 ** (b - 1) - 1)
+        s = np.maximum(scale, 1e-12)
+        v = x / s
+        q = np.sign(v) * np.minimum(np.floor(np.abs(v) + 0.5), qmax)
+        ctx["in_range"] = np.abs(v) <= qmax
+        return (q * s).astype(np.float32)
+
+    @staticmethod
+    def backward(ctx: dict, grad: np.ndarray):
+        return grad * ctx["in_range"], None, None
+
+
+class FakeQuantPerColumnReference(Function):
+    """Seed ``FakeQuantPerColumn``: one learnable scale per column."""
+
+    @staticmethod
+    def forward(ctx: dict, w: np.ndarray, scales: np.ndarray, bits: float) -> np.ndarray:
+        b = round(float(bits))
+        qmax = float(2.0 ** b - 1) if np.min(w) >= 0 else float(2.0 ** (b - 1) - 1)
+        s = np.maximum(scales, 1e-8)[None, :]
+        v = w / s
+        q = np.sign(v) * np.minimum(np.floor(np.abs(v) + 0.5), qmax)
+        out = (q * s).astype(np.float32)
+        ctx.update(v=v, q=q, qmax=qmax, n=w.shape[0])
+        return out
+
+    @staticmethod
+    def backward(ctx: dict, grad: np.ndarray):
+        v, q, qmax = ctx["v"], ctx["q"], ctx["qmax"]
+        in_range = np.abs(v) <= qmax
+        grad_w = grad * in_range
+        elem_s = grad * np.where(in_range, q - v, np.sign(v) * qmax)
+        lsq = 1.0 / np.sqrt(max(ctx["n"] * qmax, 1.0))
+        grad_s = elem_s.sum(axis=0) * lsq
+        return grad_w, grad_s, None
+
+
+class FakeQuantPerGroupReference(Function):
+    """Seed ``FakeQuantPerGroup``: per-row-group scale and bitwidth,
+    keeping ``v``, ``q``, ``qmax`` and ``s`` in ``ctx``."""
+
+    @staticmethod
+    def forward(ctx: dict, x: np.ndarray, scales: np.ndarray, bits: np.ndarray,
+                groups: np.ndarray, min_bits: np.ndarray, max_bits: np.ndarray) -> np.ndarray:
+        groups = groups.astype(np.int64)
+        unsigned = bool(np.min(x) >= 0)
+        b_cont = np.clip(bits, min_bits, max_bits)
+        b_int = np.round(b_cont)
+        qmax_g = 2.0 ** b_int - 1 if unsigned else 2.0 ** (b_int - 1) - 1
+        s_g = np.maximum(scales, 1e-8)
+
+        s = s_g[groups][:, None]
+        qmax = qmax_g[groups][:, None]
+        v = x / s
+        q = np.sign(v) * np.minimum(np.floor(np.abs(v) + 0.5), qmax)
+        out = (q * s).astype(np.float32)
+
+        ctx["v"] = v
+        ctx["q"] = q
+        ctx["qmax"] = qmax
+        ctx["s"] = s
+        ctx["groups"] = groups
+        ctx["b_cont"] = b_cont
+        ctx["num_groups"] = len(scales)
+        ctx["clipped_at_min"] = scales <= 1e-8
+        ctx["unsigned"] = unsigned
+        ctx["bits_at_edge"] = (bits <= min_bits) | (bits >= max_bits)
+        return out
+
+    @staticmethod
+    def backward(ctx: dict, grad: np.ndarray):
+        v, q, qmax, s = ctx["v"], ctx["q"], ctx["qmax"], ctx["s"]
+        groups, num_groups = ctx["groups"], ctx["num_groups"]
+        in_range = np.abs(v) <= qmax
+
+        grad_x = grad * in_range
+
+        # LSQ scale gradient with per-group gradient scaling.
+        elem_s = grad * np.where(in_range, q - v, np.sign(v) * qmax)
+        grad_s = np.zeros(num_groups)
+        np.add.at(grad_s, groups, elem_s.sum(axis=1))
+        counts = np.zeros(num_groups)
+        np.add.at(counts, groups, v.shape[1])
+        qmax_g = np.zeros(num_groups)
+        np.maximum.at(qmax_g, groups, qmax[:, 0])
+        lsq_scale = 1.0 / np.sqrt(np.maximum(counts * np.maximum(qmax_g, 1.0), 1.0))
+        grad_s = grad_s * lsq_scale
+        grad_s[ctx["clipped_at_min"]] = np.minimum(grad_s[ctx["clipped_at_min"]], 0.0)
+
+        # Bitwidth gradient: clipped values sit at +/- s*qmax(b); the
+        # clip level moves by s*ln2*2^b (unsigned) or s*ln2*2^(b-1).
+        b_row = ctx["b_cont"][groups][:, None]
+        exponent = b_row if ctx["unsigned"] else b_row - 1
+        elem_b = grad * np.where(in_range, 0.0, np.sign(v) * s * _LN2 * 2.0 ** exponent)
+        grad_b = np.zeros(num_groups)
+        np.add.at(grad_b, groups, elem_b.sum(axis=1))
+        grad_b = grad_b * lsq_scale
+
+        return grad_x, grad_s, grad_b, None, None, None

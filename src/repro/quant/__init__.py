@@ -1,5 +1,8 @@
 """Quantization methods: uniform, Degree-Quant (DQ), Degree-Aware (ours).
 
+All three fake-quantize through Eq. 2, written once in
+:mod:`repro.quant.fake_quant`.
+
 Submodules and the names below load on first attribute access, so the
 configs a training job is declared with (:mod:`repro.quant.config`) do
 not pull in the quantizers, the layers or the autograd engine.
@@ -21,23 +24,18 @@ _EXPORTS = {
     "quantize_integer": "fake_quant",
     "dequantize": "fake_quant",
     "qmax_for_bits": "fake_quant",
+    "FakeQuantSTE": "fake_quant",
     "FakeQuantPerGroup": "fake_quant",
-    "FakeQuantPerColumn": "fake_quant",
-    "average_bitwidth": "compression",
-    "compression_ratio": "compression",
-    "feature_memory_kb": "compression",
     "QuantRunResult": "config",
     "layer_dims_for": "flows",
     "run_fp32": "flows",
     "run_degree_quant": "flows",
     "run_degree_aware": "flows",
-    "run_uniform": "flows",
     "run_feature_magnitudes": "flows",
-    "QUANT_METHODS": "flows",
     "TRAIN_FLOWS": "flows",
 }
-_SUBMODULES = ("compression", "config", "degree_aware", "degree_quant",
-               "fake_quant", "flows", "observers", "ptq", "uniform")
+_SUBMODULES = ("config", "degree_aware", "degree_quant", "fake_quant",
+               "flows", "observers", "ptq", "uniform")
 
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_attributes(__name__, _EXPORTS, _SUBMODULES)

@@ -34,10 +34,8 @@ class DegreeAwareConfig:
     init_bits: float = 8.0
     weight_bits: int = 4
     degree_cap: int = 64            # degrees >= cap share one parameter set
-    memory_target_kb: Optional[float] = None  # None -> derived from target_average_bits
-    target_average_bits: float = 2.5
-    penalty: float = 50.0           # lambda in Eq. 5 (on the normalized penalty)
-    normalize_penalty: bool = True  # divide L_memory by M_target^2 for scale-freeness
+    target_average_bits: float = 2.5  # sets the memory target M_target
+    penalty: float = 50.0           # lambda in Eq. 5, on L_memory / M_target^2
     scale_lr: float = 0.05          # Adam lr for the log-domain scales
     bits_lr: float = 0.05           # SGD lr for the bitwidth parameters
     num_layers: int = 2
@@ -47,8 +45,7 @@ class DegreeAwareConfig:
 class DegreeQuantConfig:
     """DQ hyper-parameters (defaults follow the DQ paper)."""
 
-    bits: int = 4
-    weight_bits: Optional[int] = None  # None -> same as ``bits``
+    bits: int = 4                   # features and weights
     p_min: float = 0.0
     p_max: float = 0.2
     num_layers: int = 2
@@ -57,8 +54,7 @@ class DegreeQuantConfig:
 
 @dataclass
 class UniformQuantConfig:
-    bits: int = 8
-    weight_bits: Optional[int] = None
+    bits: int = 8                   # features and weights
     num_layers: int = 2
 
 
@@ -80,8 +76,7 @@ class QuantRunResult:
 
 # Keys of :data:`repro.quant.flows.TRAIN_FLOWS`: the flows a TrainJob
 # may name.
-TRAIN_FLOW_NAMES = ("fp32", "dq", "uniform", "degree-aware",
-                    "feature-magnitudes")
+TRAIN_FLOW_NAMES = ("fp32", "dq", "degree-aware", "feature-magnitudes")
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,8 @@ from ..graphs import Graph
 from ..nn.layers import QuantHooks
 from ..tensor import Tensor
 from .config import DegreeAwareConfig
-from .fake_quant import FakeQuantPerColumn, FakeQuantPerGroup, quantize_integer
+from .fake_quant import (FakeQuantPerGroup, FakeQuantSTE, qmax_for_bits,
+                         quantize_integer)
 
 __all__ = ["DegreeAwareConfig", "DegreeAwareQuantizer", "ETA"]
 
@@ -76,14 +77,11 @@ class DegreeAwareQuantizer(QuantHooks):
         self._weight_log_scales: Dict[int, Tensor] = {}
         self._aggregated_log_scales: Dict[int, Tensor] = {}
 
-        if cfg.memory_target_kb is None:
-            total_bits = sum(
-                float(cfg.target_average_bits) * dim * self.num_nodes
-                for dim in self.layer_dims
-            )
-            self.memory_target_kb = total_bits / ETA
-        else:
-            self.memory_target_kb = float(cfg.memory_target_kb)
+        total_bits = sum(
+            float(cfg.target_average_bits) * dim * self.num_nodes
+            for dim in self.layer_dims
+        )
+        self.memory_target_kb = total_bits / ETA
 
         self._group_counts = np.bincount(self.node_degree_param,
                                          minlength=self.num_groups).astype(np.float64)
@@ -103,16 +101,16 @@ class DegreeAwareQuantizer(QuantHooks):
 
     def weight(self, w: Tensor, layer: int) -> Tensor:
         log_scales = self._column_scales(self._weight_log_scales, layer, w.data)
-        return FakeQuantPerColumn.apply(w, log_scales.exp(),
-                                        float(self.config.weight_bits))
+        return FakeQuantSTE.apply(w, log_scales.exp(), self.config.weight_bits)
 
     def aggregated(self, x: Tensor, layer: int) -> Tensor:
         log_scales = self._column_scales(self._aggregated_log_scales, layer, x.data)
-        return FakeQuantPerColumn.apply(x, log_scales.exp(),
-                                        float(self.config.weight_bits))
+        return FakeQuantSTE.apply(x, log_scales.exp(), self.config.weight_bits)
 
     def extra_loss(self) -> Optional[Tensor]:
-        """lambda * L_memory (Eq. 4/5) as a differentiable Tensor."""
+        """lambda * L_memory / M_target^2 (Eq. 4/5) as a differentiable
+        Tensor; dividing by the squared target makes ``penalty``
+        independent of the graph's size."""
         cfg = self.config
         total_kb = None
         for layer, dim in enumerate(self.layer_dims):
@@ -121,10 +119,7 @@ class DegreeAwareQuantizer(QuantHooks):
             layer_kb = group_bits.sum()
             total_kb = layer_kb if total_kb is None else total_kb + layer_kb
         diff = total_kb - self.memory_target_kb
-        penalty = (diff * diff) * cfg.penalty
-        if cfg.normalize_penalty:
-            penalty = penalty * (1.0 / self.memory_target_kb ** 2)
-        return penalty
+        return (diff * diff) * cfg.penalty * (1.0 / self.memory_target_kb ** 2)
 
     # ------------------------------------------------------------------
     # Exported quantization outcome (consumed by the accelerator side)
@@ -220,10 +215,8 @@ class DegreeAwareQuantizer(QuantHooks):
         if self._scale_calibrated[layer]:
             return
         cfg = self.config
-        bits = self.bits[layer].data
-        qmax = np.maximum(
-            2.0 ** (np.round(np.clip(bits, cfg.min_bits, cfg.max_bits)) - 1) - 1, 1.0
-        )
+        bits = np.clip(self.bits[layer].data, cfg.min_bits, cfg.max_bits)
+        qmax = np.maximum(qmax_for_bits(bits), 1.0)  # float32, like ``bits``
         # LSQ-style init: 2 * mean|nonzero| / sqrt(qmax) keeps the typical
         # value in the middle of the code range, which preserves the
         # many small values that max-calibration would round to zero at
@@ -247,7 +240,7 @@ class DegreeAwareQuantizer(QuantHooks):
                        values: np.ndarray) -> Tensor:
         log_scales = store.get(layer)
         if log_scales is None or log_scales.shape[0] != values.shape[1]:
-            qmax = 2.0 ** (self.config.weight_bits - 1) - 1
+            qmax = float(qmax_for_bits(self.config.weight_bits))
             col_max = np.abs(values).max(axis=0)
             init = np.maximum(col_max / qmax, 1e-8)
             log_scales = Tensor(np.log(init).astype(np.float32), requires_grad=True)

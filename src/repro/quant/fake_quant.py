@@ -1,17 +1,29 @@
-"""Quantization primitives and straight-through estimators.
+"""Eq. 2 of the paper, written once, and its straight-through estimators.
 
-Implements Eq. 2 of the paper: symmetric signed quantization
+Symmetric quantization with round-half-away-from-zero:
 
-    q = sign(x) * min(floor(|x| / alpha + 0.5), 2^(b-1) - 1)
+    q = sign(x) * min(floor(|x| / alpha + 0.5), qmax)
 
-plus the gradient rules that make scale (LSQ, Esser et al. [13]) and
-bitwidth (parametrized continuous bitwidth, Uhlich et al. [48]) *learnable*:
+The clip level ``qmax`` is ``2^(b-1) - 1`` for signed tensors and
+``2^b - 1`` for non-negative ones (bag-of-words inputs, post-ReLU
+feature maps), which get the unsigned range. :func:`qmax_for_bits` is
+the only place that formula is written, and ``_round_clip`` the only
+place the rounding is; :func:`quantize_integer` (integer codes for the
+accelerator), :class:`FakeQuantSTE` (one scale per column, or one shared
+scale) and :class:`FakeQuantPerGroup` (a scale and a bitwidth per group
+of rows) all call both.
+
+Gradients go only to the inputs that need one (``ctx["needs_grad"]``),
+which makes scale (LSQ, Esser et al. [13]) and bitwidth (parametrized
+continuous bitwidth, Uhlich et al. [48]) *learnable*:
 
 - w.r.t. ``x``: straight-through inside the clipping range, zero outside;
 - w.r.t. ``alpha``: LSQ gradient ``(q - x/alpha)`` inside, ``±qmax`` when
-  clipped, with the 1/sqrt(n*qmax) LSQ gradient scaling;
-- w.r.t. ``b``: only clipped values feel the bitwidth — the clip level
-  moves by ``alpha * ln2 * 2^(b-1)`` per unit of ``b``.
+  clipped, with the 1/sqrt(n*qmax) LSQ gradient scaling; a fixed
+  (observer) scale gets none;
+- w.r.t. ``b`` (:class:`FakeQuantPerGroup` only): only clipped values
+  feel the bitwidth — the clip level moves by ``alpha * ln2 * 2^(b-1)``
+  per unit of ``b``.
 """
 
 from __future__ import annotations
@@ -20,29 +32,40 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..tensor import Function, Tensor
+from ..tensor import Function
 
 __all__ = [
     "quantize_integer",
     "dequantize",
     "qmax_for_bits",
+    "FakeQuantSTE",
     "FakeQuantPerGroup",
-    "FakeQuantPerColumn",
 ]
 
 _LN2 = float(np.log(2.0))
 
 
 def qmax_for_bits(bits, unsigned: bool = False) -> np.ndarray:
-    """Largest representable magnitude for symmetric ``bits``.
+    """Clip level of Eq. 2: ``2^b - 1`` unsigned, ``2^(b-1) - 1`` signed.
 
-    Non-negative tensors (bag-of-words inputs, post-ReLU feature maps)
-    use the unsigned range ``2^b - 1``; signed tensors use
-    ``2^(b-1) - 1`` per Eq. 2.
+    Float ``bits`` keep their dtype, so a float32 caller stays in
+    float32; integer ``bits`` give float64.
     """
     bits = np.asarray(bits)
     exponent = np.round(bits) if unsigned else np.round(bits) - 1
-    return (2.0 ** exponent - 1).astype(np.float64)
+    return 2.0 ** exponent - 1
+
+
+def _unsigned(x: np.ndarray) -> bool:
+    """Whether ``x`` is quantized to the unsigned range (no negatives)."""
+    return bool(np.min(x) >= 0)
+
+
+def _round_clip(x: np.ndarray, s, qmax) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. 2: ``v = x / s`` and its rounded, clipped integer code ``q``."""
+    v = x / s
+    q = np.sign(v) * np.minimum(np.floor(np.abs(v) + 0.5), qmax)
+    return v, q
 
 
 def quantize_integer(x: np.ndarray, scale: np.ndarray, bits,
@@ -53,11 +76,9 @@ def quantize_integer(x: np.ndarray, scale: np.ndarray, bits,
     quantized to the unsigned range for double the resolution.
     """
     if unsigned is None:
-        unsigned = bool(np.min(x) >= 0)
-    qmax = qmax_for_bits(bits, unsigned=unsigned)
-    v = np.abs(x) / scale
-    q = np.minimum(np.floor(v + 0.5), qmax)
-    return (np.sign(x) * q).astype(np.int64)
+        unsigned = _unsigned(x)
+    _, q = _round_clip(x, scale, qmax_for_bits(bits, unsigned))
+    return q.astype(np.int64)
 
 
 def dequantize(q: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -66,51 +87,56 @@ def dequantize(q: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 class FakeQuantSTE(Function):
-    """Fake quantization with a *fixed* (observer-provided) scale.
+    """Fake-quantize ``x (N, F)`` with one scale per column, or one
+    shared scale, at a scalar bitwidth.
 
-    Inputs: ``x``, ``scale`` (scalar or broadcastable array), ``bits``
-    (scalar).  Straight-through gradient inside the clipping range,
-    zero outside.  Used by DQ and the uniform baseline.
+    A scale that requires a gradient is learned (Degree-Aware's weights
+    and combined features ``B = XW``, ``beta_j`` per column, Sec. IV) and
+    gets the LSQ gradient; a fixed one (the EMA observers of DQ and the
+    uniform baseline) gets none, so forward saves only the in-range
+    mask. ``x`` gets the straight-through gradient either way.
     """
 
     @staticmethod
     def forward(ctx: dict, x: np.ndarray, scale: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        b = round(float(np.max(bits)))
-        qmax = float(2.0 ** b - 1) if np.min(x) >= 0 else float(2.0 ** (b - 1) - 1)
-        s = np.maximum(scale, 1e-12)
-        v = x / s
-        q = np.sign(v) * np.minimum(np.floor(np.abs(v) + 0.5), qmax)
+        qmax = float(qmax_for_bits(bits, _unsigned(x)))
+        s = np.maximum(scale, 1e-8)
+        v, q = _round_clip(x, s, qmax)
         ctx["in_range"] = np.abs(v) <= qmax
+        if ctx["needs_grad"][1]:
+            ctx.update(v=v, q=q, qmax=qmax)
         return (q * s).astype(np.float32)
 
     @staticmethod
     def backward(ctx: dict, grad: np.ndarray) -> Tuple[Optional[np.ndarray], ...]:
-        return grad * ctx["in_range"], None, None
+        in_range = ctx["in_range"]
+        grad_s = None
+        if ctx["needs_grad"][1]:
+            v, q, qmax = ctx["v"], ctx["q"], ctx["qmax"]
+            elem_s = grad * np.where(in_range, q - v, np.sign(v) * qmax)
+            lsq = 1.0 / np.sqrt(max(v.shape[0] * qmax, 1.0))
+            grad_s = elem_s.sum(axis=0) * lsq
+        return grad * in_range, grad_s, None
 
 
 class FakeQuantPerGroup(Function):
     """Fake-quantize rows of ``x`` with per-group scale and bitwidth.
 
-    Inputs: ``x (N, F)``, ``scales (G,)``, ``bits (G,)`` and the
-    per-row group index (passed via ``ctx`` setup in the wrapper).
-    Returns the dequantized tensor; gradients flow to ``x``, ``scales``
-    and ``bits``.
+    Inputs: ``x (N, F)``, ``scales (G,)``, ``bits (G,)``, the per-row
+    group index ``groups (N,)`` and the bitwidth bounds ``min_bits``,
+    ``max_bits (G,)``. Returns the dequantized tensor; gradients flow to
+    ``x``, ``scales`` and ``bits``.
     """
 
     @staticmethod
     def forward(ctx: dict, x: np.ndarray, scales: np.ndarray, bits: np.ndarray,
                 groups: np.ndarray, min_bits: np.ndarray, max_bits: np.ndarray) -> np.ndarray:
         groups = groups.astype(np.int64)
-        unsigned = bool(np.min(x) >= 0)
+        unsigned = _unsigned(x)
         b_cont = np.clip(bits, min_bits, max_bits)
-        b_int = np.round(b_cont)
-        qmax_g = 2.0 ** b_int - 1 if unsigned else 2.0 ** (b_int - 1) - 1
-        s_g = np.maximum(scales, 1e-8)
-
-        s = s_g[groups][:, None]
-        qmax = qmax_g[groups][:, None]
-        v = x / s
-        q = np.sign(v) * np.minimum(np.floor(np.abs(v) + 0.5), qmax)
+        s = np.maximum(scales, 1e-8)[groups][:, None]
+        qmax = qmax_for_bits(b_cont, unsigned)[groups][:, None]
+        v, q = _round_clip(x, s, qmax)
         out = (q * s).astype(np.float32)
 
         ctx["v"] = v
@@ -122,7 +148,6 @@ class FakeQuantPerGroup(Function):
         ctx["num_groups"] = len(scales)
         ctx["clipped_at_min"] = scales <= 1e-8
         ctx["unsigned"] = unsigned
-        ctx["bits_at_edge"] = (bits <= min_bits) | (bits >= max_bits)
         return out
 
     @staticmethod
@@ -155,32 +180,3 @@ class FakeQuantPerGroup(Function):
         grad_b = grad_b * lsq_scale
 
         return grad_x, grad_s, grad_b, None, None, None
-
-
-class FakeQuantPerColumn(Function):
-    """Fake-quantize a matrix with one learnable scale per column.
-
-    Used for weights (``beta_j`` per output column, fixed 4 bits) and for
-    the combined features ``B = XW`` (Sec. IV).
-    """
-
-    @staticmethod
-    def forward(ctx: dict, w: np.ndarray, scales: np.ndarray, bits: float) -> np.ndarray:
-        b = round(float(bits))
-        qmax = float(2.0 ** b - 1) if np.min(w) >= 0 else float(2.0 ** (b - 1) - 1)
-        s = np.maximum(scales, 1e-8)[None, :]
-        v = w / s
-        q = np.sign(v) * np.minimum(np.floor(np.abs(v) + 0.5), qmax)
-        out = (q * s).astype(np.float32)
-        ctx.update(v=v, q=q, qmax=qmax, n=w.shape[0])
-        return out
-
-    @staticmethod
-    def backward(ctx: dict, grad: np.ndarray) -> Tuple[Optional[np.ndarray], ...]:
-        v, q, qmax = ctx["v"], ctx["q"], ctx["qmax"]
-        in_range = np.abs(v) <= qmax
-        grad_w = grad * in_range
-        elem_s = grad * np.where(in_range, q - v, np.sign(v) * qmax)
-        lsq = 1.0 / np.sqrt(max(ctx["n"] * qmax, 1.0))
-        grad_s = elem_s.sum(axis=0) * lsq
-        return grad_w, grad_s, None

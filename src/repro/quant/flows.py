@@ -15,15 +15,12 @@ import numpy as np
 from ..graphs import Graph
 from ..nn import TrainConfig, build_model, train
 from ..tensor import Tensor, no_grad
-from .config import (DegreeAwareConfig, DegreeQuantConfig, QuantRunResult,
-                     UniformQuantConfig)
+from .config import DegreeAwareConfig, DegreeQuantConfig, QuantRunResult
 from .degree_aware import DegreeAwareQuantizer
 from .degree_quant import DegreeQuantizer
-from .uniform import UniformQuantizer
 
 __all__ = ["QuantRunResult", "layer_dims_for", "run_fp32", "run_degree_quant",
-           "run_degree_aware", "run_uniform", "run_feature_magnitudes",
-           "QUANT_METHODS", "TRAIN_FLOWS"]
+           "run_degree_aware", "run_feature_magnitudes", "TRAIN_FLOWS"]
 
 
 def layer_dims_for(model_name: str, graph: Graph, hidden: Optional[int] = None) -> List[int]:
@@ -56,22 +53,6 @@ def run_degree_quant(model_name: str, graph: Graph, bits: int = 4,
     result = train(model, graph, config=config)
     return QuantRunResult(
         method=f"dq-int{bits}", model_name=model_name, dataset=graph.name,
-        test_accuracy=result.test_accuracy, average_bits=hooks.average_bits(),
-        compression_ratio=hooks.compression_ratio(),
-        train_seconds=result.train_seconds,
-        node_bitwidths=hooks.node_bitwidths(0),
-    )
-
-
-def run_uniform(model_name: str, graph: Graph, bits: int = 8,
-                config: Optional[TrainConfig] = None, seed: int = 0) -> QuantRunResult:
-    """Plain uniform QAT (used by the 8-bit accelerator variants)."""
-    hooks = UniformQuantizer(graph, UniformQuantConfig(bits=bits))
-    model = build_model(model_name, graph.feature_dim, graph.num_classes,
-                        hooks=hooks, seed=seed)
-    result = train(model, graph, config=config)
-    return QuantRunResult(
-        method=f"uniform-int{bits}", model_name=model_name, dataset=graph.name,
         test_accuracy=result.test_accuracy, average_bits=hooks.average_bits(),
         compression_ratio=hooks.compression_ratio(),
         train_seconds=result.train_seconds,
@@ -133,19 +114,16 @@ def run_feature_magnitudes(model_name: str, graph: Graph,
     return average_feature_by_degree(graph, hidden.data)
 
 
-QUANT_METHODS = {
-    "fp32": run_fp32,
-    "dq": run_degree_quant,
-    "uniform": run_uniform,
-    "degree-aware": run_degree_aware,
-}
-
 # Flows executable as declarative TrainJobs by the job engine
 # (:mod:`repro.eval.engine`).  Every entry has the uniform signature
 # ``flow(model_name, graph, config=..., seed=..., **flow_kwargs)`` and
 # returns a picklable result.  The keys are
 # :data:`repro.quant.config.TRAIN_FLOW_NAMES`, which jobs are declared
 # against without importing this module.
-TRAIN_FLOWS = dict(QUANT_METHODS)
-TRAIN_FLOWS["feature-magnitudes"] = run_feature_magnitudes
+TRAIN_FLOWS = {
+    "fp32": run_fp32,
+    "dq": run_degree_quant,
+    "degree-aware": run_degree_aware,
+    "feature-magnitudes": run_feature_magnitudes,
+}
 

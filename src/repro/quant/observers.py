@@ -12,6 +12,8 @@ from typing import Optional
 
 import numpy as np
 
+from .fake_quant import qmax_for_bits
+
 __all__ = ["EmaMaxObserver", "EmaColumnObserver"]
 
 
@@ -31,8 +33,7 @@ class EmaMaxObserver:
 
     def scale(self, bits: int) -> float:
         """Quantization step so that the observed max maps to qmax."""
-        qmax = 2.0 ** (bits - 1) - 1
-        return max((self.value or 0.0) / qmax, 1e-8)
+        return max((self.value or 0.0) / float(qmax_for_bits(bits)), 1e-8)
 
 
 class EmaColumnObserver:
@@ -50,7 +51,6 @@ class EmaColumnObserver:
             self.value = self.momentum * self.value + (1 - self.momentum) * current
 
     def scale(self, bits: int) -> np.ndarray:
-        qmax = 2.0 ** (bits - 1) - 1
         if self.value is None:
             raise RuntimeError("observer queried before any update")
-        return np.maximum(self.value / qmax, 1e-8)
+        return np.maximum(self.value / float(qmax_for_bits(bits)), 1e-8)

@@ -1,10 +1,10 @@
 """Uniform quantization: one observer scale, fixed bitwidth, all nodes.
 
-The plain data-independent scheme (all nodes share one bitwidth) used
-for ablation and for the 8-bit accelerator variants (HyGCN(8bit),
-GCNAX(8bit) in Fig. 14).  The DQ baseline
-(:class:`~repro.quant.degree_quant.DegreeQuantizer`) is this scheme
-plus stochastic high-degree protection.
+The plain data-independent scheme: all nodes share one bitwidth, and
+weights are quantized per column at that same bitwidth.  It is the
+quantizer of post-training quantization (:mod:`repro.quant.ptq`), and
+the DQ baseline (:class:`~repro.quant.degree_quant.DegreeQuantizer`) is
+this scheme plus stochastic high-degree protection.
 """
 
 from __future__ import annotations
@@ -34,29 +34,25 @@ class UniformQuantizer(QuantHooks):
         self._feature_obs = [EmaMaxObserver() for _ in range(cfg.num_layers)]
         self._weight_obs: Dict[int, EmaColumnObserver] = {}
 
-    @property
-    def _wbits(self) -> int:
-        return self.config.weight_bits or self.config.bits
-
     def features(self, x: Tensor, layer: int) -> Tensor:
         obs = self._feature_obs[layer]
         if self.training or obs.value is None:
             obs.update(x.data)
-        scale = obs.scale(self.config.bits)
-        return FakeQuantSTE.apply(x, np.float64(scale), np.float64(self.config.bits))
+        bits = self.config.bits
+        return FakeQuantSTE.apply(x, obs.scale(bits), bits)
 
     def weight(self, w: Tensor, layer: int) -> Tensor:
         return self._per_column(self._weight_obs, w, layer)
 
     def _per_column(self, observers: Dict[int, EmaColumnObserver],
                     x: Tensor, layer: int) -> Tensor:
-        """Fake-quantize ``x`` per column at the weight bitwidth, with
-        the column observer ``observers`` keeps for ``layer``."""
+        """Fake-quantize ``x`` per column at ``config.bits``, with the
+        column observer ``observers`` keeps for ``layer``."""
         obs = observers.setdefault(layer, EmaColumnObserver())
         if self.training or obs.value is None:
             obs.update(x.data)
-        scale = obs.scale(self._wbits)
-        return FakeQuantSTE.apply(x, scale[None, :], np.float64(self._wbits))
+        bits = self.config.bits
+        return FakeQuantSTE.apply(x, obs.scale(bits), bits)
 
     def node_bitwidths(self, layer: int) -> np.ndarray:
         return np.full(self.num_nodes, self.config.bits, dtype=np.int64)

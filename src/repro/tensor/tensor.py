@@ -548,9 +548,11 @@ class Tensor:
 class Function:
     """Extension point for operations with custom gradients.
 
-    Subclasses implement :meth:`forward` (returning a numpy array and an
-    arbitrary context object) and :meth:`backward` (mapping the upstream
-    gradient to one gradient per tensor input).  Used by the
+    Subclasses implement :meth:`forward` (returning a numpy array and
+    filling the context dict) and :meth:`backward` (mapping the upstream
+    gradient to one gradient per tensor input).  ``ctx["needs_grad"]``
+    holds, per input, whether it needs a gradient, so a forward saves
+    and a backward computes only what is used.  Used by the
     straight-through estimators in the quantization package.
     """
 
@@ -565,7 +567,7 @@ class Function:
     @classmethod
     def apply(cls, *inputs: Union[Tensor, ArrayLike]) -> Tensor:
         tensors = [inp if isinstance(inp, Tensor) else Tensor(inp) for inp in inputs]
-        ctx: dict = {}
+        ctx: dict = {"needs_grad": tuple(is_grad_enabled() and t.requires_grad for t in tensors)}
         data = cls.forward(ctx, *[t.data for t in tensors])
 
         def backward(grad: np.ndarray) -> None:

@@ -7,7 +7,11 @@ The Adaptive-Package encoder, CondenseUnit and CSR decode must be
 layout, same hardware counters.  Neighbor sampling is held to
 distributional equivalence (uniform without replacement, same per-row
 counts): it consumes the RNG differently than the seed loop, so the
-drawn edge set for a given seed legitimately differs.
+drawn edge set for a given seed legitimately differs.  The Eq. 2
+fake-quantizers (one rounding kernel in :mod:`repro.quant.fake_quant`)
+must match the seed kernels' outputs and every gradient bit for bit and
+dtype for dtype, and the training loop must match the seed loop with a
+quantization flow's hooks and optimizers attached.
 """
 
 import json
@@ -38,10 +42,17 @@ from repro.perf.bench import BENCH_SIZES, run_benchmarks
 from repro.perf.cache import PARTITION_CACHE
 from repro.perf.reference import (
     CondenseUnitReference,
+    FakeQuantPerColumnReference,
+    FakeQuantPerGroupReference,
+    FakeQuantSTEReference,
     csr_decode_reference,
     encode_adaptive_package_reference,
+    quantize_integer_reference,
     sample_neighbors_reference,
+    train_reference,
 )
+from repro.quant import FakeQuantPerGroup, FakeQuantSTE, quantize_integer
+from repro.tensor import Tensor
 
 
 def random_quantized_matrix(rng, n, f, density, signed=False):
@@ -191,6 +202,192 @@ class TestSamplingAndDecode:
         np.testing.assert_array_equal(CsrFormat().decode(encoded),
                                       csr_decode_reference(encoded))
         np.testing.assert_array_equal(CsrFormat().decode(encoded), vals)
+
+
+# Scales at and below the 1e-8 floor of the learned paths, and powers
+# of two, which turn the half-integer inputs into exact rounding ties.
+_TINY_SCALES = (1e-8, 5e-9, 1e-12, 0.0)
+_POW2_SCALES = (0.25, 0.5, 1.0, 2.0)
+
+
+def quant_input(rng, n, f):
+    """A float32 map, signed or non-negative, with exact zeros,
+    half-integers and entries far past any clip level."""
+    x = rng.normal(0.0, 1.0, size=(n, f))
+    x[rng.random((n, f)) < 0.3] = 0.0
+    ties = rng.random((n, f)) < 0.2
+    x[ties] = rng.integers(-40, 40, size=int(ties.sum())) + 0.5
+    x[rng.random((n, f)) < 0.1] *= 1e4
+    if rng.integers(0, 2):
+        x = np.abs(x)
+    return x.astype(np.float32)
+
+
+def mixed_scales(rng, size, special):
+    """Uniform scales with some drawn from ``special``."""
+    scales = rng.uniform(1e-3, 2.0, size=size)
+    pick = rng.random(size) < 0.4
+    scales[pick] = rng.choice(special, size=int(pick.sum()))
+    return scales
+
+
+def run_kernel(function, inputs, requires_grad, upstream):
+    """Forward and backward ``function`` on ``inputs`` converted as
+    ``Function.apply`` converts them; the output, then every value
+    backward returns."""
+    ctx = {"needs_grad": tuple(requires_grad)}
+    out = function.forward(ctx, *[Tensor(value).data for value in inputs])
+    return (out,) + tuple(function.backward(ctx, upstream))
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        assert g.dtype == w.dtype, (g.dtype, w.dtype)
+        assert np.array_equal(g, w)
+
+
+class TestFakeQuantEquivalence:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_property_quantize_integer_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, f = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+        x = quant_input(rng, n, f).astype(
+            rng.choice([np.float32, np.float64]))
+        if rng.integers(0, 2):  # Degree-Aware: scale and bits per row
+            scale = mixed_scales(rng, (n, 1), _POW2_SCALES)
+            bits = rng.integers(1, 9, size=(n, 1))
+        else:                   # uniform: one observer scale and bitwidth
+            scale = float(mixed_scales(rng, 1, _POW2_SCALES)[0])
+            bits = int(rng.integers(1, 9))
+        unsigned = (None, True, False)[int(rng.integers(0, 3))]
+        got = quantize_integer(x, scale, bits, unsigned)
+        want = quantize_integer_reference(x, scale, bits, unsigned)
+        assert_bit_identical([got], [want])
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_property_fixed_scales_match_seed_ste(self, seed):
+        """Observer scales (DQ, uniform): one for the features, one per
+        column for weights and combined features, each passed as its
+        caller passes it now and passed it to the seed kernel."""
+        rng = np.random.default_rng(seed)
+        n, f = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+        x = quant_input(rng, n, f)
+        bits = int(rng.integers(2, 9))
+        upstream = rng.normal(size=(n, f)).astype(np.float32)
+        # Observers floor their scales at 1e-8, the least a fixed scale is.
+        special = _POW2_SCALES + (1e-8,)
+        if rng.integers(0, 2):
+            scale = float(mixed_scales(rng, 1, special)[0])
+            seed_scale = np.float64(scale)
+        else:
+            scale = mixed_scales(rng, f, special)
+            seed_scale = scale[None, :]
+        requires = (bool(rng.integers(0, 2)), False, False)
+        got = run_kernel(FakeQuantSTE, (x, scale, bits), requires, upstream)
+        want = run_kernel(FakeQuantSTEReference,
+                          (x, seed_scale, np.float64(bits)), requires,
+                          upstream)
+        assert_bit_identical(got, want)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_property_learned_columns_match_seed_per_column(self, seed):
+        """Degree-Aware weights and combined features: one learned scale
+        per column, including scales at and below the 1e-8 floor."""
+        rng = np.random.default_rng(seed)
+        n, f = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+        x = quant_input(rng, n, f)
+        scales = mixed_scales(rng, f, _TINY_SCALES + _POW2_SCALES)
+        bits = int(rng.integers(2, 9))
+        upstream = rng.normal(size=(n, f)).astype(np.float32)
+        requires = (bool(rng.integers(0, 2)), True, False)
+        got = run_kernel(FakeQuantSTE, (x, scales, bits), requires, upstream)
+        want = run_kernel(FakeQuantPerColumnReference,
+                          (x, scales, float(bits)), requires, upstream)
+        assert_bit_identical(got, want)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_property_per_group_matches_reference(self, seed):
+        """Degree-Aware features: a learned scale and bitwidth per degree
+        group, with fractional bitwidths at and past the bounds."""
+        rng = np.random.default_rng(seed)
+        n, f = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+        num_groups = int(rng.integers(1, 8))
+        x = quant_input(rng, n, f)
+        scales = mixed_scales(rng, num_groups, _TINY_SCALES + _POW2_SCALES)
+        lo, hi = 2.0, 8.0
+        edges = (lo - 0.3, lo, lo + 0.5, 4.5, hi - 0.5, hi, hi + 0.7)
+        bits = rng.uniform(lo, hi, size=num_groups)
+        at_edge = rng.random(num_groups) < 0.5
+        bits[at_edge] = rng.choice(edges, size=int(at_edge.sum()))
+        groups = rng.integers(0, num_groups, size=n)
+        inputs = (x, scales, bits, groups,
+                  np.full(num_groups, lo), np.full(num_groups, hi))
+        requires = (bool(rng.integers(0, 2)), True, True, False, False, False)
+        upstream = rng.normal(size=(n, f)).astype(np.float32)
+        got = run_kernel(FakeQuantPerGroup, inputs, requires, upstream)
+        want = run_kernel(FakeQuantPerGroupReference, inputs, requires,
+                          upstream)
+        assert_bit_identical(got, want)
+
+
+class TestTrainReference:
+    """``train`` against the seed loop with a quantization flow's hooks
+    attached, built fresh for each loop as the flows build them."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return cached_load_dataset("cora", scale="tiny")
+
+    @staticmethod
+    def degree_aware(loop, graph, config):
+        from repro.nn import build_model
+        from repro.quant import (DegreeAwareConfig, DegreeAwareQuantizer,
+                                 layer_dims_for)
+
+        # Starting inside the memory budget makes every epoch eligible
+        # for selection, so the selected accuracies are compared too.
+        hooks = DegreeAwareQuantizer(graph, layer_dims_for("gcn", graph),
+                                     DegreeAwareConfig(init_bits=3.0))
+        model = build_model("gcn", graph.feature_dim, graph.num_classes,
+                            hooks=hooks, seed=0)
+        model.train()
+        model(Tensor(graph.features), graph)
+        return loop(model, graph, config=config,
+                    extra_loss=hooks.extra_loss,
+                    extra_optimizers=hooks.optimizers(),
+                    select_when=lambda: (hooks.feature_memory_kb()
+                                         <= hooks.memory_target_kb * 1.2))
+
+    @staticmethod
+    def degree_quant(loop, graph, config):
+        from repro.nn import build_model
+        from repro.quant import DegreeQuantConfig, DegreeQuantizer
+
+        hooks = DegreeQuantizer(graph, DegreeQuantConfig(bits=4, seed=0))
+        model = build_model("gcn", graph.feature_dim, graph.num_classes,
+                            hooks=hooks, seed=0)
+        return loop(model, graph, config=config)
+
+    @pytest.mark.parametrize("flow", ["degree_aware", "degree_quant"])
+    def test_quantized_training_matches_seed_loop(self, graph, flow):
+        from repro.nn import TrainConfig, train
+
+        config = TrainConfig(epochs=5)
+        run = getattr(self, flow)
+        new = run(train, graph, config)
+        seed = run(train_reference, graph, config)
+        assert new.test_accuracy == seed.test_accuracy
+        assert new.best_val_accuracy == seed.best_val_accuracy
+        assert new.epochs_run == seed.epochs_run == 5
+        assert new.history == seed.history
 
 
 class TestSparseUtils:

@@ -10,13 +10,14 @@ from repro.quant import (
     DegreeAwareQuantizer,
     DegreeQuantConfig,
     DegreeQuantizer,
+    FakeQuantPerGroup,
+    FakeQuantSTE,
     UniformQuantConfig,
     UniformQuantizer,
     dequantize,
     qmax_for_bits,
     quantize_integer,
 )
-from repro.quant.fake_quant import FakeQuantPerColumn, FakeQuantPerGroup, FakeQuantSTE
 from repro.quant.observers import EmaColumnObserver, EmaMaxObserver
 from repro.tensor import Tensor
 
@@ -58,6 +59,16 @@ class TestQuantizeInteger:
         q = quantize_integer(np.array([100.0]), 0.1, 3)  # unsigned qmax=7
         assert q[0] == 7
 
+    def test_qmax_keeps_the_float_dtype_of_bits(self):
+        """A float32 caller (Degree-Aware's bitwidth parameters) gets a
+        float32 level; integer bits give float64."""
+        bits = np.array([2.0, 4.4, 7.6], dtype=np.float32)
+        assert qmax_for_bits(bits).dtype == np.float32
+        assert qmax_for_bits(bits).tolist() == [1.0, 7.0, 127.0]
+        assert qmax_for_bits(bits, unsigned=True).tolist() == [3.0, 15.0, 255.0]
+        assert qmax_for_bits(4).dtype == np.float64
+        assert float(qmax_for_bits(4)) == 7.0
+
 
 class TestFakeQuantSTE:
     def test_forward_matches_quantize_dequantize(self):
@@ -76,6 +87,26 @@ class TestFakeQuantSTE:
         t = Tensor(np.array([1000.0], dtype=np.float32), requires_grad=True)
         FakeQuantSTE.apply(t, np.float64(0.1), np.float64(4.0)).sum().backward()
         np.testing.assert_allclose(t.grad, [0.0])
+
+    def test_fixed_scale_keeps_only_the_in_range_mask(self, monkeypatch):
+        """An observer scale needs no gradient: forward saves the boolean
+        mask, not the rounding temporaries a learned scale needs."""
+        seen = {}
+        original = FakeQuantSTE.forward
+
+        def spy(ctx, *arrays):
+            out = original(ctx, *arrays)
+            seen[ctx["needs_grad"][1]] = sorted(set(ctx) - {"needs_grad"})
+            return out
+
+        monkeypatch.setattr(FakeQuantSTE, "forward", staticmethod(spy))
+        x = Tensor(np.random.default_rng(0).normal(size=(4, 3)).astype(np.float32),
+                   requires_grad=True)
+        learned = Tensor(np.full(3, 0.05, dtype=np.float32), requires_grad=True)
+        FakeQuantSTE.apply(x, np.full(3, 0.05), 4.0)
+        FakeQuantSTE.apply(x, learned, 4.0)
+        assert seen == {False: ["in_range"],
+                        True: ["in_range", "q", "qmax", "v"]}
 
 
 class TestFakeQuantPerGroup:
@@ -111,17 +142,19 @@ class TestFakeQuantPerGroup:
 
 
 class TestFakeQuantPerColumn:
+    """``FakeQuantSTE`` with one learned scale per column."""
+
     def test_per_column_scales(self):
         w = Tensor(np.array([[1.0, 10.0]], dtype=np.float32), requires_grad=True)
         scales = Tensor(np.array([1.0, 10.0], dtype=np.float32) / 7, requires_grad=True)
-        out = FakeQuantPerColumn.apply(w, scales, 4.0)
+        out = FakeQuantSTE.apply(w, scales, 4.0)
         np.testing.assert_allclose(out.data, [[1.0, 10.0]], atol=0.2)
 
     def test_gradients_flow_to_scales(self):
         w = Tensor(np.random.default_rng(0).normal(size=(4, 3)).astype(np.float32),
                    requires_grad=True)
         scales = Tensor(np.full(3, 0.05, dtype=np.float32), requires_grad=True)
-        FakeQuantPerColumn.apply(w, scales, 4.0).sum().backward()
+        FakeQuantSTE.apply(w, scales, 4.0).sum().backward()
         assert scales.grad.shape == (3,)
         assert w.grad is not None
 
@@ -240,8 +273,12 @@ class TestDegreeQuantizer:
         assert q.compression_ratio() == 8.0
 
     def test_weight_bits_default_to_bits(self, graph):
+        """Weights are fake-quantized at the feature bitwidth."""
         q = DegreeQuantizer(graph, DegreeQuantConfig(bits=6))
-        assert q._wbits == 6
+        w = Tensor(np.random.default_rng(0).normal(size=(8, 5)).astype(np.float32))
+        codes = q.weight(w, 0).data / q._weight_obs[0].scale(6)
+        np.testing.assert_allclose(codes, np.round(codes), atol=1e-3)
+        assert np.abs(codes).max() == pytest.approx(31, abs=1e-3)
 
     def test_unprotected_dq_is_uniform_quantization(self, graph):
         """With no node protected, DQ quantizes features and weights
