@@ -29,7 +29,12 @@ def main() -> None:
     fp32 = run_fp32("gcn", graph, config=config)
     ours = run_degree_aware("gcn", graph, config=config)
     print(f"fp32         accuracy={fp32.test_accuracy:.3f}  CR=1.0x")
-    print(f"degree-aware accuracy={ours.test_accuracy:.3f}  "
+    if ours.extras["best_epoch"]:
+        accuracy = f"{ours.test_accuracy:.3f}"
+    else:  # no epoch was eligible for selection, so no accuracy is credited
+        accuracy = (f"none (no epoch of {ours.extras['epochs_run']} "
+                    f"met the memory budget)")
+    print(f"degree-aware accuracy={accuracy}  "
           f"CR={ours.compression_ratio:.1f}x  avg_bits={ours.average_bits:.2f}")
     values, counts = np.unique(ours.node_bitwidths, return_counts=True)
     print("bit allocation:", dict(zip(values.tolist(), counts.tolist())))

@@ -27,7 +27,7 @@ class QuantHooks:
 
     The default implementation is the FP32 identity.  Subclasses in
     :mod:`repro.quant` quantize node features per degree group
-    (Degree-Aware), per graph (DQ / uniform), and weights per output
+    (Degree-Aware), per graph (DQ), and weights per output
     column (Sec. IV).
     """
 

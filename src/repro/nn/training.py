@@ -28,12 +28,18 @@ __all__ = ["TrainConfig", "TrainResult", "train", "evaluate",
 
 @dataclass
 class TrainResult:
-    """Outcome of one run: best model accuracy and the loss curve."""
+    """Outcome of one run: best model accuracy and the loss curve.
+
+    ``best_epoch`` is the epoch whose weights were restored, and 0 when
+    no epoch was eligible (``select_when`` never held): then
+    ``test_accuracy`` is 0.0 and ``best_val_accuracy`` -1.0.
+    """
 
     best_val_accuracy: float
     test_accuracy: float
     train_seconds: float
     epochs_run: int
+    best_epoch: int = 0
     history: List[Dict[str, float]] = field(default_factory=list)
 
 
@@ -85,7 +91,7 @@ def train(
     quant_optimizers = list(extra_optimizers or [])
     features = Tensor(graph.features)
     best_val, best_state, best_test = -1.0, None, 0.0
-    since_best = 0
+    best_epoch = since_best = 0
     history: List[Dict[str, float]] = []
     start = time.perf_counter()
 
@@ -122,6 +128,7 @@ def train(
             best_val = val_acc
             best_state = model.state_dict()
             best_test = test_acc
+            best_epoch = epoch
             since_best = 0
         else:
             since_best += 1
@@ -135,90 +142,71 @@ def train(
         test_accuracy=best_test,
         train_seconds=time.perf_counter() - start,
         epochs_run=epoch,
+        best_epoch=best_epoch,
         history=history,
     )
 
 
 def train_multiple_seeds(
-    model_factory: Union[str, Callable[[int], Module]],
+    model_name: str,
     graph: Union[str, Graph],
     seeds: List[int],
     config: Optional[TrainConfig] = None,
-    extra_loss_factory: Optional[Callable[[Module], Callable[[], Optional[Tensor]]]] = None,
     flow: str = "fp32",
     flow_kwargs: Optional[Dict[str, object]] = None,
 ) -> Dict[str, float]:
-    """Run several seeds and report mean/std test accuracy (paper style).
+    """Run several model seeds on one dataset and report mean/std test
+    accuracy (paper style).
 
-    Two call styles:
-
-    - **declarative** (preferred): ``model_factory`` is a model *name*
-      and ``graph`` a dataset name (or a graph loaded by
-      :func:`~repro.graphs.load_dataset`, whose ``name`` encodes
-      ``dataset-scale``).  The per-seed runs are declared as one
-      deduplicated :class:`~repro.eval.engine.TrainJob` batch through
-      the shared job engine — cached seeds replay from disk, cold seeds
-      fan out over the engine's ``workers`` processes, and ``flow``
-      selects the quantization flow (:data:`repro.quant.flows.TRAIN_FLOWS`).
-    - **legacy**: ``model_factory`` is a callable ``seed -> Module`` and
-      each seed trains serially in-process (required when the factory
-      closes over custom models the engine cannot reconstruct).
+    ``graph`` is a dataset name or a graph loaded by
+    :func:`~repro.graphs.load_dataset`, whose ``name`` encodes
+    ``dataset-scale``.  The per-seed runs are declared as one
+    deduplicated :class:`~repro.eval.engine.TrainJob` batch through the
+    shared job engine — cached seeds replay from disk, cold seeds fan
+    out over the engine's ``workers`` processes, and ``flow`` selects
+    the quantization flow (:data:`repro.quant.flows.TRAIN_FLOWS`).
+    Every seed trains on the dataset generated with seed 0.
     """
-    if isinstance(model_factory, str):
-        if extra_loss_factory is not None:
-            raise ValueError(
-                "extra_loss_factory requires the legacy callable form; "
-                "declarative flows attach their own losses")
-        from ..eval.engine import TrainJob, get_engine
-        from ..registry import DATASETS
+    from ..eval.engine import TrainJob, get_engine
+    from ..registry import DATASETS
 
-        # ``name`` is either a registered dataset/scenario name (which
-        # may itself contain hyphens, e.g. "powerlaw-10k") or a loaded
-        # graph's "dataset-scale" name ("cora-train",
-        # "powerlaw-10k-sim") — try the full name first, then split the
-        # scale suffix off the right.
-        name = graph if isinstance(graph, str) else graph.name
-        if name.lower() in DATASETS:
-            dataset, scale = name, "train"
-        else:
-            head, _, tail = name.rpartition("-")
-            if head.lower() in DATASETS:
-                dataset, scale = head, tail
-            else:
-                # Unknown either way: keep the full name so the engine's
-                # registry lookup reports it with the available listing.
-                dataset, scale = name, "train"
-        if not isinstance(graph, str):
-            # The engine regenerates the dataset in its workers; make
-            # sure that regeneration matches what the caller handed us
-            # (a graph loaded with a non-default generation seed cannot
-            # be described declaratively).
-            from ..perf.cache import cached_load_dataset, graph_fingerprint
-
-            regenerated = cached_load_dataset(dataset, scale=scale, seed=0)
-            if (graph_fingerprint(regenerated.adjacency)
-                    != graph_fingerprint(graph.adjacency)):
-                raise ValueError(
-                    f"graph {name!r} does not match load_dataset"
-                    f"({dataset!r}, scale={scale!r}, seed=0); use the "
-                    f"legacy callable form for custom graphs")
-        # graph_seed pinned to 0: every model seed trains on the same
-        # graph, matching the legacy per-factory loop.
-        jobs = [TrainJob.from_call(dataset, model_factory, flow,
-                                   flow_kwargs, config=config, seed=seed,
-                                   scale=scale, graph_seed=0)
-                for seed in seeds]
-        results = get_engine().run(jobs)
-        accuracies = [results[job].test_accuracy for job in jobs]
-        seconds = [results[job].train_seconds for job in jobs]
+    # ``name`` is either a registered dataset/scenario name (which may
+    # itself contain hyphens, e.g. "powerlaw-10k") or a loaded graph's
+    # "dataset-scale" name ("cora-train", "powerlaw-10k-sim") — try the
+    # full name first, then split the scale suffix off the right.
+    name = graph if isinstance(graph, str) else graph.name
+    if name.lower() in DATASETS:
+        dataset, scale = name, "train"
     else:
-        accuracies, seconds = [], []
-        for seed in seeds:
-            model = model_factory(seed)
-            extra = extra_loss_factory(model) if extra_loss_factory else None
-            result = train(model, graph, config=config, extra_loss=extra)
-            accuracies.append(result.test_accuracy)
-            seconds.append(result.train_seconds)
+        head, _, tail = name.rpartition("-")
+        if head.lower() in DATASETS:
+            dataset, scale = head, tail
+        else:
+            # Unknown either way: keep the full name so the engine's
+            # registry lookup reports it with the available listing.
+            dataset, scale = name, "train"
+    if not isinstance(graph, str):
+        # The engine regenerates the dataset in its workers; make sure
+        # that regeneration matches what the caller handed us (a graph
+        # loaded with a non-default generation seed cannot be described
+        # declaratively).
+        from ..perf.cache import cached_load_dataset, graph_fingerprint
+
+        regenerated = cached_load_dataset(dataset, scale=scale, seed=0)
+        if (graph_fingerprint(regenerated.adjacency)
+                != graph_fingerprint(graph.adjacency)):
+            raise ValueError(
+                f"graph {name!r} does not match load_dataset"
+                f"({dataset!r}, scale={scale!r}, seed=0); train a custom "
+                f"graph with repro.nn.train")
+    # graph_seed pinned to 0: every model seed trains on the same graph.
+    jobs = [TrainJob.from_call(dataset, model_name, flow, flow_kwargs,
+                               config=config, seed=seed, scale=scale,
+                               graph_seed=0)
+            for seed in seeds]
+    results = get_engine().run(jobs)
+    accuracies = [results[job].test_accuracy for job in jobs]
+    seconds = [results[job].train_seconds for job in jobs]
     return {
         "mean_accuracy": float(np.mean(accuracies)),
         "std_accuracy": float(np.std(accuracies)),

@@ -22,7 +22,8 @@ trajectory.  Kernels covered:
 
 A ``train_epoch`` entry times the training hot loop (in-place
 optimizers, shared eval forward) against the seed loop preserved in
-:mod:`repro.perf.reference`, asserting bit-identical accuracies.
+:mod:`repro.perf.reference` for each training flow (FP32, DQ and
+Degree-Aware), asserting bit-identical accuracies.
 
 An ``artifact_store`` entry measures the content-addressed artifact
 store (:mod:`repro.artifacts`): put/get/verify/export/import throughput
@@ -227,16 +228,47 @@ def _bench_partition(size: str, repeats: int) -> dict:
     }
 
 
-def _bench_train_epoch(quick: bool) -> dict:
-    """Per-epoch timing of the training hot loop vs the seed loop.
+def _train_setup(flow: str, graph):
+    """A fresh model and the ``train`` keywords for one training flow,
+    built as :mod:`repro.quant.flows` builds them (cora GCN, seed 0,
+    default quantizer configs)."""
+    from ..nn import build_model
+    from ..quant import (DegreeAwareQuantizer, DegreeQuantConfig,
+                         DegreeQuantizer, layer_dims_for)
+    from ..tensor import Tensor
 
-    Both loops train the same (cora, GCN, FP32) model from the same
-    seed; the accuracies and loss histories must be bit-identical (the
-    in-place optimizer steps and the shared eval forward are exact
-    reformulations).  Runs are interleaved best-of-2 so allocator and
-    page-cache warmth bias both sides equally.
+    if flow == "fp32":
+        return build_model("gcn", graph.feature_dim, graph.num_classes,
+                           seed=0), {}
+    if flow == "dq":
+        hooks = DegreeQuantizer(graph, DegreeQuantConfig(bits=4, seed=0))
+        return build_model("gcn", graph.feature_dim, graph.num_classes,
+                           hooks=hooks, seed=0), {}
+    hooks = DegreeAwareQuantizer(graph, layer_dims_for("gcn", graph))
+    model = build_model("gcn", graph.feature_dim, graph.num_classes,
+                        hooks=hooks, seed=0)
+    model.train()
+    model(Tensor(graph.features), graph)
+    return model, {
+        "extra_loss": hooks.extra_loss,
+        "extra_optimizers": hooks.optimizers(),
+        "select_when": lambda: (hooks.feature_memory_kb()
+                                <= hooks.memory_target_kb * 1.2),
+    }
+
+
+def _bench_train_epoch(quick: bool) -> dict:
+    """Per-epoch timing of the training hot loop vs the seed loop, one
+    row per training flow (``fp32``, ``dq``, ``degree-aware``).
+
+    Both loops train the same cora GCN from the same seed, with fresh
+    hooks per run set up as the flow sets them up; the accuracies and
+    loss histories must be bit-identical (the in-place optimizer steps
+    and the shared eval forward are exact reformulations).  Runs are
+    interleaved best-of-2 so allocator and page-cache warmth bias both
+    sides equally.
     """
-    from ..nn import TrainConfig, build_model, train
+    from ..nn import TrainConfig, train
     from .cache import cached_load_dataset
     from .reference import train_reference
 
@@ -244,37 +276,36 @@ def _bench_train_epoch(quick: bool) -> dict:
     epochs = 10 if quick else 30
     config = TrainConfig(epochs=epochs, patience=10_000)
 
-    new_times, ref_times = [], []
-    new_result = ref_result = None
-    for attempt in range(2):
-        for kind in (("new", "ref") if attempt % 2 == 0 else ("ref", "new")):
-            model = build_model("gcn", graph.feature_dim, graph.num_classes,
-                                seed=0)
-            loop = train if kind == "new" else train_reference
-            with Timer() as t:
-                result = loop(model, graph, config=config)
-            if kind == "new":
-                new_times.append(t.elapsed)
-                new_result = result
-            else:
-                ref_times.append(t.elapsed)
-                ref_result = result
+    flows = {}
+    for flow in ("fp32", "dq", "degree-aware"):
+        times = {"new": [], "ref": []}
+        results = {}
+        for attempt in range(2):
+            for kind in (("new", "ref") if attempt % 2 == 0
+                         else ("ref", "new")):
+                model, kwargs = _train_setup(flow, graph)
+                loop = train if kind == "new" else train_reference
+                with Timer() as t:
+                    results[kind] = loop(model, graph, config=config,
+                                         **kwargs)
+                times[kind].append(t.elapsed)
 
-    assert new_result.test_accuracy == ref_result.test_accuracy, \
-        "hot-loop training must stay bit-identical to the seed loop"
-    assert ([h["loss"] for h in new_result.history]
-            == [h["loss"] for h in ref_result.history])
-    best_new, best_ref = min(new_times), min(ref_times)
-    return {
-        "dataset": "cora",
-        "model": "gcn",
-        "epochs": epochs,
-        "new_per_epoch_ms": best_new / epochs * 1e3,
-        "reference_per_epoch_ms": best_ref / epochs * 1e3,
-        "test_accuracy": new_result.test_accuracy,
-        "bit_identical": True,
-        "speedup": _speedup(best_ref, best_new),
-    }
+        new, ref = results["new"], results["ref"]
+        assert new.test_accuracy == ref.test_accuracy, \
+            f"{flow} hot-loop training must stay bit-identical to the seed loop"
+        assert ([h["loss"] for h in new.history]
+                == [h["loss"] for h in ref.history]), flow
+        best_new, best_ref = min(times["new"]), min(times["ref"])
+        flows[flow] = {
+            "new_per_epoch_ms": best_new / epochs * 1e3,
+            "reference_per_epoch_ms": best_ref / epochs * 1e3,
+            "test_accuracy": new.test_accuracy,
+            "best_epoch": new.best_epoch,
+            "bit_identical": True,
+            "speedup": _speedup(best_ref, best_new),
+        }
+    return {"dataset": "cora", "model": "gcn", "epochs": epochs,
+            "flows": flows}
 
 
 class _ServeDaemon:
@@ -570,10 +601,10 @@ def run_benchmarks(sizes: Optional[List[str]] = None, repeats: int = 3,
     if unknown:
         raise ValueError(f"unknown bench sizes: {sorted(unknown)}")
     report = {
-        "schema": "repro.perf.bench/v9",
+        "schema": "repro.perf.bench/v10",
         # Top-level mirror of ``schema`` for consumers that key on a
         # conventional field name; always equal to ``schema``.
-        "schema_version": "repro.perf.bench/v9",
+        "schema_version": "repro.perf.bench/v10",
         "machine": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -622,9 +653,10 @@ def _print_summary(report: dict) -> None:
     if epoch:
         print(f"\ntrain_epoch: {epoch['dataset']}-{epoch['model']}, "
               f"{epoch['epochs']} epochs")
-        print(f"  hot loop {epoch['new_per_epoch_ms']:>7.1f}ms/epoch vs seed "
-              f"{epoch['reference_per_epoch_ms']:>7.1f}ms/epoch "
-              f"({epoch['speedup']:.2f}x, bit-identical)")
+        for flow, row in epoch["flows"].items():
+            print(f"  {flow:<13} hot loop {row['new_per_epoch_ms']:>7.1f}ms/epoch "
+                  f"vs seed {row['reference_per_epoch_ms']:>7.1f}ms/epoch "
+                  f"({row['speedup']:.2f}x, bit-identical)")
     art = report.get("artifact_store")
     if art:
         print(f"\nartifact_store: {art['entries']} entries "

@@ -6,10 +6,13 @@ These are the original pure-Python loops that
 and :meth:`~repro.formats.CsrFormat.decode` shipped with, and the Eq. 2
 fake-quantization kernels of :mod:`repro.quant.fake_quant` as they were
 before the rounding, the clip level and the column fake-quantizer were
-each written once.  They are kept verbatim so that
+each written once.  The scalar Degree-Aware bit synthesizer and the DQ
+quantizer as a uniform-quantizer subclass sit beside them.  They are
+kept verbatim so that
 
 - the property-based equivalence tests can assert the vectorized
-  kernels produce bit-identical outputs, and
+  kernels (and the batched synthesizer and the folded DQ quantizer)
+  produce bit-identical outputs, and
 - the benchmark runner (``python -m repro.perf.bench``) can report the
   speedup of each vectorized kernel over its seed baseline.
 
@@ -19,7 +22,7 @@ They are *not* used on any production code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +33,14 @@ from ..formats.adaptive_package import (
     PackageConfig,
 )
 from ..mega.condense import sparse_connection_sources
-from ..tensor import Function
+from ..nn.layers import QuantHooks
+from ..quant.fake_quant import FakeQuantSTE
+from ..quant.observers import EmaColumnObserver, EmaMaxObserver
+from ..tensor import Function, Tensor
+
+if TYPE_CHECKING:
+    from ..graphs import Graph
+    from ..quant.config import DegreeQuantConfig
 
 __all__ = [
     "encode_adaptive_package_reference",
@@ -46,10 +56,13 @@ __all__ = [
     "train_reference",
     "measure_adaptive_package_reference",
     "average_feature_bits_reference",
+    "synthesize_degree_aware_bits_reference",
     "quantize_integer_reference",
     "FakeQuantSTEReference",
     "FakeQuantPerColumnReference",
     "FakeQuantPerGroupReference",
+    "UniformQuantizerReference",
+    "DegreeQuantizerReference",
 ]
 
 
@@ -588,6 +601,37 @@ def average_feature_bits_reference(workload) -> float:
     return total_bits / total_vals
 
 
+def synthesize_degree_aware_bits_reference(
+    degrees: np.ndarray,
+    target_average: float,
+    min_bits: int = 2,
+    max_bits: int = 8,
+) -> np.ndarray:
+    """Per-node bitwidths with the Degree-Aware structure.
+
+    Low-degree nodes (the power-law majority) sit at ``min_bits``;
+    bitwidth rises with degree rank so that the average matches
+    ``target_average`` — the allocation shape the trained quantizer
+    produces (Sec. IV), synthesized for paper-scale graphs where
+    training is not feasible.
+    """
+    degrees = np.asarray(degrees, dtype=np.float64)
+    n = len(degrees)
+    target_average = float(np.clip(target_average, min_bits, max_bits))
+    ranks = degrees.argsort().argsort() / max(n - 1, 1)
+    # Allocate extra bits to the top-degree tail: bits(r) = min_bits for
+    # r < 1 - tail, rising linearly to max_bits at r = 1.  Solve the tail
+    # fraction so the mean hits the target.
+    extra_needed = target_average - min_bits
+    span = max_bits - min_bits
+    tail = float(np.clip(2.0 * extra_needed / span, 0.0, 1.0))
+    if tail <= 0:
+        return np.full(n, min_bits, dtype=np.int64)
+    rise = (ranks - (1.0 - tail)) / tail
+    bits = min_bits + np.clip(rise, 0.0, 1.0) * span
+    return np.clip(np.round(bits), min_bits, max_bits).astype(np.int64)
+
+
 # ----------------------------------------------------------------------
 # Seed Eq. 2 fake-quantization kernels (one copy of the rounding each)
 # ----------------------------------------------------------------------
@@ -718,3 +762,80 @@ class FakeQuantPerGroupReference(Function):
         grad_b = grad_b * lsq_scale
 
         return grad_x, grad_s, grad_b, None, None, None
+
+
+# ----------------------------------------------------------------------
+# Seed DQ quantizer (a uniform quantizer plus the protection mask)
+# ----------------------------------------------------------------------
+
+# ``DegreeQuantizer`` as it was, a subclass of a separate uniform
+# quantizer; both read only ``bits``, ``num_layers``, ``p_min``,
+# ``p_max`` and ``seed`` of a ``DegreeQuantConfig``.  The uniform base's
+# ``node_scales`` and ``quantize_feature_matrix`` had no caller and are
+# left out.
+
+
+class UniformQuantizerReference(QuantHooks):
+    """All nodes share a single observer scale at a fixed bitwidth."""
+
+    def __init__(self, graph: Graph, config: DegreeQuantConfig) -> None:
+        self.config = config
+        self.num_nodes = graph.num_nodes
+        self.training = True
+        cfg = self.config
+        self._feature_obs = [EmaMaxObserver() for _ in range(cfg.num_layers)]
+        self._weight_obs: Dict[int, EmaColumnObserver] = {}
+
+    def features(self, x: Tensor, layer: int) -> Tensor:
+        obs = self._feature_obs[layer]
+        if self.training or obs.value is None:
+            obs.update(x.data)
+        bits = self.config.bits
+        return FakeQuantSTE.apply(x, obs.scale(bits), bits)
+
+    def weight(self, w: Tensor, layer: int) -> Tensor:
+        return self._per_column(self._weight_obs, w, layer)
+
+    def _per_column(self, observers: Dict[int, EmaColumnObserver],
+                    x: Tensor, layer: int) -> Tensor:
+        """Fake-quantize ``x`` per column at ``config.bits``, with the
+        column observer ``observers`` keeps for ``layer``."""
+        obs = observers.setdefault(layer, EmaColumnObserver())
+        if self.training or obs.value is None:
+            obs.update(x.data)
+        bits = self.config.bits
+        return FakeQuantSTE.apply(x, obs.scale(bits), bits)
+
+    def node_bitwidths(self, layer: int) -> np.ndarray:
+        return np.full(self.num_nodes, self.config.bits, dtype=np.int64)
+
+    def average_bits(self) -> float:
+        return float(self.config.bits)
+
+    def compression_ratio(self) -> float:
+        return 32.0 / self.average_bits()
+
+
+class DegreeQuantizerReference(UniformQuantizerReference):
+    """Uniform-bitwidth QAT with stochastic high-degree protection."""
+
+    def __init__(self, graph: Graph, config: DegreeQuantConfig) -> None:
+        super().__init__(graph, config)
+        cfg = self.config
+        self._rng = np.random.default_rng(cfg.seed)
+        degrees = graph.in_degrees.astype(np.float64)
+        ranks = degrees.argsort().argsort() / max(len(degrees) - 1, 1)
+        self.protect_prob = cfg.p_min + (cfg.p_max - cfg.p_min) * ranks
+        self._aggregated_obs: Dict[int, EmaColumnObserver] = {}
+
+    def features(self, x: Tensor, layer: int) -> Tensor:
+        quantized = super().features(x, layer)
+        if not self.training:
+            return quantized
+        # Stochastic protection: masked nodes bypass quantization.
+        mask = (self._rng.random(self.num_nodes) < self.protect_prob).astype(np.float32)
+        mask_col = Tensor(mask[:, None])
+        return x * mask_col + quantized * (1.0 - mask_col)
+
+    def aggregated(self, x: Tensor, layer: int) -> Tensor:
+        return self._per_column(self._aggregated_obs, x, layer)

@@ -1,6 +1,6 @@
-"""Quantization methods: uniform, Degree-Quant (DQ), Degree-Aware (ours).
+"""Quantization methods: Degree-Quant (DQ) and Degree-Aware (ours).
 
-All three fake-quantize through Eq. 2, written once in
+Both fake-quantize through Eq. 2, written once in
 :mod:`repro.quant.fake_quant`.
 
 Submodules and the names below load on first attribute access, so the
@@ -16,10 +16,6 @@ _EXPORTS = {
     "DegreeAwareQuantizer": "degree_aware",
     "DegreeQuantConfig": "config",
     "DegreeQuantizer": "degree_quant",
-    "UniformQuantConfig": "config",
-    "UniformQuantizer": "uniform",
-    "post_training_quantize": "ptq",
-    "PtqResult": "ptq",
     "ETA": "degree_aware",
     "quantize_integer": "fake_quant",
     "dequantize": "fake_quant",
@@ -35,7 +31,7 @@ _EXPORTS = {
     "TRAIN_FLOWS": "flows",
 }
 _SUBMODULES = ("config", "degree_aware", "degree_quant", "fake_quant",
-               "flows", "observers", "ptq", "uniform")
+               "flows", "observers")
 
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_attributes(__name__, _EXPORTS, _SUBMODULES)

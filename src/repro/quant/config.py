@@ -20,9 +20,8 @@ from ..nn.config import TrainConfig
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["DegreeAwareConfig", "DegreeQuantConfig", "UniformQuantConfig",
-           "QuantRunResult", "TRAIN_FLOW_NAMES", "freeze_value",
-           "thaw_value"]
+__all__ = ["DegreeAwareConfig", "DegreeQuantConfig", "QuantRunResult",
+           "TRAIN_FLOW_NAMES", "freeze_value", "thaw_value"]
 
 
 @dataclass
@@ -53,14 +52,14 @@ class DegreeQuantConfig:
 
 
 @dataclass
-class UniformQuantConfig:
-    bits: int = 8                   # features and weights
-    num_layers: int = 2
-
-
-@dataclass
 class QuantRunResult:
-    """Accuracy + compression outcome of one quantization flow."""
+    """Accuracy + compression outcome of one quantization flow.
+
+    Every flow puts ``best_epoch`` (the epoch whose weights were
+    restored; 0 when no epoch met the flow's selection rule) and
+    ``epochs_run`` in ``extras``; Degree-Aware adds ``memory_kb`` and
+    ``memory_target_kb``.
+    """
 
     method: str
     model_name: str
@@ -90,7 +89,6 @@ _FROZEN_DATACLASSES = {
     "TrainConfig": TrainConfig,
     "DegreeAwareConfig": DegreeAwareConfig,
     "DegreeQuantConfig": DegreeQuantConfig,
-    "UniformQuantConfig": UniformQuantConfig,
 }
 
 _DC_TAG = "__dataclass__"

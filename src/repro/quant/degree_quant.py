@@ -14,9 +14,9 @@ VI).  Its training strategy:
 - at inference everything is quantized (no protection), which is why
   accuracy degrades as the bitwidth shrinks (Table I).
 
-So DQ is :class:`~repro.quant.uniform.UniformQuantizer` plus the
-protection mask on node features and a fake-quantized aggregation
-input (the combined features ``B = XW``).
+Node features get one observer scale per layer; weights and the
+aggregation input (the combined features ``B = XW``) get one per
+column.  All three are fake-quantized at ``config.bits``.
 """
 
 from __future__ import annotations
@@ -26,28 +26,36 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..graphs import Graph
+from ..nn.layers import QuantHooks
 from ..tensor import Tensor
 from .config import DegreeQuantConfig
-from .observers import EmaColumnObserver
-from .uniform import UniformQuantizer
+from .fake_quant import FakeQuantSTE
+from .observers import EmaColumnObserver, EmaMaxObserver
 
 __all__ = ["DegreeQuantConfig", "DegreeQuantizer"]
 
 
-class DegreeQuantizer(UniformQuantizer):
+class DegreeQuantizer(QuantHooks):
     """Uniform-bitwidth QAT with stochastic high-degree protection."""
 
     def __init__(self, graph: Graph, config: Optional[DegreeQuantConfig] = None) -> None:
-        super().__init__(graph, config or DegreeQuantConfig())
-        cfg = self.config
+        self.config = cfg = config or DegreeQuantConfig()
+        self.num_nodes = graph.num_nodes
+        self.training = True
+        self._feature_obs = [EmaMaxObserver() for _ in range(cfg.num_layers)]
+        self._weight_obs: Dict[int, EmaColumnObserver] = {}
+        self._aggregated_obs: Dict[int, EmaColumnObserver] = {}
         self._rng = np.random.default_rng(cfg.seed)
         degrees = graph.in_degrees.astype(np.float64)
         ranks = degrees.argsort().argsort() / max(len(degrees) - 1, 1)
         self.protect_prob = cfg.p_min + (cfg.p_max - cfg.p_min) * ranks
-        self._aggregated_obs: Dict[int, EmaColumnObserver] = {}
 
     def features(self, x: Tensor, layer: int) -> Tensor:
-        quantized = super().features(x, layer)
+        obs = self._feature_obs[layer]
+        if self.training or obs.value is None:
+            obs.update(x.data)
+        bits = self.config.bits
+        quantized = FakeQuantSTE.apply(x, obs.scale(bits), bits)
         if not self.training:
             return quantized
         # Stochastic protection: masked nodes bypass quantization.
@@ -55,5 +63,27 @@ class DegreeQuantizer(UniformQuantizer):
         mask_col = Tensor(mask[:, None])
         return x * mask_col + quantized * (1.0 - mask_col)
 
+    def weight(self, w: Tensor, layer: int) -> Tensor:
+        return self._per_column(self._weight_obs, w, layer)
+
     def aggregated(self, x: Tensor, layer: int) -> Tensor:
         return self._per_column(self._aggregated_obs, x, layer)
+
+    def _per_column(self, observers: Dict[int, EmaColumnObserver],
+                    x: Tensor, layer: int) -> Tensor:
+        """Fake-quantize ``x`` per column at ``config.bits``, with the
+        column observer ``observers`` keeps for ``layer``."""
+        obs = observers.setdefault(layer, EmaColumnObserver())
+        if self.training or obs.value is None:
+            obs.update(x.data)
+        bits = self.config.bits
+        return FakeQuantSTE.apply(x, obs.scale(bits), bits)
+
+    def node_bitwidths(self, layer: int) -> np.ndarray:
+        return np.full(self.num_nodes, self.config.bits, dtype=np.int64)
+
+    def average_bits(self) -> float:
+        return float(self.config.bits)
+
+    def compression_ratio(self) -> float:
+        return 32.0 / self.average_bits()

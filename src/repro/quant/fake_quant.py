@@ -92,9 +92,9 @@ class FakeQuantSTE(Function):
 
     A scale that requires a gradient is learned (Degree-Aware's weights
     and combined features ``B = XW``, ``beta_j`` per column, Sec. IV) and
-    gets the LSQ gradient; a fixed one (the EMA observers of DQ and the
-    uniform baseline) gets none, so forward saves only the in-range
-    mask. ``x`` gets the straight-through gradient either way.
+    gets the LSQ gradient; a fixed one (DQ's EMA observers) gets none,
+    so forward saves only the in-range mask. ``x`` gets the
+    straight-through gradient either way.
     """
 
     @staticmethod

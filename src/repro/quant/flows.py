@@ -41,6 +41,8 @@ def run_fp32(model_name: str, graph: Graph, config: Optional[TrainConfig] = None
         test_accuracy=result.test_accuracy, average_bits=32.0,
         compression_ratio=1.0, train_seconds=result.train_seconds,
         node_bitwidths=np.full(graph.num_nodes, 32, dtype=np.int64),
+        extras={"best_epoch": result.best_epoch,
+                "epochs_run": result.epochs_run},
     )
 
 
@@ -57,6 +59,8 @@ def run_degree_quant(model_name: str, graph: Graph, bits: int = 4,
         compression_ratio=hooks.compression_ratio(),
         train_seconds=result.train_seconds,
         node_bitwidths=hooks.node_bitwidths(0),
+        extras={"best_epoch": result.best_epoch,
+                "epochs_run": result.epochs_run},
     )
 
 
@@ -88,6 +92,8 @@ def run_degree_aware(model_name: str, graph: Graph,
         train_seconds=result.train_seconds,
         node_bitwidths=hooks.node_bitwidths(0),
         node_scales=hooks.node_scales(0),
+        extras={"best_epoch": result.best_epoch,
+                "epochs_run": result.epochs_run},
     )
     run.extras["memory_kb"] = hooks.feature_memory_kb()
     run.extras["memory_target_kb"] = hooks.memory_target_kb

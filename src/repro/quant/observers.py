@@ -1,9 +1,9 @@
 """EMA min/max observers producing quantization scales.
 
-DQ and plain uniform QAT calibrate their scales with momentum-based
-absolute-max observers (as the reference DQ implementation does) rather
-than learning them by gradient — only the Degree-Aware method learns
-its scales (in the log domain, see :mod:`repro.quant.degree_aware`).
+DQ calibrates its scales with momentum-based absolute-max observers
+(as the reference DQ implementation does) rather than learning them by
+gradient — only the Degree-Aware method learns its scales (in the log
+domain, see :mod:`repro.quant.degree_aware`).
 """
 
 from __future__ import annotations

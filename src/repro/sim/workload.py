@@ -27,7 +27,6 @@ __all__ = [
     "build_workload",
     "build_workload_batch",
     "workload_from_quant_run",
-    "synthesize_degree_aware_bits",
     "synthesize_degree_aware_bits_batch",
 ]
 
@@ -111,50 +110,25 @@ class Workload:
         return 32.0 / self.average_feature_bits()
 
 
-def synthesize_degree_aware_bits(
-    degrees: np.ndarray,
-    target_average: float,
-    min_bits: int = 2,
-    max_bits: int = 8,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Per-node bitwidths with the Degree-Aware structure.
-
-    Low-degree nodes (the power-law majority) sit at ``min_bits``;
-    bitwidth rises with degree rank so that the average matches
-    ``target_average`` — the allocation shape the trained quantizer
-    produces (Sec. IV), synthesized for paper-scale graphs where
-    training is not feasible.
-    """
-    degrees = np.asarray(degrees, dtype=np.float64)
-    n = len(degrees)
-    target_average = float(np.clip(target_average, min_bits, max_bits))
-    ranks = degrees.argsort().argsort() / max(n - 1, 1)
-    # Allocate extra bits to the top-degree tail: bits(r) = min_bits for
-    # r < 1 - tail, rising linearly to max_bits at r = 1.  Solve the tail
-    # fraction so the mean hits the target.
-    extra_needed = target_average - min_bits
-    span = max_bits - min_bits
-    tail = float(np.clip(2.0 * extra_needed / span, 0.0, 1.0))
-    if tail <= 0:
-        return np.full(n, min_bits, dtype=np.int64)
-    rise = (ranks - (1.0 - tail)) / tail
-    bits = min_bits + np.clip(rise, 0.0, 1.0) * span
-    return np.clip(np.round(bits), min_bits, max_bits).astype(np.int64)
-
-
 def synthesize_degree_aware_bits_batch(
     degrees: np.ndarray,
     target_averages,
     min_bits: int = 2,
     max_bits: int = 8,
 ) -> np.ndarray:
-    """Stacked :func:`synthesize_degree_aware_bits` over T targets.
+    """Per-node bitwidths with the Degree-Aware structure, one row per
+    target average in ``target_averages``.
 
-    The O(n log n) degree ranking is computed once and the per-target
-    allocation becomes one (T, n) broadcast; every row is bit-identical
-    to the scalar call with the same target (the scalar path applies the
-    same float64 scalar ops elementwise, and ranking is deterministic).
+    Low-degree nodes (the power-law majority) sit at ``min_bits``;
+    bitwidth rises with degree rank so that each row's average matches
+    its target — the allocation shape the trained quantizer produces
+    (Sec. IV), synthesized for paper-scale graphs where training is not
+    feasible.  The O(n log n) degree ranking is computed once and the
+    per-target allocation is one (T, n) broadcast; every row is
+    bit-identical to the scalar
+    :func:`~repro.perf.reference.synthesize_degree_aware_bits_reference`
+    with the same target (the same float64 scalar ops elementwise, and
+    ranking is deterministic).
     """
     degrees = np.asarray(degrees, dtype=np.float64)
     n = len(degrees)

@@ -18,11 +18,9 @@ __all__ = [
     "log_softmax",
     "nll_loss",
     "cross_entropy",
-    "mse_loss",
     "dropout",
     "segment_softmax",
     "segment_sum",
-    "one_hot",
     "accuracy",
 ]
 
@@ -68,11 +66,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: Optional[np.ndarray
     return nll_loss(log_softmax(logits, axis=-1), targets, mask=mask)
 
 
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    diff = pred - target
-    return (diff * diff).mean()
-
-
 def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout: identity at inference time."""
     if not training or p <= 0.0:
@@ -111,12 +104,6 @@ def segment_softmax(scores: Tensor, segments: np.ndarray, num_segments: int) -> 
     exps = shifted.exp()
     denom = segment_sum(exps, segments, num_segments)
     return exps / denom[segments]
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((len(labels), num_classes), dtype=np.float32)
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
 
 
 def accuracy(logits: Tensor, targets: np.ndarray, mask: Optional[np.ndarray] = None) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["glorot_uniform", "kaiming_uniform", "zeros", "ones", "uniform"]
+__all__ = ["glorot_uniform", "kaiming_uniform", "zeros"]
 
 
 def glorot_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -27,18 +27,8 @@ def kaiming_uniform(shape: Tuple[int, ...], rng: Optional[np.random.Generator] =
     return Tensor(rng.uniform(-limit, limit, size=shape).astype(np.float32), requires_grad=True)
 
 
-def uniform(shape: Tuple[int, ...], low: float, high: float,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    rng = rng or np.random.default_rng()
-    return Tensor(rng.uniform(low, high, size=shape).astype(np.float32), requires_grad=True)
-
-
 def zeros(shape: Tuple[int, ...]) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-
-
-def ones(shape: Tuple[int, ...]) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
 
 
 def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:

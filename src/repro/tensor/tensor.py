@@ -129,10 +129,6 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({self.data!r}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying numpy array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
@@ -443,22 +439,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    @staticmethod
-    def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        arrays = [t.data for t in tensors]
-        data = np.concatenate(arrays, axis=axis)
-        sizes = [a.shape[axis] for a in arrays]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(grad: np.ndarray) -> None:
-            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    slicer = [slice(None)] * grad.ndim
-                    slicer[axis] = slice(start, stop)
-                    t._accumulate(grad[tuple(slicer)])
-
-        return Tensor._make(data, tuple(tensors), backward)
-
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
@@ -508,24 +488,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * np.sign(self.data))
-
-        return Tensor._make(data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - data ** 2))
 
         return Tensor._make(data, (self,), backward)
 

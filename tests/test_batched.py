@@ -27,6 +27,7 @@ from repro.perf.cache import cached_load_dataset
 from repro.perf.reference import (
     average_feature_bits_reference,
     measure_adaptive_package_reference,
+    synthesize_degree_aware_bits_reference,
 )
 from repro.perf.timers import Timer
 from repro.registry import ACCELERATORS, get_accelerator
@@ -34,7 +35,6 @@ from repro.sim.batched import simulate_batch
 from repro.sim.workload import (
     build_workload,
     build_workload_batch,
-    synthesize_degree_aware_bits,
     synthesize_degree_aware_bits_batch,
 )
 
@@ -227,7 +227,7 @@ class TestWorkloadBatch:
         stacked = synthesize_degree_aware_bits_batch(degrees, targets)
         for target, row in zip(targets, stacked):
             np.testing.assert_array_equal(
-                row, synthesize_degree_aware_bits(degrees, target))
+                row, synthesize_degree_aware_bits_reference(degrees, target))
 
     def test_average_feature_bits_matches_reference(self):
         graph = cached_load_dataset("cora", scale="sim", seed=0)

@@ -57,6 +57,20 @@ class TestQuantFlows:
             config=config)
         assert run.average_bits < 8.0
 
+    def test_degree_aware_says_when_no_epoch_met_the_budget(self, graph):
+        """Five epochs from the 8-bit init never reach the memory
+        budget, so no epoch is selected and the flow says so."""
+        run = run_degree_aware("gcn", graph, config=TrainConfig(epochs=5))
+        assert run.extras["best_epoch"] == 0
+        assert run.extras["epochs_run"] == 5
+        assert run.test_accuracy == 0.0
+
+    def test_flows_report_the_selected_epoch(self, graph):
+        for flow in (run_fp32, run_degree_quant):
+            run = flow("gcn", graph, config=TrainConfig(epochs=5))
+            assert run.extras["epochs_run"] == 5
+            assert 1 <= run.extras["best_epoch"] <= 5
+
 
 class TestEndToEndAcceleratorPath:
     def test_trained_quantizer_feeds_simulator(self, graph, quick_config):

@@ -156,16 +156,30 @@ class TestTraining:
                        select_when=lambda: False)
         assert result.test_accuracy == 0.0
 
+    def test_best_epoch_is_zero_when_no_epoch_is_eligible(self, graph):
+        model = build_model("gcn", graph.feature_dim, graph.num_classes, seed=0)
+        result = train(model, graph, TrainConfig(epochs=3, patience=10),
+                       select_when=lambda: False)
+        assert result.best_epoch == 0
+        assert result.epochs_run == 3
+
+    def test_best_epoch_is_the_restored_epoch(self, graph):
+        model = build_model("gcn", graph.feature_dim, graph.num_classes, seed=0)
+        result = train(model, graph, TrainConfig(epochs=8, patience=10))
+        assert 1 <= result.best_epoch <= result.epochs_run
+        best = result.history[result.best_epoch - 1]
+        assert best["epoch"] == result.best_epoch
+        assert best["val_acc"] == result.best_val_accuracy
+
     def test_evaluate_range(self, graph):
         model = build_model("gcn", graph.feature_dim, graph.num_classes, seed=0)
         acc = evaluate(model, graph, graph.test_mask)
         assert 0.0 <= acc <= 1.0
 
-    def test_multiple_seeds_stats(self, graph):
+    def test_multiple_seeds_stats(self, graph, sweep_engine):
         stats = train_multiple_seeds(
-            lambda seed: build_model("gcn", graph.feature_dim,
-                                     graph.num_classes, seed=seed),
-            graph, seeds=[0, 1], config=TrainConfig(epochs=5, patience=10))
+            "gcn", graph, seeds=[0, 1],
+            config=TrainConfig(epochs=5, patience=10))
         assert stats["runs"] == 2
         assert 0 <= stats["mean_accuracy"] <= 1
         assert stats["std_accuracy"] >= 0

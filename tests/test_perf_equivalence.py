@@ -11,7 +11,9 @@ drawn edge set for a given seed legitimately differs.  The Eq. 2
 fake-quantizers (one rounding kernel in :mod:`repro.quant.fake_quant`)
 must match the seed kernels' outputs and every gradient bit for bit and
 dtype for dtype, and the training loop must match the seed loop with a
-quantization flow's hooks and optimizers attached.
+quantization flow's hooks and optimizers attached.  The DQ quantizer,
+folded from a uniform-quantizer subclass into one class, must give the
+seed pair's hook outputs and trained results exactly.
 """
 
 import json
@@ -42,6 +44,7 @@ from repro.perf.bench import BENCH_SIZES, run_benchmarks
 from repro.perf.cache import PARTITION_CACHE
 from repro.perf.reference import (
     CondenseUnitReference,
+    DegreeQuantizerReference,
     FakeQuantPerColumnReference,
     FakeQuantPerGroupReference,
     FakeQuantSTEReference,
@@ -390,6 +393,65 @@ class TestTrainReference:
         assert new.history == seed.history
 
 
+class TestDegreeQuantizerFold:
+    """``DegreeQuantizer`` against the seed's uniform-quantizer subclass,
+    both built from one ``DegreeQuantConfig``."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return cached_load_dataset("cora", scale="tiny")
+
+    @pytest.mark.parametrize("bits,p_max", [(4, 0.2), (2, 0.0), (8, 1.0)])
+    def test_hooks_match_seed_quantizer(self, graph, bits, p_max):
+        from repro.quant import DegreeQuantConfig, DegreeQuantizer
+
+        config = DegreeQuantConfig(bits=bits, p_max=p_max, seed=bits)
+        new = DegreeQuantizer(graph, config)
+        seed = DegreeQuantizerReference(graph, config)
+        rng = np.random.default_rng(bits)
+        n, f = graph.num_nodes, graph.feature_dim
+
+        def check(call, *args):
+            got, want = getattr(new, call)(*args), getattr(seed, call)(*args)
+            assert got.data.dtype == want.data.dtype
+            np.testing.assert_array_equal(got.data, want.data)
+
+        # Several training steps move the EMA observers and draw a
+        # protection mask per call; eval mode then uses what they hold.
+        for training in (True, True, True, False):
+            new.training = seed.training = training
+            for layer in (0, 1):
+                x = rng.normal(size=(n, f)).astype(np.float32)
+                check("features", Tensor(np.abs(x) * (x > 0.5)), layer)
+                check("features", Tensor(x), layer)
+                check("weight", Tensor(rng.normal(size=(f, 16))
+                                       .astype(np.float32)), layer)
+                check("aggregated", Tensor(rng.normal(size=(n, 16))
+                                           .astype(np.float32)), layer)
+        np.testing.assert_array_equal(new.node_bitwidths(0),
+                                      seed.node_bitwidths(0))
+        assert new.average_bits() == seed.average_bits()
+        assert new.compression_ratio() == seed.compression_ratio()
+
+    def test_dq_int4_training_matches_seed_quantizer(self, graph):
+        from repro.nn import TrainConfig, build_model, train
+        from repro.quant import DegreeQuantConfig, DegreeQuantizer
+
+        runs = []
+        for cls in (DegreeQuantizer, DegreeQuantizerReference):
+            hooks = cls(graph, DegreeQuantConfig(bits=4, seed=0))
+            model = build_model("gcn", graph.feature_dim, graph.num_classes,
+                                hooks=hooks, seed=0)
+            runs.append((hooks, train(model, graph,
+                                      config=TrainConfig(epochs=5))))
+        (new_hooks, new), (seed_hooks, seed) = runs
+        assert new.history == seed.history
+        assert new.test_accuracy == seed.test_accuracy
+        np.testing.assert_array_equal(new_hooks.node_bitwidths(0),
+                                      seed_hooks.node_bitwidths(0))
+        assert new_hooks.average_bits() == seed_hooks.average_bits()
+
+
 class TestSparseUtils:
     def test_coo_view_memoizes_per_object(self):
         adj = sp.random(50, 50, density=0.1, format="csr", random_state=0)
@@ -484,7 +546,9 @@ class TestTimersAndBench:
         for kernel in required:
             row = report["kernels"][kernel]["tiny"]
             assert row["speedup"] > 0
-        assert report["train_epoch"]["bit_identical"]
+        flows = report["train_epoch"]["flows"]
+        assert set(flows) == {"fp32", "dq", "degree-aware"}
+        assert all(row["bit_identical"] for row in flows.values())
         art = report["artifact_store"]
         assert art["puts_per_s"] > 0 and art["gets_per_s"] > 0
         assert art["verifies_per_s"] > 0
@@ -500,7 +564,7 @@ class TestTimersAndBench:
         path = tmp_path / "BENCH_repro.json"
         path.write_text(json.dumps(report))
         round_trip = json.loads(path.read_text())
-        assert round_trip["schema"] == "repro.perf.bench/v9"
+        assert round_trip["schema"] == "repro.perf.bench/v10"
         assert round_trip["schema_version"] == round_trip["schema"]
 
     def test_bench_rejects_unknown_size(self):

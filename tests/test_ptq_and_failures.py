@@ -1,4 +1,4 @@
-"""PTQ flow tests + failure-injection across the public APIs."""
+"""Failure injection across the public APIs."""
 
 import numpy as np
 import pytest
@@ -7,41 +7,8 @@ import scipy.sparse as sp
 from repro.formats import AdaptivePackageFormat, PackageConfig
 from repro.graphs import Graph, load_dataset
 from repro.mega import MegaModel
-from repro.nn import TrainConfig, build_model, train
-from repro.quant import post_training_quantize
 from repro.sim.workload import build_workload
 from repro.tensor import Tensor
-
-
-@pytest.fixture(scope="module")
-def trained():
-    graph = load_dataset("cora", scale="tiny")
-    model = build_model("gcn", graph.feature_dim, graph.num_classes, seed=0)
-    train(model, graph, TrainConfig(epochs=40, patience=50))
-    return model, graph
-
-
-class TestPostTrainingQuantization:
-    def test_ptq_8bit_near_lossless(self, trained):
-        model, graph = trained
-        result = post_training_quantize(model, graph, bits=8)
-        assert result.accuracy_drop < 0.03
-
-    def test_ptq_low_bits_degrade_more(self, trained):
-        graph = trained[1]
-        drops = {}
-        for bits in (8, 2):
-            model = build_model("gcn", graph.feature_dim, graph.num_classes,
-                                seed=0)
-            train(model, graph, TrainConfig(epochs=40, patience=50))
-            drops[bits] = post_training_quantize(model, graph, bits=bits).accuracy_drop
-        assert drops[2] >= drops[8] - 0.02
-
-    def test_ptq_result_fields(self, trained):
-        model, graph = trained
-        result = post_training_quantize(model, graph, bits=8)
-        assert result.bits == 8
-        assert 0 <= result.accuracy_quantized <= 1
 
 
 class TestFailureInjection:

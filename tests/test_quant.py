@@ -1,4 +1,4 @@
-"""Tests for quantization primitives and the three quantizers."""
+"""Tests for quantization primitives and the two quantizers."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,11 @@ from repro.quant import (
     DegreeQuantizer,
     FakeQuantPerGroup,
     FakeQuantSTE,
-    UniformQuantConfig,
-    UniformQuantizer,
     dequantize,
     qmax_for_bits,
     quantize_integer,
 )
+from repro.perf.reference import UniformQuantizerReference
 from repro.quant.observers import EmaColumnObserver, EmaMaxObserver
 from repro.tensor import Tensor
 
@@ -282,10 +281,10 @@ class TestDegreeQuantizer:
 
     def test_unprotected_dq_is_uniform_quantization(self, graph):
         """With no node protected, DQ quantizes features and weights
-        exactly as the uniform quantizer does; it adds only the
-        aggregation-input hook."""
+        exactly as the seed's uniform quantizer (its former base class)
+        does; it adds only the aggregation-input hook."""
         dq = DegreeQuantizer(graph, DegreeQuantConfig(bits=4, p_max=0.0))
-        uniform = UniformQuantizer(graph, UniformQuantConfig(bits=4))
+        uniform = UniformQuantizerReference(graph, DegreeQuantConfig(bits=4))
         x = Tensor(graph.features)
         w = Tensor(np.random.default_rng(0).normal(
             size=(graph.feature_dim, 16)).astype(np.float32))
@@ -301,13 +300,23 @@ class TestDegreeQuantizer:
 
 
 class TestUniformQuantizer:
+    """DQ's uniform quantization, which the seed's separate uniform
+    quantizer (:class:`~repro.perf.reference.UniformQuantizerReference`)
+    implemented."""
+
     def test_node_bitwidths_uniform(self, graph):
-        q = UniformQuantizer(graph, UniformQuantConfig(bits=8))
+        q = DegreeQuantizer(graph, DegreeQuantConfig(bits=8))
         assert (q.node_bitwidths(0) == 8).all()
+        seed = UniformQuantizerReference(graph, DegreeQuantConfig(bits=8))
+        np.testing.assert_array_equal(q.node_bitwidths(0),
+                                      seed.node_bitwidths(0))
 
     def test_feature_roundtrip_accuracy_8bit(self, graph):
-        q = UniformQuantizer(graph, UniformQuantConfig(bits=8))
+        q = DegreeQuantizer(graph, DegreeQuantConfig(bits=8))
+        seed = UniformQuantizerReference(graph, DegreeQuantConfig(bits=8))
+        q.training = seed.training = False
         x = Tensor(graph.features)
         out = q.features(x, 0)
         err = np.abs(out.data - x.data).max()
         assert err <= q._feature_obs[0].scale(8) / 2 + 1e-6
+        np.testing.assert_array_equal(out.data, seed.features(x, 0).data)
