@@ -35,8 +35,9 @@ same three layers:
    fingerprints and tables) are ``memo`` artifacts in the same store,
    which is the process-wide :func:`~repro.artifacts.artifact_store`
    unless the engine is given its own ``cache_dir``.  Workloads are
-   not persisted: each process builds a recipe's workloads once and
-   keeps them in memory (``_WORKLOAD_MEMO``);
+   not persisted: each process builds a recipe's structure once, derives
+   each quantization target's workload from it, and keeps both in
+   memory (``_WORKLOAD_MEMO``);
 3. actual execution, *supervised* (see :mod:`repro.eval.supervise`):
    serially with per-job deadlines and bounded retries, or fanned out
    over forked worker processes the supervisor owns — simulation jobs
@@ -75,10 +76,8 @@ failure, timeout or worker death; default 0), ``timeout`` (per-job
 deadline in seconds, enforced in-process via SIGALRM and backstopped by
 the supervisor's watchdog kill for worker processes; default 0:
 disabled) and ``backoff`` (base of the exponential retry backoff,
-default 0.05 s; attempt ``n`` waits ``backoff * 2**n``).  Batched
-simulation needs no setting: a group of at least two pending jobs
-sharing a workload recipe is batched unless a per-job ``timeout`` is
-set.  The environment names only where things live:
+default 0.05 s; attempt ``n`` waits ``backoff * 2**n``).  The
+environment names only where things live:
 ``REPRO_CACHE_DIR`` is the root of the artifact store (default
 ``~/.cache/repro``) and ``REPRO_REMOTE_URL`` a ``repro serve`` daemon
 to fetch missing results from.
@@ -116,8 +115,7 @@ T = TypeVar("T")
 # worker.
 _EXECUTION_MODULES = ("repro.graphs.generators", "repro.graphs.partition",
                       "repro.mega.condense", "repro.sim.workload",
-                      "repro.sim.locality", "repro.sim.batched",
-                      "repro.quant.flows")
+                      "repro.sim.locality", "repro.quant.flows")
 
 
 @dataclass(frozen=True)
@@ -145,10 +143,6 @@ class SimJob:
         """The workload precision the paper pairs with this accelerator
         (registry metadata, not a name pattern)."""
         return get_accelerator(self.accelerator).precision
-
-    @property
-    def variant_label(self) -> str:
-        return "+".join(f"{k}={v}" for k, v in self.variant)
 
 
 @dataclass(frozen=True)
@@ -201,38 +195,38 @@ class TrainJob:
 
 
 # The one cache of built workloads, shared by every job of one
-# (dataset, model, precision) in a process and by ``get_workload``.
+# (dataset, model, precision, target, seed) in a process and by
+# ``get_workload``, beside each recipe's structure they derive from.
 # Module-level (not on the engine) so forked workers reuse whatever the
 # parent already built; nothing persists it.
 _WORKLOAD_MEMO = ContentCache("workloads")
 
 
-def _workloads(dataset: str, model: str, precision: str, seed: int,
-               targets: Sequence[Optional[float]]) -> List[Workload]:
-    """The workloads of one recipe at each of ``targets``, memoized.
+def _workload(dataset: str, model: str, precision: str, seed: int,
+              target: Optional[float]) -> Workload:
+    """The workload of one recipe at one quantization target, memoized.
 
-    Targets missing from ``_WORKLOAD_MEMO`` are built in one
-    :func:`~repro.sim.workload.build_workload_batch` call, sharing the
-    graph load, sampling, degree ranking and feature-stats arrays, so
-    every job of a recipe in this process sees the same objects.
+    A recipe is one (dataset, model, seed).  Its
+    :class:`~repro.sim.workload.WorkloadStructure` is built once and
+    every (precision, target) workload derives from it, so all jobs of
+    one (dataset, model, precision, target, seed) in this process get
+    the same :class:`~repro.sim.workload.Workload`.  Simulators memoize
+    a layer's row statistics on it, so accelerators that agree on what
+    those depend on (``mega`` and ``mega-no-condense``) share them.
     """
-    def key(target: Optional[float]) -> tuple:
-        return (dataset.lower(), model.lower(), precision, target, seed)
+    recipe = (dataset.lower(), model.lower(), seed)
+    key = recipe + (precision, target)
+    workload = _WORKLOAD_MEMO.get(key)
+    if workload is None:
+        from ..sim.workload import workload_structure
 
-    found = {target: _WORKLOAD_MEMO.get(key(target))
-             for target in dict.fromkeys(targets)}
-    missing = [target for target, workload in found.items()
-               if workload is None]
-    if missing:
-        from ..sim.workload import build_workload_batch
-
-        graph = cached_load_dataset(dataset, scale="sim", seed=seed)
-        fresh = build_workload_batch(dataset, model, precision=precision,
-                                     seed=seed, graph=graph,
-                                     targets=tuple(missing))
-        for target, workload in zip(missing, fresh):
-            found[target] = _WORKLOAD_MEMO.put(key(target), workload)
-    return [found[target] for target in targets]
+        structure = _WORKLOAD_MEMO.get_or_compute(
+            recipe, lambda: workload_structure(
+                dataset, model, seed=seed,
+                graph=cached_load_dataset(dataset, scale="sim", seed=seed)))
+        workload = _WORKLOAD_MEMO.put(
+            key, structure.workload(precision, target))
+    return workload
 
 
 def _execute_train_job(job: TrainJob):
@@ -248,99 +242,6 @@ def _execute_train_job(job: TrainJob):
                                  seed=job.seed, **kwargs)
 
 
-# ----------------------------------------------------------------------
-# Batched simulation.
-#
-# The supervision layer's ``prepare`` hook hands the execute process its
-# whole job list (serial) or chunk (worker) before the per-job loop
-# starts.  ``prepare_sim_batch`` groups the simulation jobs that share a
-# workload recipe, evaluates each group through the stacked evaluator
-# (:func:`repro.sim.batched.simulate_batch` — bit-identical to the
-# scalar path by construction and by test), and stashes the finished
-# reports here.  ``_execute_job`` then pops its job's report *after*
-# the fault injector has had its say, so per-job fault/retry/journal
-# semantics are untouched: a kill loses the process-local stash and the
-# retry simply runs scalar; an injected error leaves the stash intact
-# for the retry; cache and artifact publication stay per-job in
-# ``SweepEngine._store`` exactly as before.
-# ----------------------------------------------------------------------
-
-_BATCH_STASH: Dict[object, object] = {}
-_BATCH_MISSING = object()
-
-# Cap on how many jobs one batched evaluation stacks together.
-_SIM_BATCH_MAX = 256
-
-
-def _batch_group_key(job: "SimJob") -> Optional[tuple]:
-    """Workload-recipe key: jobs agreeing on it can share one batch."""
-    try:
-        precision = job.precision
-    except Exception:
-        return None          # unknown accelerator: let execution raise
-    return (job.dataset.lower(), job.model.lower(), precision, job.seed)
-
-
-def plan_sim_batches(jobs: Sequence) -> List[List["SimJob"]]:
-    """Partition ``jobs`` into batch-evaluable groups.
-
-    Simulation jobs that share (dataset, model, precision, seed) — i.e.
-    one workload recipe, differing only in accelerator/variant/target —
-    form a group, split at ``_SIM_BATCH_MAX``.  Singleton groups
-    are dropped: batching one job is pure overhead, and huge scenarios
-    (which chunk per job, see :func:`_chunk_key`) land here, falling
-    through to the scalar path by design.
-    """
-    groups: Dict[tuple, List[SimJob]] = {}
-    for job in jobs:
-        if not isinstance(job, SimJob):
-            continue
-        key = _batch_group_key(job)
-        if key is not None:
-            groups.setdefault(key, []).append(job)
-    batches: List[List[SimJob]] = []
-    for members in groups.values():
-        for start in range(0, len(members), _SIM_BATCH_MAX):
-            batch = members[start:start + _SIM_BATCH_MAX]
-            if len(batch) >= 2:
-                batches.append(batch)
-    return batches
-
-
-def _prepare_batch(members: List["SimJob"]) -> bool:
-    """Batch-evaluate one group into the stash; False = scalar fallback."""
-    from ..sim.batched import simulate_batch
-
-    first = members[0]
-    try:
-        workloads = _workloads(first.dataset, first.model, first.precision,
-                               first.seed,
-                               [job.target_average_bits for job in members])
-        models = [get_accelerator(job.accelerator).build(**dict(job.variant))
-                  for job in members]
-        reports = simulate_batch(models, workloads)
-    except Exception:
-        return False         # jobs execute (and report errors) scalar-ly
-    for job, report in zip(members, reports):
-        _BATCH_STASH[job] = report
-    return True
-
-
-def prepare_sim_batch(jobs: Sequence) -> List[int]:
-    """The engine's ``prepare`` hook body: stash batched reports.
-
-    Returns the realized batch sizes (empty when nothing grouped).  The
-    stash is cleared first so entries from an aborted earlier run cannot
-    leak across sweeps.
-    """
-    _BATCH_STASH.clear()
-    sizes: List[int] = []
-    for batch in plan_sim_batches(jobs):
-        if _prepare_batch(batch):
-            sizes.append(len(batch))
-    return sizes
-
-
 def _execute_job(job, attempt: int = 0):
     """Execute one job of either kind (dispatch on the job type).
 
@@ -351,21 +252,14 @@ def _execute_job(job, attempt: int = 0):
     ``attempt`` is the retry ordinal the supervision layer passes in;
     the fault-injection harness (:mod:`repro.faults`) keys on it so
     injected failures fire only on a job's first attempt.
-
-    A report stashed by :func:`prepare_sim_batch` is consumed *after*
-    the injector fires, so injected kills/errors hit batched jobs with
-    the same per-job semantics as scalar ones.
     """
     injector = faults.active_injector()
     if injector is not None:
         injector.on_job(repr(job), attempt)
     if isinstance(job, TrainJob):
         return _execute_train_job(job)
-    stashed = _BATCH_STASH.pop(job, _BATCH_MISSING)
-    if stashed is not _BATCH_MISSING:
-        return stashed
-    workload, = _workloads(job.dataset, job.model, job.precision, job.seed,
-                           (job.target_average_bits,))
+    workload = _workload(job.dataset, job.model, job.precision, job.seed,
+                         job.target_average_bits)
     entry = get_accelerator(job.accelerator)
     # entry.build rejects variant kwargs on fixed-configuration presets.
     return entry.build(**dict(job.variant)).simulate(workload)
@@ -449,37 +343,9 @@ class SweepEngine:
         # True once worker processes actually executed jobs (stays False
         # when the serial path or a fallback ran instead).
         self.pool_used = False
-        # Honesty flags mirroring pool_used: did batched evaluation
-        # actually stash reports, and at what realized group sizes?  On
-        # the serial path these are ground truth (the hook runs in this
-        # process); on the worker path the hook runs inside forked
-        # workers, so the parent records the sizes it *planned* —
-        # workers that fall back to scalar mid-batch cannot be observed
-        # from here.
-        self.batch_used = False
-        self.batch_sizes: List[int] = []
         # Jobs that exhausted their retry budget in degrade mode
         # (accumulates across run() calls; cleared by clear_memory).
         self.failures: List[JobFailure] = []
-
-    def _prepare_hook(self) -> Optional[Callable[[Sequence], None]]:
-        """The batched-simulation ``prepare`` hook, or None when off.
-
-        Batch preparation runs outside the per-job deadline machinery
-        (SIGALRM / watchdog budgets are sized for one job, not a
-        stacked group), so it is disabled whenever a job timeout is in
-        force — those sweeps run every job on the scalar path.
-        """
-        if self.timeout > 0:
-            return None
-
-        def prepare(jobs: Sequence) -> None:
-            sizes = prepare_sim_batch(jobs)
-            if sizes:
-                self.batch_used = True
-                self.batch_sizes.extend(sizes)
-
-        return prepare
 
     def _note_executed(self, jobs: Sequence) -> None:
         self.executed_jobs += len(jobs)
@@ -648,8 +514,7 @@ class SweepEngine:
         return run_serial(list(pending), _execute_job,
                           self._on_result(pending, results),
                           timeout=self.timeout, retries=self.retries,
-                          backoff=self.backoff, fail_fast=fail_fast,
-                          prepare=self._prepare_hook())
+                          backoff=self.backoff, fail_fast=fail_fast)
 
     def _run_parallel(self, pending: Dict, results: Dict,
                       fail_fast: bool = True) -> List[JobFailure]:
@@ -669,19 +534,9 @@ class SweepEngine:
         for job in pending:
             chunks.setdefault(_chunk_key(job), []).append(job)
         chunk_list = list(chunks.values())
-        prepare = self._prepare_hook()
-        if prepare is not None:
-            # Workers prepare their own chunks in their own memory; the
-            # parent can only record what it planned (see batch_used).
-            for chunk in chunk_list:
-                planned = [len(batch) for batch in plan_sim_batches(chunk)]
-                if planned:
-                    self.batch_used = True
-                    self.batch_sizes.extend(planned)
         supervisor = Supervisor(
             workers=min(self.workers, len(chunk_list)), execute=_execute_job,
-            timeout=self.timeout, retries=self.retries, backoff=self.backoff,
-            prepare=prepare)
+            timeout=self.timeout, retries=self.retries, backoff=self.backoff)
         try:
             return supervisor.run(chunk_list,
                                   self._on_result(pending, results),
@@ -717,8 +572,6 @@ class SweepEngine:
         self.executed_jobs = 0
         self.executed_train_jobs = 0
         self.pool_used = False
-        self.batch_used = False
-        self.batch_sizes = []
         self.failures = []
 
     def stats(self) -> Dict[str, Dict[str, int]]:
@@ -727,8 +580,6 @@ class SweepEngine:
                "executed": {"jobs": self.executed_jobs,
                             "train_jobs": self.executed_train_jobs,
                             "pool_used": self.pool_used,
-                            "batch_used": self.batch_used,
-                            "batched_jobs": sum(self.batch_sizes),
                             "failed_jobs": len(self.failures)}}
         out["artifacts"] = self.artifacts.stats()
         if self.remote is not None:

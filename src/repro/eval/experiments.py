@@ -35,7 +35,7 @@ from ..perf.cache import cached_load_dataset, clear_all_caches
 from ..registry import EXPERIMENTS, SUITES, ExperimentSpec, SuiteEntry
 from ..sim.accelerator import SimReport
 from ..sim.dram import DramModel
-from .engine import SimJob, _workloads, get_engine
+from .engine import SimJob, _workload, get_engine
 from .reporting import geomean
 
 if TYPE_CHECKING:
@@ -94,7 +94,7 @@ SUITES.add("scale-sweep-10k", SuiteEntry(
 def get_workload(dataset: str, model: str, precision: str) -> Workload:
     """The simulated workload of one recipe, memoized in memory with
     the ones the engine's simulation jobs build."""
-    return _workloads(dataset, model, precision, 0, (None,))[0]
+    return _workload(dataset, model, precision, 0, None)
 
 
 def simulate(accelerator: str, dataset: str, model: str,

@@ -164,23 +164,6 @@ def backoff_delay(backoff: float, attempt: int, token: str = "") -> float:
     return base * (0.5 + 0.5 * fraction)
 
 
-def _run_prepare(prepare: Optional[Callable[[Sequence], None]],
-                 jobs: Sequence) -> None:
-    """Invoke an optional batch-preparation hook over ``jobs``.
-
-    ``prepare`` is an optimization hook (the sweep engine uses it to
-    pre-evaluate simulation batches); failing to prepare must never
-    fail the jobs themselves — they simply execute the scalar way — so
-    any exception it raises is swallowed here.
-    """
-    if prepare is None or not jobs:
-        return
-    try:
-        prepare(jobs)
-    except Exception:
-        pass
-
-
 def _failure_from_exception(job, exc: BaseException, attempts: int,
                             elapsed: float) -> JobFailure:
     kind = "timeout" if isinstance(exc, JobTimeout) else "error"
@@ -195,7 +178,6 @@ def run_serial(jobs: Sequence, execute: Callable[[object, int], object],
                on_result: Callable[[object, object, int, float], None],
                timeout: float = 0.0, retries: int = 0, backoff: float = 0.05,
                fail_fast: bool = True,
-               prepare: Optional[Callable[[Sequence], None]] = None,
                first_attempts: Optional[Sequence[int]] = None,
                ) -> List[JobFailure]:
     """Execute ``jobs`` in-process under the retry/deadline policy.
@@ -206,16 +188,10 @@ def run_serial(jobs: Sequence, execute: Callable[[object, int], object],
     (today's engine semantics); otherwise it becomes a
     :class:`JobFailure` and the batch continues.
 
-    ``prepare``, when given, is called once with the whole job list
-    before execution starts (outside the per-job deadline) — the
-    engine's batched-simulation hook; its failures are suppressed and
-    the jobs just execute individually.
-
     ``first_attempts``, when given, is each job's starting attempt
     (default 0): a job whose earlier attempts ran in a worker resumes
     where it left off, under the same total budget.
     """
-    _run_prepare(prepare, jobs)
     if first_attempts is None:
         first_attempts = [0] * len(jobs)
     failures: List[JobFailure] = []
@@ -246,21 +222,15 @@ def run_serial(jobs: Sequence, execute: Callable[[object, int], object],
 # ----------------------------------------------------------------------
 
 def _worker_main(conn, jobs: Sequence, attempts: Sequence[int],
-                 timeout: float, execute, prepare=None) -> None:
+                 timeout: float, execute) -> None:
     """Worker entry: run the chunk, streaming one message per job.
 
     Messages: ``("ok", idx, result)``, ``("err", idx, exc_or_text)``,
     and a final ``("bye",)``.  Exceptions that cannot pickle cross the
     pipe as :class:`_TextError`.
-
-    ``prepare`` runs once over the chunk before the job loop (the
-    batched-simulation hook); the stash it fills lives in this worker's
-    memory, so a worker killed mid-chunk loses only its own batch — the
-    requeued tail re-prepares in a fresh worker.
     """
     global _in_worker
     _in_worker = True
-    _run_prepare(prepare, jobs)
     for idx, (job, attempt) in enumerate(zip(jobs, attempts)):
         try:
             with job_deadline(timeout):
@@ -311,11 +281,9 @@ class Supervisor:
 
     def __init__(self, workers: int, execute: Callable[[object, int], object],
                  timeout: float = 0.0, retries: int = 0,
-                 backoff: float = 0.05,
-                 prepare: Optional[Callable[[Sequence], None]] = None) -> None:
+                 backoff: float = 0.05) -> None:
         self.workers = max(int(workers), 1)
         self.execute = execute
-        self.prepare = prepare
         self.timeout = max(float(timeout), 0.0)
         self.retries = max(int(retries), 0)
         self.backoff = max(float(backoff), 0.0)
@@ -341,7 +309,7 @@ class Supervisor:
             return run_serial([j for c in chunks for j in c], self.execute,
                               on_result, timeout=self.timeout,
                               retries=self.retries, backoff=self.backoff,
-                              fail_fast=fail_fast, prepare=self.prepare)
+                              fail_fast=fail_fast)
         pending: deque = deque(
             _Task(jobs=list(chunk), attempts=[0] * len(chunk))
             for chunk in chunks if chunk)
@@ -403,7 +371,7 @@ class Supervisor:
             proc = self._ctx.Process(
                 target=_worker_main,
                 args=(child_conn, task.jobs, task.attempts, self.timeout,
-                      self.execute, self.prepare),
+                      self.execute),
                 daemon=True)
             try:
                 proc.start()
@@ -434,7 +402,7 @@ class Supervisor:
         return run_serial(jobs, self.execute, on_result,
                           timeout=self.timeout, retries=self.retries,
                           backoff=self.backoff, fail_fast=fail_fast,
-                          prepare=self.prepare, first_attempts=attempts)
+                          first_attempts=attempts)
 
     def _new_deadline(self) -> Optional[float]:
         if self.timeout <= 0:

@@ -290,34 +290,24 @@ class AdaptivePackageFormat(SparseFormat):
         return out
 
     # ------------------------------------------------------------------
-    def _run_package_stats(self, run_bits: np.ndarray, run_total: np.ndarray,
-                           run_group: np.ndarray, num_groups: int):
-        """Package statistics for bitwidth runs, accumulated per group.
+    def _run_package_stats(self, run_bits: np.ndarray,
+                           run_total: np.ndarray) -> Tuple[int, int, int]:
+        """Package statistics of a row's bitwidth runs.
 
         ``run_bits[i]``/``run_total[i]`` describe one maximal run of
         consecutive equal-bitwidth nodes (its bitwidth and its total
-        non-zero count); ``run_group[i]`` says which output slot the
-        run's packages belong to and must be nondecreasing (runs arrive
-        in row order).  Every quantity is integer arithmetic identical
+        non-zero count).  Every quantity is integer arithmetic identical
         to the greedy register
         (:func:`repro.perf.reference.measure_adaptive_package_reference`),
         so the result is exact, not a float approximation.  Returns
-        int64 arrays ``(num_packages, package_bits, padding)`` of length
-        ``num_groups``.
+        ``(num_packages, package_bits, padding)``.
         """
         cfg = self.config
         lengths = np.asarray(cfg.lengths, dtype=np.int64)
         payloads = lengths - HEADER_BITS
 
-        zeros = np.zeros(num_groups, dtype=np.int64)
         keep = run_total > 0
-        if not keep.any():
-            return zeros, zeros.copy(), zeros.copy()
-        if keep.all():  # common case: skip three large copies
-            bits, total, group = run_bits, run_total, run_group
-        else:
-            bits, total, group = run_bits[keep], run_total[keep], run_group[keep]
-
+        bits, total = run_bits[keep], run_total[keep]
         long_cap = payloads[2] // bits
         if (long_cap == 0).any():
             # The seed loop hits divmod(total, 0) here; keep the same
@@ -326,101 +316,46 @@ class AdaptivePackageFormat(SparseFormat):
         full_longs = total // long_cap
         remainder = total - full_longs * long_cap
 
-        # Per-group accumulation.  ``group`` is sorted, so a cumsum
-        # sampled at the group boundaries gives exact int64 segment
-        # sums in one pass — no scatter-add hashing.
-        bounds = np.searchsorted(group, np.arange(num_groups + 1))
-
-        def segment_sum(weights):
-            csum = np.concatenate([[0], np.cumsum(weights)])
-            return csum[bounds[1:]] - csum[bounds[:-1]]
-
-        num_packages = segment_sum(full_longs)
-        package_bits = num_packages * lengths[2]
-        padding = segment_sum(full_longs * (payloads[2] - long_cap * bits))
-
+        # Full registers emit long packages; each remainder one package
+        # at the smallest mode whose capacity fits it.
         rem = remainder > 0
-        if rem.any():
-            r_bits = bits[rem]
-            r_vals = remainder[rem]
-            r_bounds = np.searchsorted(group[rem], np.arange(num_groups + 1))
-            mode = np.where(r_vals <= payloads[0] // r_bits, 0,
-                            np.where(r_vals <= payloads[1] // r_bits, 1, 2))
-            num_packages += np.diff(r_bounds)
-
-            def rem_segment_sum(weights):
-                csum = np.concatenate([[0], np.cumsum(weights)])
-                return csum[r_bounds[1:]] - csum[r_bounds[:-1]]
-
-            package_bits += rem_segment_sum(lengths[mode])
-            padding += rem_segment_sum(payloads[mode] - r_vals * r_bits)
+        r_bits, r_vals = bits[rem], remainder[rem]
+        mode = np.where(r_vals <= payloads[0] // r_bits, 0,
+                        np.where(r_vals <= payloads[1] // r_bits, 1, 2))
+        longs = int(full_longs.sum())
+        num_packages = longs + len(r_vals)
+        package_bits = longs * int(lengths[2]) + int(lengths[mode].sum())
+        padding = (int((full_longs * (payloads[2] - long_cap * bits)).sum())
+                   + int((payloads[mode] - r_vals * r_bits).sum()))
         return num_packages, package_bits, padding
 
     def measure(self, nnz_per_node: np.ndarray, bits_per_node: np.ndarray,
                 feature_dim: int) -> FormatReport:
-        """Exact footprint from statistics, mirroring the greedy encoder:
-        a one-row :meth:`measure_batch`, bit-identical to the seed's
-        per-run loop (kept as
-        :func:`repro.perf.reference.measure_adaptive_package_reference`)."""
-        return self.measure_batch(
-            nnz_per_node, np.asarray(bits_per_node)[None, :], feature_dim)[0]
+        """Exact footprint from statistics, mirroring the greedy encoder.
 
-    def measure_batch(self, nnz_per_node: np.ndarray, bits_stack: np.ndarray,
-                      feature_dim: int) -> List[FormatReport]:
-        """Exact footprints of J jobs sharing one sparsity pattern.
-
-        ``bits_stack`` is (J, N) — one per-node bitwidth row per job —
-        while ``nnz_per_node`` (N,) is shared.  Runs of consecutive
-        nodes sharing a bitwidth map to one register run, exactly as
-        the encoder behaves.  All J jobs are measured in one stacked
-        pass: run boundaries are found on the flattened stack (with
-        forced breaks at row edges so registers never span jobs) and
-        package counts accumulate into per-job slots with pure-integer
-        array arithmetic, so each report is bit-identical to the seed
-        loop on its row.
+        Runs of consecutive nodes sharing a bitwidth map to one register
+        run, exactly as the encoder behaves, so the report is
+        bit-identical to the seed's per-run loop (kept as
+        :func:`repro.perf.reference.measure_adaptive_package_reference`).
         """
         nnz = np.asarray(nnz_per_node, dtype=np.int64)
-        stack = np.ascontiguousarray(np.asarray(bits_stack, dtype=np.int64))
-        if stack.ndim != 2 or stack.shape[1] != len(nnz):
-            raise ValueError("bits_stack must be (num_jobs, num_nodes)")
-        jobs, n = stack.shape
-        if jobs == 0:
-            return []
-        flat = stack.ravel()
-
-        if n:
-            breaks = flat[1:] != flat[:-1]
-            breaks[n - 1::n] = True  # force register flushes at row edges
-            boundaries = np.flatnonzero(breaks) + 1
-        else:
-            boundaries = np.zeros(0, dtype=np.int64)
-        starts = np.concatenate([[0], boundaries]).astype(np.int64)
-        stops = np.concatenate([boundaries, [jobs * n]]).astype(np.int64)
-        run_group = starts // max(n, 1)
-        run_bits = flat[starts]
+        bits = np.asarray(bits_per_node, dtype=np.int64)
+        if bits.shape != nnz.shape:
+            raise ValueError("one bitwidth per node required")
+        starts = np.concatenate([[0], np.flatnonzero(bits[1:] != bits[:-1]) + 1])
+        stops = np.concatenate([starts[1:], [len(bits)]])
         offsets = np.concatenate([[0], np.cumsum(nnz)])
-        run_total = offsets[stops - run_group * n] - offsets[starts - run_group * n]
-
         num_pkg, pkg_bits, padding = self._run_package_stats(
-            run_bits, run_total, run_group, jobs)
+            bits[starts], offsets[stops] - offsets[starts])
         index_bits = int(node_index_bits(nnz, feature_dim).sum())
-        return [
-            FormatReport(
-                self.name,
-                int(pkg_bits[j]) + index_bits,
-                {
-                    "packages": int(pkg_bits[j]),
-                    "bitmap": index_bits,
-                    "padding": int(padding[j]),
-                    "headers": HEADER_BITS * int(num_pkg[j]),
-                    "num_packages": int(num_pkg[j]),
-                },
-            )
-            for j in range(jobs)
-        ]
-
-    # ------------------------------------------------------------------
-    def package_count(self, nnz_per_node: np.ndarray, bits_per_node: np.ndarray) -> int:
-        """Number of packages (decoder work units for the performance model)."""
-        report = self.measure(nnz_per_node, bits_per_node, feature_dim=1)
-        return int(report.breakdown["num_packages"])
+        return FormatReport(
+            self.name,
+            pkg_bits + index_bits,
+            {
+                "packages": pkg_bits,
+                "bitmap": index_bits,
+                "padding": padding,
+                "headers": HEADER_BITS * num_pkg,
+                "num_packages": num_pkg,
+            },
+        )

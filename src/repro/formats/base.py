@@ -15,7 +15,7 @@ Tests assert the two paths agree on every matrix they can both handle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -62,14 +62,6 @@ class SparseFormat:
                 feature_dim: int) -> FormatReport:
         """Storage footprint from statistics only (no values needed)."""
         raise NotImplementedError
-
-    def measure_batch(self, nnz_per_node: np.ndarray, bits_stack: np.ndarray,
-                      feature_dim: int) -> List[FormatReport]:
-        """:meth:`measure` of each row of a (J, N) bitwidth stack that
-        shares one (N,) non-zero map; formats with a stacked pass
-        override this."""
-        return [self.measure(nnz_per_node, bits, feature_dim)
-                for bits in bits_stack]
 
     # Convenience used by tests and benchmarks.
     def roundtrip(self, values: np.ndarray, bits_per_node: np.ndarray) -> np.ndarray:

@@ -15,37 +15,40 @@ energy using the microarchitecture of Sec. V:
 
 Ablation switches (`storage`, `condense`, `partition`) reproduce the
 configurations of Fig. 19.
+
+A layer's bits-row statistics (the bit-serial lane sum, the BitOP sum
+and both format measurements) are memoized on its ``LayerSpec`` per
+storage format, package lengths and lane geometry, so every model that
+agrees on those measures a shared workload's rows once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
 from ..formats import AdaptivePackageFormat, BitmapFormat, FormatReport
 from ..paper_data import MEGA_TOTAL_POWER_MW
 from ..registry import ACCELERATORS, AcceleratorEntry
-from ..sim import DramModel, DramTraffic
+from ..sim import DramModel
 from ..sim.accelerator import AcceleratorModel, LayerCost
 from .config import MegaConfig, mega_buffers
 
 if TYPE_CHECKING:
-    from ..sim.workload import Workload
+    from ..sim.workload import LayerSpec, Workload
 
-__all__ = ["MegaModel", "output_nnz", "stored_bits"]
-
-
-def stored_bits(input_bits: np.ndarray) -> np.ndarray:
-    """Per-node storage bitwidths: MEGA stores <= 8-bit codes."""
-    return np.minimum(input_bits, 8)
+__all__ = ["MegaModel"]
 
 
-def output_nnz(num_nodes: int, f_out: int) -> np.ndarray:
-    """Per-node non-zeros of a layer's aggregated output feature map."""
-    return np.full(num_nodes, min(max(int(f_out * 0.5), 1), f_out),
-                   dtype=np.int64)
+class _RowStats(NamedTuple):
+    """What a layer's cost reads of its bits row (see ``_row_stats``)."""
+
+    lane_bits: float               # sum of lane groups * streamed bits
+    nnz_bits: float                # sum of input non-zeros * stored bits
+    input_report: FormatReport     # the input feature map, stored
+    output_report: FormatReport    # the aggregated output map, stored
 
 
 class MegaModel(AcceleratorModel):
@@ -70,42 +73,10 @@ class MegaModel(AcceleratorModel):
 
     # ------------------------------------------------------------------
     def layer_cost(self, workload: Workload, layer_index: int) -> LayerCost:
-        """One layer's cost: one row's statistics through
-        :meth:`cost_from_row_stats`."""
-        layer = workload.layers[layer_index]
-        bits = stored_bits(layer.input_bits)
-        lane_groups = self.lane_groups(layer.input_nnz)
-        fmt = self._format()
-        out_nnz = output_nnz(workload.num_nodes, layer.out_dim)
-        return self.cost_from_row_stats(
-            workload, layer_index, lane_groups,
-            lane_bits=float((lane_groups * bits).sum()),
-            nnz_bits=float((layer.input_nnz * bits).sum()),
-            bits=bits,
-            input_report=fmt.measure(layer.input_nnz, bits, layer.in_dim),
-            output_report=fmt.measure(out_nnz, bits, layer.out_dim))
+        """One layer's cost.
 
-    def lane_groups(self, nnz: np.ndarray) -> np.ndarray:
-        """Per-node bit-serial lane groups of the Combination Engine."""
-        cfg = self.config
-        return np.ceil(nnz / (cfg.combination_tiles * cfg.bses_per_cpe))
-
-    def cost_from_row_stats(self, workload: Workload, layer_index: int,
-                            lane_groups: np.ndarray, *,
-                            lane_bits: float, nnz_bits: float,
-                            bits: np.ndarray, input_report: FormatReport,
-                            output_report: FormatReport) -> LayerCost:
-        """The layer's cost from the statistics of its bits row.
-
-        ``lane_groups`` is the layer's :meth:`lane_groups` (it does not
-        depend on the bits), ``bits`` the row's :func:`stored_bits`
-        (Bitmap streams its maximum), ``lane_bits`` the sum of
-        ``lane_groups`` times ``bits``, ``nnz_bits`` the sum of
-        non-zeros times ``bits``, and the reports measure the input and
-        output feature maps in this model's storage format.  Every MEGA
-        formula lives here: :meth:`layer_cost` feeds it one row's
-        statistics, and the batched evaluator feeds it statistics
-        computed for many jobs in one stacked pass.  The aggregation
+        Every MEGA formula is written once: those over the layer's bits
+        row in :meth:`_row_stats`, the rest here.  The aggregation
         locality comes from :func:`~repro.sim.locality.locality_structure`,
         built once per (graph, tiling) and process.
         """
@@ -117,18 +88,16 @@ class MegaModel(AcceleratorModel):
         adjacency = workload.adjacency
         n, edges = workload.num_nodes, workload.num_edges
         f_out = layer.out_dim
+        stats = self._row_stats(layer, n)
 
         # ---- Combination Engine cycles --------------------------------
         column_passes = math.ceil(f_out / cfg.cpes_per_tile)
+        bit_serial_cycles = stats.lane_bits * column_passes
         if self.storage == "adaptive-package":
-            bit_serial_cycles = lane_bits * column_passes
-            num_packages = input_report.breakdown["num_packages"]
+            num_packages = stats.input_report.breakdown["num_packages"]
         else:
-            # Bitmap streams fixed-width values: decoder work scales with
-            # the max bitwidth, not each node's own (Fig. 19 ablation).
-            max_bits = int(bits.max()) if len(bits) else 0
-            bit_serial_cycles = float((lane_groups * max_bits).sum()) * column_passes
-            num_packages = math.ceil(input_report.total_bits / cfg.package.long)
+            num_packages = math.ceil(stats.input_report.total_bits
+                                     / cfg.package.long)
         decode_cycles = num_packages / cfg.combination_tiles
         combination_cycles = max(bit_serial_cycles, decode_cycles)
 
@@ -138,7 +107,7 @@ class MegaModel(AcceleratorModel):
         aggregation_cycles = max(aggregation_cycles, encode_cycles)
 
         # ---- DRAM traffic ----------------------------------------------
-        input_bytes = input_report.total_bits / 8.0
+        input_bytes = stats.input_report.total_bits / 8.0
         traffic = self.dram.sequential_access(input_bytes, purpose="features_in")
         traffic.accumulate(self.dram.sequential_access(
             self.weight_traffic_bytes(layer, cfg.weight_bits), purpose="weights"))
@@ -161,10 +130,10 @@ class MegaModel(AcceleratorModel):
         # Aggregated output written back in packaged form (next layer's
         # input feature map, 8-bit codes at the learned bitwidths).
         traffic.accumulate(self.dram.sequential_access(
-            output_report.total_bits / 8.0, purpose="features_out"))
+            stats.output_report.total_bits / 8.0, purpose="features_out"))
 
         # ---- Energy -----------------------------------------------------
-        bitops = nnz_bits * cfg.weight_bits * f_out
+        bitops = stats.nnz_bits * cfg.weight_bits * f_out
         pu_pj = bitops * self.energy.bitop_pj
         pu_pj += edges * f_out * self.energy.int_mac_pj(8, cfg.psum_bits)
         sram_bytes = (input_bytes + n * combined_bytes * 2.0
@@ -184,6 +153,42 @@ class MegaModel(AcceleratorModel):
                 "agg_internal_mb": agg_traffic.internal.total_mb,
             },
         )
+
+    def _row_stats(self, layer: LayerSpec, num_nodes: int) -> _RowStats:
+        """The statistics of ``layer``'s bits row that :meth:`layer_cost`
+        reads, memoized on the layer (``LayerSpec.row_stats``).
+
+        The key is everything they depend on besides the layer: the
+        storage format, the package lengths and the lane geometry.  So
+        every model agreeing on those (``mega`` and ``mega-no-condense``)
+        measures the rows of a shared workload once.
+        """
+        cfg = self.config
+        key = (self.storage, cfg.package, cfg.combination_tiles,
+               cfg.bses_per_cpe)
+        stats = layer.row_stats.get(key)
+        if stats is None:
+            bits = np.minimum(layer.input_bits, 8)  # MEGA stores <= 8-bit codes
+            lane_groups = np.ceil(layer.input_nnz / (cfg.combination_tiles
+                                                     * cfg.bses_per_cpe))
+            if self.storage == "adaptive-package":
+                lane_bits = float((lane_groups * bits).sum())
+            else:
+                # Bitmap streams fixed-width values: decoder work scales
+                # with the max bitwidth, not each node's own (Fig. 19
+                # ablation).
+                max_bits = int(bits.max()) if len(bits) else 0
+                lane_bits = float((lane_groups * max_bits).sum())
+            # Per-node non-zeros of the aggregated output feature map.
+            out_nnz = np.full(num_nodes, min(max(int(layer.out_dim * 0.5), 1),
+                                             layer.out_dim), dtype=np.int64)
+            fmt = self._format()
+            stats = layer.row_stats[key] = _RowStats(
+                lane_bits=lane_bits,
+                nnz_bits=float((layer.input_nnz * bits).sum()),
+                input_report=fmt.measure(layer.input_nnz, bits, layer.in_dim),
+                output_report=fmt.measure(out_nnz, bits, layer.out_dim))
+        return stats
 
     # ------------------------------------------------------------------
     def _format(self):

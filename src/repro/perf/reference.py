@@ -11,7 +11,7 @@ quantizer as a uniform-quantizer subclass sit beside them.  They are
 kept verbatim so that
 
 - the property-based equivalence tests can assert the vectorized
-  kernels (and the batched synthesizer and the folded DQ quantizer)
+  kernels (and the rank-based synthesizer and the folded DQ quantizer)
   produce bit-identical outputs, and
 - the benchmark runner (``python -m repro.perf.bench``) can report the
   speedup of each vectorized kernel over its seed baseline.
@@ -547,8 +547,7 @@ def measure_adaptive_package_reference(
 
     Walks the maximal equal-bitwidth runs one by one with scalar
     ``divmod`` arithmetic, exactly as the original implementation did.
-    The vectorized ``measure``/``measure_batch`` must be bit-identical
-    to this.
+    The vectorized ``measure`` must be bit-identical to this.
     """
     from ..formats.adaptive_package import HEADER_BITS, node_index_bits
     from ..formats.base import FormatReport

@@ -2,8 +2,9 @@
 
 Every simulated accelerator (MEGA and the four baselines) subclasses
 :class:`AcceleratorModel`: it supplies per-layer compute cycles and DRAM
-traffic, and the base class assembles the pipeline, the stall model and
-the energy breakdown the same way for everyone — mirroring the paper's
+traffic (:meth:`AcceleratorModel.layer_cost`), and the base class's
+:meth:`AcceleratorModel.simulate` assembles the pipeline, the stall model
+and the energy breakdown the same way for everyone — mirroring the paper's
 matched-configuration methodology (Table V: same DRAM bandwidth, same
 buffer capacity, OPS matched via BitOP equivalence).
 """
@@ -111,21 +112,10 @@ class AcceleratorModel:
 
     # -- assembly ----------------------------------------------------------
     def simulate(self, workload: Workload) -> SimReport:
-        """Run the model over every layer and assemble the report."""
+        """Run the model over every layer and assemble the pipeline,
+        stall and energy report."""
         layer_costs = [self.layer_cost(workload, i)
                        for i in range(len(workload.layers))]
-        return self.assemble_report(workload, layer_costs)
-
-    def assemble_report(self, workload: Workload,
-                        layer_costs: List[LayerCost]) -> SimReport:
-        """Pipeline/stall/energy assembly from per-layer costs.
-
-        Split from :meth:`simulate` so the batched evaluator
-        (:mod:`repro.sim.batched`) can feed it layer costs computed in a
-        stacked cross-job pass and share this exact scalar arithmetic —
-        which is what makes batched reports bit-identical by
-        construction from identical layer costs.
-        """
         compute = sum(c.compute_cycles for c in layer_costs)
         traffic = DramTraffic()
         for c in layer_costs:

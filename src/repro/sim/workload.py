@@ -4,8 +4,15 @@ A :class:`Workload` is everything a simulator needs about one
 (dataset, model, quantization) triple: the adjacency structure, the
 per-layer dimensions, per-node feature sparsity, and per-node
 quantization bitwidths.  Workloads are built either from paper-scale
-statistics (`build_workload`) or from an actually-trained quantized
-model (`workload_from_quant_run`) — both drive the same simulators.
+statistics or from an actually-trained quantized model
+(`workload_from_quant_run`) — both drive the same simulators.
+
+The paper-scale build has two steps.  :func:`workload_structure` draws
+what a (dataset, model, seed) recipe holds whatever the quantization
+(the sampled adjacency, the degree ranking, the feature sparsity), and
+:meth:`WorkloadStructure.workload` adds one precision and target's
+bits.  :func:`build_workload` runs both; the sweep engine keeps each
+recipe's structure and derives every target's workload from it.
 """
 
 from __future__ import annotations
@@ -19,15 +26,17 @@ import scipy.sparse as sp
 from ..graphs import Graph
 from ..nn.models import MODEL_SPECS
 from ..paper_data import FIG5_HIDDEN_DENSITY
-from ..registry import get_dataset
+from ..registry import DatasetEntry, get_dataset
 
 __all__ = [
     "LayerSpec",
     "Workload",
+    "WorkloadStructure",
     "build_workload",
-    "build_workload_batch",
+    "degree_ranks",
+    "synthesize_degree_aware_bits",
     "workload_from_quant_run",
-    "synthesize_degree_aware_bits_batch",
+    "workload_structure",
 ]
 
 
@@ -40,6 +49,12 @@ class LayerSpec:
     input_nnz: np.ndarray        # per-node non-zeros in the input feature map
     input_bits: np.ndarray       # per-node quantization bitwidth (32 = FP32)
     weight_bits: int = 4
+    # Statistics a simulator derives from this layer's rows, keyed by
+    # the simulator configuration they depend on
+    # (:meth:`repro.mega.MegaModel.layer_cost` fills it).  The arrays
+    # above must not change once the layer is simulated.
+    row_stats: Dict[tuple, object] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -48,13 +63,6 @@ class LayerSpec:
     @property
     def input_density(self) -> float:
         return float(self.input_nnz.mean() / max(self.in_dim, 1))
-
-    def feature_bits_per_node(self) -> np.ndarray:
-        """Dense storage cost of each node's input features, in bits."""
-        return self.input_bits.astype(np.int64) * self.in_dim
-
-    def average_bits(self) -> float:
-        return float(self.input_bits.mean())
 
 
 @dataclass
@@ -110,99 +118,118 @@ class Workload:
         return 32.0 / self.average_feature_bits()
 
 
-def synthesize_degree_aware_bits_batch(
-    degrees: np.ndarray,
-    target_averages,
+def degree_ranks(degrees: np.ndarray) -> np.ndarray:
+    """Each node's degree rank scaled to [0, 1], as float64 (ties in
+    ``argsort`` order): the ranking :func:`synthesize_degree_aware_bits`
+    allocates bits by."""
+    degrees = np.asarray(degrees, dtype=np.float64)
+    return degrees.argsort().argsort() / max(len(degrees) - 1, 1)
+
+
+def synthesize_degree_aware_bits(
+    ranks: np.ndarray,
+    target_average: float,
     min_bits: int = 2,
     max_bits: int = 8,
 ) -> np.ndarray:
-    """Per-node bitwidths with the Degree-Aware structure, one row per
-    target average in ``target_averages``.
+    """Per-node bitwidths with the Degree-Aware structure.
 
     Low-degree nodes (the power-law majority) sit at ``min_bits``;
-    bitwidth rises with degree rank so that each row's average matches
-    its target — the allocation shape the trained quantizer produces
-    (Sec. IV), synthesized for paper-scale graphs where training is not
-    feasible.  The O(n log n) degree ranking is computed once and the
-    per-target allocation is one (T, n) broadcast; every row is
-    bit-identical to the scalar
+    bitwidth rises with the degree rank ``ranks`` (:func:`degree_ranks`)
+    so that the average matches ``target_average`` — the allocation
+    shape the trained quantizer produces (Sec. IV), synthesized for
+    paper-scale graphs where training is not feasible.  Bit-identical to
     :func:`~repro.perf.reference.synthesize_degree_aware_bits_reference`
-    with the same target (the same float64 scalar ops elementwise, and
-    ranking is deterministic).
+    on the degrees ``ranks`` came from.
     """
-    degrees = np.asarray(degrees, dtype=np.float64)
-    n = len(degrees)
-    targets = np.clip(np.asarray(list(target_averages), dtype=np.float64),
-                      min_bits, max_bits)
-    ranks = degrees.argsort().argsort() / max(n - 1, 1)
+    target = float(np.clip(target_average, min_bits, max_bits))
     span = max_bits - min_bits
-    tail = np.clip(2.0 * (targets - min_bits) / span, 0.0, 1.0)
-
-    out = np.full((len(targets), n), min_bits, dtype=np.int64)
-    active = tail > 0
-    if active.any():
-        t = tail[active][:, None]
-        rise = (ranks[None, :] - (1.0 - t)) / t
-        bits = min_bits + np.clip(rise, 0.0, 1.0) * span
-        out[active] = np.clip(np.round(bits), min_bits, max_bits).astype(np.int64)
-    return out
+    tail = float(np.clip(2.0 * (target - min_bits) / span, 0.0, 1.0))
+    if tail <= 0:
+        return np.full(len(ranks), min_bits, dtype=np.int64)
+    rise = (ranks - (1.0 - tail)) / tail
+    bits = min_bits + np.clip(rise, 0.0, 1.0) * span
+    return np.clip(np.round(bits), min_bits, max_bits).astype(np.int64)
 
 
-def build_workload(
+@dataclass
+class WorkloadStructure:
+    """What one (dataset, model, seed) recipe draws, whatever the
+    quantization: the sampled adjacency, the degree ranking and both
+    per-node non-zero maps.  :meth:`workload` adds one precision and
+    target's bits, so every workload of a recipe shares these arrays."""
+
+    entry: DatasetEntry
+    model_name: str
+    adjacency: sp.csr_matrix
+    degree_ranks: np.ndarray
+    feature_dim: int
+    input_nnz: np.ndarray        # per-node non-zeros of the input feature map
+    hidden_nnz: np.ndarray       # per-node non-zeros of the hidden feature map
+
+    def workload(self, precision: str = "degree-aware",
+                 target_average_bits: Optional[float] = None) -> Workload:
+        """The recipe's workload at one precision and quantization target.
+
+        ``precision`` is ``"degree-aware"`` (mixed, synthesized per
+        degree at ``target_average_bits``, or the dataset's registered
+        paper average when that is ``None``), ``"int8"`` (uniform 8-bit,
+        for the 8-bit baseline variants), or ``"fp32"``.
+        """
+        n = self.adjacency.shape[0]
+        if precision == "fp32":
+            bits, weight_bits = np.full(n, 32, dtype=np.int64), 32
+        elif precision in ("int8", "uniform-int8"):
+            bits, weight_bits = np.full(n, 8, dtype=np.int64), 8
+        elif precision == "degree-aware":
+            # The Degree-Aware floor is 2 bits (Sec. V-C), so paper
+            # averages below ~2.4 would degenerate to an all-2-bit
+            # allocation with no high-precision tail; keep the tail the
+            # trained quantizer shows.
+            target = max(target_average_bits
+                         or self.entry.average_bits(self.model_name), 2.4)
+            bits = synthesize_degree_aware_bits(self.degree_ranks, target)
+            weight_bits = 4
+        else:
+            raise ValueError(f"unknown precision {precision!r}")
+
+        # Both layers carry the same per-node allocation.
+        hidden = MODEL_SPECS[self.model_name]["hidden"]
+        layers = [
+            LayerSpec(self.feature_dim, hidden, self.input_nnz, bits,
+                      weight_bits=weight_bits),
+            LayerSpec(hidden, self.entry.num_classes, self.hidden_nnz, bits,
+                      weight_bits=weight_bits),
+        ]
+        return Workload(
+            name=f"{self.entry.name}-{self.model_name}-{precision}",
+            model_name=self.model_name,
+            dataset=self.entry.name,
+            adjacency=self.adjacency,
+            layers=layers,
+            precision=precision,
+            metadata={"feature_dim": self.feature_dim, "hidden": hidden},
+        )
+
+
+def workload_structure(
     dataset: str,
     model_name: str,
-    precision: str = "degree-aware",
     seed: int = 0,
     graph: Optional[Graph] = None,
-    target_average_bits: Optional[float] = None,
-) -> Workload:
-    """Construct a simulator workload from dataset/model statistics.
+) -> WorkloadStructure:
+    """Draw one recipe's :class:`WorkloadStructure`.
 
-    Parameters
-    ----------
-    precision:
-        ``"degree-aware"`` (mixed, synthesized per-degree), ``"int8"``
-        (uniform 8-bit, for the 8-bit baseline variants), or ``"fp32"``.
-    graph:
-        Optional pre-built graph (defaults to the registered dataset's
-        ``scale="sim"`` graph).
-
-    ``dataset`` resolves through the dataset registry, so any registered
-    scenario — a paper stand-in or a synthetic scale-sweep graph — feeds
-    the same simulators.  This is a one-target
-    :func:`build_workload_batch`.
-    """
-    return build_workload_batch(dataset, model_name, precision, seed=seed,
-                                graph=graph,
-                                targets=(target_average_bits,))[0]
-
-
-def build_workload_batch(
-    dataset: str,
-    model_name: str,
-    precision: str = "degree-aware",
-    seed: int = 0,
-    graph: Optional[Graph] = None,
-    targets=(None,),
-) -> List[Workload]:
-    """N workloads over one dataset, sharing all structural precompute.
-
-    ``targets`` is a sequence of ``target_average_bits`` values (each
-    may be ``None`` to take the dataset's registered paper average).
-    Graph loading, neighbour sampling, degree counting, and the
-    rng-derived sparsity statistics are computed once; only the
-    per-node bitwidth allocation varies per target, and that is
-    synthesized as one stacked (T, n) pass.  Element ``i`` of the
-    result depends on ``targets[i]`` alone, so it equals a one-target
-    build.
+    ``graph`` defaults to the registered dataset's ``scale="sim"``
+    graph.  ``dataset`` resolves through the dataset registry, so any
+    registered scenario — a paper stand-in or a synthetic scale-sweep
+    graph — feeds the same simulators.
     """
     model_key = model_name.lower()
     entry = get_dataset(dataset)
     spec = MODEL_SPECS[model_key]
     if graph is None:
         graph = entry.load(scale="sim", seed=seed)
-    # The rng draws below do not depend on the quantization target, so
-    # every target sees the same structure.
     rng = np.random.default_rng(seed + 17)
 
     adjacency = graph.adjacency
@@ -222,43 +249,31 @@ def build_workload_batch(
     hidden_nnz = np.clip(
         np.round(hidden * hidden_density * spread), 1, hidden
     ).astype(np.int64)
-    adjacency = adjacency.tocsr()
+    return WorkloadStructure(
+        entry=entry,
+        model_name=model_key,
+        adjacency=adjacency.tocsr(),
+        degree_ranks=degree_ranks(degrees),
+        feature_dim=feature_dim,
+        input_nnz=input_nnz,
+        hidden_nnz=hidden_nnz,
+    )
 
-    if precision == "fp32":
-        rows = [np.full(n, 32, dtype=np.int64)] * len(targets)
-        weight_bits = 32
-    elif precision in ("int8", "uniform-int8"):
-        rows = [np.full(n, 8, dtype=np.int64)] * len(targets)
-        weight_bits = 8
-    elif precision == "degree-aware":
-        # The Degree-Aware floor is 2 bits (Sec. V-C), so paper averages
-        # below ~2.4 would degenerate to an all-2-bit allocation with no
-        # high-precision tail; keep the tail the trained quantizer shows.
-        resolved = [max(t or entry.average_bits(model_key), 2.4) for t in targets]
-        rows = list(synthesize_degree_aware_bits_batch(degrees, resolved))
-        weight_bits = 4
-    else:
-        raise ValueError(f"unknown precision {precision!r}")
 
-    # Both layers carry the same per-node allocation.
-    workloads = []
-    for bits in rows:
-        layers = [
-            LayerSpec(feature_dim, hidden, input_nnz, bits,
-                      weight_bits=weight_bits),
-            LayerSpec(hidden, entry.num_classes, hidden_nnz, bits,
-                      weight_bits=weight_bits),
-        ]
-        workloads.append(Workload(
-            name=f"{entry.name}-{model_key}-{precision}",
-            model_name=model_key,
-            dataset=entry.name,
-            adjacency=adjacency,
-            layers=layers,
-            precision=precision,
-            metadata={"feature_dim": feature_dim, "hidden": hidden},
-        ))
-    return workloads
+def build_workload(
+    dataset: str,
+    model_name: str,
+    precision: str = "degree-aware",
+    seed: int = 0,
+    graph: Optional[Graph] = None,
+    target_average_bits: Optional[float] = None,
+) -> Workload:
+    """Construct a simulator workload from dataset/model statistics: a
+    fresh :func:`workload_structure` at one precision and target (see
+    :meth:`WorkloadStructure.workload`)."""
+    return workload_structure(dataset, model_name, seed=seed,
+                              graph=graph).workload(precision,
+                                                    target_average_bits)
 
 
 def workload_from_quant_run(graph: Graph, model_name: str, node_bitwidths: np.ndarray,

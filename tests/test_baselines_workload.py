@@ -8,7 +8,8 @@ from repro.graphs import load_dataset
 from repro.mega import MegaModel
 from repro.sim.workload import (
     build_workload,
-    synthesize_degree_aware_bits_batch,
+    degree_ranks,
+    synthesize_degree_aware_bits,
     workload_from_quant_run,
 )
 
@@ -70,21 +71,21 @@ class TestWorkloadBuilder:
 class TestSynthesizedBits:
     def test_average_close_to_target(self):
         degrees = np.random.default_rng(0).integers(1, 100, size=5000)
-        (bits,) = synthesize_degree_aware_bits_batch(degrees, [3.0])
+        bits = synthesize_degree_aware_bits(degree_ranks(degrees), 3.0)
         assert bits.mean() == pytest.approx(3.0, abs=0.4)
 
     def test_monotone_in_degree(self):
         degrees = np.arange(1, 1001)
-        (bits,) = synthesize_degree_aware_bits_batch(degrees, [3.0])
+        bits = synthesize_degree_aware_bits(degree_ranks(degrees), 3.0)
         assert (np.diff(bits) >= 0).all()
 
     def test_power_law_majority_at_min(self):
         degrees = np.random.default_rng(0).integers(1, 100, size=5000)
-        (bits,) = synthesize_degree_aware_bits_batch(degrees, [2.5])
+        bits = synthesize_degree_aware_bits(degree_ranks(degrees), 2.5)
         assert (bits == 2).mean() > 0.5
 
     def test_target_at_min_all_min(self):
-        (bits,) = synthesize_degree_aware_bits_batch(np.arange(1, 100), [2.0])
+        bits = synthesize_degree_aware_bits(degree_ranks(np.arange(1, 100)), 2.0)
         assert (bits == 2).all()
 
 

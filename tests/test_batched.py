@@ -1,110 +1,108 @@
-"""Batched simulation: bit-identity against the scalar oracle.
+"""One simulation path: what a sweep shares, held to fresh builds.
 
-The contract under test: for every job,
-``simulate_batch(models, workloads)[i]`` equals
-``models[i].simulate(workloads[i])`` field for field — and the seed
-reference snapshots in :mod:`repro.perf.reference` pin the scalar side,
-so batched == scalar == seed.  On top of the core identity, the engine
-wiring must keep cache/artifact/journal semantics unchanged: warm
-replays execute zero jobs, ``_SIM_BATCH_MAX = 1`` (every group a
-singleton) forces the scalar path, and batch honesty flags report what
-actually ran.
+The jobs of a sweep share two things in one process: each (dataset,
+model, seed) recipe's :class:`~repro.sim.workload.WorkloadStructure`,
+built once into the engine's workload memo, and each layer's row
+statistics, memoized on the shared ``LayerSpec`` by
+:meth:`~repro.mega.MegaModel.layer_cost`.  The contract: every engine
+report equals ``build(**variant).simulate(build_workload(...))`` on a
+fresh build, field for field, and the seed snapshots in
+:mod:`repro.perf.reference` pin the measurement and the bit synthesis.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.eval.engine import (
-    SimJob,
-    SweepEngine,
-    plan_sim_batches,
-    prepare_sim_batch,
-)
 from repro.eval import engine as engine_mod
+from repro.eval.engine import SimJob, SweepEngine
 from repro.formats import HEADER_BITS, AdaptivePackageFormat, PackageConfig
+from repro.mega import MegaModel
+from repro.mega.config import MegaConfig
 from repro.perf.cache import cached_load_dataset
 from repro.perf.reference import (
     average_feature_bits_reference,
     measure_adaptive_package_reference,
     synthesize_degree_aware_bits_reference,
 )
-from repro.perf.timers import Timer
 from repro.registry import ACCELERATORS, get_accelerator
-from repro.sim.batched import simulate_batch
+from repro.sim import workload as workload_mod
 from repro.sim.workload import (
     build_workload,
-    build_workload_batch,
-    synthesize_degree_aware_bits_batch,
+    degree_ranks,
+    synthesize_degree_aware_bits,
 )
 
 
-def _fresh_engine(tmp_path, tag, **kwargs) -> SweepEngine:
-    return SweepEngine(workers=0, cache_dir=tmp_path / tag, **kwargs)
+def _fresh_report(job: SimJob):
+    """The job simulated on a freshly built workload: no memo shared."""
+    workload = build_workload(
+        job.dataset, job.model, job.precision, seed=job.seed,
+        graph=cached_load_dataset(job.dataset, scale="sim", seed=job.seed),
+        target_average_bits=job.target_average_bits)
+    return get_accelerator(job.accelerator).build(
+        **dict(job.variant)).simulate(workload)
 
 
 # ----------------------------------------------------------------------
-# Core identity: simulate_batch vs the scalar oracle
+# Engine reports against fresh builds
 # ----------------------------------------------------------------------
 
 class TestSimulateBatchIdentity:
-    def test_every_registered_accelerator(self):
-        """One batch spanning every registry entry is bit-identical to
-        per-job scalar simulation (mixed model types included)."""
-        models, workloads = [], []
-        for name in ACCELERATORS.names():
-            entry = get_accelerator(name)
-            for target in (None, 4.0):
-                models.append(entry.build())
-                workloads.append(build_workload(
-                    "cora", "gcn", entry.precision, seed=0,
-                    graph=cached_load_dataset("cora", scale="sim", seed=0),
-                    target_average_bits=target))
-        batched = simulate_batch(models, workloads)
-        for model, workload, report in zip(models, workloads, batched):
-            assert report == model.simulate(workload), model.name
+    def test_every_registered_accelerator(self, sweep_engine):
+        """A sweep over every registry entry, sharing workloads, equals
+        per-job simulation of fresh builds (mixed model types
+        included)."""
+        jobs = [SimJob.from_call(name, "cora", "gcn",
+                                 target_average_bits=target)
+                for name in ACCELERATORS.names() for target in (None, 4.0)]
+        reports = sweep_engine.run(jobs)
+        for job in jobs:
+            assert reports[job] == _fresh_report(job), job.accelerator
 
-    def test_randomized_variant_grid(self):
-        """A DSE-style grid — shared workloads across accelerator
-        ablations and variant kwargs, random targets — stays
-        bit-identical, including the deduped-row fast paths."""
+    def test_randomized_variant_grid(self, sweep_engine):
+        """A DSE-style grid — accelerator ablations and variant kwargs
+        over shared workloads at random targets — equals fresh builds,
+        including the jobs whose row statistics come from the memo."""
         rng = np.random.default_rng(7)
         targets = sorted(float(t) for t in rng.uniform(2.5, 7.5, size=6))
-        graph = cached_load_dataset("citeseer", scale="sim", seed=0)
-        shared = build_workload_batch("citeseer", "gcn", "degree-aware",
-                                      seed=0, graph=graph,
-                                      targets=tuple(targets))
-        by_target = dict(zip(targets, shared))
         cases = [("mega", {}), ("mega", {"partition": False}),
                  ("mega-no-condense", {}), ("mega-bitmap", {}),
                  ("mega", {"condense": False, "partition": False})]
-        models, workloads = [], []
-        for name, variant in cases:
-            for target in targets:
-                models.append(get_accelerator(name).build(**variant))
-                workloads.append(by_target[target])
-        batched = simulate_batch(models, workloads)
-        for model, workload, report in zip(models, workloads, batched):
-            assert report == model.simulate(workload)
+        jobs = [SimJob.from_call(name, "citeseer", "gcn", variant,
+                                 target_average_bits=target)
+                for name, variant in cases for target in targets]
+        reports = sweep_engine.run(jobs)
+        for job in jobs:
+            assert reports[job] == _fresh_report(job)
 
-    def test_unshared_workloads_fall_back_scalar(self):
-        """Independently built (equal but not identical) workloads take
-        the scalar path and still produce correct reports."""
+    def test_shared_workload_keeps_each_config_apart(self):
+        """MEGA configs that differ in package lengths or lane geometry
+        each get their own row statistics from one shared workload,
+        whichever simulates first."""
         graph = cached_load_dataset("cora", scale="sim", seed=0)
-        a = build_workload("cora", "gcn", "degree-aware", seed=0, graph=graph)
-        b = build_workload("cora", "gcn", "degree-aware", seed=0, graph=graph)
-        models = [get_accelerator("mega").build() for _ in range(2)]
-        batched = simulate_batch(models, [a, b])
-        assert batched[0] == models[0].simulate(a)
-        assert batched[1] == models[1].simulate(b)
+        configs = [MegaConfig(),
+                   MegaConfig(package=PackageConfig(32, 64, 96)),
+                   MegaConfig(combination_tiles=2),
+                   MegaConfig(bses_per_cpe=2)]
 
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            simulate_batch([get_accelerator("mega").build()], [])
+        def workload():
+            return build_workload("cora", "gcn", seed=0, graph=graph,
+                                  target_average_bits=4.0)
+
+        fresh = [MegaModel(config).simulate(workload()) for config in configs]
+        assert len({repr(report) for report in fresh}) == len(configs)
+        for order in (configs, configs[::-1]):
+            shared = workload()
+            for config in order:
+                assert (MegaModel(config).simulate(shared)
+                        == fresh[configs.index(config)])
 
 
 # ----------------------------------------------------------------------
-# measure_batch vs measure vs the seed reference
+# measure vs the seed reference
 # ----------------------------------------------------------------------
 
 def _random_measure_case(rng, n):
@@ -115,6 +113,9 @@ def _random_measure_case(rng, n):
 
 
 class TestMeasureBatch:
+    """Rows sharing one non-zero map, each measured as the seed loop
+    measures it."""
+
     @pytest.mark.parametrize("config", [
         PackageConfig(),
         PackageConfig(short=8, medium=16, long=24),
@@ -123,26 +124,20 @@ class TestMeasureBatch:
     def test_matches_scalar_and_reference(self, config):
         rng = np.random.default_rng(11)
         fmt = AdaptivePackageFormat(config)
-        stacks, nnz = [], None
+        nnz = None
         for _ in range(5):
             nnz_i, bits = _random_measure_case(rng, 300)
             nnz = nnz_i if nnz is None else nnz   # one shared nnz map
-            stacks.append(bits)
-        bits_stack = np.stack(stacks)
-        batch = fmt.measure_batch(nnz, bits_stack, feature_dim=24)
-        for bits, report in zip(stacks, batch):
-            scalar = fmt.measure(nnz, bits, 24)
-            reference = measure_adaptive_package_reference(
-                nnz, bits, 24, config=config)
-            assert report.total_bits == scalar.total_bits == reference.total_bits
-            assert report.breakdown == scalar.breakdown == reference.breakdown
+            assert fmt.measure(nnz, bits, 24) == \
+                measure_adaptive_package_reference(nnz, bits, 24,
+                                                   config=config)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_random_inputs_match_reference(self, data):
-        """``measure`` and every ``measure_batch`` row equal the seed
-        loop on random inputs, failing where it fails (a run whose
-        bitwidth exceeds the long payload divides by zero)."""
+        """``measure`` equals the seed loop on random inputs, failing
+        where it fails (a run whose bitwidth exceeds the long payload
+        divides by zero)."""
         n = data.draw(st.integers(1, 120))
         rows = data.draw(st.integers(1, 4))
         nnz = np.array(data.draw(st.lists(
@@ -157,33 +152,19 @@ class TestMeasureBatch:
         feature_dim = data.draw(st.integers(1, 64))
         fmt = AdaptivePackageFormat(config)
 
-        expected = []
         for bits in stack:
             try:
-                expected.append(measure_adaptive_package_reference(
-                    nnz, bits, feature_dim, config=config))
+                expected = measure_adaptive_package_reference(
+                    nnz, bits, feature_dim, config=config)
             except ZeroDivisionError:
-                expected.append(None)
                 with pytest.raises(ZeroDivisionError):
                     fmt.measure(nnz, bits, feature_dim)
             else:
-                assert fmt.measure(nnz, bits, feature_dim) == expected[-1]
-        if any(report is None for report in expected):
-            with pytest.raises(ZeroDivisionError):
-                fmt.measure_batch(nnz, stack, feature_dim)
-        else:
-            assert fmt.measure_batch(nnz, stack, feature_dim) == expected
-
-    def test_empty_batch_and_shape_guard(self):
-        fmt = AdaptivePackageFormat()
-        nnz = np.array([1, 2], dtype=np.int64)
-        assert fmt.measure_batch(nnz, np.empty((0, 2), dtype=np.int64), 8) == []
-        with pytest.raises(ValueError):
-            fmt.measure_batch(nnz, np.array([4, 4], dtype=np.int64), 8)
+                assert fmt.measure(nnz, bits, feature_dim) == expected
 
 
 # ----------------------------------------------------------------------
-# Workload batch builders and the vectorized stats
+# A recipe's workloads, derived from one structure
 # ----------------------------------------------------------------------
 
 class TestWorkloadBatch:
@@ -195,15 +176,19 @@ class TestWorkloadBatch:
         ("gcn", "int8", (None,)),
     ])
     def test_build_workload_batch_identity(self, model, precision, targets):
+        """Each target's workload from the engine's shared recipe
+        structure equals a fresh ``build_workload``."""
         graph = cached_load_dataset("cora", scale="sim", seed=0)
-        batch = build_workload_batch("cora", model, precision, seed=0,
-                                     graph=graph, targets=targets)
-        for target, workload in zip(targets, batch):
-            scalar = build_workload("cora", model, precision, seed=0,
-                                    graph=graph, target_average_bits=target)
-            assert workload.name == scalar.name
-            assert len(workload.layers) == len(scalar.layers)
-            for got, want in zip(workload.layers, scalar.layers):
+        for target in targets:
+            workload = engine_mod._workload("cora", model, precision, 0,
+                                            target)
+            fresh = build_workload("cora", model, precision, seed=0,
+                                   graph=graph, target_average_bits=target)
+            assert workload.name == fresh.name
+            assert workload.metadata == fresh.metadata
+            assert (workload.adjacency != fresh.adjacency).nnz == 0
+            assert len(workload.layers) == len(fresh.layers)
+            for got, want in zip(workload.layers, fresh.layers):
                 assert got.in_dim == want.in_dim
                 assert got.out_dim == want.out_dim
                 np.testing.assert_array_equal(got.input_bits, want.input_bits)
@@ -211,23 +196,26 @@ class TestWorkloadBatch:
                 assert got.weight_bits == want.weight_bits
 
     def test_batch_shares_structure_arrays(self):
-        """Workloads of one batch share adjacency and nnz arrays by
-        identity — the precondition for cross-job stacking."""
-        graph = cached_load_dataset("cora", scale="sim", seed=0)
-        a, b = build_workload_batch("cora", "gcn", "degree-aware", seed=0,
-                                    graph=graph, targets=(3.0, 5.0))
-        assert a.adjacency is b.adjacency
-        for la, lb in zip(a.layers, b.layers):
-            assert la.input_nnz is lb.input_nnz
+        """Workloads of one recipe share its structure's adjacency and
+        non-zero maps by identity, across targets and precisions, and
+        a repeated (precision, target) is the same workload."""
+        a = engine_mod._workload("cora", "gcn", "degree-aware", 0, 3.0)
+        b = engine_mod._workload("cora", "gcn", "degree-aware", 0, 5.0)
+        c = engine_mod._workload("cora", "gcn", "fp32", 0, None)
+        assert a.adjacency is b.adjacency is c.adjacency
+        for la, lb, lc in zip(a.layers, b.layers, c.layers):
+            assert la.input_nnz is lb.input_nnz is lc.input_nnz
+        assert engine_mod._workload("cora", "gcn", "degree-aware", 0, 3.0) is a
 
     def test_synthesize_batch_identity(self):
         rng = np.random.default_rng(3)
         degrees = rng.integers(1, 60, size=500).astype(np.int64)
-        targets = [2.0, 2.4, 3.7, 5.5, 8.0]
-        stacked = synthesize_degree_aware_bits_batch(degrees, targets)
-        for target, row in zip(targets, stacked):
+        ranks = degree_ranks(degrees)
+        for target in (2.0, 2.4, 3.7, 5.5, 8.0):
+            bits = synthesize_degree_aware_bits(ranks, target)
+            assert bits.dtype == np.int64
             np.testing.assert_array_equal(
-                row, synthesize_degree_aware_bits_reference(degrees, target))
+                bits, synthesize_degree_aware_bits_reference(degrees, target))
 
     def test_average_feature_bits_matches_reference(self):
         graph = cached_load_dataset("cora", scale="sim", seed=0)
@@ -237,23 +225,9 @@ class TestWorkloadBatch:
             assert workload.average_feature_bits() == \
                 average_feature_bits_reference(workload)
 
-    def test_stacked_row_sum_is_bitwise_scalar_sum(self):
-        """The one float reduction the batched path stacks: summing a
-        C-contiguous 2-D float64 array over its last axis is bit-equal
-        to summing each row alone (same pairwise reduction per row)."""
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            rows = int(rng.integers(1, 12))
-            cols = int(rng.integers(1, 4000))
-            stack = np.ascontiguousarray(
-                rng.lognormal(2.0, 3.0, size=(rows, cols)))
-            stacked = stack.sum(axis=1)
-            for i in range(rows):
-                assert stacked[i] == stack[i].sum()
-
 
 # ----------------------------------------------------------------------
-# Engine wiring: knobs, honesty flags, cache semantics
+# What a cold sweep shares
 # ----------------------------------------------------------------------
 
 _GRID = [SimJob.from_call(name, "cora", "gcn", target_average_bits=target)
@@ -261,76 +235,39 @@ _GRID = [SimJob.from_call(name, "cora", "gcn", target_average_bits=target)
          for target in (None, 3.0, 4.5, 6.0)]
 
 
-class TestEngineBatching:
-    def test_batched_equals_scalar_equals_warm(self, tmp_path, monkeypatch):
-        scalar = _fresh_engine(tmp_path, "scalar")
-        with monkeypatch.context() as patch:
-            # A cap of 1 makes every group a singleton: nothing batches.
-            patch.setattr(engine_mod, "_SIM_BATCH_MAX", 1)
-            with Timer() as scalar_t:
-                reference = scalar.run(_GRID)
-        assert not scalar.batch_used and scalar.batch_sizes == []
+class TestSweepSharing:
+    def test_cold_grid_builds_and_measures_once(self, tmp_path, monkeypatch):
+        """A cold 12-job grid builds its recipe structure once and
+        measures each row once: 4 targets x 2 layers x (input, output)
+        maps, which ``mega`` and ``mega-no-condense`` share
+        (``mega-bitmap`` stores in Bitmap).  The memos outlive an engine
+        but not ``clear_memory()``."""
+        calls = Counter()
+        measure = AdaptivePackageFormat.measure
+        structure = workload_mod.workload_structure
 
-        engine_mod._WORKLOAD_MEMO.clear()
-        batched = _fresh_engine(tmp_path, "batched")
-        with Timer() as batched_t:
-            results = batched.run(_GRID)
-        assert batched.batch_used
-        assert sum(batched.batch_sizes) == len(_GRID)
-        assert all(results[j] == reference[j] for j in _GRID)
-        assert batched_t.elapsed <= scalar_t.elapsed, \
-            (scalar_t.elapsed, batched_t.elapsed)
+        def counted_measure(self, *args, **kwargs):
+            calls["measure"] += 1
+            return measure(self, *args, **kwargs)
 
-        # Warm replay through the artifact store: zero executions, no
-        # batches formed (nothing pending), identical reports.
-        batched.clear_memory()
-        replay = batched.run(_GRID)
-        assert batched.executed_jobs == 0
-        assert not batched.batch_used
-        assert all(replay[j] == reference[j] for j in _GRID)
+        def counted_structure(*args, **kwargs):
+            calls["structure"] += 1
+            return structure(*args, **kwargs)
 
-    def test_batch_max_splits_groups(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(engine_mod, "_SIM_BATCH_MAX", 5)
-        batches = plan_sim_batches(_GRID)
-        assert [len(b) for b in batches] == [5, 5, 2]
-        engine = _fresh_engine(tmp_path, "split")
-        results = engine.run(_GRID)
-        assert engine.batch_sizes == [5, 5, 2]
-        monkeypatch.setattr(engine_mod, "_SIM_BATCH_MAX", 1)
-        scalar = _fresh_engine(tmp_path, "split-ref")
-        engine_mod._WORKLOAD_MEMO.clear()
-        reference = scalar.run(_GRID)
-        assert all(results[j] == reference[j] for j in _GRID)
+        monkeypatch.setattr(AdaptivePackageFormat, "measure", counted_measure)
+        monkeypatch.setattr(workload_mod, "workload_structure",
+                            counted_structure)
 
-    def test_plan_skips_singletons_and_train_jobs(self):
-        assert plan_sim_batches([_GRID[0]]) == []
-        assert plan_sim_batches([]) == []
-        # Different datasets never share a batch.
-        mixed = [SimJob.from_call("mega", "cora", "gcn"),
-                 SimJob.from_call("mega", "citeseer", "gcn")]
-        assert plan_sim_batches(mixed) == []
+        def cold_run(tag: str) -> Counter:
+            engine = SweepEngine(workers=0, cache_dir=tmp_path / tag)
+            calls.clear()
+            engine.run(_GRID)
+            assert engine.executed_jobs == len(_GRID)
+            return Counter(calls)
 
-    def test_timeout_disables_prepare_hook(self, tmp_path):
-        engine = _fresh_engine(tmp_path, "deadline", timeout=30.0)
-        assert engine._prepare_hook() is None
-        assert _fresh_engine(tmp_path, "free")._prepare_hook() is not None
-
-    def test_prepare_stash_is_consumed_once(self):
-        jobs = _GRID[:6]
-        sizes = prepare_sim_batch(jobs)
-        assert sizes and sum(sizes) == len(jobs)
-        assert all(job in engine_mod._BATCH_STASH for job in jobs)
-        first = engine_mod._execute_job(jobs[0])
-        assert jobs[0] not in engine_mod._BATCH_STASH
-        # Scalar fallback recomputes the identical report.
-        assert engine_mod._execute_job(jobs[0]) == first
-        engine_mod._BATCH_STASH.clear()
-
-    def test_stats_carry_batch_flags(self, tmp_path):
-        engine = _fresh_engine(tmp_path, "stats")
-        engine.run(_GRID[:4])
-        executed = engine.stats()["executed"]
-        assert executed["batch_used"] is True
-        assert executed["batched_jobs"] == 4
-        engine.clear_memory()
-        assert engine.stats()["executed"]["batch_used"] is False
+        SweepEngine(workers=0, cache_dir=tmp_path / "reset").clear_memory()
+        assert cold_run("first") == {"measure": 16, "structure": 1}
+        # A fresh store executes every job again, from the process memos.
+        assert cold_run("memo") == {}
+        SweepEngine(workers=0, cache_dir=tmp_path / "memo").clear_memory()
+        assert cold_run("cleared") == {"measure": 16, "structure": 1}

@@ -219,36 +219,28 @@ class TestParallelChaos:
         _assert_identical(baseline, chaotic)
         assert engine.pool_used
 
-    def test_mid_batch_casualty_loses_only_its_own_jobs(self, tmp_path,
-                                                        monkeypatch):
-        """A worker killed mid-batch under batched simulation costs only
-        the jobs it had not yet reported: everything already streamed
-        back stays persisted, the requeued tail re-prepares in a fresh
-        worker, and the final results are bit-identical to a fault-free
-        scalar run."""
+    def test_mid_chunk_casualty_loses_only_its_own_jobs(self, tmp_path):
+        """A worker killed mid-chunk costs only the jobs it had not yet
+        reported: everything already streamed back stays persisted, the
+        requeued tail runs in a fresh worker, and the final results are
+        bit-identical to a fault-free serial run."""
         jobs = [SimJob.from_call(name, "cora", "gcn",
                                  target_average_bits=target)
                 for name in ("mega", "mega-no-condense", "mega-bitmap")
                 for target in (None, 3.0, 4.0, 5.0, 6.0)]
-        baseline_engine = _fresh_engine(tmp_path, "clean")
-        with monkeypatch.context() as patch:
-            # A cap of 1 makes every group a singleton: nothing batches.
-            patch.setattr(engine_mod, "_SIM_BATCH_MAX", 1)
-            baseline = baseline_engine.run(jobs)
-        assert not baseline_engine.batch_used
+        baseline = _fresh_engine(tmp_path, "clean").run(jobs)
 
-        engine = SweepEngine(workers=2, cache_dir=tmp_path / "batch-kill",
+        engine = SweepEngine(workers=2, cache_dir=tmp_path / "chunk-kill",
                              retries=3, backoff=0.0)
         with inject_faults(kill=0.2, corrupt_artifact=(1.0, 1),
                            seed=3) as injector:
             chaotic = engine.run(jobs)
             killed = [job for job in jobs
                       if injector.plan.decide("kill", repr(job))]
-            assert killed, "the plan must target at least one batch member"
-        assert engine.batch_used and sum(engine.batch_sizes) == len(jobs)
+            assert killed, "the plan must target at least one chunk member"
         assert all(chaotic[job] == baseline[job] for job in jobs)
         # Only the casualties burned attempts: every job landed exactly
-        # once (survivors from the batch were never re-executed).
+        # once (survivors from the chunk were never re-executed).
         assert engine.executed_jobs == len(jobs)
         assert not engine.failures
 

@@ -34,7 +34,6 @@ class TestSimJob:
         b = SimJob.from_call("mega", "cora", "gcn",
                              {"condense": False, "storage": "bitmap"})
         assert a == b and hash(a) == hash(b)
-        assert a.variant_label == "condense=False+storage=bitmap"
 
     def test_case_variants_are_one_job(self, sweep_engine):
         upper = SimJob.from_call("MEGA", "Cora", "GCN")

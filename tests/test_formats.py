@@ -158,7 +158,8 @@ class TestAdaptivePackageInternals:
         vals, bits = random_quantized_matrix(50, 30, 0.3, seed=2)
         fmt = AdaptivePackageFormat()
         nnz = (vals != 0).sum(axis=1)
-        assert fmt.package_count(nnz, bits) == fmt.encode(vals, bits).num_packages
+        report = fmt.measure(nnz, bits, vals.shape[1])
+        assert report.breakdown["num_packages"] == fmt.encode(vals, bits).num_packages
 
 
 class TestHybridIndex:

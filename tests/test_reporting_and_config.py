@@ -103,12 +103,6 @@ class TestWorkloadAccessors:
         layer = workload.layers[0]
         assert 0 < layer.input_density < 1
 
-    def test_feature_bits_per_node(self, workload):
-        layer = workload.layers[0]
-        bits = layer.feature_bits_per_node()
-        assert bits.shape == (workload.num_nodes,)
-        assert (bits == layer.input_bits * layer.in_dim).all()
-
     def test_average_feature_bits_weighted(self, workload):
         avg = workload.average_feature_bits()
         assert 2.0 <= avg <= 8.0
