@@ -16,7 +16,7 @@ from repro.graphs import load_dataset
 from repro.mega import MegaModel
 from repro.nn import TrainConfig
 from repro.quant import run_degree_aware, run_fp32
-from repro.sim.workload import build_workload, workload_from_quant_run
+from repro.sim.workload import workload_from_quant_run
 
 
 def main() -> None:
@@ -51,7 +51,9 @@ def main() -> None:
     print("\n== 4. accelerator simulation ==")
     workload = workload_from_quant_run(graph, "gcn", ours.node_bitwidths)
     mega = MegaModel().simulate(workload)
-    workload32 = build_workload("cora", "gcn", "fp32", graph=graph)
+    # The baseline runs the same graph and features at FP32.
+    workload32 = workload_from_quant_run(graph, "gcn", fp32.node_bitwidths,
+                                         precision="fp32")
     gcnax = build_baseline("gcnax").simulate(workload32)
     print(f"MEGA : {mega.total_cycles / 1e3:9.1f} kcycles, "
           f"{mega.dram_mb:6.2f} MB DRAM, {mega.energy.total_mj:.4f} mJ")

@@ -910,14 +910,6 @@ class ArtifactStore:
                 "imported": imported, "skipped": skipped}
 
     # -- maintenance -------------------------------------------------------
-    def clear(self) -> None:
-        shutil.rmtree(self.root, ignore_errors=True)
-        self.puts = self.gets = self.hits = self.misses = 0
-        self.races_lost = self.quarantined = 0
-        self.write_failures = self.io_errors = 0
-        self._write_disabled = False
-        self._warned_quarantine = self._warned_readonly = False
-
     def stats(self) -> Dict[str, int]:
         """This handle's counters since it opened (or was cleared); what
         the store holds is :meth:`ids`, :meth:`list_entries`,

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 from ..formats.base import bits_needed
 from ..paper_data import TABLE_V_BASELINES, TABLE_VII_ORIGINAL
 from ..registry import ACCELERATORS, AcceleratorEntry
-from ..sim import BufferSet, BufferSpec, DramModel
+from ..sim import DramModel
 from ..sim.accelerator import AcceleratorModel, LayerCost
 
 if TYPE_CHECKING:
@@ -43,6 +43,8 @@ class BaselineConfig:
     """Structural knobs distinguishing the baseline accelerators."""
 
     name: str
+    dram_overlap: float               # DRAM time hidden under compute
+    total_power_mw: float
     execution_order: str = "A_XW"     # "AXW" (HyGCN) or "A_XW"
     combination_lanes: int = 32       # FP32 MAC lanes for combination
     aggregation_lanes: int = 64       # FP32 lanes for aggregation
@@ -52,8 +54,6 @@ class BaselineConfig:
     combination_utilization: float = 1.0  # systolic bubble factor
     storage: str = "dense"            # dense | csr | sgcn
     locality: str = "naive"           # naive | metis
-    dram_overlap: float = 0.7
-    total_power_mw: float = 220.0
     aggregation_buffer_kb: float = 128.0
     total_buffer_kb: float = 392.0
 
@@ -119,11 +119,7 @@ class GenericAcceleratorModel(AcceleratorModel):
         self.name = config.name
         self.dram_overlap = config.dram_overlap
         self.total_power_mw = config.total_power_mw
-        buffers = BufferSet([
-            BufferSpec("aggregation", config.aggregation_buffer_kb),
-            BufferSpec("unified", config.total_buffer_kb - config.aggregation_buffer_kb),
-        ])
-        super().__init__(buffers, dram=dram)
+        super().__init__(dram=dram)
 
     # ------------------------------------------------------------------
     def layer_cost(self, workload: Workload, layer_index: int) -> LayerCost:
@@ -205,7 +201,7 @@ class GenericAcceleratorModel(AcceleratorModel):
         traffic = self.dram.sequential_access(input_bytes, purpose="features_in")
         weight_bits = 32 if bits_f == 32 else 8
         traffic.accumulate(self.dram.sequential_access(
-            f_in * f_out * weight_bits / 8.0, purpose="weights"))
+            self.weight_traffic_bytes(layer, weight_bits), purpose="weights"))
 
         if cfg.execution_order == "AXW":
             # Per-edge gathers of full feature vectors (HyGCN's window
@@ -221,15 +217,20 @@ class GenericAcceleratorModel(AcceleratorModel):
             from ..sim.locality import aggregation_locality_traffic
 
             combined_bytes = f_out * bits_f / 8.0
-            buffer_bytes = self.buffers["aggregation"].capacity_bytes
+            buffer_bytes = int(cfg.aggregation_buffer_kb * 1024)
             buffer_nodes = max(int(buffer_bytes / max(f_out * 4.0, 1.0)), 1)
             num_parts = max(int(math.ceil(n / buffer_nodes)), 1)
             partitioned = cfg.locality == "metis" and num_parts > 1
+            # The unified buffer is what the aggregation buffer leaves of
+            # the matched budget; no baseline has a Sparse Buffer, and
+            # its naive and metis strategies never read one.
             agg = aggregation_locality_traffic(
                 workload.adjacency, combined_bytes, self.dram,
                 strategy="metis" if partitioned else "naive",
                 num_parts=num_parts, buffer_nodes=buffer_nodes,
-                combination_buffer_bytes=self.buffers["unified"].capacity_bytes,
+                combination_buffer_bytes=int(
+                    (cfg.total_buffer_kb - cfg.aggregation_buffer_kb) * 1024),
+                sparse_buffer_bytes=0,
             )
             traffic.accumulate(agg.total)
 

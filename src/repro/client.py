@@ -164,13 +164,6 @@ class ServeClient:
     def stats(self) -> Dict:
         return self.request_json("GET", "/stats")
 
-    def health(self) -> bool:
-        try:
-            status, _, _ = self._once("GET", "/healthz", None, 0)
-        except (OSError, http.client.HTTPException):
-            return False
-        return status == 200
-
     def ready(self) -> bool:
         try:
             status, _, _ = self._once("GET", "/readyz", None, 0)

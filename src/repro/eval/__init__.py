@@ -24,7 +24,6 @@ _EXPORTS = {
     "geomean": "reporting",
     "format_table": "reporting",
     "print_table": "reporting",
-    "normalize_to": "reporting",
 }
 _SUBMODULES = ("accuracy", "engine", "experiments", "journal", "reporting",
                "supervise")

@@ -94,7 +94,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
 
 from .. import faults
 from ..artifacts import ArtifactStore, artifact_store, derive_artifact_id
-from ..perf.cache import ContentCache, cached_load_dataset, graph_fingerprint
+from ..perf.cache import (ContentCache, cached_load_dataset, clear_all_caches,
+                          graph_fingerprint)
 from ..registry import get_accelerator
 from .supervise import JobFailure, Supervisor, run_serial
 
@@ -565,10 +566,13 @@ class SweepEngine:
 
     # -- maintenance -------------------------------------------------------
     def clear_memory(self) -> None:
-        """Drop in-process caches (stored artifacts survive)."""
+        """Drop in-process caches (stored artifacts survive): this
+        engine's reports and tables, the workload memo, and the
+        ``repro.perf.cache`` dataset, partition and locality caches."""
         self.reports.clear()
         self.tables.clear()
         _WORKLOAD_MEMO.clear()
+        clear_all_caches()
         self.executed_jobs = 0
         self.executed_train_jobs = 0
         self.pool_used = False

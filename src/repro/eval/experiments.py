@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 import numpy as np
 
-from ..perf.cache import cached_load_dataset, clear_all_caches
+from ..perf.cache import cached_load_dataset
 from ..registry import EXPERIMENTS, SUITES, ExperimentSpec, SuiteEntry
 from ..sim.accelerator import SimReport
 from ..sim.dram import DramModel
@@ -111,14 +111,13 @@ def simulate(accelerator: str, dataset: str, model: str,
 
 def clear_caches() -> None:
     """Reset every in-process sweep cache: engine memory (job results,
-    tables, workloads), datasets and partitions.
+    tables, workloads), datasets, partitions and locality structures.
 
     Disk entries survive (they are content-keyed and code-versioned);
     this drops the in-process state so tests and benchmarks cannot leak
     sweep results into each other.
     """
     get_engine().clear_memory()
-    clear_all_caches()
 
 
 # ----------------------------------------------------------------------
@@ -196,12 +195,15 @@ def _locality_reduce(results: Mapping, dataset, feature_dim, feature_bits,
     engine = get_engine()
 
     def compute() -> Dict[str, Dict[str, float]]:
+        from ..mega.config import MegaConfig
         from ..sim.locality import aggregation_locality_traffic
 
         graph = cached_load_dataset(dataset, scale="sim")
         dram = DramModel()
+        cfg = MegaConfig()  # the study runs at MEGA's Table IV buffers
         feat_bytes = feature_dim * feature_bits / 8.0
-        buffer_nodes = max(int(128 * 1024 / (feature_dim * 2.0)), 1)
+        agg_buffer = int(cfg.aggregation_buffer_kb * 1024)
+        buffer_nodes = max(int(agg_buffer / (feature_dim * 2.0)), 1)
         parts_count = num_parts
         if parts_count is None:
             parts_count = max(int(np.ceil(graph.num_nodes / buffer_nodes)), 2)
@@ -210,6 +212,8 @@ def _locality_reduce(results: Mapping, dataset, feature_dim, feature_bits,
             traffic = aggregation_locality_traffic(
                 graph.adjacency, feat_bytes, dram, strategy=strategy,
                 num_parts=parts_count, buffer_nodes=buffer_nodes,
+                combination_buffer_bytes=int(cfg.combination_buffer_kb * 1024),
+                sparse_buffer_bytes=int(cfg.sparse_buffer_kb * 1024),
             )
             out[strategy] = {
                 "internal_mb": traffic.internal.total_mb,
@@ -366,7 +370,6 @@ EXPERIMENTS.add("stall_table", ExperimentSpec(
     defaults=(("datasets", ("cora", "citeseer", "pubmed")),
               ("accelerators", ("hygcn", "gcnax", "mega"))),
     suite_param="datasets",
-    suite_kind="datasets",
     smoke=True,
 ))
 
@@ -400,7 +403,6 @@ EXPERIMENTS.add("package_length_study", ExperimentSpec(
               ("settings", ((16, 24, 32), (64, 128, 192), (160, 192, 296),
                             (192, 296, 400), (400, 512, 800)))),
     suite_param="datasets",
-    suite_kind="datasets",
     smoke=True,
 ))
 
@@ -421,7 +423,6 @@ EXPERIMENTS.add("original_config_comparison", ExperimentSpec(
     reduce=_original_config_reduce,
     defaults=(("datasets", ("cora", "citeseer", "pubmed")), ("model", "gcn")),
     suite_param="datasets",
-    suite_kind="datasets",
 ))
 
 EXPERIMENTS.add("energy_breakdown_fig18", ExperimentSpec(
@@ -431,5 +432,4 @@ EXPERIMENTS.add("energy_breakdown_fig18", ExperimentSpec(
     reduce=_energy_breakdown_reduce,
     defaults=(("datasets", ("cora", "citeseer", "pubmed")), ("model", "gcn")),
     suite_param="datasets",
-    suite_kind="datasets",
 ))

@@ -185,10 +185,6 @@ class RunJournal:
         return {r["fingerprint"] for r in self._records
                 if r.get("type") == "job" and r.get("status") == "failed"}
 
-    def completed_experiments(self) -> Set[str]:
-        return {r["name"] for r in self._records
-                if r.get("type") == "experiment"}
-
     @property
     def complete(self) -> bool:
         return any(r.get("type") == "run-complete" for r in self._records)

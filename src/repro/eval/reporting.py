@@ -6,8 +6,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["geomean", "format_table", "print_table", "normalize_to",
-           "markdown_table"]
+__all__ = ["geomean", "format_table", "print_table", "markdown_table"]
 
 
 def geomean(values: Iterable[float]) -> float:
@@ -16,16 +15,6 @@ def geomean(values: Iterable[float]) -> float:
     if len(arr) == 0:
         return float("nan")
     return float(np.exp(np.log(np.maximum(arr, 1e-12)).mean()))
-
-
-def normalize_to(rows: Dict[str, Dict[str, float]], reference: str) -> Dict[str, Dict[str, float]]:
-    """Normalize each row's values to the reference column (paper style)."""
-    out: Dict[str, Dict[str, float]] = {}
-    for row_key, row in rows.items():
-        ref = row[reference]
-        out[row_key] = {col: ref / value if value else float("inf")
-                        for col, value in row.items()}
-    return out
 
 
 def format_table(rows: Sequence[Sequence], headers: Sequence[str],

@@ -134,15 +134,6 @@ class FaultPlan:
             f"{self.seed}|{kind}|{token}".encode()).digest()
         return int.from_bytes(digest[:8], "big") / _DRAW_DENOM < rate
 
-    def spec(self) -> str:
-        """The ``REPRO_FAULTS`` string form of this plan."""
-        parts = []
-        caps = dict(self.caps)
-        for kind, rate in self.rates:
-            cap = caps.get(kind)
-            parts.append(f"{kind}={rate:g}" + (f":{cap}" if cap is not None
-                                               else ""))
-        return ",".join(parts)
 
 
 def parse_fault_spec(spec: str, seed: int = 0) -> FaultPlan:

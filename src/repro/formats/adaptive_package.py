@@ -84,15 +84,6 @@ class Package:
     bitwidth: int
     values: np.ndarray
 
-    def total_bits(self, config: PackageConfig) -> int:
-        return config.lengths[self.mode]
-
-    def used_bits(self) -> int:
-        return HEADER_BITS + len(self.values) * self.bitwidth
-
-    def padding_bits(self, config: PackageConfig) -> int:
-        return self.total_bits(config) - self.used_bits()
-
 
 class AdaptivePackageEncoded:
     """Full encoded feature map: package stream + bitmap index.

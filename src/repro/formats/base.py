@@ -35,14 +35,6 @@ class FormatReport:
     total_bits: int
     breakdown: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def total_mb(self) -> float:
-        return self.total_bits / 8.0 / 2 ** 20
-
-    def overhead_vs(self, ideal_bits: int) -> float:
-        """Ratio of this format's footprint to the ideal lower bound."""
-        return self.total_bits / max(ideal_bits, 1)
-
 
 class SparseFormat:
     """Base class: subclasses implement encode/decode/measure."""
@@ -62,10 +54,6 @@ class SparseFormat:
                 feature_dim: int) -> FormatReport:
         """Storage footprint from statistics only (no values needed)."""
         raise NotImplementedError
-
-    # Convenience used by tests and benchmarks.
-    def roundtrip(self, values: np.ndarray, bits_per_node: np.ndarray) -> np.ndarray:
-        return self.decode(self.encode(values, bits_per_node))
 
     @staticmethod
     def _validate(values: np.ndarray, bits_per_node: np.ndarray) -> None:

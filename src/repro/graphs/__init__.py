@@ -21,7 +21,6 @@ _EXPORTS = {
     "partition_graph": "partition",
     "PartitionResult": "partition",
     "edge_cut": "partition",
-    "sparse_connection_edges": "partition",
     "coo_view": "sparse_utils",
     "cross_edge_mask": "sparse_utils",
     "sample_adjacency": "sparse_utils",

@@ -11,12 +11,12 @@ Degree-Aware quantizer and the accelerator simulators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse_utils import coo_view, sample_adjacency
+from .sparse_utils import sample_adjacency
 
 __all__ = ["Graph"]
 
@@ -95,14 +95,6 @@ class Graph:
         return self._cache["in_degrees"]
 
     @property
-    def out_degrees(self) -> np.ndarray:
-        """Number of outgoing edges per node (column sums)."""
-        if "out_degrees" not in self._cache:
-            deg = np.asarray(self.adjacency.astype(bool).sum(axis=0)).reshape(-1)
-            self._cache["out_degrees"] = deg.astype(np.int64)
-        return self._cache["out_degrees"]
-
-    @property
     def average_degree(self) -> float:
         return self.num_edges / max(self.num_nodes, 1)
 
@@ -169,20 +161,6 @@ class Graph:
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def subgraph(self, nodes: np.ndarray) -> "Graph":
-        """Node-induced subgraph with remapped contiguous ids."""
-        nodes = np.asarray(nodes)
-        sub_adj = self.adjacency[nodes][:, nodes].tocsr()
-        return Graph(
-            adjacency=sub_adj,
-            features=self.features[nodes],
-            labels=self.labels[nodes],
-            train_mask=self.train_mask[nodes],
-            val_mask=self.val_mask[nodes],
-            test_mask=self.test_mask[nodes],
-            name=f"{self.name}:sub{len(nodes)}",
-        )
-
     def sample_neighbors(
         self, max_neighbors: int, rng: Optional[np.random.Generator] = None
     ) -> "Graph":
@@ -198,11 +176,6 @@ class Graph:
             test_mask=self.test_mask,
             name=f"{self.name}:sampled{max_neighbors}",
         )
-
-    def edge_list(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (dst, src) arrays of the directed edge list."""
-        coo = coo_view(self.adjacency)
-        return coo.row.astype(np.int64), coo.col.astype(np.int64)
 
     def summary(self) -> Dict[str, float]:
         """Key statistics used in the paper's Table II."""

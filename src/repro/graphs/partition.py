@@ -43,14 +43,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse_utils import cross_edge_mask, cross_edges
+from .sparse_utils import cross_edge_mask
 
 __all__ = [
     "partition_graph",
     "PartitionResult",
     "edge_cut",
-    "sparse_connection_edges",
-    "partition_quality",
 ]
 
 # Vectorized refinement applies conflict-free move batches in rounds;
@@ -68,16 +66,12 @@ class PartitionResult:
     edge_cut: int
     balance: float
 
-    def part_nodes(self, part: int) -> np.ndarray:
-        return np.nonzero(self.parts == part)[0]
-
 
 def partition_graph(
     adjacency: sp.spmatrix,
     num_parts: int,
     seed: int = 0,
     balance_factor: float = 1.1,
-    coarsen_to: Optional[int] = None,
     refine_passes: int = 2,
 ) -> PartitionResult:
     """Partition a graph into ``num_parts`` balanced parts.
@@ -102,7 +96,9 @@ def partition_graph(
 
     rng = np.random.default_rng(seed)
     sym = _symmetrize(adjacency)
-    coarsen_to = coarsen_to or max(num_parts * 24, 128)
+    # Coarsening consumes the RNG level by level and stops at this size,
+    # so the hierarchy for any part count is a prefix of the deepest one.
+    coarsen_to = max(num_parts * 24, 128)
 
     # ---- Coarsening phase -------------------------------------------------
     graphs: List[sp.csr_matrix] = [sym]
@@ -158,31 +154,6 @@ def partition_graph(
 def edge_cut(adjacency: sp.spmatrix, parts: np.ndarray) -> int:
     """Number of edges whose endpoints lie in different parts."""
     return int(np.count_nonzero(cross_edge_mask(adjacency, parts)))
-
-
-def sparse_connection_edges(
-    adjacency: sp.spmatrix, parts: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Return the (dst, src) arrays of inter-subgraph edges.
-
-    These are the "sparse connections" of Sec. III-B / V-E: edges whose
-    source node lives in a different subgraph than their destination.
-    """
-    return cross_edges(adjacency, parts)
-
-
-def partition_quality(adjacency: sp.spmatrix, parts: np.ndarray) -> dict:
-    """Summary metrics: edge cut, cut fraction, part balance."""
-    num_parts = int(parts.max()) + 1
-    cut = edge_cut(adjacency, parts)
-    sizes = np.bincount(parts, minlength=num_parts)
-    ideal = adjacency.shape[0] / num_parts
-    return {
-        "edge_cut": cut,
-        "cut_fraction": cut / max(adjacency.nnz, 1),
-        "balance": float(sizes.max() / ideal),
-        "num_parts": num_parts,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["coo_view", "cross_edge_mask", "cross_edges", "sample_adjacency"]
+__all__ = ["coo_view", "cross_edge_mask", "sample_adjacency"]
 
 # id(matrix) -> (weakref to the matrix, (shape, nnz), its COO view).
 # The weakref both guards against id reuse after collection and (via its
@@ -55,13 +55,6 @@ def cross_edge_mask(adjacency: sp.spmatrix, parts: np.ndarray) -> np.ndarray:
     coo = coo_view(adjacency)
     parts = np.asarray(parts)
     return parts[coo.row] != parts[coo.col]
-
-
-def cross_edges(adjacency: sp.spmatrix, parts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The (dst, src) node-id arrays of the cross edges."""
-    coo = coo_view(adjacency)
-    mask = cross_edge_mask(adjacency, parts)
-    return coo.row[mask].astype(np.int64), coo.col[mask].astype(np.int64)
 
 
 def sample_adjacency(adjacency: sp.spmatrix, max_neighbors: int,

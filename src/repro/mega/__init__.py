@@ -13,10 +13,8 @@ _EXPORTS = {
     "MegaConfig": "config",
     "AREA_POWER_TABLE": "config",
     "area_power_breakdown": "config",
-    "mega_buffers": "config",
     "MegaModel": "performance",
     "CondenseUnit": "condense",
-    "condense_layout": "condense",
     "sparse_connection_sources": "condense",
     "count_cross_accesses": "condense",
     "choose_num_parts": "condense",

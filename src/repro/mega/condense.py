@@ -6,11 +6,16 @@ Two implementations are provided and tested against each other:
   Algorithm 1: eID FIFOs holding each subgraph's sparse-connection
   source ids in ascending order, head-compare against every newly
   combined node, Sparse Buffer pointer bookkeeping;
-- :func:`condense_layout` — the vectorized equivalent (per subgraph,
-  the ascending unique cross sources), used by the performance model.
+- :func:`sparse_connection_sources` — the vectorized equivalent (per
+  subgraph, the ascending unique cross sources): nodes finish
+  combination in ascending id order and each eID FIFO is ascending, so
+  subgraph ``p``'s reordered Sparse Buffer region holds exactly these
+  sources in this order.
 
 Plus trace-level DRAM access counters that the analytical traffic model
-in :mod:`repro.sim.locality` is validated against.
+in :mod:`repro.sim.locality` is validated against.  The performance
+model reads only :func:`choose_num_parts` from here; its aggregation
+traffic comes from that analytical model.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from ..graphs.sparse_utils import coo_view, cross_edge_mask
 
 __all__ = [
     "CondenseUnit",
-    "condense_layout",
     "sparse_connection_sources",
     "count_cross_accesses",
     "choose_num_parts",
@@ -68,17 +72,6 @@ def sparse_connection_sources(adjacency: sp.csr_matrix, parts: np.ndarray) -> Di
     return out
 
 
-def condense_layout(adjacency: sp.csr_matrix, parts: np.ndarray) -> Dict[int, np.ndarray]:
-    """Vectorized Condense-Edge outcome.
-
-    Nodes finish combination in ascending id order and each subgraph's
-    eID FIFO is ascending, so the reordered Sparse Buffer region of
-    subgraph ``p`` holds exactly its unique cross sources in ascending
-    order.
-    """
-    return sparse_connection_sources(adjacency, parts)
-
-
 @dataclass
 class CondenseUnit:
     """Step-by-step simulation of Algorithm 1.
@@ -90,7 +83,6 @@ class CondenseUnit:
 
     adjacency: sp.csr_matrix
     parts: np.ndarray
-    fifo_capacity: int = 8
 
     def __post_init__(self) -> None:
         self.num_parts = int(self.parts.max()) + 1 if len(self.parts) else 0
@@ -165,7 +157,7 @@ def count_cross_accesses(
     if not condensed:
         per_read = max(int(math.ceil(feature_bytes / transaction_bytes)), 1)
         return int(cross.sum()) * per_read
-    layout = condense_layout(adjacency, parts)
+    layout = sparse_connection_sources(adjacency, parts)
     total = 0
     for sources in layout.values():
         if len(sources):

@@ -6,6 +6,13 @@ The unit counts come straight from the paper: 4 Combination Tiles of
 392 KB of SRAM split over six buffers.  The area/power numbers are the
 paper's measured 28 nm values, used as the component library for the
 energy/area reporting benchmarks (we have no Design Compiler here).
+
+:class:`MegaModel <repro.mega.performance.MegaModel>` reads the
+aggregation, combination and Sparse Buffer capacities from
+:class:`MegaConfig`; the input, edge and weight buffers only complete
+Table IV's 392 KB.  SRAM access costs live in
+:class:`~repro.sim.energy.EnergyConstants`, and leakage is a share of
+the total power there, not per-buffer shares.
 """
 
 from __future__ import annotations
@@ -14,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from ..formats import PackageConfig
-from ..sim import BufferSet, BufferSpec
 
-__all__ = ["MegaConfig", "AREA_POWER_TABLE", "mega_buffers", "area_power_breakdown"]
+__all__ = ["MegaConfig", "AREA_POWER_TABLE", "area_power_breakdown"]
 
 # Component -> (area mm^2, power mW), paper Table IV at 28 nm / 1 GHz.
 AREA_POWER_TABLE: Dict[str, Tuple[float, float]] = {
@@ -50,7 +56,6 @@ class MegaConfig:
     bses_per_cpe: int = 32
     aggregation_units: int = 256
     qn_units: int = 32
-    eid_fifos: int = 16
     weight_bits: int = 4
     psum_bits: int = 16
     package: PackageConfig = field(default_factory=PackageConfig)
@@ -72,19 +77,6 @@ class MegaConfig:
         return (self.aggregation_buffer_kb + self.combination_buffer_kb
                 + self.input_buffer_kb + self.edge_buffer_kb
                 + self.sparse_buffer_kb + self.weight_buffer_kb)
-
-
-def mega_buffers(config: MegaConfig = MegaConfig()) -> BufferSet:
-    """The six SRAM buffers of Fig. 8 with Table IV leakage shares."""
-    specs = [
-        BufferSpec("aggregation", config.aggregation_buffer_kb, leakage_mw=4.7),
-        BufferSpec("combination", config.combination_buffer_kb, leakage_mw=3.5),
-        BufferSpec("input", config.input_buffer_kb, leakage_mw=2.3),
-        BufferSpec("edge", config.edge_buffer_kb, leakage_mw=0.9),
-        BufferSpec("sparse", config.sparse_buffer_kb, leakage_mw=1.3),
-        BufferSpec("weight", config.weight_buffer_kb, leakage_mw=1.4),
-    ]
-    return BufferSet(specs)
 
 
 def area_power_breakdown() -> Dict[str, Dict[str, float]]:

@@ -34,7 +34,7 @@ from ..paper_data import MEGA_TOTAL_POWER_MW
 from ..registry import ACCELERATORS, AcceleratorEntry
 from ..sim import DramModel
 from ..sim.accelerator import AcceleratorModel, LayerCost
-from .config import MegaConfig, mega_buffers
+from .config import MegaConfig
 
 if TYPE_CHECKING:
     from ..sim.workload import LayerSpec, Workload
@@ -64,7 +64,7 @@ class MegaModel(AcceleratorModel):
                  partition: bool = True,
                  dram: Optional[DramModel] = None) -> None:
         self.config = config or MegaConfig()
-        super().__init__(mega_buffers(self.config), dram=dram)
+        super().__init__(dram=dram)
         if storage not in ("adaptive-package", "bitmap"):
             raise ValueError(f"unknown storage {storage!r}")
         self.storage = storage
@@ -114,7 +114,7 @@ class MegaModel(AcceleratorModel):
 
         # Combined features B are ~dense 4-bit vectors (Sec. V-A).
         combined_bytes = f_out * cfg.weight_bits / 8.0
-        agg_buffer = self.buffers["aggregation"].capacity_bytes
+        agg_buffer = int(cfg.aggregation_buffer_kb * 1024)
         num_parts = choose_num_parts(n, f_out, agg_buffer, cfg.psum_bits)
         partitioned = self.partition and num_parts > 1
         strategy = "condense" if self.condense else ("metis" if partitioned else "naive")
@@ -123,7 +123,8 @@ class MegaModel(AcceleratorModel):
             adjacency, combined_bytes, self.dram, strategy=strategy,
             num_parts=num_parts if partitioned else None,
             buffer_nodes=buffer_nodes,
-            combination_buffer_bytes=self.buffers["combination"].capacity_bytes,
+            combination_buffer_bytes=int(cfg.combination_buffer_kb * 1024),
+            sparse_buffer_bytes=int(cfg.sparse_buffer_kb * 1024),
         )
         traffic.accumulate(agg_traffic.total)
 

@@ -12,7 +12,6 @@ _EXPORTS = {
     "Module": "module",
     "QuantHooks": "layers",
     "Linear": "layers",
-    "MLP": "layers",
     "GraphConv": "layers",
     "GINConv": "layers",
     "SageConv": "layers",

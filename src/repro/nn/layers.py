@@ -19,7 +19,7 @@ from .module import Module
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-__all__ = ["QuantHooks", "Linear", "GraphConv", "GINConv", "SageConv", "GATConv", "MLP"]
+__all__ = ["QuantHooks", "Linear", "GraphConv", "GINConv", "SageConv", "GATConv"]
 
 
 class QuantHooks:
@@ -62,19 +62,6 @@ class Linear(Module):
         if self.bias is not None:
             out = out + self.bias
         return out
-
-
-class MLP(Module):
-    """Two-layer ReLU MLP used as the GIN combination function."""
-
-    def __init__(self, in_dim: int, hidden_dim: int, out_dim: int,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        self.fc1 = Linear(in_dim, hidden_dim, rng=rng)
-        self.fc2 = Linear(hidden_dim, out_dim, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.fc2(self.fc1(x).relu())
 
 
 class GraphConv(Module):

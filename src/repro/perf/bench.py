@@ -623,8 +623,7 @@ def run_benchmarks(sizes: Optional[List[str]] = None, repeats: int = 3,
     }
     for size in sizes:
         graph, values, bits, num_parts = _bench_inputs(size, seed=seed)
-        parts = cached_partition(graph.adjacency, num_parts,
-                                 refine_passes=1).parts
+        parts = cached_partition(graph.adjacency, num_parts).parts
         kernels["adaptive_package_encode"][size] = _bench_encode(
             values, bits, repeats)
         kernels["condense_run"][size] = _bench_condense(

@@ -9,7 +9,8 @@ garbage collection:
   seed)`` (synthetic generation is deterministic in those);
 - :func:`cached_partition` memoizes
   :func:`~repro.graphs.partition.partition_graph` per adjacency
-  fingerprint and partitioner parameters;
+  fingerprint and part count, at the one setting every caller uses
+  (seed 0, balance 1.1, one refinement pass);
 - ``LOCALITY_CACHE`` holds the aggregation-locality statistics of each
   (adjacency fingerprint, tiling); its only reader and writer is
   :func:`~repro.sim.locality.locality_structure`.
@@ -155,41 +156,30 @@ def graph_fingerprint(adjacency: sp.spmatrix) -> str:
 PARTITION_DISK_MIN_EDGES = 200_000
 
 
-def cached_partition(
-    adjacency: sp.spmatrix,
-    num_parts: int,
-    seed: int = 0,
-    balance_factor: float = 1.1,
-    refine_passes: int = 2,
-) -> PartitionResult:
-    """Memoized :func:`~repro.graphs.partition.partition_graph`.
+def cached_partition(adjacency: sp.spmatrix, num_parts: int) -> PartitionResult:
+    """Memoized :func:`~repro.graphs.partition.partition_graph` at seed
+    0, balance 1.1 and one refinement pass.
 
-    Content-keyed on the adjacency's CSR fingerprint plus every
-    partitioner parameter; large graphs additionally resolve through the
-    content-addressed :class:`~repro.artifacts.ArtifactStore` (kind
-    ``"partition"``), so concurrent sweep workers, later processes and
-    imported corpora partition each scale scenario exactly once — with
-    manifest-backed integrity and quarantine-on-corruption instead of a
-    bare pickle blob.
+    Content-keyed on the adjacency's CSR fingerprint and the part count;
+    large graphs additionally resolve through the content-addressed
+    :class:`~repro.artifacts.ArtifactStore` (kind ``"partition"``), so
+    concurrent sweep workers, later processes and imported corpora
+    partition each scale scenario exactly once — with manifest-backed
+    integrity and quarantine-on-corruption instead of a bare pickle
+    blob.
     """
-    key = (graph_fingerprint(adjacency), num_parts, seed, balance_factor,
-           refine_passes)
+    key = (graph_fingerprint(adjacency), num_parts)
 
     def compute() -> PartitionResult:
         from ..graphs.partition import partition_graph
 
-        run = lambda: partition_graph(adjacency, num_parts, seed=seed,
-                                      balance_factor=balance_factor,
-                                      refine_passes=refine_passes)
+        run = lambda: partition_graph(adjacency, num_parts, seed=0,
+                                      balance_factor=1.1, refine_passes=1)
         if adjacency.nnz >= PARTITION_DISK_MIN_EDGES:
             from ..artifacts import artifact_store
 
             value, _art_id = artifact_store().get_or_build(
-                "partition",
-                {"graph": key[0], "num_parts": num_parts, "seed": seed,
-                 "balance_factor": balance_factor,
-                 "refine_passes": refine_passes},
-                run)
+                "partition", {"graph": key[0], "num_parts": num_parts}, run)
             return value
         return run()
 

@@ -18,7 +18,6 @@ _EXPORTS = {
     "DegreeQuantizer": "degree_quant",
     "ETA": "degree_aware",
     "quantize_integer": "fake_quant",
-    "dequantize": "fake_quant",
     "qmax_for_bits": "fake_quant",
     "FakeQuantSTE": "fake_quant",
     "FakeQuantPerGroup": "fake_quant",

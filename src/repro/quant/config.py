@@ -37,7 +37,6 @@ class DegreeAwareConfig:
     penalty: float = 50.0           # lambda in Eq. 5, on L_memory / M_target^2
     scale_lr: float = 0.05          # Adam lr for the log-domain scales
     bits_lr: float = 0.05           # SGD lr for the bitwidth parameters
-    num_layers: int = 2
 
 
 @dataclass

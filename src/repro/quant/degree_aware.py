@@ -58,20 +58,17 @@ class DegreeAwareQuantizer(QuantHooks):
         self.num_groups = cfg.degree_cap
         self.num_nodes = graph.num_nodes
         self.layer_dims = list(layer_dims)
-        if len(self.layer_dims) != cfg.num_layers:
-            raise ValueError(
-                f"layer_dims has {len(self.layer_dims)} entries, expected {cfg.num_layers}"
-            )
+        num_layers = len(self.layer_dims)
 
         # Learnable per-(layer, degree) parameters; scales in log domain.
         self.log_scales = [
             Tensor(np.zeros(self.num_groups, dtype=np.float32), requires_grad=True)
-            for _ in range(cfg.num_layers)
+            for _ in range(num_layers)
         ]
-        self._scale_calibrated = [False] * cfg.num_layers
+        self._scale_calibrated = [False] * num_layers
         self.bits = [
             Tensor(np.full(self.num_groups, cfg.init_bits, dtype=np.float32), requires_grad=True)
-            for _ in range(cfg.num_layers)
+            for _ in range(num_layers)
         ]
         # Per-column weight/combined-feature log-scales, lazily sized.
         self._weight_log_scales: Dict[int, Tensor] = {}

@@ -36,7 +36,6 @@ from ..tensor import Function
 
 __all__ = [
     "quantize_integer",
-    "dequantize",
     "qmax_for_bits",
     "FakeQuantSTE",
     "FakeQuantPerGroup",
@@ -79,11 +78,6 @@ def quantize_integer(x: np.ndarray, scale: np.ndarray, bits,
         unsigned = _unsigned(x)
     _, q = _round_clip(x, scale, qmax_for_bits(bits, unsigned))
     return q.astype(np.int64)
-
-
-def dequantize(q: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Real values back from integer codes."""
-    return (q * scale).astype(np.float32)
 
 
 class FakeQuantSTE(Function):

@@ -294,6 +294,11 @@ class ExperimentSpec:
     mapping and produces the experiment's value.
     :func:`repro.report.run_experiment` runs the pair and wraps that
     value in a schema'd :class:`~repro.report.Artifact`.
+
+    ``suite_param`` names the parameter a workload suite maps onto.  Its
+    default says what the suite hands it: a default of (dataset, model)
+    pairs takes the suite's pairs, a default of dataset names its
+    distinct datasets (:meth:`suite_params`).
     """
 
     name: str
@@ -302,10 +307,8 @@ class ExperimentSpec:
     reduce: Callable[..., object]
     defaults: Tuple[Tuple[str, object], ...] = ()
     # Name of the parameter a workload suite maps onto (None = the
-    # experiment is not suite-parameterized), and whether it receives
-    # the suite's (dataset, model) pairs or just its distinct datasets.
+    # experiment is not suite-parameterized).
     suite_param: Optional[str] = None
-    suite_kind: str = "pairs"                     # "pairs" | "datasets"
     # Included in the CLI's default smoke run (`repro run` with no
     # experiment name)?  Keep False for training-backed experiments.
     smoke: bool = False
@@ -337,8 +340,9 @@ class ExperimentSpec:
             raise RegistryError(
                 f"experiment {self.name!r} is not suite-parameterized; "
                 f"those that are: {takers}")
-        value: object = (suite.workloads if self.suite_kind == "pairs"
-                         else suite.datasets)
+        default = dict(self.defaults)[self.suite_param]
+        takes_pairs = not isinstance(default[0], str)
+        value: object = suite.workloads if takes_pairs else suite.datasets
         return {self.suite_param: value}
 
 

@@ -1,6 +1,5 @@
-"""Shared hardware-simulation substrate: DRAM, SRAM buffers, energy."""
+"""Shared hardware-simulation substrate: DRAM and energy."""
 
-from .buffers import BufferSet, BufferSpec
 from .dram import DramConfig, DramModel, DramTraffic
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyConstants
 
@@ -8,8 +7,6 @@ __all__ = [
     "DramConfig",
     "DramModel",
     "DramTraffic",
-    "BufferSet",
-    "BufferSpec",
     "EnergyBreakdown",
     "EnergyConstants",
     "DEFAULT_ENERGY",

@@ -7,6 +7,12 @@ traffic (:meth:`AcceleratorModel.layer_cost`), and the base class's
 and the energy breakdown the same way for everyone — mirroring the paper's
 matched-configuration methodology (Table V: same DRAM bandwidth, same
 buffer capacity, OPS matched via BitOP equivalence).
+
+Each cost-model setting has one home.  The per-event energy costs are
+the model's ``energy`` (:class:`~repro.sim.energy.EnergyConstants`),
+from which :meth:`AcceleratorModel.simulate` computes all four energy
+terms; buffer capacities, the DRAM overlap and the total power come
+from each model's own config.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .buffers import BufferSet
 from .dram import DramModel, DramTraffic
 from .energy import DEFAULT_ENERGY, EnergyBreakdown, EnergyConstants
 
@@ -83,28 +88,28 @@ class SimReport:
 
 
 class AcceleratorModel:
-    """Base class for cycle-approximate accelerator models."""
+    """Base class for cycle-approximate accelerator models.
+
+    A subclass sets ``dram_overlap`` and ``total_power_mw`` from its
+    own config.
+    """
 
     name = "abstract"
+    # Per-event energy costs: every energy term of ``simulate`` reads
+    # them here.
+    energy: EnergyConstants = DEFAULT_ENERGY
     # Fraction of DRAM time hidden under compute by the design's
     # prefetch/ping-pong machinery.  HyGCN's weak prefetching is what
     # Fig. 1 shows as 86% stalls; MEGA's ping-pong buffers overlap most.
-    dram_overlap = 0.7
-    total_power_mw = 200.0
-    leakage_fraction = 0.10
+    dram_overlap: float
+    total_power_mw: float
 
-    def __init__(self, buffers: BufferSet,
-                 dram: Optional[DramModel] = None,
-                 energy: EnergyConstants = DEFAULT_ENERGY,
-                 clock_ghz: Optional[float] = None) -> None:
-        self.buffers = buffers
-        self.dram = dram or DramModel(energy=energy)
-        self.energy = energy
-        # Core clock (GHz).  Defaults to the DRAM config's core
-        # frequency (1.0, the paper's setting) so cycle counts and the
-        # DRAM cycles-per-byte conversion stay on one clock.
-        self.clock_ghz = (float(clock_ghz) if clock_ghz is not None
-                          else self.dram.config.core_frequency_ghz)
+    def __init__(self, dram: Optional[DramModel] = None) -> None:
+        self.dram = dram or DramModel()
+        # Core clock (GHz): the DRAM config's core frequency (1.0, the
+        # paper's setting), so cycle counts and the DRAM cycles-per-byte
+        # conversion stay on one clock.
+        self.clock_ghz = self.dram.config.core_frequency_ghz
 
     # -- subclass interface ------------------------------------------------
     def layer_cost(self, workload: Workload, layer_index: int) -> LayerCost:
@@ -126,12 +131,15 @@ class AcceleratorModel:
         stall = max(0.0, dram_cycles - hidden)
         total = compute + stall
 
-        dram_pj = self.dram.energy_pj(traffic)
+        energy = self.energy
+        dram_pj = traffic.transferred_bytes * 8.0 * energy.dram_pj_per_bit
+        # SRAM traffic splits evenly into reads and writes.
         sram_bytes = sum(c.sram_bytes_moved for c in layer_costs)
-        sram_pj = self.buffers.access_energy_pj(sram_bytes * 0.5, sram_bytes * 0.5)
+        sram_pj = (sram_bytes * 0.5 * 8.0 * energy.sram_read_pj_per_bit
+                   + sram_bytes * 0.5 * 8.0 * energy.sram_write_pj_per_bit)
         pu_pj = sum(c.pu_energy_pj for c in layer_costs)
         seconds = total / (self.clock_ghz * 1e9)
-        leakage_pj = self.total_power_mw * self.leakage_fraction * seconds * 1e9
+        leakage_pj = self.total_power_mw * energy.leakage_fraction * seconds * 1e9
 
         return SimReport(
             accelerator=self.name,
@@ -147,11 +155,6 @@ class AcceleratorModel:
         )
 
     # -- shared helpers ------------------------------------------------------
-    @staticmethod
-    def feature_bytes(layer: LayerSpec, dense_bits: float) -> float:
-        """Dense per-node feature bytes at ``dense_bits`` precision."""
-        return layer.in_dim * dense_bits / 8.0
-
     @staticmethod
     def weight_traffic_bytes(layer: LayerSpec, bits: float) -> float:
         return layer.in_dim * layer.out_dim * bits / 8.0

@@ -8,6 +8,9 @@ Models the two properties the paper's evaluation hinges on:
   transaction, so reading one 64-byte node feature from a random
   address wastes half of the burst — the inefficiency Condense-Edge
   removes (Sec. V-E).
+
+It counts transactions and cycles only; the energy of the bytes it
+moves is the accelerator model's (``AcceleratorModel.energy``).
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict
-
-from .energy import DEFAULT_ENERGY, EnergyConstants
 
 __all__ = ["DramConfig", "DramTraffic", "DramModel"]
 
@@ -80,10 +81,8 @@ class DramTraffic:
 class DramModel:
     """Transaction-level DRAM access accounting."""
 
-    def __init__(self, config: DramConfig = DramConfig(),
-                 energy: EnergyConstants = DEFAULT_ENERGY) -> None:
+    def __init__(self, config: DramConfig = DramConfig()) -> None:
         self.config = config
-        self.energy = energy
 
     # ------------------------------------------------------------------
     def sequential_access(self, useful_bytes: float, purpose: str = "") -> DramTraffic:
@@ -109,6 +108,3 @@ class DramModel:
     def cycles(self, traffic: DramTraffic) -> float:
         """Core cycles to transfer ``traffic`` at full bandwidth."""
         return traffic.transferred_bytes / self.config.bytes_per_cycle
-
-    def energy_pj(self, traffic: DramTraffic) -> float:
-        return traffic.transferred_bytes * 8.0 * self.energy.dram_pj_per_bit

@@ -6,11 +6,16 @@ use a consistent constant library at the same technology point; the
 absolute joules are calibrated to public 28 nm numbers, and every
 comparison in the benchmarks is relative (normalized), exactly like the
 paper's figures.
+
+:class:`EnergyConstants` is the one home of these constants:
+:class:`~repro.sim.accelerator.AcceleratorModel` holds it as its
+``energy`` attribute and computes all four terms of a report's
+:class:`EnergyBreakdown` (DRAM, SRAM, PU and leakage) from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 __all__ = ["EnergyConstants", "EnergyBreakdown", "DEFAULT_ENERGY"]
@@ -18,18 +23,21 @@ __all__ = ["EnergyConstants", "EnergyBreakdown", "DEFAULT_ENERGY"]
 
 @dataclass(frozen=True)
 class EnergyConstants:
-    """Per-event energy costs in picojoules (28 nm class)."""
+    """Per-event energy costs in picojoules (28 nm class), and the share
+    of a design's total power that leaks."""
 
     # DRAM (HBM 1.0): ~3.9 pJ/bit transferred.
     dram_pj_per_bit: float = 3.9
-    # On-chip SRAM (CACTI-7, few-hundred-KB buffers): per-bit access.
-    sram_pj_per_bit: float = 0.08
+    # On-chip SRAM (CACTI-7, few-hundred-KB buffers): per-bit access;
+    # a write costs slightly more than a read.
+    sram_read_pj_per_bit: float = 0.08
+    sram_write_pj_per_bit: float = 0.10
     # Compute: a 32-bit fixed-point MAC at 28 nm ~= 3.1 pJ, treated as
     # 1024 BitOPs (the paper's conversion), so ~0.003 pJ per BitOP.
     bitop_pj: float = 3.1 / 1024.0
     fp32_mac_pj: float = 4.6
-    int32_mac_pj: float = 3.1
-    # Register/control overhead folded into per-op costs.
+    # Share of a design's total power that leaks.
+    leakage_fraction: float = 0.10
 
     def int_mac_pj(self, bits_a: float, bits_b: float) -> float:
         """Energy of an integer MAC as BitOPs (bits_a x bits_b)."""
@@ -60,21 +68,6 @@ class EnergyBreakdown:
             self.pu_pj + other.pu_pj,
             self.leakage_pj + other.leakage_pj,
         )
-
-    def scaled(self, factor: float) -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            self.dram_pj * factor, self.sram_pj * factor,
-            self.pu_pj * factor, self.leakage_pj * factor,
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "dram_pj": self.dram_pj,
-            "sram_pj": self.sram_pj,
-            "pu_pj": self.pu_pj,
-            "leakage_pj": self.leakage_pj,
-            "total_pj": self.total_pj,
-        }
 
     def fractions(self) -> Dict[str, float]:
         total = max(self.total_pj, 1e-12)

@@ -24,6 +24,11 @@ tiled.  :func:`locality_structure` is the one place that tiles a graph
 builds each (graph, tiling) :class:`LocalityStructure` once per
 process, so every layer, job and batch that tiles one graph the same
 way shares it.
+
+The buffer capacities the per-job arithmetic reads (the combination
+buffer and the Sparse Buffer) have no defaults here: each caller passes
+them from its own config (``MegaConfig`` for MEGA and the locality
+study, ``BaselineConfig`` for a baseline, whose Sparse Buffer is 0).
 """
 
 from __future__ import annotations
@@ -132,8 +137,7 @@ def locality_structure(
     """The :class:`LocalityStructure` of ``adjacency`` under one tiling.
 
     An integer ``num_parts`` tiles by the content-cached partition
-    (:func:`~repro.perf.cache.cached_partition` at seed 0, one
-    refinement pass; 1 gives one tile).  ``None`` tiles contiguously in
+    (:func:`~repro.perf.cache.cached_partition`; 1 gives one tile).  ``None`` tiles contiguously in
     id tiles of ``buffer_nodes`` (the whole graph when that is
     ``None``).  Each structure is built once per process: it is
     memoized in ``repro.perf.cache``'s ``locality`` cache under the
@@ -150,8 +154,7 @@ def locality_structure(
         if num_parts is None:
             tiles = _contiguous_tiles(n, buffer_nodes or n)
         else:
-            tiles = cached_partition(adjacency, num_parts, seed=0,
-                                     refine_passes=1).parts
+            tiles = cached_partition(adjacency, num_parts).parts
         return LocalityStructure(adjacency, tiles)
 
     return LOCALITY_CACHE.get_or_compute(
@@ -163,13 +166,16 @@ def traffic_from_structure(
     feature_bytes_per_node: float,
     dram: DramModel,
     strategy: str = "condense",
-    combination_buffer_bytes: float = 96 * 1024,
-    sparse_buffer_bytes: float = 32 * 1024,
+    *,
+    combination_buffer_bytes: float,
+    sparse_buffer_bytes: float,
 ) -> AggregationTraffic:
     """Per-job scalar arithmetic of the locality model.
 
     Consumes a shared :class:`LocalityStructure`; the
     strategy/feature/buffer-dependent part is a handful of scalar ops.
+    The buffer sizes are the caller's (see
+    :func:`aggregation_locality_traffic`).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -221,8 +227,9 @@ def aggregation_locality_traffic(
     strategy: str = "condense",
     num_parts: Optional[int] = None,
     buffer_nodes: Optional[int] = None,
-    combination_buffer_bytes: float = 96 * 1024,
-    sparse_buffer_bytes: float = 32 * 1024,
+    *,
+    combination_buffer_bytes: float,
+    sparse_buffer_bytes: float,
 ) -> AggregationTraffic:
     """Model the aggregation phase's feature-read traffic.
 
@@ -237,6 +244,13 @@ def aggregation_locality_traffic(
         contiguously by ``buffer_nodes``.
     buffer_nodes:
         Aggregation-buffer capacity in nodes (partial-sum residency).
+    combination_buffer_bytes:
+        Combination-buffer capacity: a subgraph whose combined features
+        outgrow it re-reads its internal sources from DRAM.
+    sparse_buffer_bytes:
+        Sparse Buffer capacity: Condense-Edge spills only the
+        reordered features beyond it to DRAM (0 for a design without
+        one; the other strategies never read it).
     """
     structure = locality_structure(
         adjacency, num_parts=None if strategy == "naive" else num_parts,

@@ -85,29 +85,21 @@ class Workload:
     def num_edges(self) -> int:
         return int(self.adjacency.nnz)
 
-    @property
-    def in_degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency.astype(bool).sum(axis=1)).reshape(-1)
-
     def average_feature_bits(self) -> float:
         """Mean storage bits per feature value over all layer inputs.
 
-        One stacked computation over the (layer, node) bit matrix
-        instead of the seed's per-layer Python accumulation (kept as
+        Each layer's bits are summed as integers and weighted by its
+        input width in one reduce, instead of the seed's per-layer
+        float accumulation (kept as
         :func:`repro.perf.reference.average_feature_bits_reference`).
         All intermediate products are integers exactly representable in
         float64, so the result is bit-identical to the seed loop.
         """
         if not self.layers:
             return 0.0 / 0.0  # seed behaviour: ZeroDivisionError
-        if len({layer.num_nodes for layer in self.layers}) == 1:
-            layer_sums = np.stack(
-                [layer.input_bits for layer in self.layers]
-            ).astype(np.int64).sum(axis=1)
-        else:  # ragged layers: per-layer sums, still one stacked reduce
-            layer_sums = np.array(
-                [layer.input_bits.astype(np.int64).sum() for layer in self.layers],
-                dtype=np.int64)
+        layer_sums = np.array(
+            [layer.input_bits.astype(np.int64).sum() for layer in self.layers],
+            dtype=np.int64)
         in_dims = np.array([layer.in_dim for layer in self.layers], dtype=np.int64)
         nodes = np.array([layer.num_nodes for layer in self.layers], dtype=np.int64)
         total_bits = float((layer_sums.astype(np.float64) * in_dims).sum())

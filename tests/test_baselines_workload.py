@@ -1,9 +1,11 @@
 """Tests for the baseline accelerator models and workload builders."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.baselines import BASELINE_PRESETS, BaselineConfig, build_baseline
+from repro.baselines import BASELINE_PRESETS, build_baseline
 from repro.graphs import load_dataset
 from repro.mega import MegaModel
 from repro.sim.workload import (
@@ -66,6 +68,13 @@ class TestWorkloadBuilder:
         wl = workload_from_quant_run(tiny, "gcn", bits)
         assert wl.layers[0].in_dim == tiny.feature_dim
         assert (wl.layers[0].input_bits == 3).all()
+        # An FP32 baseline on the same graph keeps the graph's own
+        # features (the quickstart's GCNAX workload).
+        bits32 = np.full(tiny.num_nodes, 32, dtype=np.int64)
+        wl32 = workload_from_quant_run(tiny, "gcn", bits32, precision="fp32")
+        layer = wl32.layers[0]
+        assert layer.in_dim == tiny.feature_dim
+        assert (layer.input_bits == 32).all() and layer.weight_bits == 32
 
 
 class TestSynthesizedBits:
@@ -159,6 +168,6 @@ class TestBaselineBehavior:
     def test_invalid_storage_raises(self, wl32):
         from repro.baselines import GenericAcceleratorModel
 
-        cfg = BaselineConfig(name="bad", storage="tar")
+        cfg = replace(BASELINE_PRESETS["gcnax"], name="bad", storage="tar")
         with pytest.raises(ValueError):
             GenericAcceleratorModel(cfg).simulate(wl32)

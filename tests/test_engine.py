@@ -136,7 +136,7 @@ class TestSweepEngine:
         fingerprint = sweep_engine.dataset_fingerprint("cora")
         table = sweep_engine.cached_table(("unit", fingerprint),
                                           lambda: {"rows": [1.5, 2.5]})
-        clear_caches()  # engine memory and the dataset cache
+        clear_caches()  # engine memory and the perf caches
         replay = SweepEngine(workers=0, cache_dir=tmp_path / "sweep-cache")
         assert replay.dataset_fingerprint("cora") == fingerprint
         assert replay.cached_table(
@@ -191,6 +191,17 @@ class TestOneCachePerValue:
 
     def test_perf_caches_hold_datasets_and_partitions(self):
         assert set(cache_stats()) == {"partition", "dataset", "locality"}
+
+    def test_clear_memory_empties_every_cache(self):
+        from repro.perf.cache import cached_partition
+        from repro.sim.locality import locality_structure
+
+        adjacency = cached_load_dataset("cora", scale="tiny").adjacency
+        cached_partition(adjacency, 2)
+        locality_structure(adjacency, 2)
+        assert all(stats["entries"] for stats in cache_stats().values())
+        get_engine().clear_memory()
+        assert all(stats["entries"] == 0 for stats in cache_stats().values())
 
     def test_models_aggregate_with_the_graphs_own_operators(self):
         import ast

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval import format_table, geomean, normalize_to, simulate
+from repro.eval import format_table, geomean, simulate
 from repro.report import run_experiment
 
 WORKLOADS = (("cora", "gcn"), ("citeseer", "gcn"))
@@ -21,11 +21,6 @@ class TestReporting:
         lines = txt.splitlines()
         assert len(lines) == 4
         assert len(set(len(l) for l in lines)) == 1
-
-    def test_normalize_to(self):
-        rows = {"r": {"a": 2.0, "b": 4.0}}
-        out = normalize_to(rows, "a")
-        assert out["r"]["b"] == pytest.approx(0.5)
 
 
 class TestTables:

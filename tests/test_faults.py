@@ -18,7 +18,8 @@ class TestFaultPlan:
         assert plan.cap("corrupt_artifact") == 1
         assert plan.cap("kill") is None
         assert plan.seed == 7
-        assert parse_fault_spec(plan.spec(), seed=7) == plan
+        assert parse_fault_spec("kill=0.2,corrupt_artifact=1:1,raise=0.5",
+                                seed=7) == plan
 
     def test_parse_rejects_unknown_kind_and_bad_rate(self):
         with pytest.raises(ValueError, match="unknown fault kind"):

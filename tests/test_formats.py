@@ -33,7 +33,7 @@ class TestAllFormats:
     def test_roundtrip(self, name):
         vals, bits = random_quantized_matrix(60, 40, 0.3, seed=0)
         fmt = FORMATS[name]()
-        np.testing.assert_array_equal(fmt.roundtrip(vals, bits), vals)
+        np.testing.assert_array_equal(fmt.decode(fmt.encode(vals, bits)), vals)
 
     def test_measure_matches_encode(self, name):
         vals, bits = random_quantized_matrix(80, 32, 0.25, seed=1)
@@ -46,7 +46,7 @@ class TestAllFormats:
         vals = np.zeros((5, 8), dtype=np.int64)
         bits = np.full(5, 4, dtype=np.int64)
         fmt = FORMATS[name]()
-        np.testing.assert_array_equal(fmt.roundtrip(vals, bits), vals)
+        np.testing.assert_array_equal(fmt.decode(fmt.encode(vals, bits)), vals)
 
     def test_invalid_bitwidth_rejected(self, name):
         vals = np.zeros((3, 4), dtype=np.int64)
@@ -139,7 +139,7 @@ class TestAdaptivePackageInternals:
         encoded = AdaptivePackageFormat().encode(vals, np.array([2]))
         pkg = encoded.packages[0]
         assert pkg.mode == 0
-        assert pkg.padding_bits(PackageConfig()) == 64 - 5 - 3 * 2
+        assert encoded.report().breakdown["padding"] == 64 - 5 - 3 * 2
 
     def test_small_values_use_short_mode(self):
         vals = np.zeros((1, 10), dtype=np.int64)
@@ -152,7 +152,10 @@ class TestAdaptivePackageInternals:
         vals = np.ones((1, 20), dtype=np.int64)
         encoded = AdaptivePackageFormat(cfg).encode(vals, np.array([2]))
         for pkg in encoded.packages:
-            assert pkg.total_bits(cfg) in (16, 24, 32)
+            assert (HEADER_BITS + len(pkg.values) * pkg.bitwidth
+                    <= cfg.lengths[pkg.mode])
+        assert encoded.report().breakdown["packages"] == sum(
+            cfg.lengths[pkg.mode] for pkg in encoded.packages)
 
     def test_package_count_helper(self):
         vals, bits = random_quantized_matrix(50, 30, 0.3, seed=2)
@@ -197,7 +200,7 @@ class TestFormatComparisons:
                                              bit_choices=(2, 3))
         nnz = (vals != 0).sum(axis=1)
         ap = AdaptivePackageFormat().measure(nnz, bits, 256)
-        ratio = ap.overhead_vs(ideal_bits(nnz, bits))
+        ratio = ap.total_bits / ideal_bits(nnz, bits)
         assert ratio < 2.5  # paper Fig. 4: near-ideal, index included
 
     def test_report_breakdown_sums(self):

@@ -24,7 +24,8 @@ class TestRunJournal:
                                "suite": "quick"}
         assert loaded.completed_jobs() == {"fp-1"}
         assert loaded.failed_jobs() == {"fp-2"}
-        assert loaded.completed_experiments() == {"stall_table"}
+        assert {r["name"] for r in loaded.records
+                if r.get("type") == "experiment"} == {"stall_table"}
         assert loaded.complete
 
     def test_load_missing_run_raises(self, tmp_path):

@@ -15,12 +15,11 @@ from repro.mega import (
     area_power_breakdown,
     bit_serial_matmul,
     choose_num_parts,
-    condense_layout,
     count_cross_accesses,
     cpe_group_trace,
     decode_and_combine,
-    mega_buffers,
     quantized_layer_forward,
+    sparse_connection_sources,
 )
 from repro.sim.workload import build_workload
 
@@ -125,7 +124,7 @@ class TestCondenseUnit:
         graph, parts = parts_setup
         unit = CondenseUnit(graph.adjacency, parts)
         buffer = unit.run()
-        layout = condense_layout(graph.adjacency, parts)
+        layout = sparse_connection_sources(graph.adjacency, parts)
         for p in layout:
             assert buffer[p] == layout[p].tolist()
 
@@ -139,7 +138,7 @@ class TestCondenseUnit:
         graph, parts = parts_setup
         unit = CondenseUnit(graph.adjacency, parts)
         unit.run()
-        layout = condense_layout(graph.adjacency, parts)
+        layout = sparse_connection_sources(graph.adjacency, parts)
         assert unit.matches == sum(len(v) for v in layout.values())
 
     def test_sparse_buffer_sorted_ascending(self, parts_setup):
@@ -167,7 +166,6 @@ class TestConfig:
 
     def test_buffer_total_392kb(self):
         assert MegaConfig().total_buffer_kb == 392.0
-        assert mega_buffers().total_kb == 392.0
 
     def test_area_power_breakdown_totals(self):
         table = area_power_breakdown()

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 from repro.graphs import load_dataset
 from repro.nn import (
     GAT,
     GCN,
     GIN,
+    GINConv,
     GraphSage,
     Linear,
-    MLP,
     Module,
     TrainConfig,
     build_model,
@@ -33,32 +35,35 @@ class TestModule:
         assert len(params) == 2  # weight + bias
 
     def test_nested_discovery(self):
-        mlp = MLP(4, 8, 2)
-        assert len(mlp.parameters()) == 4
+        gin = GINConv(4, 8, 2, layer_index=0)
+        assert len(gin.parameters()) == 3  # weight, out.weight, out.bias
 
     def test_named_parameters_unique(self):
-        mlp = MLP(4, 8, 2)
-        names = [n for n, _ in mlp.named_parameters()]
+        gin = GINConv(4, 8, 2, layer_index=0)
+        names = [n for n, _ in gin.named_parameters()]
         assert len(names) == len(set(names))
 
     def test_state_dict_roundtrip(self):
-        a, b = MLP(4, 8, 2, rng=np.random.default_rng(0)), MLP(4, 8, 2, rng=np.random.default_rng(1))
+        a, b = (GINConv(4, 8, 2, 0, rng=np.random.default_rng(seed))
+                for seed in (0, 1))
         b.load_state_dict(a.state_dict())
         x = Tensor(np.ones((2, 4), dtype=np.float32))
-        np.testing.assert_allclose(a(x).data, b(x).data, atol=1e-6)
+        adjacency = sp.identity(2, format="csr")
+        np.testing.assert_allclose(a(x, adjacency).data, b(x, adjacency).data,
+                                   atol=1e-6)
 
     def test_load_state_dict_missing_raises(self):
-        mlp = MLP(4, 8, 2)
+        gin = GINConv(4, 8, 2, layer_index=0)
         with pytest.raises(KeyError):
-            mlp.load_state_dict({})
+            gin.load_state_dict({})
 
     def test_train_eval_flags(self):
-        mlp = MLP(2, 2, 2)
-        assert mlp.training
-        mlp.eval()
-        assert not mlp.training and not mlp.fc1.training
-        mlp.train()
-        assert mlp.fc2.training
+        gin = GINConv(2, 2, 2, layer_index=0)
+        assert gin.training
+        gin.eval()
+        assert not gin.training and not gin.out.training
+        gin.train()
+        assert gin.out.training
 
     def test_zero_grad(self):
         lin = Linear(2, 2)

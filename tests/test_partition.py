@@ -18,9 +18,8 @@ from repro.graphs.partition import (
     PartitionResult,
     edge_cut,
     partition_graph,
-    partition_quality,
-    sparse_connection_edges,
 )
+from repro.graphs.sparse_utils import coo_view, cross_edge_mask
 from repro.perf.reference import partition_graph_reference
 
 # Edge-cut parity tolerance vs the preserved seed implementation: the
@@ -83,13 +82,6 @@ class TestPartitionQuality:
         assert res.edge_cut == 0
         assert len(set(res.parts[:10])) == 1
         assert res.parts[0] != res.parts[10]
-
-    def test_quality_dict(self, cora):
-        res = partition_graph(cora.adjacency, 4, seed=0)
-        q = partition_quality(cora.adjacency, res.parts)
-        assert q["num_parts"] == 4
-        assert 0 <= q["cut_fraction"] <= 1
-        assert q["edge_cut"] == res.edge_cut
 
 
 class TestPartitionVsReference:
@@ -195,13 +187,13 @@ class TestPartitionArtifacts:
         graph = synthetic_graph(2_000, 20_000, 16, 4, seed=0, name="disk-t")
         monkeypatch.setattr(cache_mod, "PARTITION_DISK_MIN_EDGES", 1)
         with temporary_cache_dir(tmp_path / "store"):
-            first = cache_mod.cached_partition(graph.adjacency, 4, seed=0)
+            first = cache_mod.cached_partition(graph.adjacency, 4)
             cache_mod.clear_all_caches()
             # A recompute would call partition_graph again: forbid it.
             monkeypatch.setattr(
                 partition_mod, "partition_graph",
                 lambda *a, **k: pytest.fail("partition was recomputed"))
-            warm = cache_mod.cached_partition(graph.adjacency, 4, seed=0)
+            warm = cache_mod.cached_partition(graph.adjacency, 4)
         np.testing.assert_array_equal(first.parts, warm.parts)
         assert warm.edge_cut == first.edge_cut
 
@@ -212,7 +204,7 @@ class TestPartitionArtifacts:
 
         graph = synthetic_graph(256, 1_024, 16, 4, seed=0, name="mem-t")
         with temporary_cache_dir(tmp_path / "store"):
-            cache_mod.cached_partition(graph.adjacency, 4, seed=0)
+            cache_mod.cached_partition(graph.adjacency, 4)
             # No partition artifact was published for a small graph.
             store = artifact_store()
             kinds = [e["kind"] for e in store.list_entries()]
@@ -222,16 +214,13 @@ class TestPartitionArtifacts:
 class TestSparseConnections:
     def test_cross_edges_match_edge_cut(self, cora):
         res = partition_graph(cora.adjacency, 8, seed=0)
-        dst, src = sparse_connection_edges(cora.adjacency, res.parts)
+        coo = coo_view(cora.adjacency)
+        cross = cross_edge_mask(cora.adjacency, res.parts)
+        dst, src = coo.row[cross], coo.col[cross]
         assert len(dst) == res.edge_cut
         assert (res.parts[dst] != res.parts[src]).all()
 
     def test_no_cross_edges_single_part(self, cora):
         parts = np.zeros(cora.num_nodes, dtype=np.int64)
-        dst, src = sparse_connection_edges(cora.adjacency, parts)
+        dst = coo_view(cora.adjacency).row[cross_edge_mask(cora.adjacency, parts)]
         assert len(dst) == 0
-
-    def test_part_nodes_helper(self, cora):
-        res = partition_graph(cora.adjacency, 4, seed=0)
-        nodes = res.part_nodes(0)
-        assert (res.parts[nodes] == 0).all()

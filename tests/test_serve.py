@@ -63,7 +63,7 @@ class TestEndpoints:
     def test_healthz_readyz_stats(self, serve_cache):
         with _thread_server() as handle:
             client = ServeClient(handle.url)
-            assert client.health()
+            assert client.request_json("GET", "/healthz") == {"ok": True}
             assert client.ready()
             stats = client.stats()
             assert stats["ready"] and not stats["draining"]

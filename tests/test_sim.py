@@ -1,15 +1,17 @@
 """Tests for the simulation substrate: DRAM, buffers, energy, locality."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from repro.baselines import build_baseline
 from repro.graphs import load_dataset
 from repro.graphs.partition import partition_graph
-from repro.mega import MegaModel
+from repro.mega import MegaConfig, MegaModel
 from repro.perf.cache import cache_stats, cached_load_dataset, clear_all_caches
 from repro.sim import (
-    BufferSet,
-    BufferSpec,
+    DEFAULT_ENERGY,
     DramConfig,
     DramModel,
     DramTraffic,
@@ -23,6 +25,25 @@ from repro.sim.locality import (
     locality_structure,
 )
 from repro.sim.workload import build_workload
+
+# MEGA's Table IV combination buffer and Sparse Buffer, in bytes.
+MEGA_BUFFERS = dict(combination_buffer_bytes=96 * 1024,
+                    sparse_buffer_bytes=32 * 1024)
+
+
+@pytest.fixture(scope="module")
+def cora_reports():
+    """Simulate MEGA (degree-aware) or HyGCN (fp32) on the sim-scale
+    cora GCN, optionally with other energy constants or MEGA config."""
+    workloads = {"mega": build_workload("cora", "gcn"),
+                 "hygcn": build_workload("cora", "gcn", "fp32")}
+
+    def simulate(name, energy=DEFAULT_ENERGY, config=None):
+        model = MegaModel(config) if name == "mega" else build_baseline(name)
+        model.energy = energy
+        return model.simulate(workloads[name])
+
+    return simulate
 
 
 class TestDram:
@@ -49,11 +70,10 @@ class TestDram:
         t = dram.sequential_access(256 * 100)
         assert dram.cycles(t) == pytest.approx(100.0)
 
-    def test_energy_scales_with_bits(self):
-        energy = EnergyConstants()
-        dram = DramModel(energy=energy)
-        t = dram.sequential_access(128)
-        assert dram.energy_pj(t) == pytest.approx(128 * 8 * energy.dram_pj_per_bit)
+    def test_energy_scales_with_bits(self, cora_reports):
+        report = cora_reports("hygcn")
+        assert report.energy.dram_pj == pytest.approx(
+            report.traffic.transferred_bytes * 8 * DEFAULT_ENERGY.dram_pj_per_bit)
 
     def test_traffic_addition_merges_purposes(self):
         dram = DramModel()
@@ -69,21 +89,38 @@ class TestDram:
 
 
 class TestBuffers:
-    def test_total_capacity(self):
-        buffers = BufferSet([BufferSpec("a", 64), BufferSpec("b", 32)])
-        assert buffers.total_kb == 96
+    def test_access_energy_positive(self, cora_reports):
+        """SRAM traffic is half reads, half writes, each at its own
+        ``EnergyConstants`` cost."""
+        report = cora_reports("mega")
+        moved = sum(c.sram_bytes_moved for c in report.layer_costs)
+        assert report.energy.sram_pj > 0
+        assert report.energy.sram_pj == pytest.approx(
+            moved * 0.5 * 8 * (DEFAULT_ENERGY.sram_read_pj_per_bit
+                               + DEFAULT_ENERGY.sram_write_pj_per_bit))
 
-    def test_lookup_by_name(self):
-        buffers = BufferSet([BufferSpec("agg", 128)])
-        assert buffers["agg"].capacity_bytes == 128 * 1024
+    def test_sparse_buffer_size_moves_mega_dram(self, cora_reports):
+        """Condense-Edge spills what the Sparse Buffer cannot hold, so a
+        smaller ``MegaConfig.sparse_buffer_kb`` moves more DRAM bytes."""
+        default = cora_reports("mega")
+        small = cora_reports("mega", config=MegaConfig(sparse_buffer_kb=1.0))
+        assert (small.traffic.transferred_bytes
+                > default.traffic.transferred_bytes)
 
-    def test_nodes_fitting(self):
-        buffers = BufferSet([BufferSpec("agg", 1)])  # 1 KB
-        assert buffers.nodes_fitting("agg", 256) == 4
 
-    def test_access_energy_positive(self):
-        buffers = BufferSet([BufferSpec("a", 64)])
-        assert buffers.access_energy_pj(100, 100) > 0
+class TestEnergyConstants:
+    @pytest.mark.parametrize("name", [f.name for f in fields(EnergyConstants)])
+    def test_every_constant_moves_energy(self, cora_reports, name):
+        """Doubling any constant, set as the model's ``energy``, moves
+        the energy of MEGA or HyGCN."""
+        doubled = replace(DEFAULT_ENERGY,
+                          **{name: getattr(DEFAULT_ENERGY, name) * 2})
+
+        def energies(energy):
+            return [cora_reports(accelerator, energy).energy.total_pj
+                    for accelerator in ("mega", "hygcn")]
+
+        assert energies(doubled) != energies(DEFAULT_ENERGY)
 
 
 class TestEnergyBreakdown:
@@ -115,7 +152,7 @@ class TestLocality:
         graph, _, dram = setup
         with pytest.raises(ValueError):
             aggregation_locality_traffic(graph.adjacency, 64, dram,
-                                         strategy="quantum")
+                                         strategy="quantum", **MEGA_BUFFERS)
 
     def test_condense_cross_leq_gcod_leq_metis(self, setup):
         """The Fig. 20(b) ordering: condense < gcod <= metis."""
@@ -123,7 +160,8 @@ class TestLocality:
         results = {}
         for strategy in ("metis", "gcod", "condense"):
             t = aggregation_locality_traffic(
-                graph.adjacency, 64, dram, strategy=strategy, num_parts=4)
+                graph.adjacency, 64, dram, strategy=strategy, num_parts=4,
+                **MEGA_BUFFERS)
             results[strategy] = t.cross.transferred_bytes
         assert results["gcod"] <= results["metis"]
         assert results["condense"] <= results["gcod"]
@@ -134,26 +172,30 @@ class TestLocality:
         # contiguous-read utilization of the reordered features.
         t = aggregation_locality_traffic(graph.adjacency, 64, dram,
                                          strategy="condense", num_parts=4,
+                                         combination_buffer_bytes=96 * 1024,
                                          sparse_buffer_bytes=0)
         assert t.cross.utilization > 0.45  # contiguous reads
 
     def test_condense_small_graph_stays_on_chip(self, setup):
         graph, _, dram = setup
         t = aggregation_locality_traffic(graph.adjacency, 64, dram,
-                                         strategy="condense", num_parts=4)
+                                         strategy="condense", num_parts=4,
+                                         **MEGA_BUFFERS)
         # The tiny graph's cross features fit the 32 KB Sparse Buffer.
         assert t.cross.transferred_bytes == 0
 
     def test_metis_half_utilization_small_features(self, setup):
         graph, _, dram = setup
         t = aggregation_locality_traffic(graph.adjacency, 64, dram,
-                                         strategy="metis", num_parts=4)
+                                         strategy="metis", num_parts=4,
+                                         **MEGA_BUFFERS)
         assert t.cross.utilization == pytest.approx(0.5)
 
     def test_naive_uses_contiguous_tiles(self, setup):
         graph, _, dram = setup
         t = aggregation_locality_traffic(graph.adjacency, 64, dram,
-                                         strategy="naive", buffer_nodes=32)
+                                         strategy="naive", buffer_nodes=32,
+                                         **MEGA_BUFFERS)
         assert t.cross.transferred_bytes > 0
         assert t.reorder_writes.transferred_bytes == 0
 
@@ -161,6 +203,7 @@ class TestLocality:
         graph, _, dram = setup
         t = aggregation_locality_traffic(graph.adjacency, 64, dram,
                                          strategy="condense", num_parts=4,
+                                         combination_buffer_bytes=96 * 1024,
                                          sparse_buffer_bytes=0)
         assert t.reorder_writes.useful_bytes == t.cross.useful_bytes
 
@@ -173,7 +216,8 @@ class TestLocality:
     def test_single_part_no_cross(self, setup):
         graph, _, dram = setup
         t = aggregation_locality_traffic(graph.adjacency, 64, dram,
-                                         strategy="condense", num_parts=1)
+                                         strategy="condense", num_parts=1,
+                                         **MEGA_BUFFERS)
         assert t.cross.transferred_bytes == 0
 
 

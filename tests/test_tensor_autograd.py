@@ -178,12 +178,6 @@ class TestGraphMechanics:
         with pytest.raises(RuntimeError):
             Tensor(np.ones(2)).backward()
 
-    def test_detach(self):
-        a = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-        d = a.detach()
-        assert not d.requires_grad
-        assert d.data is a.data
-
     def test_diamond_graph(self):
         a = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
         b = a * 2
