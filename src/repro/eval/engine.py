@@ -96,7 +96,7 @@ from .. import faults
 from ..artifacts import ArtifactStore, artifact_store, derive_artifact_id
 from ..perf.cache import (ContentCache, cached_load_dataset, clear_all_caches,
                           graph_fingerprint)
-from ..registry import get_accelerator
+from ..registry import get_accelerator, get_dataset
 from .supervise import JobFailure, Supervisor, run_serial
 
 if TYPE_CHECKING:
@@ -207,7 +207,8 @@ def _workload(dataset: str, model: str, precision: str, seed: int,
               target: Optional[float]) -> Workload:
     """The workload of one recipe at one quantization target, memoized.
 
-    A recipe is one (dataset, model, seed).  Its
+    A recipe is one (dataset, model, seed), the dataset keyed by its
+    registered entry's cache token.  Its
     :class:`~repro.sim.workload.WorkloadStructure` is built once and
     every (precision, target) workload derives from it, so all jobs of
     one (dataset, model, precision, target, seed) in this process get
@@ -215,7 +216,7 @@ def _workload(dataset: str, model: str, precision: str, seed: int,
     a layer's row statistics on it, so accelerators that agree on what
     those depend on (``mega`` and ``mega-no-condense``) share them.
     """
-    recipe = (dataset.lower(), model.lower(), seed)
+    recipe = (get_dataset(dataset).cache_token, model.lower(), seed)
     key = recipe + (precision, target)
     workload = _WORKLOAD_MEMO.get(key)
     if workload is None:
@@ -288,8 +289,6 @@ def _chunk_key(job):
     """
     if isinstance(job, TrainJob):
         return job
-    from ..registry import get_dataset
-
     if get_dataset(job.dataset).size_hint >= _CHUNK_SPLIT_NODES:
         return job
     return (job.dataset, job.seed)
@@ -365,16 +364,18 @@ class SweepEngine:
                             scale: str = "sim") -> str:
         """CSR fingerprint of the ``scale`` graph for ``dataset``.
 
-        Memoized in memory and as a ``memo`` artifact keyed by
-        (dataset, scale, seed): synthetic generation is deterministic in
-        those, so warm runs — and stores that imported a corpus —
-        resolve the fingerprint without regenerating the graph at all.
+        Memoized in memory and as a ``memo`` artifact keyed by the
+        dataset entry's cache token (its whole recipe), the scale and
+        the seed: synthetic generation is deterministic in those, so
+        warm runs — and stores that imported a corpus — resolve the
+        fingerprint without regenerating the graph at all, and a
+        re-registered recipe misses.
         """
         def compute() -> str:
             graph = cached_load_dataset(dataset, scale=scale, seed=seed)
             return graph_fingerprint(graph.adjacency)
 
-        key = ("graph-fp", dataset.lower(), scale, seed)
+        key = ("graph-fp", get_dataset(dataset).cache_token, scale, seed)
         return self._memo(key, compute)
 
     def _job_key(self, job) -> Tuple[str, Dict]:
@@ -384,8 +385,6 @@ class SweepEngine:
         model/flow/trainer source file — enters the id as its producer;
         the tokens cover runtime-registered accelerators/scenarios the
         source digest cannot see)."""
-        from ..registry import get_dataset
-
         dataset_token = get_dataset(job.dataset).cache_token
         if isinstance(job, TrainJob):
             return "train-result", {

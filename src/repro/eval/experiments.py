@@ -32,7 +32,8 @@ from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 import numpy as np
 
 from ..perf.cache import cached_load_dataset
-from ..registry import EXPERIMENTS, SUITES, ExperimentSpec, SuiteEntry
+from ..registry import (EXPERIMENTS, SUITES, ExperimentSpec, SuiteEntry,
+                        get_dataset)
 from ..sim.accelerator import SimReport
 from ..sim.dram import DramModel
 from .engine import SimJob, _workload, get_engine
@@ -223,7 +224,8 @@ def _locality_reduce(results: Mapping, dataset, feature_dim, feature_bits,
         return out
 
     key = ("locality_study", engine.dataset_fingerprint(dataset),
-           feature_dim, feature_bits, tuple(strategies), num_parts)
+           get_dataset(dataset).cache_token, feature_dim, feature_bits,
+           tuple(strategies), num_parts)
     return engine.cached_table(key, compute)
 
 
@@ -247,6 +249,7 @@ def _package_length_reduce(results: Mapping, datasets, settings):
     out: Dict[str, Dict[Tuple[int, int, int], float]] = {}
     for dataset in datasets:
         key = ("package_length_study", engine.dataset_fingerprint(dataset),
+               get_dataset(dataset).cache_token,
                tuple(tuple(s) for s in settings))
         out[dataset] = engine.cached_table(
             key, lambda d=dataset: one_dataset(d))

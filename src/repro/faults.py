@@ -42,18 +42,18 @@ Fault kinds:
   their retry ordinal in ``X-Repro-Attempt``), so bounded client
   retries always converge.
 - ``net_truncate`` / ``net_corrupt`` / ``net_503`` / ``net_stall`` —
-  hostile-network faults on the artifact-distribution path
-  (:mod:`repro.serve`'s ``GET /artifacts/…`` and
-  :mod:`repro.remote`'s verified fetch): the response body cut short
+  hostile-network faults on the artifact-distribution path, injected
+  by :mod:`repro.serve`'s ``GET /artifacts/…`` and met by
+  :mod:`repro.remote`'s verified fetch: the response body cut short
   mid-transfer (the client must resume via Range), a payload byte
   flipped in flight (the client's manifest re-hash must reject it), an
   HTTP 503, and a stall injected before the response (long enough to
-  trip a short client socket timeout).  Wired into *both* ends —
-  the server decides per response via :meth:`FaultInjector.on_transfer`
-  and the remote fetcher additionally mangles received bytes under the
-  same kinds with a client-side token — and, like every request-path
-  fault, they fire only on a transfer's first attempt so bounded
-  retries converge on the verified bytes.
+  trip a short client socket timeout).  The server decides per
+  response via :meth:`FaultInjector.on_transfer`; the fetcher injects
+  nothing, so a chaos plan for a fleet goes in the daemon's
+  ``REPRO_FAULTS``.  Like every request-path fault, they fire only on
+  a transfer's first attempt so bounded retries converge on the
+  verified bytes.
 
 Activation is either environment-based — ``REPRO_FAULTS="kill=0.2,
 corrupt_artifact=1.0:1"`` plus ``REPRO_FAULTS_SEED`` — which forked pool
@@ -240,12 +240,12 @@ class FaultInjector:
         Returns ``"truncate"`` (cut the body short mid-transfer),
         ``"corrupt"`` (flip a payload byte in flight), ``"503"``
         (reject with Retry-After) or ``"stall"`` (hold the response for
-        :data:`NET_STALL_S`) — or ``None`` for a clean transfer.  Both
-        ends consult this: the server with a ``net|<id>`` token on its
-        response path, the remote fetcher with a ``recv|<id>`` token on
-        the bytes it just received — distinct tokens, so a plan can hit
-        either side independently.  Fires only on a transfer's first
-        attempt; at most one action per transfer, in the order above.
+        :data:`NET_STALL_S`) — or ``None`` for a clean transfer.  The
+        serve daemon consults this with a ``net|<id>`` token on its
+        response path, so wire damage is injected at the sending end
+        only; the fetcher sees it as real damage would arrive.  Fires
+        only on a transfer's first attempt; at most one action per
+        transfer, in the order above.
         """
         if attempt != 0:
             return None

@@ -2,7 +2,9 @@
 
 Submodules and the names below load on first attribute access, so
 ``import repro.graphs.datasets`` does not pull in the partitioner or
-the sparse stack.
+the sparse stack.  :func:`load_dataset` builds any registered dataset
+(:data:`repro.registry.DATASETS`, whose built-in recipes
+:mod:`~repro.graphs.datasets` registers) at a scale.
 """
 
 from .. import _lazy_attributes
@@ -10,9 +12,7 @@ from .. import _lazy_attributes
 # Re-exported name -> the submodule defining it.
 _EXPORTS = {
     "Graph": "graph",
-    "DATASETS": "datasets",
     "load_dataset": "datasets",
-    "paper_stats": "datasets",
     "sim_feature_stats": "datasets",
     "synthetic_graph": "generators",
     "community_graph": "generators",

@@ -1,84 +1,57 @@
-"""Dataset registry mirroring the paper's Table II.
+"""The registered datasets: one recipe type, one loader.
 
-Real downloads are unavailable offline, so each named dataset maps to a
-synthetic generator matched on the statistics MEGA's mechanisms depend
-on.  Two scales are exposed:
+Real downloads are unavailable offline, so every registered dataset is
+a :class:`~repro.registry.DatasetEntry` recipe — node count, degree,
+feature length and density, classes, homophily, power-law exponent —
+from which :func:`load_dataset` generates a synthetic graph at one of
+three scales:
 
-- ``scale="train"``: a trainable :class:`~repro.graphs.Graph` with dense
-  features, reduced for NELL/Reddit so full-batch numpy training fits.
-- ``scale="sim"``: the accelerator-simulation graph.  Cora, CiteSeer and
-  PubMed keep paper-exact node/edge counts; NELL keeps its node and edge
-  counts with the 61278-d feature length tracked as a statistic; Reddit
-  is reduced 10x in nodes (with average degree 100) so scipy holds it.
+- ``scale="train"``: a trainable graph with dense features at the
+  recipe's train-scale sizes (by default ``min(nodes, 4096)`` nodes and
+  ``min(feature_dim, 512)`` features), keeping the per-node non-zero
+  count of the full feature length;
+- ``scale="sim"``: the accelerator-simulation graph at ``nodes`` and
+  ``average_degree``, carrying thin placeholder features; the full
+  feature length is a statistic (:func:`sim_feature_stats`);
+- ``scale="tiny"``: 256 nodes and 64 features, for tests.
 
-``paper_stats`` returns the Table II numbers verbatim so benchmarks can
-report paper-vs-built scales.
+The five paper stand-ins take their sizes from Table II
+(:data:`repro.paper_data.TABLE_II`).  Cora, CiteSeer and PubMed train
+and simulate at paper scale, so their train and sim graphs share one
+adjacency; NELL trains at 4,096 nodes and 1,024 features; Reddit
+simulates at 23,297 nodes (a tenth) with average degree 100 so scipy
+holds it, and trains at 2,330 nodes with degree 30.  The scale-sweep
+scenarios (power-law and community graphs of 10k-500k nodes) are
+recipes of the same type, and so is any dataset a user registers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 
-from ..paper_data import FIG5_HIDDEN_DENSITY, PAPER_AVERAGE_BITS
-from ..registry import DATASETS as DATASET_REGISTRY
-from ..registry import DatasetEntry
+from ..paper_data import TABLE_II
+from ..registry import DATASETS, DatasetEntry, get_dataset
 
 if TYPE_CHECKING:
     from .graph import Graph
 
-__all__ = ["DatasetStats", "DATASETS", "ScenarioSpec", "SCENARIO_SPECS",
-           "paper_stats", "load_dataset", "sim_feature_stats"]
+__all__ = ["load_dataset", "sim_feature_stats"]
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    """Statistics of one of the paper's datasets (Table II + feature facts)."""
-
-    name: str
-    nodes: int
-    edges: int
-    feature_dim: int
-    num_classes: int
-    average_degree: float
-    feature_density: float
-    homophily: float
-    binary_features: bool
-    power_law_exponent: float
-
-
-DATASETS: Dict[str, DatasetStats] = {
-    "cora": DatasetStats("cora", 2708, 10556, 1433, 7, 3.90, 0.0127, 0.81, True, 2.2),
-    "citeseer": DatasetStats("citeseer", 3327, 9104, 3703, 6, 2.74, 0.0085, 0.74, True, 2.3),
-    "pubmed": DatasetStats("pubmed", 19717, 88648, 500, 3, 4.50, 0.10, 0.80, False, 2.2),
-    "nell": DatasetStats("nell", 65755, 251550, 61278, 32, 3.83, 0.00013, 0.60, True, 2.4),
-    "reddit": DatasetStats("reddit", 232965, 114615892, 602, 41, 491.99, 0.516, 0.70, False, 1.9),
-}
-
-# Reduced-scale knobs: (train_nodes, train_feature_dim, sim_nodes, sim_avg_degree)
-_SCALES: Dict[str, Tuple[int, int, int, float]] = {
-    "cora": (2708, 1433, 2708, 3.90),
-    "citeseer": (3327, 3703, 3327, 2.74),
-    "pubmed": (19717, 500, 19717, 4.50),
-    "nell": (4096, 1024, 65755, 3.83),
-    "reddit": (2330, 602, 23297, 100.0),
-}
-
-
-def paper_stats(name: str) -> DatasetStats:
-    """Table II statistics for ``name`` (KeyError on unknown names)."""
-    return DATASETS[name.lower()]
-
-
-def load_dataset(name: str, scale: str = "train", seed: int = 0) -> Graph:
-    """Build the synthetic stand-in for dataset ``name`` at ``scale``.
+def load_dataset(name: Union[str, DatasetEntry], scale: str = "train",
+                 seed: int = 0) -> Graph:
+    """Build the synthetic graph of dataset ``name`` at ``scale``.
 
     Parameters
     ----------
     name:
-        One of ``cora``, ``citeseer``, ``pubmed``, ``nell``, ``reddit``.
+        A registered dataset name (``cora`` … ``reddit``, a scale
+        scenario such as ``powerlaw-10k``), or a
+        :class:`~repro.registry.DatasetEntry` itself (what
+        :meth:`DatasetEntry.load` passes, so a recipe loads whether or
+        not it is registered).
     scale:
         ``"train"`` for a dense-feature trainable graph, ``"sim"`` for
         the (larger) accelerator-simulation graph, or ``"tiny"`` for a
@@ -86,46 +59,46 @@ def load_dataset(name: str, scale: str = "train", seed: int = 0) -> Graph:
     """
     from .generators import synthetic_graph
 
-    stats = paper_stats(name)
-    train_nodes, train_fdim, sim_nodes, sim_avg_deg = _SCALES[stats.name]
-
+    entry = _entry(name)
     if scale == "train":
-        nodes, fdim = train_nodes, train_fdim
-        avg_deg = min(stats.average_degree, 30.0) if stats.name == "reddit" else stats.average_degree
-        density = _rescaled_density(stats, fdim)
+        nodes = entry.train_nodes or min(entry.nodes, 4096)
+        fdim = entry.train_feature_dim or min(entry.feature_dim, 512)
+        degree = entry.train_average_degree or entry.average_degree
+        # Keep the per-node non-zero count at the reduced feature length.
+        density = float(np.clip(
+            entry.feature_density * entry.feature_dim / fdim, 0.004, 0.9))
     elif scale == "sim":
-        nodes, avg_deg = sim_nodes, sim_avg_deg
-        # Simulation graphs carry thin placeholder features; the true
-        # feature length is tracked via ``sim_feature_stats``.
-        fdim = min(stats.feature_dim, 512)
-        density = max(stats.feature_density, 4.0 / fdim)
+        nodes, degree = entry.nodes, entry.average_degree
+        fdim = min(entry.feature_dim, 512)
+        density = max(entry.feature_density, 4.0 / fdim)
     elif scale == "tiny":
         nodes, fdim = 256, 64
-        avg_deg = min(stats.average_degree, 8.0)
-        density = max(stats.feature_density, 0.05)
+        degree = min(entry.train_average_degree or entry.average_degree, 8.0)
+        density = max(entry.feature_density, 0.05)
     else:
         raise ValueError(f"unknown scale {scale!r}; use 'train', 'sim' or 'tiny'")
 
-    edges = int(round(nodes * avg_deg))
     return synthetic_graph(
         num_nodes=nodes,
-        num_edges=edges,
+        num_edges=int(round(nodes * degree)),
         feature_dim=fdim,
-        num_classes=stats.num_classes,
+        num_classes=entry.num_classes,
         feature_density=density,
-        homophily=stats.homophily,
-        exponent=stats.power_law_exponent,
-        binary_features=stats.binary_features,
+        homophily=entry.homophily,
+        exponent=entry.exponent,
+        binary_features=entry.binary_features,
+        max_degree=entry.max_degree,
         train_fraction=0.1 if nodes < 50000 else 0.05,
-        name=f"{stats.name}-{scale}",
-        seed=seed + _name_seed(stats.name),
+        name=f"{entry.name}-{scale}",
+        seed=seed + _name_seed(entry.name),
     )
 
 
 def sim_feature_stats(
-    name: str, rng: Optional[np.random.Generator] = None
+    name: Union[str, DatasetEntry], rng: Optional[np.random.Generator] = None
 ) -> Tuple[int, np.ndarray]:
-    """Paper-scale feature length + per-node non-zero counts for ``name``.
+    """Full feature length + per-node non-zero counts for ``name`` at
+    sim scale (``name`` as in :func:`load_dataset`).
 
     Used by the storage-format and DRAM models at simulation scale where
     dense feature matrices (e.g. NELL's 65755 x 61278) cannot be
@@ -133,19 +106,17 @@ def sim_feature_stats(
     dataset's mean density, matching the diverse sparsity the paper's
     Fig. 4/5 highlights.
     """
-    stats = paper_stats(name)
-    rng = rng or np.random.default_rng(_name_seed(stats.name))
-    sim_nodes = _SCALES[stats.name][2]
-    mean_nnz = max(stats.feature_density * stats.feature_dim, 1.0)
-    spread = rng.lognormal(mean=0.0, sigma=0.6, size=sim_nodes)
-    nnz = np.clip(np.round(mean_nnz * spread), 1, stats.feature_dim).astype(np.int64)
-    return stats.feature_dim, nnz
+    entry = _entry(name)
+    rng = rng or np.random.default_rng(_name_seed(entry.name))
+    mean_nnz = max(entry.feature_density * entry.feature_dim, 1.0)
+    spread = rng.lognormal(mean=0.0, sigma=0.6, size=entry.nodes)
+    nnz = np.clip(np.round(mean_nnz * spread), 1,
+                  entry.feature_dim).astype(np.int64)
+    return entry.feature_dim, nnz
 
 
-def _rescaled_density(stats: DatasetStats, feature_dim: int) -> float:
-    """Keep the per-node non-zero count when the feature dim is reduced."""
-    nnz = stats.feature_density * stats.feature_dim
-    return float(np.clip(nnz / feature_dim, 0.004, 0.9))
+def _entry(name: Union[str, DatasetEntry]) -> DatasetEntry:
+    return name if isinstance(name, DatasetEntry) else get_dataset(name)
 
 
 def _name_seed(name: str) -> int:
@@ -153,128 +124,56 @@ def _name_seed(name: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# Registry entries: the five paper graphs + parameterized scale scenarios
+# Built-in recipes: the five paper graphs + the scale-sweep scenarios
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Parameters of one synthetic scale-sweep scenario.
+# What a paper stand-in adds to Table II: mean input-feature density,
+# label homophily, binary (bag-of-words) features, power-law exponent.
+_PAPER_FEATURES = {
+    "cora": (0.0127, 0.81, True, 2.2),
+    "citeseer": (0.0085, 0.74, True, 2.3),
+    "pubmed": (0.10, 0.80, False, 2.2),
+    "nell": (0.00013, 0.60, True, 2.4),
+    "reddit": (0.516, 0.70, False, 1.9),
+}
+# Where a stand-in leaves paper scale (the rest train and simulate at
+# Table II's sizes): full-batch numpy training and scipy must hold it.
+_PAPER_RESCALED = {
+    "nell": dict(train_nodes=4096, train_feature_dim=1024),
+    "reddit": dict(nodes=23_297, average_degree=100.0, train_nodes=2330,
+                   train_average_degree=30.0),
+}
 
-    Unlike the paper stand-ins (whose statistics are pinned to Table II),
-    scenarios are free knobs: node count, degree structure (power-law
-    exponent, hub cap) and community strength.  They run through exactly
-    the same :class:`~repro.eval.engine.SimJob` path as the paper graphs.
-    """
-
-    name: str
-    nodes: int
-    average_degree: float
-    feature_dim: int
-    num_classes: int
-    feature_density: float
-    homophily: float
-    exponent: float
-    max_degree: Optional[int] = None
-    # Simulator-workload defaults when no trained model supplies them.
-    hidden_density: float = 0.5
-    average_bits: float = 2.5
-
-
-def _scenario_loader(spec: ScenarioSpec):
-    def load(scale: str = "train", seed: int = 0) -> Graph:
-        from .generators import synthetic_graph
-
-        if scale == "sim":
-            nodes, fdim = spec.nodes, min(spec.feature_dim, 512)
-        elif scale == "train":
-            nodes, fdim = min(spec.nodes, 4096), min(spec.feature_dim, 512)
-        elif scale == "tiny":
-            nodes, fdim = 256, 64
-        else:
-            raise ValueError(
-                f"unknown scale {scale!r}; use 'train', 'sim' or 'tiny'")
-        return synthetic_graph(
-            num_nodes=nodes,
-            num_edges=int(round(nodes * spec.average_degree)),
-            feature_dim=fdim,
-            num_classes=spec.num_classes,
-            feature_density=max(spec.feature_density, 4.0 / fdim),
-            homophily=spec.homophily,
-            exponent=spec.exponent,
-            max_degree=spec.max_degree,
-            train_fraction=0.1 if nodes < 50000 else 0.05,
-            name=f"{spec.name}-{scale}",
-            seed=seed + _name_seed(spec.name),
-        )
-    return load
-
-
-def _scenario_feature_stats(spec: ScenarioSpec):
-    def feature_stats(rng: Optional[np.random.Generator] = None):
-        rng = rng or np.random.default_rng(_name_seed(spec.name))
-        mean_nnz = max(spec.feature_density * spec.feature_dim, 1.0)
-        spread = rng.lognormal(mean=0.0, sigma=0.6, size=spec.nodes)
-        nnz = np.clip(np.round(mean_nnz * spread), 1,
-                      spec.feature_dim).astype(np.int64)
-        return spec.feature_dim, nnz
-    return feature_stats
-
-
-def scenario_entry(spec: ScenarioSpec) -> DatasetEntry:
-    """Build (not register) a :class:`DatasetEntry` for ``spec`` — the
-    ~10-line path for user-defined scenarios shown in the README."""
-    return DatasetEntry(
-        name=spec.name,
-        loader=_scenario_loader(spec),
-        num_classes=spec.num_classes,
-        feature_stats=_scenario_feature_stats(spec),
-        hidden_density=lambda model: spec.hidden_density,
-        average_bits=lambda model: spec.average_bits,
-        description=(f"synthetic scenario: {spec.nodes} nodes, "
-                     f"avg degree {spec.average_degree:g}, "
-                     f"exponent {spec.exponent:g}, "
-                     f"homophily {spec.homophily:g}"),
-        # Any spec edit invalidates cached results built from it (the
-        # adjacency fingerprint alone misses feature/workload params).
-        version=repr(spec),
-        size_hint=spec.nodes,
-    )
-
-
-def _paper_entry(stats: DatasetStats) -> DatasetEntry:
-    name = stats.name
-    return DatasetEntry(
-        name=name,
-        loader=lambda scale="train", seed=0: load_dataset(name, scale=scale,
-                                                          seed=seed),
-        num_classes=stats.num_classes,
-        feature_stats=lambda rng=None: sim_feature_stats(name, rng=rng),
-        hidden_density=lambda model: FIG5_HIDDEN_DENSITY[model][name],
-        average_bits=lambda model: PAPER_AVERAGE_BITS[model][name],
-        description=(f"paper dataset (Table II): {stats.nodes} nodes, "
-                     f"{stats.edges} edges, {stats.feature_dim}-d features"),
-        size_hint=_SCALES[name][2],
-    )
-
+for _name, _table in TABLE_II.items():
+    _density, _homophily, _binary, _exponent = _PAPER_FEATURES[_name]
+    _sizes = dict(nodes=_table["nodes"], average_degree=_table["average_degree"],
+                  train_nodes=_table["nodes"],
+                  train_feature_dim=_table["feature_dim"])
+    _sizes.update(_PAPER_RESCALED.get(_name, {}))
+    DATASETS.add(_name, DatasetEntry(
+        name=_name, feature_dim=_table["feature_dim"],
+        feature_density=_density, num_classes=_table["num_classes"],
+        homophily=_homophily, exponent=_exponent, binary_features=_binary,
+        description=(f"paper dataset (Table II): {_table['nodes']} nodes, "
+                     f"{_table['edges']} edges, "
+                     f"{_table['feature_dim']}-d features"),
+        **_sizes))
 
 # Power-law scenarios stress the hub tail (MEGA's degree-aware bit
 # allocation); community scenarios stress partition locality
 # (Condense-Edge).  10k-500k nodes, all through the same SimJob path.
-SCENARIO_SPECS: Dict[str, ScenarioSpec] = {}
 for _size, _label in ((10_000, "10k"), (50_000, "50k"),
                       (100_000, "100k"), (500_000, "500k")):
-    for _spec in (
-        ScenarioSpec(name=f"powerlaw-{_label}", nodes=_size,
-                     average_degree=8.0, feature_dim=256, num_classes=16,
-                     feature_density=0.05, homophily=0.5, exponent=2.1),
-        ScenarioSpec(name=f"community-{_label}", nodes=_size,
-                     average_degree=12.0, feature_dim=256, num_classes=32,
-                     feature_density=0.05, homophily=0.85, exponent=2.6,
-                     max_degree=512),
+    for _recipe in (
+        dict(name=f"powerlaw-{_label}", average_degree=8.0, num_classes=16,
+             homophily=0.5, exponent=2.1),
+        dict(name=f"community-{_label}", average_degree=12.0,
+             num_classes=32, homophily=0.85, exponent=2.6, max_degree=512),
     ):
-        SCENARIO_SPECS[_spec.name] = _spec
-
-for _stats in DATASETS.values():
-    DATASET_REGISTRY.add(_stats.name, _paper_entry(_stats))
-for _spec in SCENARIO_SPECS.values():
-    DATASET_REGISTRY.add(_spec.name, scenario_entry(_spec))
+        DATASETS.add(_recipe["name"], DatasetEntry(
+            nodes=_size, feature_dim=256, feature_density=0.05,
+            description=(f"synthetic scenario: {_size} nodes, avg degree "
+                         f"{_recipe['average_degree']:g}, exponent "
+                         f"{_recipe['exponent']:g}, homophily "
+                         f"{_recipe['homophily']:g}"),
+            **_recipe))

@@ -20,7 +20,6 @@ _EXPORTS = {
     "GIN": "models",
     "GraphSage": "models",
     "GAT": "models",
-    "MODEL_SPECS": "models",
     "build_model": "models",
     "TrainConfig": "config",
     "TrainResult": "training",

@@ -1,10 +1,13 @@
 """The three evaluated GNN models (Table III) plus GAT (Discussion).
 
-All models are two layers with the paper's hidden sizes (GCN/GIN: 128,
-GraphSAGE: 256 with 25-neighbor sampling, GAT: 128) and expose the same
-``forward(features, graph) -> logits`` interface.  A shared
-:class:`~repro.nn.layers.QuantHooks` object threads quantization through
-every layer.
+All models are two layers and expose the same
+``forward(features, graph) -> logits`` interface.  Their hidden widths
+(GCN/GIN: 128, GraphSAGE: 256 with 25-neighbor sampling, GAT: 128) and
+aggregation kinds are Table III's, read from
+:data:`repro.paper_data.TABLE_III`: :func:`build_model` passes the
+widths and the sample, and each model reads its aggregation kind from
+its row.  A shared :class:`~repro.nn.layers.QuantHooks` object threads
+quantization through every layer.
 """
 
 from __future__ import annotations
@@ -14,25 +17,24 @@ from typing import Optional
 import numpy as np
 
 from ..graphs import Graph
+from ..paper_data import TABLE_III
 from ..tensor import Tensor, functional as F
 from .layers import GATConv, GINConv, GraphConv, QuantHooks, SageConv
 from .module import Module
 
-__all__ = ["GCN", "GIN", "GraphSage", "GAT", "build_model", "MODEL_SPECS"]
-
-# Table III: model -> (hidden units, aggregation kind, neighbor samples)
-MODEL_SPECS = {
-    "gcn": {"hidden": 128, "aggregation": "gcn", "sample": None},
-    "gin": {"hidden": 128, "aggregation": "add", "sample": None},
-    "graphsage": {"hidden": 256, "aggregation": "mean", "sample": 25},
-    "gat": {"hidden": 128, "aggregation": "raw", "sample": None},
-}
+__all__ = ["GCN", "GIN", "GraphSage", "GAT", "build_model"]
 
 
 class _TwoLayerGNN(Module):
-    """Shared scaffolding: dropout -> layer1 -> ReLU -> dropout -> layer2."""
+    """Shared scaffolding: dropout -> layer1 -> ReLU -> dropout -> layer2.
 
-    aggregation = "gcn"
+    ``table_row`` names the model's row of Table III, whose aggregation
+    kind selects the operator; ``sample_neighbors`` (GraphSAGE's
+    sample) builds it over a sampled neighborhood.
+    """
+
+    table_row = ""
+    sample_neighbors: Optional[int] = None
 
     def __init__(self, dropout: float = 0.5, seed: int = 0) -> None:
         super().__init__()
@@ -54,7 +56,8 @@ class _TwoLayerGNN(Module):
     def _adjacency(self, graph: Graph):
         # Memoized on the graph: one operator per (graph, model family),
         # shared across model instances, training seeds and flows.
-        return graph.normalized_adjacency(self.aggregation)
+        return graph.normalized_adjacency(
+            TABLE_III[self.table_row]["aggregation"], self.sample_neighbors)
 
     def forward(self, features: Tensor, graph: Graph) -> Tensor:
         adjacency = self._adjacency(graph)
@@ -71,11 +74,11 @@ class _TwoLayerGNN(Module):
 
 
 class GCN(_TwoLayerGNN):
-    """Two-layer GCN (Kipf & Welling), hidden width 128."""
+    """Two-layer GCN (Kipf & Welling)."""
 
-    aggregation = "gcn"
+    table_row = "gcn"
 
-    def __init__(self, in_dim: int, num_classes: int, hidden_dim: int = 128,
+    def __init__(self, in_dim: int, num_classes: int, hidden_dim: int,
                  hooks: Optional[QuantHooks] = None, dropout: float = 0.5,
                  seed: int = 0) -> None:
         super().__init__(dropout=dropout, seed=seed)
@@ -89,9 +92,9 @@ class GCN(_TwoLayerGNN):
 class GIN(_TwoLayerGNN):
     """Two-layer GIN (Xu et al.), add aggregation, MLP combination."""
 
-    aggregation = "add"
+    table_row = "gin"
 
-    def __init__(self, in_dim: int, num_classes: int, hidden_dim: int = 128,
+    def __init__(self, in_dim: int, num_classes: int, hidden_dim: int,
                  hooks: Optional[QuantHooks] = None, dropout: float = 0.5,
                  seed: int = 0) -> None:
         super().__init__(dropout=dropout, seed=seed)
@@ -103,13 +106,14 @@ class GIN(_TwoLayerGNN):
 
 
 class GraphSage(_TwoLayerGNN):
-    """Two-layer GraphSAGE, mean aggregation over 25 sampled neighbors."""
+    """Two-layer GraphSAGE, mean aggregation over sampled neighbors."""
 
-    aggregation = "mean"
+    table_row = "graphsage"
 
-    def __init__(self, in_dim: int, num_classes: int, hidden_dim: int = 256,
+    def __init__(self, in_dim: int, num_classes: int, hidden_dim: int,
+                 sample_neighbors: Optional[int],
                  hooks: Optional[QuantHooks] = None, dropout: float = 0.5,
-                 sample_neighbors: Optional[int] = 25, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         super().__init__(dropout=dropout, seed=seed)
         rng = np.random.default_rng(seed)
         hooks = hooks or QuantHooks()
@@ -118,16 +122,13 @@ class GraphSage(_TwoLayerGNN):
         self.layer1 = SageConv(in_dim, hidden_dim, 0, hooks=hooks, rng=rng)
         self.layer2 = SageConv(hidden_dim, num_classes, 1, hooks=hooks, rng=rng)
 
-    def _adjacency(self, graph: Graph):
-        return graph.normalized_adjacency("mean", self.sample_neighbors)
-
 
 class GAT(_TwoLayerGNN):
     """Two-layer single-head GAT for the Discussion experiment."""
 
-    aggregation = "raw"
+    table_row = "gat"
 
-    def __init__(self, in_dim: int, num_classes: int, hidden_dim: int = 128,
+    def __init__(self, in_dim: int, num_classes: int, hidden_dim: int,
                  hooks: Optional[QuantHooks] = None, dropout: float = 0.5,
                  seed: int = 0) -> None:
         super().__init__(dropout=dropout, seed=seed)
@@ -141,14 +142,15 @@ class GAT(_TwoLayerGNN):
 def build_model(name: str, in_dim: int, num_classes: int,
                 hooks: Optional[QuantHooks] = None, seed: int = 0,
                 **overrides) -> _TwoLayerGNN:
-    """Factory keyed by the paper's model names (case-insensitive)."""
+    """Factory keyed by the paper's model names (case-insensitive), at
+    Table III's hidden width and neighbor sample unless ``overrides``
+    names ``hidden_dim`` or (GraphSAGE) ``sample_neighbors``."""
     key = name.lower()
-    classes = {"gcn": GCN, "gin": GIN, "graphsage": GraphSage, "gat": GAT}
+    classes = {cls.table_row: cls for cls in (GCN, GIN, GraphSage, GAT)}
     if key not in classes:
         raise ValueError(f"unknown model {name!r}; expected one of {sorted(classes)}")
-    spec = dict(MODEL_SPECS[key])
-    kwargs = {"hidden_dim": overrides.pop("hidden_dim", spec["hidden"])}
+    kwargs = {"hidden_dim": TABLE_III[key]["hidden"]}
     if key == "graphsage":
-        kwargs["sample_neighbors"] = overrides.pop("sample_neighbors", spec["sample"])
+        kwargs["sample_neighbors"] = TABLE_III[key]["sample"]
     kwargs.update(overrides)
     return classes[key](in_dim, num_classes, hooks=hooks, seed=seed, **kwargs)

@@ -4,11 +4,22 @@ Single home for every table/figure value the reproduction hard-codes,
 with provenance, so a number is never copied into two modules that can
 drift apart.  Consumers:
 
-- :mod:`repro.sim.workload` — Fig. 5 hidden-feature densities and the
-  Table VI average bitwidths that parameterize synthesized workloads;
+- :mod:`repro.graphs.datasets` — Table II's node, edge, feature-length,
+  class and average-degree columns, which size the paper graphs'
+  synthetic stand-ins;
+- :mod:`repro.nn.models`, :mod:`repro.quant.flows` and
+  :mod:`repro.sim.workload` — Table III's hidden widths, neighbor
+  sample and aggregation kinds;
+- :class:`repro.registry.DatasetEntry` — the Fig. 5 hidden-feature
+  densities and the Table VI average bitwidths that parameterize
+  synthesized workloads (:mod:`repro.sim.workload` reads Fig. 5 for
+  trained workloads too);
 - :mod:`repro.baselines.generic` — the Table V matched configurations
   and Table VII original configurations of the baseline accelerators;
 - :mod:`repro.mega.performance` — MEGA's Table IV total power.
+
+The module imports nothing but :mod:`typing`, so the registries and
+the job engine read it without loading numpy.
 
 Values are transcribed measurements/settings from the paper, not knobs:
 edit only to fix a transcription error against the published tables.
@@ -19,12 +30,43 @@ from __future__ import annotations
 from typing import Dict
 
 __all__ = [
+    "TABLE_II",
+    "TABLE_III",
     "FIG5_HIDDEN_DENSITY",
     "PAPER_AVERAGE_BITS",
     "TABLE_V_BASELINES",
     "TABLE_VII_ORIGINAL",
     "MEGA_TOTAL_POWER_MW",
 ]
+
+# Paper Table II: the five evaluated graphs' node and edge counts,
+# input feature length and class count, with the average degree as the
+# table prints it (two decimals).  The stand-ins generate from these
+# degrees as printed: recomputing edges / nodes would change every
+# graph.
+TABLE_II: Dict[str, Dict[str, float]] = {
+    "cora": dict(nodes=2708, edges=10556, feature_dim=1433,
+                 num_classes=7, average_degree=3.90),
+    "citeseer": dict(nodes=3327, edges=9104, feature_dim=3703,
+                     num_classes=6, average_degree=2.74),
+    "pubmed": dict(nodes=19717, edges=88648, feature_dim=500,
+                   num_classes=3, average_degree=4.50),
+    "nell": dict(nodes=65755, edges=251550, feature_dim=61278,
+                 num_classes=32, average_degree=3.83),
+    "reddit": dict(nodes=232965, edges=114615892, feature_dim=602,
+                   num_classes=41, average_degree=491.99),
+}
+
+# Paper Table III: the evaluated two-layer models' hidden width, the
+# aggregation operator (a :meth:`repro.graphs.Graph.normalized_adjacency`
+# kind) and GraphSAGE's 25-neighbor sample (None: every neighbor).
+# GAT's row is the Sec. VII Discussion model.
+TABLE_III: Dict[str, Dict[str, object]] = {
+    "gcn": {"hidden": 128, "aggregation": "gcn", "sample": None},
+    "gin": {"hidden": 128, "aggregation": "add", "sample": None},
+    "graphsage": {"hidden": 256, "aggregation": "mean", "sample": 25},
+    "gat": {"hidden": 128, "aggregation": "raw", "sample": None},
+}
 
 # Paper Fig. 5: density (non-zero fraction) of the hidden node-feature
 # maps per (model, dataset), read off the reported bar chart.  Drives

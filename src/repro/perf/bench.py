@@ -460,9 +460,10 @@ def _bench_fleet_replay(quick: bool) -> dict:
     injected daemon-side (``net_corrupt=1.0:2,net_503=1.0:1``) — serves
     it to a fresh-cache in-process worker whose engine resolves through
     the remote tier (must execute zero jobs and stay bit-identical);
-    then a forced-chaos pass (client-side ``net_corrupt=1.0``) pulls
-    the corpus into a third fresh cache, proving every damaged transfer
-    is rejected before publish and the bounded retry converges.
+    then a forced-chaos pass — a second daemon damaging every first
+    payload transfer (``net_corrupt=1.0``) — pulls the corpus into a
+    third fresh cache, proving every damaged transfer is rejected
+    before publish and the bounded retry converges.
 
     The daemon's plan fires at rate 1.0 under caps, so it hits the
     first transfers whatever the artifact ids are: the first manifest
@@ -476,8 +477,8 @@ def _bench_fleet_replay(quick: bool) -> dict:
     from pathlib import Path
 
     from ..client import ServeClient
+    from ..artifacts import ArtifactStore
     from ..eval.engine import SimJob, SweepEngine, temporary_cache_dir
-    from ..faults import inject_faults
     from ..remote import RemoteStore
 
     pairs = (("cora", "gcn"),) if quick else (("cora", "gcn"),
@@ -487,6 +488,7 @@ def _bench_fleet_replay(quick: bool) -> dict:
             for dataset, model in pairs for name in names]
     fault_env = {"REPRO_FAULTS": "net_corrupt=1.0:2,net_503=1.0:1",
                  "REPRO_FAULTS_SEED": "0"}
+    chaos_env = {"REPRO_FAULTS": "net_corrupt=1.0", "REPRO_FAULTS_SEED": "0"}
 
     with tempfile.TemporaryDirectory(prefix="repro-fleet-bench-") as tmp:
         server_cache = Path(tmp) / "server-cache"
@@ -520,24 +522,19 @@ def _bench_fleet_replay(quick: bool) -> dict:
         finally:
             drain_exit = daemon.stop()
 
-        # Forced chaos: every first transfer is damaged client-side;
-        # every fetch must reject the bytes and converge on retry.  A
-        # daemon without wire faults serves it: a daemon-side 503 on a
-        # fetch's first attempt would pre-empt the client-side damage.
-        clean = _ServeDaemon(server_cache)
+        # Forced chaos: the daemon flips a byte of every first payload
+        # transfer (a manifest passes undamaged); every fetch must
+        # reject the bytes and converge on retry.
+        corrupting = _ServeDaemon(server_cache, extra_env=chaos_env)
         try:
-            chaos_store_dir = Path(tmp) / "cache-c"
-            with inject_faults("net_corrupt=1.0", seed=0):
-                from ..artifacts import ArtifactStore
-
-                chaos_local = ArtifactStore(directory=chaos_store_dir)
-                chaos = RemoteStore(url=clean.url, store=chaos_local,
-                                    backoff=0.05)
-                with Timer() as chaos_t:
-                    chaos_values = [chaos.fetch(i) for i in corpus_ids]
+            chaos_local = ArtifactStore(directory=Path(tmp) / "cache-c")
+            chaos = RemoteStore(url=corrupting.url, store=chaos_local,
+                                backoff=0.05)
+            with Timer() as chaos_t:
+                chaos_values = [chaos.fetch(i) for i in corpus_ids]
             chaos_verify = chaos_local.verify()
         finally:
-            chaos_exit = clean.stop()
+            chaos_exit = corrupting.stop()
         drain_exit = drain_exit or chaos_exit
 
         identical = all(fleet_reports[j] == cold_reports[j] for j in jobs)
@@ -576,7 +573,7 @@ def _bench_fleet_replay(quick: bool) -> dict:
         "served_artifact_hits": server_stats["artifact_hits"],
         "served_artifact_bytes": server_stats["artifact_bytes"],
         "chaos": {
-            "faults": "net_corrupt=1.0 (client-side)",
+            "faults": chaos_env["REPRO_FAULTS"],
             "fetches": len(corpus_ids),
             "rejected": chaos.rejected,
             "retries_used": chaos.retries_used,

@@ -5,8 +5,8 @@ inputs rather than on fragile ``id()`` keys that can collide after
 garbage collection:
 
 - :func:`cached_load_dataset` memoizes
-  :func:`~repro.graphs.datasets.load_dataset` per ``(name, scale,
-  seed)`` (synthetic generation is deterministic in those);
+  :func:`~repro.graphs.datasets.load_dataset` per (dataset recipe,
+  scale, seed) (synthetic generation is deterministic in those);
 - :func:`cached_partition` memoizes
   :func:`~repro.graphs.partition.partition_graph` per adjacency
   fingerprint and part count, at the one setting every caller uses
@@ -187,13 +187,15 @@ def cached_partition(adjacency: sp.spmatrix, num_parts: int) -> PartitionResult:
 
 
 def cached_load_dataset(name: str, scale: str = "train", seed: int = 0) -> Graph:
-    """Memoized dataset/scenario construction, resolved through the
-    dataset registry (synthetic generation is deterministic in
-    ``(name, scale, seed)``), so every registered scenario — paper
-    stand-in or scale-sweep synthetic — shares one cache."""
-    key = (name.lower(), scale, seed)
+    """Memoized dataset construction, resolved through the dataset
+    registry.  Synthetic generation is deterministic in the recipe,
+    scale and seed, so the key is the registered entry's cache token
+    (the whole recipe) with those: a dataset re-registered with an
+    edited recipe never gets the old graph back."""
+    entry = get_dataset(name)
     return DATASET_CACHE.get_or_compute(
-        key, lambda: get_dataset(name).load(scale=scale, seed=seed))
+        (entry.cache_token, scale, seed),
+        lambda: entry.load(scale=scale, seed=seed))
 
 
 def cache_stats() -> Dict[str, Dict[str, int]]:

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..graphs import Graph
 from ..nn import TrainConfig, build_model, train
+from ..paper_data import TABLE_III
 from ..tensor import Tensor, no_grad
 from .config import DegreeAwareConfig, DegreeQuantConfig, QuantRunResult
 from .degree_aware import DegreeAwareQuantizer
@@ -23,12 +24,10 @@ __all__ = ["QuantRunResult", "layer_dims_for", "run_fp32", "run_degree_quant",
            "run_degree_aware", "run_feature_magnitudes", "TRAIN_FLOWS"]
 
 
-def layer_dims_for(model_name: str, graph: Graph, hidden: Optional[int] = None) -> List[int]:
-    """Input feature length of each layer (dim_l of Eq. 4)."""
-    from ..nn.models import MODEL_SPECS
-
-    hidden = hidden or MODEL_SPECS[model_name.lower()]["hidden"]
-    return [graph.feature_dim, hidden]
+def layer_dims_for(model_name: str, graph: Graph) -> List[int]:
+    """Input feature length of each layer (dim_l of Eq. 4) at Table
+    III's hidden width."""
+    return [graph.feature_dim, TABLE_III[model_name.lower()]["hidden"]]
 
 
 def run_fp32(model_name: str, graph: Graph, config: Optional[TrainConfig] = None,

@@ -26,7 +26,7 @@ built-in's name makes that lookup raise :class:`RegistryError`.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (Callable, Dict, Generic, Iterator, Mapping, Optional,
                     Tuple, TypeVar)
 
@@ -199,43 +199,77 @@ class _AcceleratorRegistry(Registry[AcceleratorEntry]):
 
 @dataclass(frozen=True)
 class DatasetEntry:
-    """One loadable dataset/scenario plus the statistics the simulator
-    workload builder needs when it cannot derive them from a trained
-    model (paper-scale feature stats, Fig. 5 densities, Table VI
-    bitwidth targets — or synthetic defaults for generated scenarios).
+    """One dataset recipe: the statistics a synthetic stand-in graph is
+    generated from.
+
+    :func:`repro.graphs.datasets.load_dataset` builds the graph at a
+    scale — ``"sim"`` at ``nodes`` and ``average_degree``, ``"train"``
+    at the ``train_*`` sizes (defaults ``min(nodes, 4096)`` nodes,
+    ``min(feature_dim, 512)`` features, ``average_degree``), ``"tiny"``
+    at 256 nodes — and :func:`~repro.graphs.datasets.sim_feature_stats`
+    draws the per-node non-zero counts of the full ``feature_dim``-wide
+    input features at sim scale.  The paper stand-ins take their sizes
+    from Table II (:data:`repro.paper_data.TABLE_II`); a scale scenario
+    is the same kind of recipe with free numbers.
+
+    The workload statistics derive from the name: the Fig. 5 hidden
+    density and the Table VI average bits where the paper reports the
+    dataset, 0.5 and 2.5 elsewhere.  The frozen recipe is its own cache
+    token, so every cache keyed on it misses once an entry is edited.
     """
 
     name: str
-    loader: Callable[[str, int], object]          # (scale, seed) -> Graph
+    nodes: int
+    average_degree: float
+    feature_dim: int
+    feature_density: float       # mean non-zero fraction of the input features
     num_classes: int
-    # (rng) -> (paper-scale feature_dim, per-node nnz array at sim scale)
-    feature_stats: Callable[..., Tuple[int, object]]
-    # model name -> hidden feature-map density / degree-aware bit target
-    hidden_density: Callable[[str], float]
-    average_bits: Callable[[str], float]
+    homophily: float             # share of edges inside a node's class
+    exponent: float              # power-law exponent of the degree tail
+    binary_features: bool = True
+    max_degree: Optional[int] = None   # in-degree cap (None: nodes ** 0.75)
+    train_nodes: Optional[int] = None
+    train_feature_dim: Optional[int] = None
+    train_average_degree: Optional[float] = None
     description: str = ""
-    # Approximate node count of the simulation-scale graph (0 = small/
-    # unknown).  The sweep engine uses it to split oversized per-dataset
-    # job chunks so one huge scenario fans out per job across the pool.
-    size_hint: int = 0
-    # Version token mixed into disk-cache keys (see AcceleratorEntry.
-    # version).  The graph's adjacency fingerprint does not cover
-    # features or workload statistics, so runtime-registered scenarios
-    # must change this when their generation parameters change
-    # (scenario_entry derives it from the ScenarioSpec automatically).
-    version: str = ""
+
+    @property
+    def size_hint(self) -> int:
+        """Node count of the simulation-scale graph: the sweep engine
+        splits oversized per-dataset job chunks on it."""
+        return self.nodes
 
     @property
     def cache_token(self) -> Tuple:
-        return (self.version,)
+        """Everything about this entry a cached result depends on: the
+        whole recipe."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def load(self, scale: str = "train", seed: int = 0):
-        return self.loader(scale, seed)
+        """This recipe's graph at ``scale`` (through
+        :func:`repro.graphs.datasets.load_dataset`)."""
+        from .graphs import datasets
 
+        return datasets.load_dataset(self, scale=scale, seed=seed)
 
-class _DatasetRegistry(Registry[DatasetEntry]):
-    def _entry_from_callable(self, name, obj, metadata) -> DatasetEntry:
-        return DatasetEntry(name=name, loader=obj, **metadata)
+    def feature_stats(self, rng=None) -> Tuple[int, object]:
+        """(full feature length, per-node non-zero counts at sim scale);
+        see :func:`repro.graphs.datasets.sim_feature_stats`."""
+        from .graphs import datasets
+
+        return datasets.sim_feature_stats(self, rng=rng)
+
+    def hidden_density(self, model: str) -> float:
+        """Non-zero fraction of ``model``'s hidden feature map (Fig. 5)."""
+        from .paper_data import FIG5_HIDDEN_DENSITY
+
+        return FIG5_HIDDEN_DENSITY[model].get(self.name, 0.5)
+
+    def average_bits(self, model: str) -> float:
+        """Degree-Aware average bitwidth target for ``model`` (Table VI)."""
+        from .paper_data import PAPER_AVERAGE_BITS
+
+        return PAPER_AVERAGE_BITS[model].get(self.name, 2.5)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +387,7 @@ class _ExperimentRegistry(Registry[ExperimentSpec]):
 
 ACCELERATORS: _AcceleratorRegistry = _AcceleratorRegistry(
     "accelerator", ("repro.baselines.generic", "repro.mega.performance"))
-DATASETS: _DatasetRegistry = _DatasetRegistry(
+DATASETS: Registry[DatasetEntry] = Registry(
     "dataset", ("repro.graphs.datasets",))
 SUITES: _SuiteRegistry = _SuiteRegistry(
     "suite", ("repro.eval.experiments",))

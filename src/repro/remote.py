@@ -40,10 +40,11 @@ the wrong body).  A fetch that exhausts its budget is recorded as a
 structured :class:`TransferFailure` and reads as a miss — the engine
 executes the job locally.  Each request goes out on its own
 connection through :meth:`repro.client.ServeClient.connect`, which
-stamps the attempt's ordinal in ``X-Repro-Attempt``, so injected
-``net_*`` faults (:mod:`repro.faults`) fire only on first attempts and
-bounded retries always converge; the retry policy above is this
-module's own (it ignores ``Retry-After``).
+stamps the attempt's ordinal in ``X-Repro-Attempt``, so the ``net_*``
+faults a daemon injects (:mod:`repro.faults`; the fetcher injects
+none) fire only on first attempts and bounded retries always
+converge; the retry policy above is this module's own (it ignores
+``Retry-After``).
 
 ``REPRO_REMOTE_URL`` enables the tier for every engine built without
 an explicit ``remote=``.  The retry budget (4), backoff base (0.2 s)
@@ -147,7 +148,6 @@ class RemoteStore:
                 manifest_raw = self._fetch_manifest(art_id, attempt)
                 manifest = admit(art_id, manifest_raw)  # before the payload
                 payload = self._fetch_payload(art_id, manifest, attempt)
-                payload = self._client_fault(art_id, payload, attempt)
                 admit(art_id, manifest_raw, payload)
                 try:
                     value = pickle.loads(payload)
@@ -245,28 +245,6 @@ class RemoteStore:
             # Short without an exception (cut at a frame boundary):
             # resume from the received offset.
         return buf  # let the verifier pass final judgment
-
-    @staticmethod
-    def _client_fault(art_id: str, payload: bytes, attempt: int) -> bytes:
-        """Receiver-side hostile-network injection: mangle the received
-        buffer under the same ``net_*`` kinds with a ``recv|`` token, so
-        chaos plans can damage links the server never sees.  Fires only
-        on a fetch's first attempt; verification must catch the damage
-        and the retry converges."""
-        from . import faults
-
-        injector = faults.active_injector()
-        if injector is None or not payload:
-            return payload
-        action = injector.on_transfer(f"recv|{art_id}", attempt=attempt)
-        if action == "corrupt":
-            # Flip the first byte — a different offset than the server's
-            # mid-body flip, so simultaneous damage on both ends can
-            # never cancel out into accidentally-clean bytes.
-            return bytes([payload[0] ^ 0xFF]) + payload[1:]
-        if action == "truncate":
-            return payload[:len(payload) // 2]
-        return payload  # "503"/"stall" are transport shapes: server-side
 
     # -- accounting --------------------------------------------------------
     def stats(self) -> Dict:

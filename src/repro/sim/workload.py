@@ -24,8 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..graphs import Graph
-from ..nn.models import MODEL_SPECS
-from ..paper_data import FIG5_HIDDEN_DENSITY
+from ..paper_data import FIG5_HIDDEN_DENSITY, TABLE_III
 from ..registry import DatasetEntry, get_dataset
 
 __all__ = [
@@ -186,7 +185,7 @@ class WorkloadStructure:
             raise ValueError(f"unknown precision {precision!r}")
 
         # Both layers carry the same per-node allocation.
-        hidden = MODEL_SPECS[self.model_name]["hidden"]
+        hidden = TABLE_III[self.model_name]["hidden"]
         layers = [
             LayerSpec(self.feature_dim, hidden, self.input_nnz, bits,
                       weight_bits=weight_bits),
@@ -219,7 +218,7 @@ def workload_structure(
     """
     model_key = model_name.lower()
     entry = get_dataset(dataset)
-    spec = MODEL_SPECS[model_key]
+    spec = TABLE_III[model_key]
     if graph is None:
         graph = entry.load(scale="sim", seed=seed)
     rng = np.random.default_rng(seed + 17)
@@ -273,8 +272,7 @@ def workload_from_quant_run(graph: Graph, model_name: str, node_bitwidths: np.nd
                             precision: str = "degree-aware") -> Workload:
     """Build a workload from an actually trained quantization run."""
     model_key = model_name.lower()
-    spec = MODEL_SPECS[model_key]
-    hidden = spec["hidden"]
+    hidden = TABLE_III[model_key]["hidden"]
     n = graph.num_nodes
     input_nnz = (graph.features != 0).sum(axis=1).astype(np.int64)
     density = FIG5_HIDDEN_DENSITY[model_key].get(graph.name.split("-")[0], 0.5)

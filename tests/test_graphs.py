@@ -5,10 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.graphs import (
-    DATASETS,
     Graph,
     load_dataset,
-    paper_stats,
     power_law_degrees,
     sim_feature_stats,
     synthetic_graph,
@@ -148,13 +146,19 @@ class TestGenerators:
 
 class TestDatasets:
     def test_registry_has_all_five(self):
-        assert set(DATASETS) == {"cora", "citeseer", "pubmed", "nell", "reddit"}
+        from repro.paper_data import TABLE_II
+        from repro.registry import DATASETS
+
+        assert set(TABLE_II) == {"cora", "citeseer", "pubmed", "nell", "reddit"}
+        assert set(TABLE_II) <= set(DATASETS)
 
     def test_paper_stats_table2(self):
-        stats = paper_stats("reddit")
-        assert stats.nodes == 232965
-        assert stats.edges == 114615892
-        assert stats.feature_dim == 602
+        from repro.paper_data import TABLE_II
+
+        stats = TABLE_II["reddit"]
+        assert stats["nodes"] == 232965
+        assert stats["edges"] == 114615892
+        assert stats["feature_dim"] == 602
 
     def test_train_scale_sizes(self):
         g = load_dataset("cora")
@@ -170,7 +174,7 @@ class TestDatasets:
             load_dataset("cora", scale="huge")
 
     def test_unknown_dataset_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(LookupError, match="cora"):
             load_dataset("imagenet")
 
     def test_sim_feature_stats_nell_is_paper_width(self):

@@ -86,6 +86,18 @@ def test_declaring_jobs_loads_no_numpy_or_scipy():
     assert loaded == []
 
 
+def test_workload_module_loads_no_training_stack():
+    """The simulator's workload builder reads Table III from
+    ``repro.paper_data``, not from the models."""
+    loaded = _python(
+        "import json, sys\n"
+        "import repro.sim.workload\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[:2] in (['repro', 'nn'],\n"
+        "                                                ['repro', 'tensor']))))")
+    assert loaded == []
+
+
 def test_flow_names_match_the_executable_flows():
     from repro.quant.config import TRAIN_FLOW_NAMES
     from repro.quant.flows import TRAIN_FLOWS

@@ -112,13 +112,23 @@ class TestDatasetRegistry:
                      "powerlaw-10k", "powerlaw-500k", "community-50k"):
             assert name in DATASETS, name
 
-    def test_paper_entry_matches_load_dataset(self):
-        from repro.graphs import load_dataset
+    @pytest.mark.parametrize("name", DATASETS.names())
+    def test_paper_entry_matches_load_dataset(self, name):
+        """Every registered name, paper stand-in or scale scenario, loads
+        and draws feature statistics through the one loader."""
+        from repro.graphs import load_dataset, sim_feature_stats
 
-        via_registry = get_dataset("cora").load(scale="tiny", seed=0)
-        direct = load_dataset("cora", scale="tiny", seed=0)
+        entry = get_dataset(name)
+        via_registry = entry.load(scale="tiny", seed=0)
+        direct = load_dataset(name, scale="tiny", seed=0)
         assert (via_registry.adjacency != direct.adjacency).nnz == 0
         assert np.array_equal(via_registry.features, direct.features)
+        assert via_registry.name == direct.name == f"{name}-tiny"
+        dim, nnz = sim_feature_stats(name)
+        entry_dim, entry_nnz = entry.feature_stats()
+        assert dim == entry_dim == entry.feature_dim
+        assert np.array_equal(nnz, entry_nnz)
+        assert len(nnz) == entry.size_hint
 
     def test_scenario_loads_all_scales(self):
         entry = get_dataset("powerlaw-10k")
@@ -275,21 +285,64 @@ class TestScenarioThroughEngine:
     def test_scenario_spec_edit_invalidates_cache(self, sweep_engine):
         """Editing a scenario's generation parameters changes the job
         fingerprint even when the adjacency would be unchanged."""
-        from repro.eval.engine import SimJob
-        from repro.graphs.datasets import SCENARIO_SPECS, scenario_entry
         from dataclasses import replace
 
-        spec = SCENARIO_SPECS["powerlaw-10k"]
-        DATASETS.add("custom-scn", scenario_entry(replace(spec, name="custom-scn")))
+        from repro.eval.engine import SimJob
+
+        entry = replace(get_dataset("powerlaw-10k"), name="custom-scn")
+        DATASETS.add("custom-scn", entry)
         try:
             job = SimJob.from_call("hygcn", "custom-scn", "gcn")
             fp_a = sweep_engine.job_fingerprint(job)
             DATASETS.unregister("custom-scn")
-            DATASETS.add("custom-scn", scenario_entry(
-                replace(spec, name="custom-scn", feature_density=0.2)))
+            DATASETS.add("custom-scn", replace(entry, feature_density=0.2))
             assert sweep_engine.job_fingerprint(job) != fp_a
         finally:
             DATASETS.unregister("custom-scn")
+
+    def test_edited_recipe_never_replays_stale_memos(self, tmp_path):
+        """In one process, an engine on the store an old recipe filled
+        gives an edited recipe's real graph fingerprint and the Fig. 21
+        table a fresh store computes: no memo keyed on the old recipe
+        (fingerprint, table, dataset or workload cache) replays."""
+        from dataclasses import replace
+
+        from repro.eval.engine import SweepEngine, set_engine
+        from repro.eval.experiments import clear_caches
+        from repro.perf.cache import graph_fingerprint
+        from repro.report import run_experiment
+
+        def fingerprint_and_table(entry, store):
+            DATASETS.add("custom-scn", entry)
+            engine = SweepEngine(workers=0, cache_dir=store)
+            previous = set_engine(engine)
+            try:
+                return (engine.dataset_fingerprint("custom-scn"),
+                        run_experiment("package_length_study",
+                                       datasets=("custom-scn",)).value)
+            finally:
+                set_engine(previous)
+                DATASETS.unregister("custom-scn")
+
+        base = replace(get_dataset("powerlaw-10k"), name="custom-scn",
+                       nodes=1000)
+        # More nodes change the adjacency; a denser recipe keeps it and
+        # changes only the feature statistics.
+        edits = (replace(base, nodes=2000),
+                 replace(base, nodes=2000, feature_density=0.2))
+        try:
+            fingerprint_and_table(base, tmp_path / "shared")
+            shared = [fingerprint_and_table(entry, tmp_path / "shared")
+                      for entry in edits]
+            clear_caches()
+            fresh = [fingerprint_and_table(entry, tmp_path / f"fresh-{i}")
+                     for i, entry in enumerate(edits)]
+        finally:
+            clear_caches()
+        assert shared == fresh
+        real = graph_fingerprint(edits[0].load(scale="sim").adjacency)
+        assert fresh[0][0] == fresh[1][0] == real
+        assert fresh[0][1] != fresh[1][1]  # the density edit shows
 
     def test_unknown_dataset_fails_with_listing(self, sweep_engine):
         from repro.eval.engine import SimJob

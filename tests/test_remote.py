@@ -107,10 +107,8 @@ class TestHostileNetwork:
 
     def test_server_truncation_resumes_via_range(self, served, tmp_path):
         handle, _, ids = served
-        # Server-side truncation only (the recv| client tokens decide
-        # independently, so pick a seed where they stay quiet — rate
-        # applies per token, and net_truncate fires on the net| side
-        # for every id at rate 1.0 regardless).
+        # net_truncate cuts every id's first payload transfer short at
+        # rate 1.0; the fetcher resumes each from the received offset.
         with inject_faults("net_truncate=1.0", seed=7):
             remote, local = _fetcher(handle.url, tmp_path)
             values = [remote.fetch(i) for i in ids]
